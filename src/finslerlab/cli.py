@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__, analysis
 from .curvature import (
     PointState,
+    _values,
     curvature_bundle,
     flag_curvature,
     point_scope,
@@ -229,9 +230,8 @@ def _suite_bianchi(metric, args):
     rows = []
     for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
         sc = point_scope(metric, st, 7)
-        RhhV = np.vectorize(lambda j: j.value)(sc.field("RhhV")).astype(float)
-        Bh_f = sc.hderiv(sc.field("B"), ("up", "lo", "lo", "lo"))
-        Bh = np.vectorize(lambda j: j.value)(Bh_f).astype(float)
+        RhhV = _values(sc.field("RhhV"))
+        Bh = _values(sc.hderiv(sc.field("B"), ("up", "lo", "lo", "lo")))
         rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
         rows.append(("curvature-derivative", idx, rel_residual(RhhV, rhs, floor=1.0), args.tol))
         ylow = sc.values("ylow")
@@ -255,13 +255,12 @@ def _suite_landsberg_routes(metric, args):
             ("mean-landsberg-two-routes", idx,
              rel_residual(sc.values("J_I"), sc.values("J_L"), floor=floor), args.tol)
         )
-        gh = sc.hderiv(sc.field("g"), ("lo", "lo"))
-        ghv = np.vectorize(lambda j: j.value)(gh).astype(float)
+        ghv = _values(sc.hderiv(sc.field("g"), ("lo", "lo")))
         rows.append(
             ("metric-h-derivative", idx,
              rel_residual(ghv, -2.0 * sc.values("L_C"), floor=floor), args.tol)
         )
-        gv = np.vectorize(lambda j: j.value)(sc.vderiv(sc.field("g"))).astype(float)
+        gv = _values(sc.vderiv(sc.field("g")))
         rows.append(
             ("metric-v-derivative", idx,
              rel_residual(gv, 2.0 * sc.values("C"), floor=floor), args.tol)

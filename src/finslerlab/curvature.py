@@ -26,11 +26,23 @@ Truncation-order ledger (seed order K; a field listed at K-d has exact
 values whenever K >= d): g, g_inv, G at K-2; C, I, N at K-3; Gamma, D,
 L(C-route), J, R^i_k at K-4; B, E, L(B-route), Sigma, c at K-5; R_j^i_kl
 at K-6; its vertical derivative at K-7.  Hence the defaults below.
+
+The direct spray path (``spray_values`` and the integrators) builds no
+scope.  It reads float partials of F^2 from one jet and solves A u = b with
+A = g, b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l and u = 4G, then differentiates
+that system in y:
+
+* u_{,j}  = A^{-1} (b_{,j} - A_{,j} u),                              N = u_{,j}/4
+* u_{,jk} = A^{-1} (b_{,jk} - A_{,jk} u - A_{,j} u_{,k} - A_{,k} u_{,j}),  Gamma = u_{,jk}/4
+
+g and G need F^2 at order 2, N at order 3 (third partials yyy, xyy), Gamma
+at order 4 (fourth partials yyyy, xyyy).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -125,6 +137,40 @@ def _values(obj):
     return out
 
 
+def _seed_point(metric, x, y, order):
+    """Gate (x, y) against the metric's dimension and chart, then seed jets.
+
+    ``seed_variables`` rejects a y of the wrong length and a zero y.
+    """
+    if len(x) != metric.n:
+        raise ShapeMismatch(f"point has dimension {len(x)}, metric has {metric.n}")
+    if not metric.chart.contains(x):
+        raise OutOfChart(f"x = {x} outside metric chart")
+    return seed_variables(x, y, JetConfig(n=metric.n, order=order))
+
+
+def _F_jet(metric, xj, yj):
+    """F on seeded jets; F must propagate jets and be positive."""
+    f = metric.F(xj, yj)
+    if not isinstance(f, Jet):
+        raise BadConfig("metric evaluator did not propagate jets")
+    if not f.value > 0.0:
+        raise SingularMetric(f"F(x, y) = {f.value:.6g} is not positive")
+    return f
+
+
+def _require_positive_definite(g0, x, y):
+    """Raise SingularMetric unless the float fundamental tensor is positive definite."""
+    scale = max(float(np.max(np.abs(g0))), 1.0)
+    eigs = np.linalg.eigvalsh(g0)
+    if eigs[0] <= 1e-12 * scale:
+        raise SingularMetric(
+            f"fundamental tensor not positive definite at {x}, "
+            f"{y}: min eigenvalue {eigs[0]:.3e}",
+            min_eigenvalue=float(eigs[0]),
+        )
+
+
 def _matmul(A, B):
     rows, inner = A.shape
     cols = B.shape[1]
@@ -144,18 +190,11 @@ class FieldScope:
     def __init__(self, metric, point: PointState, order: int):
         if order < 2:
             raise BadConfig(f"scope order must be >= 2, got {order}")
-        if point.n != metric.n:
-            raise ShapeMismatch(
-                f"point has dimension {point.n}, metric has {metric.n}"
-            )
-        if not metric.chart.contains(point.x):
-            raise OutOfChart(f"x = {point.x} outside metric chart")
         self.metric = metric
         self.point = point
         self.order = order
         self.n = metric.n
-        cfg = JetConfig(n=self.n, order=order)
-        self.xj, self.yj = seed_variables(point.x, point.y, cfg)
+        self.xj, self.yj = _seed_point(metric, point.x, point.y, order)
         self._cache = {}
 
     # --- variable bookkeeping ---
@@ -256,12 +295,7 @@ class FieldScope:
     # --- field builders (lazy, cached) ---
 
     def _build_F(self):
-        f = self.metric.F(self.xj, self.yj)
-        if not isinstance(f, Jet):
-            raise BadConfig("metric evaluator did not propagate jets")
-        if not f.value > 0.0:
-            raise SingularMetric(f"F(x, y) = {f.value:.6g} is not positive")
-        return f
+        return _F_jet(self.metric, self.xj, self.yj)
 
     def _build_F2(self):
         f = self.field("F")
@@ -287,14 +321,7 @@ class FieldScope:
 
     def _build_g0(self):
         g0 = _values(self.field("g"))
-        scale = max(float(np.max(np.abs(g0))), 1.0)
-        eigs = np.linalg.eigvalsh(g0)
-        if eigs[0] <= 1e-12 * scale:
-            raise SingularMetric(
-                f"fundamental tensor not positive definite at {self.point.x}, "
-                f"{self.point.y}: min eigenvalue {eigs[0]:.3e}",
-                min_eigenvalue=float(eigs[0]),
-            )
+        _require_positive_definite(g0, self.point.x, self.point.y)
         return g0
 
     def _build_ginv0(self):
@@ -686,20 +713,6 @@ class FieldScope:
             out[idx] = acc
         return out
 
-    def contract_y(self, T, slot):
-        """Contract one slot of a jet tensor with the y jets."""
-        n = self.n
-        shape = T.shape[:slot] + T.shape[slot + 1:]
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            full = idx[:slot] + (0,) + idx[slot:]
-            acc = T[full] * self.yj[0]
-            for s in range(1, n):
-                full = idx[:slot] + (s,) + idx[slot:]
-                acc = acc + T[full] * self.yj[s]
-            out[idx] = acc
-        return out
-
 
 # --- public extraction API ---
 
@@ -752,12 +765,82 @@ def spray(metric, point, scope=None) -> SprayData:
     )
 
 
+#: F^2 partials read by the direct spray path, named by differentiation
+#: slots with the x slot last: entry [l, j, k] of "yyx" is
+#: d^3 F^2 / dy^l dy^j dx^k.  A pattern of length d needs seed order d.
+_SPRAY_PARTIALS = ("x", "yy", "yx", "yyy", "yyx", "yyyy", "yyyx")
+_SPRAY_SLOTS = {}
+
+
+def _spray_slots(alg):
+    """{pattern: (coefficient indices, factorial scales)} for one jet algebra."""
+    key = (alg.n_vars, alg.order)
+    slots = _SPRAY_SLOTS.get(key)
+    if slots is None:
+        n = alg.n_vars // 2
+        slots = {}
+        for pattern in _SPRAY_PARTIALS:
+            if len(pattern) > alg.order:
+                continue
+            shape = (n,) * len(pattern)
+            idx = np.empty(shape, dtype=np.int64)
+            scale = np.empty(shape)
+            for combo in np.ndindex(shape):
+                exps = [0] * alg.n_vars
+                for kind, i in zip(pattern, combo):
+                    exps[i if kind == "x" else n + i] += 1
+                idx[combo] = alg.index[tuple(exps)]
+                scale[combo] = math.prod(math.factorial(e) for e in exps)
+            slots[pattern] = (idx, scale)
+        _SPRAY_SLOTS[key] = slots
+    return slots
+
+
+def _direct_spray(metric, x, y, depth):
+    """Float g and spray fields at (x, y) from one F^2 jet of order 2 + depth.
+
+    Returns [g, G] for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma]
+    for depth 2.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
+    u = 4G solves A u = b; differentiating that system in y gives
+    u_{,j} = 4 N_j and u_{,jk} = 4 Gamma_jk (module docstring).  The gates
+    are those of :class:`FieldScope`: dimension, chart, zero y, jet
+    propagation, F > 0 and positive definiteness of g.
+    """
+    x = tuple(float(v) for v in x)
+    y = tuple(float(v) for v in y)
+    f = _F_jet(metric, *_seed_point(metric, x, y, 2 + depth))
+    F2 = f * f
+    P = {p: F2.coef[idx] * scale for p, (idx, scale) in _spray_slots(F2.alg).items()}
+    g = 0.5 * P["yy"]
+    _require_positive_definite(g, x, y)
+    ginv = np.linalg.inv(g)
+    yv = np.asarray(y)
+    u = ginv @ (P["yx"] @ yv - P["x"])
+    out = [g, 0.25 * u]
+    if depth >= 1:
+        A1 = 0.5 * P["yyy"]                            # A1[l, m, j] = dA_lm/dy^j
+        b1 = P["yx"] - P["yx"].T + P["yyx"] @ yv       # b1[l, j] = db_l/dy^j
+        u1 = ginv @ (b1 - A1 @ u)
+        out.append(0.25 * u1)
+    if depth >= 2:
+        Fyyx = P["yyx"]
+        b2 = Fyyx + Fyyx.transpose(0, 2, 1) + P["yyyx"] @ yv - Fyyx.transpose(2, 0, 1)
+        T = A1 @ u1                                    # T[l, j, k] = (A_{,j} u_{,k})_l
+        rhs = b2 - 0.5 * P["yyyy"] @ u - T - T.transpose(0, 2, 1)
+        n = len(y)
+        out.append(0.25 * (ginv @ rhs.reshape(n, -1)).reshape(n, n, n))
+    return out
+
+
 def spray_values(metric, x, y, with_N=False):
-    """Fast G (optionally N) extraction for ODE right-hand sides."""
-    scope = point_scope(metric, PointState(tuple(x), tuple(y)), 3 if with_N else 2)
-    if with_N:
-        return scope.values("G"), scope.values("N")
-    return scope.values("G")
+    """G, or (G, N) when ``with_N``, as floats for ODE right-hand sides.
+
+    Takes the direct path: one F^2 jet of order 2 (3 with N) and float
+    linear algebra, no :class:`FieldScope`.  It raises what a scope would:
+    ShapeMismatch, OutOfChart, ZeroVector, BadConfig and SingularMetric.
+    """
+    out = _direct_spray(metric, x, y, 1 if with_N else 0)
+    return (out[1], out[2]) if with_N else out[1]
 
 
 def berwald_curvature(metric, point, scope=None):

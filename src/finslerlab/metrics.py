@@ -161,7 +161,7 @@ class MetricSpec:
         if not isinstance(d, dict):
             raise SpecError("metric spec must be a JSON object")
         try:
-            n = int(d["dimension"])
+            n = _spec_dimension(d["dimension"])
             family = d["family"]
         except KeyError as e:
             raise SpecError(f"metric spec missing key {e}") from e
@@ -169,24 +169,68 @@ class MetricSpec:
             raise SpecError(f"unknown family {family!r}; expected one of {_FAMILIES}")
         kw = {}
         if "a" in d:
-            kw["a"] = tuple(tuple(row) for row in d["a"])
+            kw["a"] = tuple(_spec_array(row, "a row") for row in _spec_array(d["a"], "a"))
         if "b" in d:
-            kw["b"] = tuple(d["b"])
+            kw["b"] = _spec_array(d["b"], "b")
         if "drift" in d or "funk_a" in d:  # "funk_a" is the spec-file spelling
-            kw["drift"] = tuple(float(v) for v in d.get("drift", d.get("funk_a")))
+            drift = _spec_array(d.get("drift", d.get("funk_a")), "drift")
+            kw["drift"] = tuple(_spec_number(v, "drift") for v in drift)
         if "expression" in d:
             kw["expression"] = d["expression"]
         if "constants" in d:
+            if not isinstance(d["constants"], dict):
+                raise SpecError("constants must be a JSON object")
             kw["constants"] = tuple(
-                (k, tuple(v) if isinstance(v, (list, tuple)) else float(v))
+                (k, _spec_constant(v, f"constant {k!r}"))
                 for k, v in sorted(d["constants"].items())
             )
         if "chart_radius" in d:
-            kw["chart_radius"] = float(d["chart_radius"])
+            kw["chart_radius"] = _spec_number(d["chart_radius"], "chart_radius")
         elif "chart" in d:  # {"radius": r} or a bare number
             ch = d["chart"]
-            kw["chart_radius"] = float(ch["radius"] if isinstance(ch, dict) else ch)
+            kw["chart_radius"] = _spec_number(
+                ch.get("radius") if isinstance(ch, dict) else ch, "chart radius"
+            )
         return MetricSpec(n=n, family=family, label=d.get("label", ""), **kw)
+
+
+def _spec_dimension(v):
+    """An integral, non-boolean dimension from a spec entry."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise SpecError(f"dimension must be an integer, got {v!r}")
+    try:
+        return int(v)
+    except (TypeError, ValueError) as e:
+        raise SpecError(f"dimension must be an integer, got {v!r}") from e
+
+
+def _spec_number(v, where):
+    """A finite float from a spec entry; booleans are not numbers."""
+    if isinstance(v, bool):
+        raise SpecError(f"{where}: expected a number, got {v!r}")
+    try:
+        out = float(v)
+    except (TypeError, ValueError) as e:
+        raise SpecError(f"{where}: expected a number, got {v!r}") from e
+    if not math.isfinite(out):
+        raise SpecError(f"{where}: {v!r} is not finite")
+    return out
+
+
+def _spec_array(v, where):
+    """A tuple from a spec entry that must be an array."""
+    if not isinstance(v, (list, tuple)):
+        raise SpecError(f"{where}: expected an array, got {v!r}")
+    return tuple(v)
+
+
+def _spec_constant(v, where):
+    """A finite scalar, or a vector kept as given after checking its entries."""
+    if isinstance(v, (list, tuple)):
+        for entry in v:
+            _spec_number(entry, where)
+        return tuple(v)
+    return _spec_number(v, where)
 
 
 def _compile_entry(entry, n, where):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import PointState, point_scope
+from .curvature import PointState, _direct_spray, point_scope
 from .errors import (
     BadConfig,
     ChartExit,
@@ -404,7 +404,7 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear", to
     lengths = np.empty(len(path.t))
     for row, (xi, yi, vi) in enumerate(zip(x, y, V)):
         ref = yi if mode == "linear" else vi
-        g0 = point_scope(metric, PointState(tuple(xi), tuple(ref)), 2).field("g0")
+        g0 = _direct_spray(metric, xi, ref, 0)[0]
         lengths[row] = math.sqrt(max(float(vi @ g0 @ vi), 0.0))
     Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
     scale = max(float(np.max(lengths)), 1e-300)
@@ -504,7 +504,7 @@ def parallelogram_holonomy(
     from .curvature import spray_values
 
     def length_at(ref, w):
-        g0 = point_scope(metric, PointState(tuple(x0), tuple(ref)), 2).field("g0")
+        g0 = _direct_spray(metric, x0, ref, 0)[0]
         return math.sqrt(max(float(w @ g0 @ w), 0.0))
 
     len_F0 = float(metric.F(tuple(x0), tuple(w0)))
@@ -531,9 +531,7 @@ def parallelogram_holonomy(
                 if np.linalg.norm(Y) < 1e-10 * sscale:
                     raise VanishingVector("support vector collapsed")
                 _, N_w = spray_values(metric, x, wn, with_N=True)
-                sc = point_scope(metric, PointState(tuple(x), tuple(Y)), 4)
-                N_Y = sc.values("N")
-                Gamma_Y = sc.values("Gamma")
+                _, _, N_Y, Gamma_Y = _direct_spray(metric, x, Y, 2)
                 return np.concatenate(
                     [
                         -_e * (N_w @ _d),

@@ -329,6 +329,25 @@ def test_unknown_family_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"dimension": "two", "family": "funk"},
+        {"dimension": 2.5, "family": "funk"},
+        {"dimension": 2, "family": "funk", "drift": [float("nan"), 0.0]},
+    ],
+)
+def test_malformed_spec_values_exit_2(spec, tmp_path, capsys):
+    p = tmp_path / "values.json"
+    p.write_text(json.dumps(spec))
+    out = tmp_path / "never.json"
+    assert main(["report", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_bad_expression_exits_2(tmp_path, capsys):
     p = tmp_path / "expr.json"
     p.write_text(json.dumps({"dimension": 2, "family": "custom",

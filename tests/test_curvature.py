@@ -10,12 +10,15 @@ Oracles used here:
 * homogeneity degrees under y -> s y, which every block must satisfy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from finslerlab import metrics
 from finslerlab.curvature import (
     PointState,
+    _direct_spray,
     berwald_curvature,
     cartan_tensor,
     curvature_bundle,
@@ -33,6 +36,7 @@ from finslerlab.curvature import (
     vertical_derivative,
 )
 from finslerlab.errors import (
+    BadConfig,
     DegenerateFlag,
     OrderExceeded,
     OutOfChart,
@@ -298,6 +302,60 @@ def test_spray_values_fast_path(funk2):
     G2, N2 = spray_values(funk2, (0.3, -0.1), (0.8, 0.5), with_N=True)
     assert rel_err(G, G2) < 1e-14
     assert N2.shape == (2, 2)
+
+
+# --- direct spray path against the scope path ---
+
+DIRECT_CORPUS = ("funk2", "funk2-drift", "funk3", "randers3x", "sphere2", "sphere3", "abq3")
+
+
+@pytest.mark.parametrize("name", DIRECT_CORPUS)
+def test_direct_spray_matches_scope(name):
+    m = metrics.build_metric(metrics.builtin(name))
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        x = 0.5 * m.chart.sample_radius * rng.uniform(-1, 1, size=m.n) / np.sqrt(m.n)
+        y = rng.normal(size=m.n)
+        sc = point_scope(m, PointState(tuple(x), tuple(y)), 4)
+        direct = _direct_spray(m, x, y, 2)
+        for got, key in zip(direct, ("g0", "G", "N", "Gamma")):
+            want = sc.field(key) if key == "g0" else sc.values(key)
+            scale = float(np.max(np.abs(want)))
+            err = float(np.max(np.abs(got - want)))
+            # abq3 is x-independent and its spray is 0: absolute floor
+            assert err <= 1e-13 * scale + 1e-15, (key, err, scale)
+        G, N = spray_values(m, x, y, with_N=True)
+        assert rel_err(G, direct[1]) < 1e-14
+        assert rel_err(N, direct[2]) < 1e-14
+
+
+def test_direct_spray_singular_metric():
+    m = metrics.build_metric(metrics.builtin("quartic2"))
+    for depth in (0, 1, 2):
+        with pytest.raises(SingularMetric) as info:
+            _direct_spray(m, (0.0, 0.0), (1.0, 0.0), depth)
+        assert info.value.min_eigenvalue is not None
+    with pytest.raises(SingularMetric):
+        spray_values(m, (0.0, 0.0), (1.0, 0.0))
+
+
+def test_direct_spray_point_guards(funk2):
+    with pytest.raises(OutOfChart):
+        spray_values(funk2, (1.2, 0.0), (1.0, 0.0))
+    with pytest.raises(OutOfChart):
+        _direct_spray(funk2, (0.0, 1.0), (1.0, 0.0), 2)
+    with pytest.raises(ShapeMismatch):
+        spray_values(funk2, (0.1, 0.0, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(ShapeMismatch):
+        spray_values(funk2, (0.1, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(ZeroVector):
+        spray_values(funk2, (0.1, 0.0), (0.0, 0.0), with_N=True)
+    floats_only = dataclasses.replace(funk2, _fn=lambda x, y: 1.0)
+    with pytest.raises(BadConfig):
+        spray_values(floats_only, (0.1, 0.0), (1.0, 0.0))
+    negative = dataclasses.replace(funk2, _fn=lambda x, y: -1.0 * funk2.F(x, y))
+    with pytest.raises(SingularMetric):
+        spray_values(negative, (0.1, 0.0), (1.0, 0.0))
 
 
 def test_rel_residual_semantics():

@@ -89,6 +89,49 @@ def test_spec_errors():
         build_metric(MetricSpec.custom(2, "sqrt(abs2(y)"))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dimension": "two", "family": "funk"},
+        {"dimension": True, "family": "funk"},
+        {"dimension": 2.5, "family": "funk"},
+        {"dimension": None, "family": "funk"},
+        {"dimension": [2], "family": "funk"},
+        {"dimension": 2, "family": "funk", "drift": [0.1, "x"]},
+        {"dimension": 2, "family": "funk", "drift": 0.1},
+        {"dimension": 2, "family": "funk", "drift": [math.nan, 0.0]},
+        {"dimension": 2, "family": "funk", "funk_a": [math.inf, 0.0]},
+        {"dimension": 2, "family": "funk", "drift": [True, 0.0]},
+        {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y))",
+         "chart_radius": math.inf},
+        {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y))",
+         "chart_radius": "wide"},
+        {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y))",
+         "chart": {"radius": math.nan}},
+        {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y))",
+         "chart": {"r": 0.5}},
+        {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y)) + k*y1",
+         "constants": {"k": math.nan}},
+        {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y)) + dot(b, y)",
+         "constants": {"b": [0.1, math.inf]}},
+        {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y))",
+         "constants": [1.0]},
+        {"dimension": 2, "family": "riemannian", "a": 1.0},
+        {"dimension": 2, "family": "riemannian", "a": [[1.0, 0.0], 0.5]},
+        {"dimension": 2, "family": "funk", "drift": "0.1"},
+        {"dimension": 2, "family": "randers", "a": [[1.0, 0.0], [0.0, 1.0]], "b": 0.1},
+    ],
+)
+def test_spec_coercion_errors(bad):
+    with pytest.raises(SpecError):
+        MetricSpec.from_dict(bad)
+
+
+def test_spec_integral_dimension_accepted():
+    assert MetricSpec.from_dict({"dimension": 2.0, "family": "funk"}).n == 2
+    assert MetricSpec.from_dict({"dimension": 3, "family": "funk"}).n == 3
+
+
 def test_spec_roundtrip():
     for name in ("euclidean2", "sphere3", "randers3x", "funk2-drift", "quartic2"):
         spec = metrics.builtin(name)
