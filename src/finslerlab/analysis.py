@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .curvature import PointState, point_scope, rel_residual
+from .curvature import PointState, point_scope, rel_residual, require_stretch_design
 from .errors import (
     DimensionError,
     NotConstantCurvature,
@@ -257,10 +257,7 @@ def _stretch_ratio_values(S, D, F):
     FD = F * D
     den = float(np.sum(FD * FD))
     num = float(np.sum(S * FD))
-    if den <= (1e-8 * (1.0 + abs(num))) ** 2 and den < _FLOOR:
-        raise UndefinedFit(
-            "stretch-ratio design tensor F(C_{|l} - C_{|k}) is numerically zero"
-        )
+    require_stretch_design(num, den)
     c = num / den
     scale = max(np.max(np.abs(S)), np.max(np.abs(FD)), _FLOOR)
     residual = float(np.max(np.abs(S - c * FD)) / scale)

@@ -21,6 +21,13 @@ Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 
 The horizontal derivative uses the Berwald connection: for a scalar f,
 f_{|k} = df/dx^k - N^m_k df/dy^m; tensor slots add/subtract Gamma terms.
+It runs on stacked coefficient arrays, one row-wise product per term, and
+adds the terms in the order of the entry-by-entry jet formula.
+
+The inverse metric is the Neumann series X_t = g0^{-1} + M X_{t-1} with
+M = -g0^{-1}(g - g0), run in growing order: M has no constant term, so X_t
+is exact through order t, and iteration t runs in the order-t algebra.
+Both give the same coefficients as the full-order jet loops, bit for bit.
 
 Truncation-order ledger (seed order K; a field listed at K-d has exact
 values whenever K >= d): g, g_inv, G at K-2; C, I, N at K-3; Gamma, D,
@@ -60,7 +67,7 @@ from .errors import (
     UndefinedFit,
     ZeroVector,
 )
-from .jets import Jet, JetConfig, seed_variables
+from .jets import Jet, JetConfig, _algebra, deriv_rows, mul_rows, seed_variables
 
 BUNDLE_ORDER = 7
 
@@ -171,6 +178,24 @@ def _require_positive_definite(g0, x, y):
         )
 
 
+def _stack(T, size):
+    """Coefficients 0..size-1 of an object array of jets, shape (*T.shape, size)."""
+    return np.array([j.coef[:size] for j in T.flat]).reshape(T.shape + (size,))
+
+
+def require_stretch_design(num, den):
+    """Raise UndefinedFit unless the stretch ratio c = num / den is defined.
+
+    ``num`` = <Sigma, F D> and ``den`` = |F D|^2 at one point, with
+    D_ijkl = C_{ijk|l} - C_{ijl|k}.  The pointwise ``cratio`` field and the
+    fitted ratio both apply this one rule.
+    """
+    if den <= (1e-8 * (1.0 + abs(num))) ** 2 and den < 1e-12:
+        raise UndefinedFit(
+            "stretch-ratio design tensor F(C_{|l} - C_{|k}) is numerically zero"
+        )
+
+
 def _matmul(A, B):
     rows, inner = A.shape
     cols = B.shape[1]
@@ -237,42 +262,56 @@ class FieldScope:
         """Horizontal (Berwald) derivative: one extra lower slot.
 
         ``valence`` must describe T's existing slots ("up"/"lo") so the
-        connection terms get the right sign.
+        connection terms get the right sign.  Per entry and new slot k:
+
+            T_{|k} = dT/dx^k - sum_m N^m_k dT/dy^m
+                     + sum_m T[..m..] Gamma^s_mk   (each "up" slot s)
+                     - sum_m T[..m..] Gamma^m_sk   (each "lo" slot s)
+
+        T, N and Gamma are stacked into coefficient arrays, and each term
+        (one per m, and per slot and m) is one row-wise product over all
+        entries.  Terms are added in the order written, each product is
+        summed like ``Jet.__mul__``, and the result lives in the algebra the
+        entry-by-entry jet arithmetic would truncate to, so every entry
+        equals that loop's jet bit for bit.
         """
         n = self.n
-        N = self.field("N")
         if isinstance(T, Jet):
-            out = np.empty((n,), dtype=object)
-            dy = [T.deriv(self._yv(m)) for m in range(n)]
-            for k in range(n):
-                acc = T.deriv(self._xv(k))
-                for m in range(n):
-                    acc = acc - N[m, k] * dy[m]
-                out[k] = acc
-            return out
-        if len(valence) != T.ndim:
+            T, valence = np.array(T, dtype=object), ()
+        elif len(valence) != T.ndim:
             raise ShapeMismatch(
                 f"valence has {len(valence)} slots, tensor has {T.ndim}"
             )
-        Gamma = self.field("Gamma")
-        out = np.empty(T.shape + (n,), dtype=object)
-        for idx in np.ndindex(T.shape):
-            jet = T[idx]
-            dx = [jet.deriv(self._xv(k)) for k in range(n)]
-            dy = [jet.deriv(self._yv(m)) for m in range(n)]
-            for k in range(n):
-                acc = dx[k]
+        N = self.field("N")
+        Gamma = self.field("Gamma") if valence else None
+        order = min(j.order for j in T.flat) - 1
+        for conn in (N, Gamma) if valence else (N,):
+            order = min(order, min(j.order for j in conn.flat))
+        if order < 0:
+            raise OrderExceeded("derivative of an order-0 jet is not determined")
+        hi = _algebra(2 * n, order + 1)
+        lo = _algebra(2 * n, order)
+        Tc = _stack(T, hi.size)
+        acc = np.stack([deriv_rows(hi, Tc, self._xv(k)) for k in range(n)], axis=-2)
+        Nc = _stack(N, lo.size)
+        for m in range(n):
+            dy = deriv_rows(hi, Tc, self._yv(m))
+            acc -= mul_rows(lo, Nc[m], dy[..., None, :])
+        if valence:
+            Gc = _stack(Gamma, lo.size)
+            rank = T.ndim
+            for slot, kind in enumerate(valence):
                 for m in range(n):
-                    acc = acc - N[m, k] * dy[m]
-                for slot, kind in enumerate(valence):
-                    s = idx[slot]
-                    for m in range(n):
-                        jdx = idx[:slot] + (m,) + idx[slot + 1:]
-                        if kind == "up":
-                            acc = acc + T[jdx] * Gamma[s, m, k]
-                        else:
-                            acc = acc - T[jdx] * Gamma[m, s, k]
-                out[idx + (k,)] = acc
+                    Tm = np.expand_dims(np.take(Tc, m, axis=slot), (slot, rank))
+                    G = Gc[:, m] if kind == "up" else Gc[m]  # axes (s, k)
+                    G = G.reshape((1,) * slot + (n,) + (1,) * (rank - slot - 1) + G.shape[1:])
+                    if kind == "up":
+                        acc += mul_rows(lo, Tm, G)
+                    else:
+                        acc -= mul_rows(lo, Tm, G)
+        out = np.empty(acc.shape[:-1], dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = Jet(lo, acc[idx])
         return out
 
     def directional(self, T, valence=()):
@@ -331,18 +370,16 @@ class FieldScope:
         """Inverse metric as jets: Horner form of the Neumann series.
 
         With g = g0 + dev (dev has zero constant part), the truncated
-        inverse is sum_k (-g0^{-1} dev)^k g0^{-1}; dev is nilpotent in
-        the jet ring so `order` Horner steps are exact.
+        inverse is sum_k (-g0^{-1} dev)^k g0^{-1}.  M = -g0^{-1} dev has no
+        constant term, so X_t = g0^{-1} + M X_{t-1} is exact through order
+        t: iteration t runs in the order-t algebra, with X_{t-1} zero-padded
+        into it, and `order` iterations give the full inverse.
         """
         n = self.n
         g = self.field("g")
         inv0 = self.field("ginv0")
         alg = g[0, 0].alg
-        base = np.empty((n, n), dtype=object)
         M = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                base[i, j] = Jet.constant(alg, inv0[i, j])
         for i in range(n):
             for j in range(n):
                 acc = None
@@ -351,12 +388,22 @@ class FieldScope:
                     term = (-inv0[i, k]) * dev
                     acc = term if acc is None else acc + term
                 M[i, j] = acc
-        X = base
-        for _ in range(alg.order):
-            X = _matmul(M, X)
+        X = np.empty((n, n), dtype=object)
+        alg0 = _algebra(alg.n_vars, 0)
+        for i in range(n):
+            for j in range(n):
+                X[i, j] = Jet.constant(alg0, inv0[i, j])
+        for t in range(1, alg.order + 1):
+            alg_t = _algebra(alg.n_vars, t)
+            Mt = np.empty((n, n), dtype=object)
             for i in range(n):
                 for j in range(n):
-                    X[i, j] = base[i, j] + X[i, j]
+                    Mt[i, j] = M[i, j].truncated(t)
+                    X[i, j] = X[i, j]._padded(alg_t)
+            X = _matmul(Mt, X)
+            for i in range(n):
+                for j in range(n):
+                    X[i, j] = Jet.constant(alg_t, inv0[i, j]) + X[i, j]
         return X
 
     def _build_ylow(self):
@@ -694,11 +741,7 @@ class FieldScope:
             t2 = FD * FD
             num = t1 if num is None else num + t1
             den = t2 if den is None else den + t2
-        nscale = abs(num.value)
-        if den.value <= (1e-8 * (1.0 + nscale)) ** 2 and den.value < 1e-12:
-            raise UndefinedFit(
-                "stretch-ratio design tensor F(C_{|l} - C_{|k}) is numerically zero"
-            )
+        require_stretch_design(num.value, den.value)
         return num / den
 
     def _contract_last(self, H):

@@ -17,6 +17,16 @@ Seeding a coordinate variable gives the jet of the identity function in
 that slot; pushing seeded jets through arithmetic and the closed-form
 function table below evaluates all mixed partials of the composite
 expression at once, exactly up to round-off.
+
+Closed-form functions compose a univariate series with u = a - a(0) by
+Horner's rule.  They run it in growing order: u has no constant term, so
+the coefficients of order <= d of a product p * u read only those of p of
+order < d, and the Horner value after adding series[k] is needed only
+through order K - k.  Each step runs in that algebra.  A product's
+coefficient sums the same pairs in the same order in every algebra that
+holds it, so the result equals the full-order evaluation bit for bit.
+``mul_rows`` and ``deriv_rows`` apply the product and derivative tables to
+stacked coefficient arrays, one row per jet, with the same summation order.
 """
 
 from __future__ import annotations
@@ -301,16 +311,45 @@ class Jet:
                 acc = acc * acc
         return out
 
+    def _padded(self, alg):
+        """These coefficients zero-padded into the higher-order algebra ``alg``.
+
+        The padding is not a Taylor extension; callers use it only where the
+        new top-order coefficients meet a zero constant term.
+        """
+        c = np.zeros(alg.size)
+        c[: self.alg.size] = self.coef
+        return Jet(alg, c)
+
     # --- composition with univariate series ---
 
     def _compose(self, series):
-        """Horner evaluation of sum series[k] * u^k with u the nilpotent part."""
-        u = Jet(self.alg, self.coef.copy())
-        u.coef[0] = 0.0
-        out = Jet.constant(self.alg, series[-1])
-        for k in range(len(series) - 2, -1, -1):
-            out = out * u + series[k]
-        return out
+        """Horner evaluation of sum series[k] * u^k with u the nilpotent part.
+
+        The value after the step that adds series[k] is needed only through
+        order K - k, so that step runs in the order-(K - k) algebra (module
+        docstring): ``out``, zero-padded into it, times u plus series[k], as
+        :meth:`__mul__` and :meth:`__add__` compute them.  The first step, a
+        constant times u, is a scalar multiply; ``+ 0.0`` turns -0.0 into
+        0.0 as a product's bincount does.
+        """
+        K = self.alg.order
+        u = self.coef.copy()
+        u[0] = 0.0
+        top = min(len(series) - 1, K)  # u^k vanishes for k > K
+        if top == 0:
+            return Jet.constant(self.alg, series[0])
+        size = _algebra(self.alg.n_vars, K - top + 1).size
+        out = u[:size] * series[top] + 0.0
+        out[0] += series[top - 1]
+        for k in range(top - 2, -1, -1):
+            alg = _algebra(self.alg.n_vars, K - k)
+            mi, mj, mo = alg.mul_table
+            padded = np.zeros(alg.size)
+            padded[: out.size] = out
+            out = np.bincount(mo, weights=padded[mi] * u[mj], minlength=alg.size)
+            out[0] += series[k]
+        return Jet(self.alg, out)
 
     def reciprocal(self):
         a0 = self.value
@@ -382,6 +421,34 @@ class Jet:
                 f"multi-index {tuple(exponents)} beyond truncation order {self.alg.order}"
             )
         return float(self.coef[idx])
+
+
+# --- row-wise kernels on stacked coefficient arrays ---
+
+def mul_rows(alg, a, b):
+    """Products of jets stored as rows: row r is Jet(alg, a[r]) * Jet(alg, b[r]).
+
+    ``a`` and ``b`` are coefficient arrays of shape (..., >= alg.size) that
+    broadcast against each other.  One gather, one multiply and one bincount
+    with per-row offsets; each row's products are added in mul-table order,
+    as in :meth:`Jet.__mul__`, so the rows match it bit for bit.
+    """
+    mi, mj, mo = alg.mul_table
+    w = np.multiply(a[..., mi], b[..., mj], order="C")  # C order: ravel is a view
+    rows = w.shape[:-1]
+    count = math.prod(rows)
+    slots = (np.arange(count)[:, None] * alg.size + mo).ravel()
+    out = np.bincount(slots, weights=w.ravel(), minlength=count * alg.size)
+    return out.reshape(rows + (alg.size,))
+
+
+def deriv_rows(alg, a, var):
+    """Row-wise :meth:`Jet.deriv`: coefficients of shape (..., alg.size) in,
+    (..., size of the order-(K - 1) algebra) out."""
+    src, dst, fac = alg.deriv_tables[var]
+    out = np.zeros(a.shape[:-1] + (_algebra(alg.n_vars, alg.order - 1).size,))
+    out[..., dst] = a[..., src] * fac
+    return out
 
 
 # --- module-level operations (the stable kernel API) ---

@@ -235,8 +235,8 @@ def _spec_constant(v, where):
 
 def _compile_entry(entry, n, where):
     """Compile one matrix/covector entry to a callable of the x jets."""
-    if isinstance(entry, (int, float)):
-        c = float(entry)
+    if isinstance(entry, (int, float)):  # bool is an int: _spec_number rejects it
+        c = _spec_number(entry, where)
         return lambda env: c
     if not isinstance(entry, str):
         raise SpecError(f"{where}: entry must be a number or an expression string")

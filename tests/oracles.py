@@ -1,13 +1,21 @@
 """Independent numerical oracles used by the test-suite.
 
-Everything here is deliberately dumb and derivative-free of the library
+Most of this is deliberately dumb and derivative-free of the library
 internals: central finite differences, textbook closed forms, and plain
 ODE integration.  Tests compare engine output against these.
+
+The last section keeps the straightforward jet-by-jet forms of three
+kernel steps that the library runs in truncated or batched form: the
+full-order Horner composition, the full-order Neumann inverse and the
+entry-by-entry horizontal derivative.  They use the same jet arithmetic,
+so tests require the library to match them bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from finslerlab.jets import Jet
 
 
 def fd_partial(f, point, alpha, h=1e-4):
@@ -111,3 +119,97 @@ def funk_value(a, x, y):
     yy = float(y @ y)
     xy = float(x @ y)
     return (math.sqrt(yy - (xx * yy - xy * xy)) + xy + float(a @ y)) / (1.0 - xx)
+
+
+# --------------------------------------------------------------------------
+# full-order reference forms of truncated / batched kernel steps
+
+
+def compose_full(jet, series):
+    """Horner evaluation of sum series[k] * u^k, every step at the jet's order.
+
+    Same signature as ``Jet._compose``, so a test can patch it in and run
+    the library's own series constructors (sqrt, exp, powers, ...).
+    """
+    u = Jet(jet.alg, jet.coef.copy())
+    u.coef[0] = 0.0
+    out = Jet.constant(jet.alg, series[-1])
+    for k in range(len(series) - 2, -1, -1):
+        out = out * u + series[k]
+    return out
+
+
+def _matmul_jets(A, B):
+    rows, inner = A.shape
+    cols = B.shape[1]
+    out = np.empty((rows, cols), dtype=object)
+    for i in range(rows):
+        for j in range(cols):
+            acc = A[i, 0] * B[0, j]
+            for k in range(1, inner):
+                acc = acc + A[i, k] * B[k, j]
+            out[i, j] = acc
+    return out
+
+
+def g_inv_full(scope):
+    """Neumann-series inverse of the scope's g, every iteration at g's order."""
+    n = scope.n
+    g = scope.field("g")
+    inv0 = scope.field("ginv0")
+    alg = g[0, 0].alg
+    base = np.empty((n, n), dtype=object)
+    M = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            base[i, j] = Jet.constant(alg, inv0[i, j])
+    for i in range(n):
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                dev = g[k, j] - g[k, j].value
+                term = (-inv0[i, k]) * dev
+                acc = term if acc is None else acc + term
+            M[i, j] = acc
+    X = base
+    for _ in range(alg.order):
+        X = _matmul_jets(M, X)
+        for i in range(n):
+            for j in range(n):
+                X[i, j] = base[i, j] + X[i, j]
+    return X
+
+
+def hderiv_loop(scope, T, valence=()):
+    """Berwald horizontal derivative of T, one jet product at a time."""
+    n = scope.n
+    N = scope.field("N")
+    if isinstance(T, Jet):
+        out = np.empty((n,), dtype=object)
+        dy = [T.deriv(n + m) for m in range(n)]
+        for k in range(n):
+            acc = T.deriv(k)
+            for m in range(n):
+                acc = acc - N[m, k] * dy[m]
+            out[k] = acc
+        return out
+    Gamma = scope.field("Gamma")
+    out = np.empty(T.shape + (n,), dtype=object)
+    for idx in np.ndindex(T.shape):
+        jet = T[idx]
+        dx = [jet.deriv(k) for k in range(n)]
+        dy = [jet.deriv(n + m) for m in range(n)]
+        for k in range(n):
+            acc = dx[k]
+            for m in range(n):
+                acc = acc - N[m, k] * dy[m]
+            for slot, kind in enumerate(valence):
+                s = idx[slot]
+                for m in range(n):
+                    jdx = idx[:slot] + (m,) + idx[slot + 1:]
+                    if kind == "up":
+                        acc = acc + T[jdx] * Gamma[s, m, k]
+                    else:
+                        acc = acc - T[jdx] * Gamma[m, s, k]
+            out[idx + (k,)] = acc
+    return out

@@ -74,6 +74,9 @@ def test_relative_stretch_degenerate_raises():
         m = build_metric(builtin(name))
         with pytest.raises(UndefinedFit):
             an.fit_relative_stretch(m, count=2, seed=0)
+        # the pointwise ratio applies the same degeneracy rule
+        with pytest.raises(UndefinedFit):
+            an.point_relative_stretch(point_scope(m, an.sample_states(m, 1, 0)[0], 5))
 
 
 # --- torsion shape (p, q) ---

@@ -335,6 +335,11 @@ def test_unknown_family_exits_2(tmp_path, capsys):
         {"dimension": "two", "family": "funk"},
         {"dimension": 2.5, "family": "funk"},
         {"dimension": 2, "family": "funk", "drift": [float("nan"), 0.0]},
+        # matrix entries; NaN and Infinity are JSON extensions json.loads reads
+        {"dimension": 2, "family": "riemannian", "a": [[float("nan"), 0], [0, 1]]},
+        {"dimension": 2, "family": "riemannian", "a": [[True, 0], [0, 1]]},
+        {"dimension": 2, "family": "randers", "a": [[1, 0], [0, 1]],
+         "b": [float("inf"), 0]},
     ],
 )
 def test_malformed_spec_values_exit_2(spec, tmp_path, capsys):

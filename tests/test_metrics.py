@@ -127,6 +127,24 @@ def test_spec_coercion_errors(bad):
         MetricSpec.from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dimension": 2, "family": "riemannian", "a": [[math.nan, 0.0], [0.0, 1.0]]},
+        {"dimension": 2, "family": "riemannian", "a": [[1.0, 0.0], [0.0, -math.inf]]},
+        {"dimension": 2, "family": "riemannian", "a": [[True, 0.0], [0.0, 1.0]]},
+        {"dimension": 2, "family": "randers", "a": [[1.0, 0.0], [0.0, 1.0]],
+         "b": [math.inf, 0.0]},
+        {"dimension": 2, "family": "randers", "a": [[1.0, 0.0], [0.0, 1.0]],
+         "b": [0.1, False]},
+    ],
+)
+def test_matrix_entries_must_be_finite_numbers(bad):
+    spec = MetricSpec.from_dict(bad)
+    with pytest.raises(SpecError):
+        build_metric(spec)
+
+
 def test_spec_integral_dimension_accepted():
     assert MetricSpec.from_dict({"dimension": 2.0, "family": "funk"}).n == 2
     assert MetricSpec.from_dict({"dimension": 3, "family": "funk"}).n == 3
