@@ -13,9 +13,11 @@ Commands (see ``finslerlab <command> --help`` for flags):
                 (CSV) and run the parallelogram loop experiment.
 
 Exit codes: 0 success / all checks pass; 1 a verification check failed (or a
-computation was inapplicable); 2 malformed spec or expression (message on
-stderr, no partial output); 3 chart violation (point outside the chart, or a
-trajectory leaving it; the exit time is reported when known).
+computation was inapplicable); 2 malformed spec or expression, or a spec whose
+F fails the positive-homogeneity or strong-convexity probe at seeded chart
+points (message on stderr, no partial output); 3 chart violation (point
+outside the chart, or a trajectory leaving it; the exit time is reported when
+known).
 
 Determinism: identical inputs and seed produce byte-identical output apart
 from the ``version`` field.  Default tolerances: 1e-6 for identity residuals,
@@ -53,11 +55,13 @@ from .errors import (
     SpecError,
     UndefinedFit,
 )
-from .metrics import MetricSpec, build_metric
+from .metrics import MetricSpec, build_metric, validate
 from .transport import integrate_geodesic, parallelogram_holonomy, scalar_flows
 
 _IDENTITY_TOL = 1e-6
 _SPREAD_TOL = 1e-4
+#: seeded chart samples of the homogeneity and convexity probe run on every spec
+_PROBE_SAMPLES = 4
 
 #: verification suites; "theorem3" is a compatibility alias kept stable for
 #: external harnesses and runs the principal-scalar suite
@@ -82,7 +86,15 @@ def _load_metric(path):
     except json.JSONDecodeError as e:
         raise SpecError(f"spec file {path!r} is not valid JSON: {e}") from e
     spec = MetricSpec.from_dict(data)
-    return spec, build_metric(spec)
+    metric = build_metric(spec)
+    probe = validate(metric, samples=_PROBE_SAMPLES, seed=0)
+    if not probe.passed:
+        bad = probe.failures[0]
+        x, y = (", ".join(f"{float(v):.6g}" for v in bad[k]) for k in "xy")
+        raise SpecError(
+            f"spec file {path!r} is not a Finsler metric: {bad['problem']} at x = ({x}), y = ({y})"
+        )
+    return spec, metric
 
 
 def _parse_vector(text, name):

@@ -27,6 +27,30 @@ coefficient sums the same pairs in the same order in every algebra that
 holds it, so the result equals the full-order evaluation bit for bit.
 ``mul_rows`` and ``deriv_rows`` apply the product and derivative tables to
 stacked coefficient arrays, one row per jet, with the same summation order.
+
+The tables are built with array operations.  The basis index of an exponent
+is a sum of binomial coefficients of its suffix sums (``_Algebra._ranks``);
+suffix sums add like exponents, so the row sums of two exponents index their
+sum, the entry a pair-by-pair lookup finds.
+
+Each jet carries ``deg``, an upper bound on the degree of the polynomial its
+coefficients hold: every coefficient of higher order is +-0.  Seeds have
+degree 1 and constants 0.  A sum takes the larger degree and a product the
+sum of the two; negation and finite scalars keep it, a derivative lowers it
+by one, and compositions and jets built without one get the full order.
+Jets of degrees p and q with d = p + q < K multiply in the order-d algebra,
+zero-padded: a coefficient of order <= d sums the same pairs in the same
+order there (the basis is a prefix), and each pair of higher order has a +-0
+factor, so its full-table sum is the +0.0 the padding gives.  That holds
+for finite coefficients; where one is inf or NaN, the full table would put
+0 * inf = NaN above order d and the padding keeps +0.0 there, the exact
+product of the two polynomials.
+
+Products of more than ``_BLOCK`` pairs run in blocks through ``np.add.at``,
+which adds in the order of one ``np.bincount``.  Unless one row of the
+table is longer, no temporary then exceeds 64 KiB, half of glibc's smallest
+mmap threshold, so no product maps fresh pages, whatever threshold the
+allocator's history has set.
 """
 
 from __future__ import annotations
@@ -46,6 +70,9 @@ from .errors import (
 )
 
 _ALGEBRA_CACHE: dict[tuple[int, int], "_Algebra"] = {}
+
+#: pairs per product block: 64 KiB temporaries (module docstring)
+_BLOCK = 8192
 
 
 def _exponent_tuples(n_vars, degree):
@@ -74,53 +101,98 @@ class _Algebra:
         self.index = {e: i for i, e in enumerate(exps)}
         self.orders = np.array([sum(e) for e in exps], dtype=np.int64)
         self._mul_table = None
+        self._mul_blocks = None
         self._deriv_tables = None
+
+    def _ranks(self):
+        """Exponents, their suffix sums and the binomial tables that rank them.
+
+        With T_c = e_c + ... + e_{n-1}, the basis index of e is the sum over
+        c of ``binom[c][T_c]`` = C(T_c + n - c - 1, n - c): the c = 0 term
+        counts the monomials of lower order, each later one those that share
+        e's first c - 1 entries and have a larger entry at c - 1.  Suffix
+        sums add like exponents, so T(e) + T(f) ranks e + f.
+        """
+        n = self.n_vars
+        exps = np.array(self.exponents, dtype=np.int64).reshape(self.size, n)
+        suffix = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
+        binom = [np.array([math.comb(t + n - c - 1, n - c) for t in range(self.order + 1)])
+                 for c in range(n)]
+        return exps, suffix, binom
 
     @property
     def mul_table(self):
+        """Pairs (i, j) with order(i) + order(j) <= K, row by row, and the
+        index of e_i + e_j: the arrays (mi, mj, mo)."""
         if self._mul_table is None:
-            mi, mj, mo = [], [], []
-            for i, ei in enumerate(self.exponents):
-                budget = self.order - int(self.orders[i])
-                limit = self.count_through_order[budget]
-                for j in range(limit):
-                    ej = self.exponents[j]
-                    mi.append(i)
-                    mj.append(j)
-                    mo.append(self.index[tuple(a + b for a, b in zip(ei, ej))])
-            self._mul_table = (
-                np.array(mi, dtype=np.int64),
-                np.array(mj, dtype=np.int64),
-                np.array(mo, dtype=np.int64),
-            )
+            _, suffix, binom = self._ranks()
+            limits = np.array(self.count_through_order)[self.order - self.orders]
+            mi = np.repeat(np.arange(self.size), limits)
+            mj = np.arange(mi.size)
+            mj -= np.repeat(np.cumsum(limits) - limits, limits)
+            mo = np.zeros(mi.size, dtype=np.int64)
+            for c in range(self.n_vars):
+                t = suffix[mi, c]
+                t += suffix[mj, c]
+                mo += binom[c][t]
+            self._mul_table = (mi, mj, mo)
         return self._mul_table
 
     @property
+    def mul_blocks(self):
+        """The product table as row blocks (r0, r1, limit, mo slice).
+
+        Rows r0..r1 of one order all pair with columns 0..limit, so a block
+        is the outer product of two slices: as many rows as fit in
+        ``_BLOCK`` pairs, and at least one.
+        """
+        if self._mul_blocks is None:
+            _, _, mo = self.mul_table
+            blocks, start = [], 0
+            for p in range(self.order + 1):
+                lo = self.count_through_order[p - 1] if p else 0
+                limit = self.count_through_order[self.order - p]
+                step = max(1, _BLOCK // limit)
+                for r0 in range(lo, self.count_through_order[p], step):
+                    r1 = min(r0 + step, self.count_through_order[p])
+                    stop = start + (r1 - r0) * limit
+                    blocks.append((r0, r1, limit, mo[start:stop]))
+                    start = stop
+            self._mul_blocks = blocks
+        return self._mul_blocks
+
+    @property
     def deriv_tables(self):
+        """Per variable v, (src, dst, fac): coefficient src of a jet, times
+        fac = e_src[v], is coefficient dst of its v-derivative."""
         if self._deriv_tables is None:
+            exps, suffix, binom = self._ranks()
             tables = []
-            lower = self.count_through_order[self.order - 1] if self.order > 0 else 0
             for v in range(self.n_vars):
-                src, dst, fac = [], [], []
-                for i, e in enumerate(self.exponents):
-                    if e[v] == 0:
-                        continue
-                    shifted = list(e)
-                    shifted[v] -= 1
-                    j = self.index[tuple(shifted)]
-                    if j < lower:
-                        src.append(i)
-                        dst.append(j)
-                        fac.append(e[v])
-                tables.append(
-                    (
-                        np.array(src, dtype=np.int64),
-                        np.array(dst, dtype=np.int64),
-                        np.array(fac, dtype=np.float64),
-                    )
-                )
+                src = np.flatnonzero(exps[:, v])
+                dst = np.zeros(src.size, dtype=np.int64)
+                for c in range(self.n_vars):
+                    dst += binom[c][suffix[src, c] - (c <= v)]
+                tables.append((src, dst, exps[src, v].astype(np.float64)))
             self._deriv_tables = tables
         return self._deriv_tables
+
+
+def _convolve(alg, a, b, size):
+    """Coefficients through ``alg.order`` of the product of ``a`` and ``b``,
+    zero-padded to ``size``.
+
+    Each coefficient adds its pairs in ``alg.mul_table`` order, starting
+    from +0.0: in one ``np.bincount`` for up to ``_BLOCK`` pairs, else block
+    by block through ``np.add.at`` (module docstring).
+    """
+    mi, mj, mo = alg.mul_table
+    if mi.size <= _BLOCK:
+        return np.bincount(mo, weights=a[mi] * b[mj], minlength=size)
+    out = np.zeros(size)
+    for r0, r1, limit, slots in alg.mul_blocks:
+        np.add.at(out, slots, np.multiply.outer(a[r0:r1], b[:limit]).ravel())
+    return out
 
 
 def _algebra(n_vars, order):
@@ -173,11 +245,14 @@ class JetConfig:
 class Jet:
     """One truncated Taylor expansion; supports arithmetic and composition."""
 
-    __slots__ = ("alg", "coef")
+    __slots__ = ("alg", "coef", "deg")
 
-    def __init__(self, alg, coef):
+    def __init__(self, alg, coef, deg=None):
         self.alg = alg
         self.coef = coef
+        # upper bound on the degree of the polynomial the coefficients hold:
+        # every coefficient of higher order is +-0 (module docstring)
+        self.deg = alg.order if deg is None else deg
 
     # --- constructors ---
 
@@ -185,7 +260,7 @@ class Jet:
     def constant(alg, value):
         c = np.zeros(alg.size)
         c[0] = float(value)
-        return Jet(alg, c)
+        return Jet(alg, c, 0)
 
     @staticmethod
     def variable(alg, var, value):
@@ -193,7 +268,7 @@ class Jet:
         c[0] = float(value)
         if alg.order >= 1:
             c[1 + var] = 1.0  # first-order monomials sit right after the constant
-        return Jet(alg, c)
+        return Jet(alg, c, min(1, alg.order))
 
     # --- basic queries ---
 
@@ -217,12 +292,12 @@ class Jet:
         if order == self.alg.order:
             return self
         alg = _algebra(self.alg.n_vars, order)
-        return Jet(alg, self.coef[: alg.size].copy())
+        return Jet(alg, self.coef[: alg.size].copy(), min(self.deg, order))
 
     def pruned(self, tolerance):
         c = self.coef.copy()
         c[np.abs(c) < tolerance] = 0.0
-        return Jet(self.alg, c)
+        return Jet(self.alg, c, self.deg)
 
     def __repr__(self):
         return f"Jet(n_vars={self.n_vars}, order={self.order}, value={self.value:.6g})"
@@ -250,13 +325,14 @@ class Jet:
         if b is None:
             c = a.copy()
             c[0] += float(other)
-            return Jet(alg, c)
-        return Jet(alg, a + b)
+            return Jet(alg, c, self.deg)
+        deg = self.deg if self.deg > other.deg else other.deg
+        return Jet(alg, a + b, deg if deg < alg.order else alg.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.alg, -self.coef)
+        return Jet(self.alg, -self.coef, self.deg)
 
     def __sub__(self, other):
         return self.__add__(-other if isinstance(other, Jet) else -float(other))
@@ -265,12 +341,19 @@ class Jet:
         return (-self).__add__(float(other))
 
     def __mul__(self, other):
+        """Product; a scalar keeps the degree unless it is inf or NaN.
+
+        Two jets of degrees p and q with d = p + q < K multiply in the
+        order-d algebra, zero-padded (module docstring).
+        """
         alg, a, b = self._with(other)
         if b is None:
-            return Jet(alg, a * float(other))
-        mi, mj, mo = alg.mul_table
-        prod = np.bincount(mo, weights=a[mi] * b[mj], minlength=alg.size)
-        return Jet(alg, prod)
+            s = float(other)
+            return Jet(alg, a * s, self.deg if math.isfinite(s) else alg.order)
+        d = self.deg + other.deg
+        if d < alg.order:
+            return Jet(alg, _convolve(_algebra(alg.n_vars, d), a, b, alg.size), d)
+        return Jet(alg, _convolve(alg, a, b, alg.size))
 
     __rmul__ = __mul__
 
@@ -319,7 +402,7 @@ class Jet:
         """
         c = np.zeros(alg.size)
         c[: self.alg.size] = self.coef
-        return Jet(alg, c)
+        return Jet(alg, c, self.deg)
 
     # --- composition with univariate series ---
 
@@ -344,10 +427,9 @@ class Jet:
         out[0] += series[top - 1]
         for k in range(top - 2, -1, -1):
             alg = _algebra(self.alg.n_vars, K - k)
-            mi, mj, mo = alg.mul_table
             padded = np.zeros(alg.size)
             padded[: out.size] = out
-            out = np.bincount(mo, weights=padded[mi] * u[mj], minlength=alg.size)
+            out = _convolve(alg, padded, u, alg.size)
             out[0] += series[k]
         return Jet(self.alg, out)
 
@@ -412,7 +494,7 @@ class Jet:
         lower = _algebra(self.alg.n_vars, self.alg.order - 1)
         out = np.zeros(lower.size)
         out[dst] = self.coef[src] * fac
-        return Jet(lower, out)
+        return Jet(lower, out, min(max(self.deg - 1, 0), lower.order))
 
     def coefficient(self, exponents):
         idx = self.alg.index.get(tuple(exponents))
@@ -431,15 +513,30 @@ def mul_rows(alg, a, b):
     ``a`` and ``b`` are coefficient arrays of shape (..., >= alg.size) that
     broadcast against each other.  One gather, one multiply and one bincount
     with per-row offsets; each row's products are added in mul-table order,
-    as in :meth:`Jet.__mul__`, so the rows match it bit for bit.
+    as in :meth:`Jet.__mul__`, so the rows match it bit for bit.  Rows are
+    independent, so above ``_BLOCK`` pairs in all they go in blocks of
+    ``_BLOCK // pairs`` rows, which keeps the pair temporaries that small.
     """
     mi, mj, mo = alg.mul_table
-    w = np.multiply(a[..., mi], b[..., mj], order="C")  # C order: ravel is a view
-    rows = w.shape[:-1]
+    size = alg.size
+    rows = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     count = math.prod(rows)
-    slots = (np.arange(count)[:, None] * alg.size + mo).ravel()
-    out = np.bincount(slots, weights=w.ravel(), minlength=count * alg.size)
-    return out.reshape(rows + (alg.size,))
+    step = max(1, _BLOCK // mi.size)
+    if count <= step:
+        w = np.multiply(a[..., mi], b[..., mj], order="C")  # C order: ravel is a view
+        slots = (np.arange(count)[:, None] * size + mo).ravel()
+        out = np.bincount(slots, weights=w.ravel(), minlength=count * size)
+        return out.reshape(rows + (size,))
+    a, b = (np.broadcast_to(x[..., :size], rows + (size,)).reshape(count, size) for x in (a, b))
+    slots = (np.arange(step)[:, None] * size + mo).ravel()
+    out = np.empty((count, size))
+    for r in range(0, count, step):
+        n = min(step, count - r)
+        w = np.multiply(a[r : r + n, mi], b[r : r + n, mj])
+        out[r : r + n] = np.bincount(
+            slots[: n * mi.size], weights=w.ravel(), minlength=n * size
+        ).reshape(n, size)
+    return out.reshape(rows + (size,))
 
 
 def deriv_rows(alg, a, var):

@@ -152,7 +152,7 @@ def _integrate(
                     f"not evaluable; likely a chart or convexity boundary)"
                 ) from None
             continue
-        z5 = z + h * sum(b * ki for b, ki in zip(_B5, k))
+        z5 = zi  # the last stage sits at (t + h, z5): _A[6] is _B5[:6], _C[6] is 1
         err = h * sum((b5 - b4) * ki for b5, b4, ki in zip(_B5, _B4, k))
         scale = atol + rtol * np.maximum(np.abs(z), np.abs(z5))
         enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
@@ -177,7 +177,7 @@ def _integrate(
                 )
             continue
         rejected_in_a_row = 0
-        f5 = np.asarray(rhs(t + h, z5), dtype=float)
+        f5 = k[6]  # first same as last: the next step's first stage
         if inside is not None and not inside(z5):
             # exit happened inside this step: bisect the Hermite interpolant
             piece = _Path(
@@ -375,10 +375,11 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear", to
             raise VanishingVector(
                 "transported vector collapsed; nonlinear mode undefined"
             )
-        G, N = spray_values(metric, x, y, with_N=True)
         if mode == "linear":
+            G, N = spray_values(metric, x, y, with_N=True)
             dV = -N @ V
         else:
+            G = spray_values(metric, x, y)
             _, Nv = spray_values(metric, x, V, with_N=True)
             dV = -Nv @ y
         return np.concatenate([sign * y, -2.0 * sign * G, sign * dV])

@@ -8,7 +8,9 @@ The last section keeps the straightforward jet-by-jet forms of three
 kernel steps that the library runs in truncated or batched form: the
 full-order Horner composition, the full-order Neumann inverse and the
 entry-by-entry horizontal derivative.  They use the same jet arithmetic,
-so tests require the library to match them bit for bit.
+so tests require the library to match them bit for bit.  It also keeps the
+pair-by-pair build of the product and derivative tables, which the library
+builds with array operations; the tables must be equal.
 """
 
 import math
@@ -213,3 +215,30 @@ def hderiv_loop(scope, T, valence=()):
                         acc = acc - T[jdx] * Gamma[m, s, k]
             out[idx + (k,)] = acc
     return out
+
+
+def mul_table_loop(alg):
+    """The product table (mi, mj, mo) of ``alg``, built pair by pair."""
+    mi, mj, mo = [], [], []
+    for i, ei in enumerate(alg.exponents):
+        limit = alg.count_through_order[alg.order - sum(ei)]
+        for j in range(limit):
+            mi.append(i)
+            mj.append(j)
+            mo.append(alg.index[tuple(a + b for a, b in zip(ei, alg.exponents[j]))])
+    return tuple(np.array(v, dtype=np.int64) for v in (mi, mj, mo))
+
+
+def deriv_tables_loop(alg):
+    """Per-variable derivative tables (src, dst, fac) of ``alg``, entry by entry."""
+    tables = []
+    for v in range(alg.n_vars):
+        src, dst, fac = [], [], []
+        for i, e in enumerate(alg.exponents):
+            if e[v]:
+                src.append(i)
+                dst.append(alg.index[e[:v] + (e[v] - 1,) + e[v + 1:]])
+                fac.append(e[v])
+        tables.append((np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                       np.array(fac, dtype=np.float64)))
+    return tables

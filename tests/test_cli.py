@@ -353,6 +353,38 @@ def test_malformed_spec_values_exit_2(spec, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+NON_FINSLER_ARGS = {
+    "report": [],
+    "classify": [],
+    "verify": ["--suite", "identities"],
+    "geodesic": ["--x0", "0.1,0.2", "--y0", "1,0"],
+}
+
+
+@pytest.mark.parametrize("command", list(NON_FINSLER_ARGS))
+@pytest.mark.parametrize("expression", ["abs2(y)", "sqrt(abs2(y)) + x1"])
+def test_non_finsler_spec_exits_2(command, expression, tmp_path, capsys):
+    # abs2(y) is 2-homogeneous and |y| + x1 is not homogeneous at all
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"dimension": 2, "family": "custom", "expression": expression}))
+    out = tmp_path / "never.out"
+    assert main([command, str(p), *NON_FINSLER_ARGS[command], "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "not a Finsler metric: homogeneity residual" in captured.err
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_specs_pass_the_cli_probe(name):
+    from finslerlab.cli import _PROBE_SAMPLES
+    from finslerlab.metrics import build_metric, validate
+
+    report = validate(build_metric(builtin(name)), samples=_PROBE_SAMPLES, seed=0)
+    assert report.passed, report.failures[:2]
+
+
 def test_bad_expression_exits_2(tmp_path, capsys):
     p = tmp_path / "expr.json"
     p.write_text(json.dumps({"dimension": 2, "family": "custom",

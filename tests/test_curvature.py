@@ -329,6 +329,20 @@ def test_direct_spray_matches_scope(name):
         assert rel_err(N, direct[2]) < 1e-14
 
 
+@pytest.mark.parametrize("name", DIRECT_CORPUS)
+def test_direct_spray_G_is_the_same_at_every_depth(name):
+    # G reads F^2 coefficients of order <= 2, which a deeper jet holds unchanged
+    m = metrics.build_metric(metrics.builtin(name))
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        x = 0.5 * m.chart.sample_radius * rng.uniform(-1, 1, size=m.n) / np.sqrt(m.n)
+        y = rng.normal(size=m.n)
+        G = spray_values(m, x, y)
+        for depth in (0, 1, 2):
+            assert np.array_equal(_direct_spray(m, x, y, depth)[1], G)
+        assert np.array_equal(spray_values(m, x, y, with_N=True)[0], G)
+
+
 def test_direct_spray_singular_metric():
     m = metrics.build_metric(metrics.builtin("quartic2"))
     for depth in (0, 1, 2):

@@ -27,7 +27,9 @@ from finslerlab.errors import (
     ZeroVector,
 )
 from finslerlab.metrics import MetricSpec, build_metric, builtin
+from finslerlab.curvature import spray_values
 from finslerlab.transport import (
+    _integrate,
     integrate_geodesic,
     parallel_transport,
     parallelogram_holonomy,
@@ -62,6 +64,30 @@ def test_euclid_straight_line():
         assert np.max(np.abs(x - (x0 + t * y0))) < 1e-10
         assert np.max(np.abs(y - y0)) < 1e-10
     assert g.F_drift < 1e-12
+
+
+def test_rhs_calls_per_accepted_step():
+    # z' = (1, t) is integrated exactly by both embedded formulas, so no
+    # step is rejected; the last stage of a step is the next step's first
+    calls = []
+
+    def rhs(t, z):
+        calls.append(t)
+        return np.array([1.0, t])
+
+    path = _integrate(rhs, np.zeros(2), 3.0)
+    assert len(path.t) > 3
+    assert len(calls) == 1 + 6 * (len(path.t) - 1)
+    assert np.allclose(path.z[-1], [3.0, 4.5], rtol=1e-14)
+
+
+def test_node_derivatives_are_rhs_at_nodes(funk2):
+    def rhs(_t, z):
+        return np.concatenate([z[2:], -2.0 * spray_values(funk2, z[:2], z[2:])])
+
+    path = _integrate(rhs, np.array([0.1, -0.2, 0.5, 0.3]), 1.2)
+    for t, z, f in zip(path.t, path.z, path.f):
+        assert np.array_equal(f, rhs(t, z))
 
 
 def test_time_labels_with_pair_span():
