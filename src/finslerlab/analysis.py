@@ -21,12 +21,14 @@ opposite to c's; the raw sign of c is always reported alongside so nothing
 hinges on remembering the inversion.
 """
 
+import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
 from .curvature import PointState, point_scope, rel_residual, require_stretch_design
 from .errors import (
+    CrossCheckFailure,
     DimensionError,
     NotConstantCurvature,
     RiemannianPoint,
@@ -654,7 +656,8 @@ def classify(metric, samples=12, seed=0, thresholds=None, order=7):
     a threshold.  Logical implications between the classes (riemannian =>
     berwald => landsberg/weak_berwald/r_quadratic, landsberg =>
     weak_landsberg/stretch) are closed over the raw verdicts; ``consistent``
-    records whether the raw verdicts already satisfied them.
+    records whether the raw verdicts already satisfied them.  A norm that
+    is not finite raises CrossCheckFailure: it decides no flag.
     """
     thr = dict(DEFAULT_CLASS_THRESHOLDS)
     thr.update(thresholds or {})
@@ -663,8 +666,12 @@ def classify(metric, samples=12, seed=0, thresholds=None, order=7):
     for st in states:
         sc = point_scope(metric, st, order=order)
         for name in CLASS_FLAGS:
-            vals = sc.values(_FLAG_FIELDS[name])
-            norms[name] = max(norms[name], float(np.max(np.abs(vals))))
+            norm = float(np.max(np.abs(sc.values(_FLAG_FIELDS[name]))))
+            if not math.isfinite(norm):
+                raise CrossCheckFailure(
+                    f"{_FLAG_FIELDS[name]} norm is {norm} at x = {st.x}, y = {st.y}"
+                )
+            norms[name] = max(norms[name], norm)
     raw = {name: norms[name] < thr[name] for name in CLASS_FLAGS}
     flags = dict(raw)
     changed = True

@@ -7,8 +7,9 @@ Commands (see ``finslerlab <command> --help`` for flags):
                 as a JSON document.
 * ``verify``    run one named identity suite and emit a residual table;
                 exit code 0 iff every check passes.
-* ``classify``  vanishing-tensor classification verdict as JSON (always exit 0;
-                verdicts are data, not errors).
+* ``classify``  vanishing-tensor classification verdict as JSON (exit 0;
+                verdicts are data, not errors; a tensor norm that is not
+                finite is a failed check, exit 1).
 * ``geodesic``  integrate a geodesic, optionally evaluate scalar flows along it
                 (CSV) and run the parallelogram loop experiment.
 
@@ -36,7 +37,6 @@ import numpy as np
 from . import __version__, analysis
 from .curvature import (
     PointState,
-    _values,
     curvature_bundle,
     flag_curvature,
     point_scope,
@@ -242,8 +242,8 @@ def _suite_bianchi(metric, args):
     rows = []
     for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
         sc = point_scope(metric, st, 7)
-        RhhV = _values(sc.field("RhhV"))
-        Bh = _values(sc.hderiv(sc.field("B"), ("up", "lo", "lo", "lo")))
+        RhhV = sc.values("RhhV")
+        Bh = sc.values("Bh")
         rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
         rows.append(("curvature-derivative", idx, rel_residual(RhhV, rhs, floor=1.0), args.tol))
         ylow = sc.values("ylow")
@@ -267,12 +267,12 @@ def _suite_landsberg_routes(metric, args):
             ("mean-landsberg-two-routes", idx,
              rel_residual(sc.values("J_I"), sc.values("J_L"), floor=floor), args.tol)
         )
-        ghv = _values(sc.hderiv(sc.field("g"), ("lo", "lo")))
+        ghv = sc.values("gh")
         rows.append(
             ("metric-h-derivative", idx,
              rel_residual(ghv, -2.0 * sc.values("L_C"), floor=floor), args.tol)
         )
-        gv = _values(sc.vderiv(sc.field("g")))
+        gv = sc.values("gv")
         rows.append(
             ("metric-v-derivative", idx,
              rel_residual(gv, 2.0 * sc.values("C"), floor=floor), args.tol)

@@ -1,7 +1,9 @@
 """Shared fixtures: each example metric is built once per test session."""
 
+import numpy as np
 import pytest
 
+from finslerlab.curvature import FieldScope
 from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
 
 
@@ -9,3 +11,19 @@ from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
 def corpus():
     """Mapping name -> built metric for the whole example registry."""
     return {name: build_metric(builtin(name)) for name in BUILTIN_NAMES}
+
+
+@pytest.fixture()
+def nan_field(monkeypatch):
+    """Call with a field name: every scope then reads that field's values as NaN."""
+
+    def poison(target):
+        values = FieldScope.values
+
+        def patched(self, name):
+            out = values(self, name)
+            return np.full_like(out, np.nan) if name == target else out
+
+        monkeypatch.setattr(FieldScope, "values", patched)
+
+    return poison

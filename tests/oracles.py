@@ -4,10 +4,10 @@ Most of this is deliberately dumb and derivative-free of the library
 internals: central finite differences, textbook closed forms, and plain
 ODE integration.  Tests compare engine output against these.
 
-The last section keeps the straightforward jet-by-jet forms of three
+The last section keeps the straightforward jet-by-jet forms of four
 kernel steps that the library runs in truncated or batched form: the
 full-order Horner composition, the full-order Neumann inverse and the
-entry-by-entry horizontal derivative.  They use the same jet arithmetic,
+entry-by-entry horizontal and vertical derivatives.  They use the same jet arithmetic,
 so tests require the library to match them bit for bit.  It also keeps the
 pair-by-pair build of the product and derivative tables, which the library
 builds with array operations; the tables must be equal.
@@ -214,6 +214,18 @@ def hderiv_loop(scope, T, valence=()):
                     else:
                         acc = acc - T[jdx] * Gamma[m, s, k]
             out[idx + (k,)] = acc
+    return out
+
+
+def vderiv_loop(scope, T):
+    """Vertical derivative of T, one ``Jet.deriv`` per entry and y slot."""
+    n = scope.n
+    if isinstance(T, Jet):
+        return np.array([T.deriv(n + m) for m in range(n)], dtype=object)
+    out = np.empty(T.shape + (n,), dtype=object)
+    for idx in np.ndindex(T.shape):
+        for m in range(n):
+            out[idx + (m,)] = T[idx].deriv(n + m)
     return out
 
 

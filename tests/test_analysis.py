@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from finslerlab import analysis as an
 from finslerlab.curvature import PointState, point_scope
 from finslerlab.errors import (
+    CrossCheckFailure,
     DimensionError,
     NotConstantCurvature,
     RiemannianPoint,
@@ -309,6 +310,14 @@ def test_classify_closure_on_forced_flag(funk2):
     v = an.classify(funk2, samples=3, seed=1, thresholds={"riemannian": 1e9})
     assert v.flags["riemannian"] and v.flags["berwald"] and v.flags["stretch"]
     assert not v.consistent        # raw berwald verdict contradicted the implication
+
+
+@pytest.mark.parametrize("field", ["C", "B", "L_C", "RhhV"])
+def test_classify_refuses_a_nan_norm(funk2, nan_field, field):
+    # max(0.0, nan) is 0.0: a NaN norm used to read as a vanishing tensor
+    nan_field(field)
+    with pytest.raises(CrossCheckFailure, match=field):
+        an.classify(funk2, samples=2, seed=1)
 
 
 def test_classify_summary_mentions_every_flag(funk2):

@@ -237,6 +237,14 @@ def test_classify_threshold_override(funk3_spec, tmp_path):
     assert doc["consistent"] is False   # forced flag breaks the raw verdicts
 
 
+def test_classify_nan_norm_exits_1(funk3_spec, tmp_path, nan_field, capsys):
+    nan_field("Sigma")
+    out = tmp_path / "c.json"
+    assert main(["classify", funk3_spec, "--samples", "2", "--out", str(out)]) == 1
+    assert "CrossCheckFailure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # geodesic
 

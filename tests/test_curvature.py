@@ -14,8 +14,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finslerlab import metrics
+from finslerlab import analysis, metrics
 from finslerlab.curvature import (
     PointState,
     _direct_spray,
@@ -37,6 +39,7 @@ from finslerlab.curvature import (
 )
 from finslerlab.errors import (
     BadConfig,
+    CrossCheckFailure,
     DegenerateFlag,
     OrderExceeded,
     OutOfChart,
@@ -207,6 +210,38 @@ def test_homogeneity_degrees():
     assert rel_err(b2.spray.Gamma, b1.spray.Gamma) < 1e-10
 
 
+#: y-degree of every block, the spray included, for the property test below
+PROPERTY_DEGREES = {
+    "g": 0, "C": -1, "G": 2, "N": 1, "Gamma": 0, "B": -1, "R1": 2, "L": 0, "J": 0, "Sigma": 0,
+}
+
+
+def _block(bundle, name):
+    return getattr(bundle.spray, name) if name in ("G", "N", "Gamma") else bundle.block(name).values
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(metrics.BUILTIN_NAMES),
+    seed=st.integers(0, 10_000),
+    lam=st.floats(min_value=0.2, max_value=5.0),
+)
+def test_homogeneity_property(corpus, name, seed, lam):
+    """T(x, lam y) = lam^d T(x, y) for every block, built-in and lam > 0.
+
+    Relative to the larger side, floored at 1e-3 so that a tensor which
+    vanishes identically (C, B, L, Sigma of a Riemannian metric) is held to
+    its round-off in absolute terms rather than compared with itself.
+    """
+    m = corpus[name]
+    p = analysis.sample_states(m, 1, seed=seed)[0]
+    b1 = curvature_bundle(m, p, order=6)
+    b2 = curvature_bundle(m, PointState(p.x, tuple(lam * v for v in p.y)), order=6)
+    for block, deg in PROPERTY_DEGREES.items():
+        got, want = _block(b2, block), lam**deg * _block(b1, block)
+        assert rel_err(got, want, floor=1e-3) <= 1e-10, (block, name, seed, lam)
+
+
 # --- cross-route identities on a non-trivial metric ---
 
 @pytest.mark.parametrize("name", ["randers3x", "funk2", "funk2-drift", "abq3"])
@@ -226,6 +261,14 @@ def test_landsberg_routes_agree_api(funk2):
     J = mean_landsberg(funk2, p)
     ginv = point_scope(funk2, p, 2).field("ginv0")
     assert rel_err(J.values, np.einsum("kl,ikl->i", ginv, L.values)) < 1e-11
+
+
+@pytest.mark.parametrize("extract,field", [(landsberg_tensor, "L_C"), (mean_landsberg, "J_I")])
+def test_nan_route_residual_fails_the_cross_check(funk2, nan_field, extract, field):
+    # a NaN residual is not > tolerance, so it used to pass
+    nan_field(field)
+    with pytest.raises(CrossCheckFailure):
+        extract(funk2, PointState((0.1, 0.4), (-0.3, 1.1)))
 
 
 def test_metric_compatibility_defect(funk2, funk2_bundle):

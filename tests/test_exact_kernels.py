@@ -6,6 +6,11 @@ is summed like ``Jet.__mul__`` and each sum runs in the reference order, so
 the coefficients must match the jet-by-jet forms in ``oracles`` exactly:
 ``np.array_equal``, not a tolerance, and the same truncation order.
 
+The vertical derivative runs as one row-wise derivative per y slot; it must
+equal one ``Jet.deriv`` per entry.  A scope builds each field only to the
+order its readers in the ledger need: every such field must be the prefix
+of the same field at the full order, sign bits included.
+
 The algebra tables are built with array operations; they must equal the
 pair-by-pair build in ``oracles``.  Products of jets of known low degree run
 in the small algebra the degree needs, block by block for large tables; they
@@ -13,15 +18,18 @@ must equal one bincount over the loop-built table, sign bits included.
 """
 
 import functools
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from finslerlab import analysis
-from finslerlab.curvature import point_scope
+from finslerlab.curvature import (
+    DEPTH, HDERIVS, LEDGER, MIN_ORDER, READS, FieldScope, _plan, point_scope,
+)
 from finslerlab.jets import Jet, _algebra, mul_rows
-from finslerlab.metrics import build_metric, builtin
+from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
 
 from oracles import (
     compose_full,
@@ -29,6 +37,7 @@ from oracles import (
     g_inv_full,
     hderiv_loop,
     mul_table_loop,
+    vderiv_loop,
 )
 
 HDERIV_METRICS = (
@@ -75,6 +84,113 @@ def test_hderiv_matches_entry_loop(order7_scopes, name, valence):
     sc = order7_scopes(name)
     T = sc.field(HDERIV_FIELDS[valence])
     assert_same_jets(sc.hderiv(T, valence), hderiv_loop(sc, T, valence))
+
+
+@pytest.mark.parametrize("name", HDERIV_METRICS)
+@pytest.mark.parametrize("field", ("F", "I", "g", "C", "B", "Rhh"))
+def test_vderiv_matches_entry_loop(order7_scopes, name, field):
+    sc = order7_scopes(name)
+    T = sc.field(field)
+    got, ref = sc.vderiv(T), vderiv_loop(sc, T)
+    assert_same_jets(got, ref)
+    for idx in np.ndindex(ref.shape):
+        assert np.array_equal(np.signbit(got[idx].coef), np.signbit(ref[idx].coef)), idx
+
+
+# --- the executable truncation ledger and planned scopes ---
+
+#: what the bundle, classify, the fits, the constant-flag chain and the
+#: bianchi and landsberg-routes suites read, and the Landsberg norm phi
+PLANNED_READS = tuple(dict.fromkeys(
+    READS["bundle"]
+    + ("RhhV", "D", "g_inv", "g", "Bh", "gh", "gv", "phi")
+))
+
+
+def test_min_order_follows_from_the_ledger():
+    assert MIN_ORDER == {
+        "fundamental": 2, "cartan": 3, "spray": 4, "berwald": 5, "riemann": 6,
+        "landsberg": 5, "mean_landsberg": 5, "stretch": 5, "flag": 4, "bundle": 6,
+    }
+    assert DEPTH["RhhV"] == 7 and DEPTH["Sigma"] == 5 and DEPTH["F"] == 0
+
+
+def test_builders_take_their_ledger_inputs():
+    builders = {name[len("_build_"):] for name in vars(FieldScope) if name.startswith("_build_")}
+    assert builders == set(LEDGER) - set(HDERIVS)
+    for name in builders:
+        inputs = LEDGER[name]
+        params = list(inspect.signature(getattr(FieldScope, "_build_" + name)).parameters)
+        assert params[1:] == [src for src, _ in inputs], name
+
+
+def test_ledger_plan_at_seed_order_7():
+    plan = _plan(7)
+    assert set(plan) == set(LEDGER)
+    full = {name: 7 - DEPTH[name] for name in plan}
+    lowered = {name: (full[name], plan[name]) for name in plan if plan[name] != full[name]}
+    assert lowered == {
+        "C": (4, 2), "I": (4, 1), "Ch": (3, 1), "L_C": (3, 1), "Lh": (2, 0),
+        "Sigma": (2, 0), "Ih": (3, 0), "J_I": (3, 0), "B": (2, 1), "E": (2, 0),
+        "L_B": (2, 0), "J_L": (2, 0), "ylow": (5, 0), "h": (5, 0), "recF2": (7, 0),
+        "Fh": (4, 0), "recF": (7, 1), "gv": (4, 0), "gh": (3, 0), "Bh": (1, 0),
+        "D": (3, 0), "phi": (3, 0), "frame2": (5, 1), "I2": (4, 1), "mu2": (3, 0),
+        "cratio": (2, 0),
+    }
+    for name in ("F", "F2", "g", "g_inv", "G", "N", "Gamma", "R1", "Rhh", "RhhV"):
+        assert plan[name] == full[name], name
+
+
+def _assert_prefix(got, ref, order):
+    """``got`` holds ``ref``'s coefficients through ``order``, sign bits too."""
+    if isinstance(ref, tuple):
+        for g, r in zip(got, ref):
+            _assert_prefix(g, r, order)
+        return
+    if isinstance(ref, Jet):
+        got, ref = np.array(got, dtype=object), np.array(ref, dtype=object)
+    assert got.shape == ref.shape
+    if ref.dtype != object:
+        assert np.array_equal(got, ref)
+        return
+    for idx in np.ndindex(ref.shape):
+        g, r = got[idx], ref[idx]
+        assert g.order >= order, idx
+        a, b = g.coef[: _algebra(g.n_vars, order).size], r.coef[: _algebra(g.n_vars, order).size]
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), idx
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("order", range(2, 8))
+def test_planned_fields_are_prefixes_of_full_order_fields(name, order):
+    m = build_metric(builtin(name))
+    st = analysis.sample_states(m, 1, seed=11)[0]
+    planned = point_scope(m, st, order)
+    full = point_scope(m, st, order)
+    for f in PLANNED_READS:
+        if DEPTH[f] <= order:
+            planned.values(f)
+    for f, built in planned._built.items():
+        p = planned._plan[f]
+        assert built == p or f in ("g0", "ginv0"), f
+        _assert_prefix(planned.field(f, p), full.field(f), p)
+    # the horizontal derivatives take N and Gamma as built; only R1 (products
+    # of N) and B (a derivative of Gamma) get truncated copies
+    plan = planned._plan
+    assert set(planned._cuts.get("N", ())) <= {plan["R1"]}
+    assert set(planned._cuts.get("Gamma", ())) <= {plan["B"] + 1}
+
+
+def test_full_order_read_promotes_a_planned_field():
+    m = build_metric(builtin("funk3"))
+    st = analysis.sample_states(m, 1, seed=2)[0]
+    sc = point_scope(m, st, 7)
+    assert sc.values("Sigma").shape == (3,) * 4
+    assert sc._built["Lh"] == 0
+    ref = point_scope(m, st, 7)
+    assert_same_jets(sc.field("Lh"), ref.field("Lh"))
+    assert_same_jets(sc.hderiv(sc.field("L_C"), ("lo",) * 3), ref.field("Lh"))
+    assert np.array_equal(sc.values("Sigma"), ref.values("Sigma"))
 
 
 def _random_jet(rng, n_vars, order):
