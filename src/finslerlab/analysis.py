@@ -226,12 +226,12 @@ def _as_states(metric, points, count, seed):
 
 def point_relative_stretch(scope):
     """Ratio c with Sigma = c F (C_{ijk|l} - C_{ijl|k}) at the scope's point."""
-    return float(scope.field("cratio").value)
+    return scope.values("cratio")
 
 
 def point_principal_scalar(scope):
     """mu = I_{|s} y^s / (F I) for a 2-D metric at the scope's point."""
-    return float(scope.field("mu2").value)
+    return scope.values("mu2")
 
 
 def point_semi_c_p(scope):
@@ -383,20 +383,18 @@ def berwald_frame(metric, point, scope=None, with_mu=False):
     if metric.n != 2:
         raise DimensionError(f"frame needs n = 2, got n = {metric.n}")
     sc = scope if scope is not None else point_scope(metric, point, order=5)
-    ell_j, m_j = sc.field("frame2")
-    ell = np.array([j.value for j in ell_j])
-    m = np.array([j.value for j in m_j])
+    ell, m = sc.values("frame2")
     g = sc.values("g")
     I2 = sc.field("I2")
-    dI = sc.vderiv(I2)
+    dI = sc.vderiv(I2)[..., 0]
     F = sc.values("F")
-    I_vert = F * sum(dI[i].value * m[i] for i in range(2))
+    I_vert = F * sum(dI[i] * m[i] for i in range(2))
     mu = point_principal_scalar(sc) if with_mu else None
     return BerwaldFrame2D(
         ell=ell,
         m=m,
         m_low=g @ m,
-        I_scalar=float(I2.value),
+        I_scalar=float(I2[0]),
         I_vert=float(I_vert),
         mu=mu,
     )
@@ -426,8 +424,8 @@ def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolera
                 tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
-        mu = float(mu_j.value)
-        mup = float(sc.directional(mu_j).value)
+        mu = float(mu_j[0])
+        mup = float(sc.directional(mu_j)[0])
         F = float(sc.values("F"))
         mus.append(mu)
         mups.append(mup)
@@ -618,8 +616,8 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
                 tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
-        cv = float(c_j.value)
-        cp = float(sc.directional(c_j).value)
+        cv = float(c_j[0])
+        cp = float(sc.directional(c_j)[0])
         F = float(sc.values("F"))
         lam, _ = _isotropic_lambda(
             sc.values("R1"), F, np.asarray(y, dtype=float),

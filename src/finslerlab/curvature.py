@@ -1,8 +1,8 @@
 """Curvature tower of a Finsler metric at one point of the slit tangent bundle.
 
 Everything is computed from truncated jets of F^2 seeded at (x, y).  A
-:class:`FieldScope` owns the seeds and lazily builds named tensor fields
-whose entries are jets; public functions extract float-valued blocks.
+:class:`FieldScope` owns the seeds and lazily builds named tensor fields;
+public functions extract float-valued blocks.
 
 Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 
@@ -19,42 +19,41 @@ Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 * Sigma_ijkl= 2 (L_{ijk|l} - L_{ijl|k})
 * K(y, u)   = g(u, R(u)) / (g(y,y) g(u,u) - g(y,u)^2)  with R(u)^i = R^i_k u^k
 
-The horizontal derivative uses the Berwald connection: for a scalar f,
-f_{|k} = df/dx^k - N^m_k df/dy^m; tensor slots add/subtract Gamma terms.
-It runs on stacked coefficient arrays, one row-wise product per term, and
-adds the terms in the order of the entry-by-entry jet formula.  The
-vertical derivative is one row-wise derivative per y slot.
+Fields are coefficient arrays.  A field with slots ``shape`` built at jet
+order p is one float array of shape (*shape, size), each entry's Taylor
+coefficients in the order-p algebra of the 2n seed variables; the scope
+records p beside it (g0 and ginv0 are float matrices).  Truncation is a
+slice, a derivative is ``deriv_rows`` and a product of entries is
+``mul_rows``, summed like ``Jet.__mul__``.  Contractions add their terms one
+slice at a time in the order of the entry-by-entry jet loops they replace
+(``tests/oracles.py``), from the first term, so every coefficient equals
+those loops' bit for bit.  ``Jet`` remains where a closed-form series is
+composed on a scalar field: recF, recF2, the norm of frame2, mu2, cratio.
 
-The inverse metric is the Neumann series X_t = g0^{-1} + M X_{t-1} with
-M = -g0^{-1}(g - g0), run in growing order: M has no constant term, so X_t
-is exact through order t, and iteration t runs in the order-t algebra.
-Both give the same coefficients as the full-order jet loops, bit for bit.
+The loops stored one jet in all permuted slots of a symmetric field, so g,
+C, Gamma, B, h, E and L_B gather every entry from the entry with its
+symmetric slots sorted.  Recomputing an unsorted entry would apply the
+integer derivative factors, or the operands of a product, in another order,
+which can round differently.  The sign bits follow the loops too:
 
-Truncation orders come from the executable ledger ``LEDGER``: each field
-names its inputs and how many derivatives it takes of each, ``DEPTH`` and
-``MIN_ORDER`` follow from it, and every scope builds a field only to the
-deepest order any reader in the ledger asks of it (``_plan``).  Dropping
-the coefficients above that order is an exact truncation: every
-coefficient left is summed from the same pairs in the same order, so it is
-the prefix of the full-order field bit for bit.
+* antisymmetric fills write -1.0 * val into the k > l half.  Sigma and D
+  also write it on the k = l diagonal, where val = +0.0, so it holds -0.0;
+* the k = l diagonals of Rhh hold val * 0.0 for the first val computed;
+* a Neumann step adds ginv0 as a constant jet, a full row of zeros with
+  ginv0 in front, to the products' sum.
 
-The direct spray path (``spray_values`` and the integrators) builds no
-scope.  It reads float partials of F^2 from one jet and solves A u = b with
-A = g, b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l and u = 4G, then differentiates
-that system in y:
-
-* u_{,j}  = A^{-1} (b_{,j} - A_{,j} u),                              N = u_{,j}/4
-* u_{,jk} = A^{-1} (b_{,jk} - A_{,jk} u - A_{,j} u_{,k} - A_{,k} u_{,j}),  Gamma = u_{,jk}/4
-
-g and G need F^2 at order 2, N at order 3 (third partials yyy, xyy), Gamma
-at order 4 (fourth partials yyyy, xyyy).
+A scope builds each field only to the deepest order a reader in the
+executable ledger ``LEDGER`` asks of it (``_plan``; ``DEPTH`` and
+``MIN_ORDER`` follow from the ledger too).  Every coefficient kept is summed
+from the same pairs in the same order, so it is the prefix of the
+full-order field bit for bit.  ``spray_values`` builds no scope at all.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -75,6 +74,15 @@ from .errors import (
 from .jets import Jet, JetConfig, _algebra, deriv_rows, mul_rows, seed_variables
 
 BUNDLE_ORDER = 7
+
+#: Slot kinds of the tensor fields; a horizontal or vertical derivative adds
+#: a lower slot.  g0 and ginv0 carry those of g and g_inv.
+VALENCE = {
+    "F": (), "F2": (), "g": ("lo", "lo"), "g_inv": ("up", "up"), "h": ("lo", "lo"),
+    "C": ("lo",) * 3, "I": ("lo",), "B": ("up", "lo", "lo", "lo"), "E": ("lo", "lo"),
+    "R1": ("up", "lo"), "Rhh": ("up", "lo", "lo", "lo"), "L_B": ("lo",) * 3,
+    "L_C": ("lo",) * 3, "J_L": ("lo",), "J_I": ("lo",), "Sigma": ("lo",) * 4,
+}
 
 #: The truncation ledger: each field's inputs as (input, extra depth).  Built
 #: at jet order p, a field reads each input through order p + depth, the
@@ -117,39 +125,25 @@ LEDGER = {
     "cratio": (("Sigma", 0), ("D", 0), ("F", 0)),
 }
 
-#: Horizontal derivatives as (tensor, valence of its slots), built by
-#: ``FieldScope._hderiv``: each reads its tensor at +1 and N, and Gamma when
+#: Horizontal derivatives and the tensor each differentiates, built by
+#: ``FieldScope.hderiv``: each reads its tensor at +1 and N, and Gamma when
 #: the tensor has slots, at +0.
-HDERIVS = {
-    "Fh": ("F", ()),
-    "gh": ("g", ("lo", "lo")),
-    "Ch": ("C", ("lo",) * 3),
-    "Bh": ("B", ("up", "lo", "lo", "lo")),
-    "Lh": ("L_C", ("lo",) * 3),
-    "Ih": ("I", ("lo",)),
-}
+HDERIVS = {"Fh": "F", "gh": "g", "Ch": "C", "Bh": "B", "Lh": "L_C", "Ih": "I"}
 LEDGER.update(
-    (name, ((T, 1), ("N", 0)) + ((("Gamma", 0),) if valence else ()))
-    for name, (T, valence) in HDERIVS.items()
+    (name, ((T, 1), ("N", 0)) + ((("Gamma", 0),) if VALENCE[T] else ()))
+    for name, T in HDERIVS.items()
 )
 
-
-def _depths(ledger):
-    """Orders each field loses below the seed order: at seed order K its full
-    order is K - depth, so it has values only when K >= depth."""
-    depth = {}
-
-    def visit(name):
-        if name not in depth:
-            depth[name] = max((visit(src) + d for src, d in ledger[name]), default=0)
-        return depth[name]
-
-    for name in ledger:
-        visit(name)
-    return depth
+#: fields held as float matrices, with no jet order
+_FLOATS = ("g0", "ginv0")
 
 
-DEPTH = _depths(LEDGER)
+#: Orders each field loses below the seed order: at seed order K its full
+#: order is K - depth, so it has values only when K >= depth.  The longest
+#: input path; one relaxation per field settles it.
+DEPTH = dict.fromkeys(LEDGER, 0)
+for _ in LEDGER:
+    DEPTH = {f: max((DEPTH[s] + d for s, d in row), default=0) for f, row in LEDGER.items()}
 
 #: fields whose values each public extraction reads; ``MIN_ORDER`` follows
 READS = {
@@ -165,10 +159,7 @@ READS = {
 }
 # every block of the bundle, then what its diagnostics add: Fh, the horizontal
 # derivative of F, and y_i (and RhhV at seed order >= 7)
-READS["bundle"] = (
-    "g0", "ginv0", "h", "F", "C", "I", "G", "N", "Gamma", "B", "E", "R1", "Rhh",
-    "L_B", "L_C", "J_L", "J_I", "Sigma", "Fh", "ylow",
-)
+READS["bundle"] = tuple(dict.fromkeys(sum(READS.values(), ()))) + ("Fh", "ylow")
 
 #: least seed order at which every field an extraction reads has values
 MIN_ORDER = {op: max(2, *(DEPTH[f] for f in reads)) for op, reads in READS.items()}
@@ -243,14 +234,6 @@ def rel_residual(lhs, rhs=None, floor=1e-12):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def _values(obj):
-    if isinstance(obj, Jet):
-        return obj.value
-    if obj.dtype != object:  # a float field (g0, ginv0)
-        return obj
-    return np.fromiter((j.coef[0] for j in obj.flat), float, obj.size).reshape(obj.shape)
-
-
 def _seed_point(metric, x, y, order):
     """Gate (x, y) against the metric's dimension and chart, then seed jets.
 
@@ -285,47 +268,6 @@ def _require_positive_definite(g0, x, y):
         )
 
 
-def _stack(T, size):
-    """Coefficients 0..size-1 of an object array of jets, shape (*T.shape, size)."""
-    return np.array([j.coef[:size] for j in T.flat]).reshape(T.shape + (size,))
-
-
-def _jets(alg, coef, degs=None):
-    """Object array of jets of ``alg`` from coefficient rows (..., alg.size)."""
-    rows = coef.reshape(-1, alg.size)
-    degs = [None] * len(rows) if degs is None else degs
-    out = np.empty(len(rows), dtype=object)
-    out[:] = [Jet(alg, row, deg) for row, deg in zip(rows, degs)]
-    return out.reshape(coef.shape[:-1])
-
-
-def _order(T):
-    """Jet order of a field: the least over its entries; floats have no bound."""
-    if isinstance(T, Jet):
-        return T.order
-    if isinstance(T, tuple):
-        return min(_order(t) for t in T)
-    if T.dtype != object:
-        return math.inf
-    return min(j.order for j in T.flat)
-
-
-def _truncated(T, order):
-    """A field with every jet entry truncated to ``order``; floats pass through."""
-    if isinstance(T, Jet):
-        return T.truncated(order)
-    if isinstance(T, tuple):
-        return tuple(_truncated(t, order) for t in T)
-    if T.dtype != object:
-        return T
-    if _order(T) < order:
-        raise OrderExceeded(f"cannot extend a field of order {_order(T)} to order {order}")
-    alg = _algebra(T.flat[0].n_vars, order)
-    out = np.empty(T.size, dtype=object)
-    out[:] = [Jet(alg, j.coef[: alg.size].copy(), min(j.deg, order)) for j in T.flat]
-    return out.reshape(T.shape)
-
-
 def require_stretch_design(num, den):
     """Raise UndefinedFit unless the stretch ratio c = num / den is defined.
 
@@ -339,21 +281,34 @@ def require_stretch_design(num, den):
         )
 
 
-def _matmul(A, B):
-    rows, inner = A.shape
-    cols = B.shape[1]
-    out = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            acc = A[i, 0] * B[0, j]
-            for k in range(1, inner):
-                acc = acc + A[i, k] * B[k, j]
-            out[i, j] = acc
-    return out
+def _fold(terms):
+    """Sum over the leading axis, left to right from the first term: the jet loops' order."""
+    return functools.reduce(operator.add, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_entries(n, rank, lead):
+    """Flat index, per entry of an (n,)*rank tensor, of it with slots ``lead:`` sorted."""
+    idx = np.indices((n,) * rank).reshape(rank, -1)
+    idx[lead:] = np.sort(idx[lead:], axis=0)
+    return np.ravel_multi_index(tuple(idx), (n,) * rank)
+
+
+def _symmetric(T, lead=0):
+    """Every entry of T gathered from its sorted-index entry (module docstring)."""
+    flat = T.reshape(-1, T.shape[-1])
+    return flat[_sorted_entries(T.shape[0], T.ndim - 1, lead)].reshape(T.shape)
+
+
+def _antisymmetric(V):
+    """Entry [..., k, l] of V where k < l, else -1.0 * V[..., l, k] (module docstring)."""
+    n = V.shape[-2]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)[..., None]
+    return np.where(upper, V, -1.0 * V.swapaxes(-2, -3))
 
 
 class FieldScope:
-    """Lazy cache of jet-valued tensor fields at one bundle point.
+    """Lazy cache of tensor fields, as coefficient arrays, at one bundle point.
 
     :meth:`values` builds each field at its planned order (``_plan``), the
     deepest any reader in ``LEDGER`` needs.  A field read through
@@ -369,29 +324,24 @@ class FieldScope:
         self.order = order
         self.n = metric.n
         self.xj, self.yj = _seed_point(metric, point.x, point.y, order)
+        self._y = np.array([j.coef for j in self.yj])  # y seeds as rows
+        self._algs = {a.size: a for a in (_algebra(2 * self.n, k) for k in range(order + 1))}
         self._plan = _plan(order)
         self._cache = {}
-        self._built = {}  # jet order of each cached field
-        self._cuts = {}   # name -> {order: truncated copy of the cached field}
+        self._built = {}  # jet order of each cached field; inf for floats
 
-    # --- variable bookkeeping ---
-
-    def _xv(self, i):
-        return i
-
-    def _yv(self, i):
-        return self.n + i
+    def _alg(self, T):
+        """Jet algebra of a coefficient array: its last axis is the size."""
+        return self._algs[T.shape[-1]]
 
     def field(self, name, order=None):
         """Field ``name`` through at least jet ``order``, by default its full
         order ``self.order - DEPTH[name]``.
 
-        A field is built at the larger of the asked and the planned order,
-        at most the full one, from its ledger inputs read through that order
-        plus their depth (at least 0: a field with no values raises in the
-        derivative that runs out of order).  A deeper input is handed over
-        truncated, except N and Gamma in a horizontal derivative:
-        ``_hderiv`` slices them to its tensor's order itself.
+        It is built at the larger of the asked and the planned order, at most
+        the full one, from its ledger inputs cut to that order plus their
+        depth (at least 0: a field with no values raises in the derivative
+        that runs out of order).
         """
         if name not in LEDGER:
             raise BadConfig(f"unknown field {name!r}")
@@ -399,61 +349,44 @@ class FieldScope:
         want = full if order is None else order
         if self._built.get(name, -math.inf) < want:
             p = min(max(want, self._plan[name]), full)
-            inputs = []
-            for i, (src, d) in enumerate(LEDGER[name]):
-                q = max(p + d, 0)
-                self.field(src, q)
-                inputs.append(self._cache[src] if i and name in HDERIVS else self._cut(src, q))
+            inputs = [self._cut(src, max(p + d, 0)) for src, d in LEDGER[name]]
             if name in HDERIVS:
-                self._cache[name] = self._hderiv(inputs[0], HDERIVS[name][1], *inputs[1:])
+                out = self.hderiv(inputs[0], VALENCE[HDERIVS[name]], *inputs[1:])
             else:
-                self._cache[name] = getattr(self, "_build_" + name)(*inputs)
-            self._built[name] = _order(self._cache[name])
-            self._cuts[name] = {}
+                out = getattr(self, "_build_" + name)(*inputs)
+            self._cache[name] = out
+            self._built[name] = math.inf if name in _FLOATS else self._alg(out).order
         return self._cache[name]
 
     def _cut(self, name, order):
-        """Cached field ``name`` through ``order``: the field itself if it is
-        no deeper, else a truncated copy kept until the field is rebuilt."""
-        if self._built[name] <= order:
-            return self._cache[name]
-        cuts = self._cuts[name]
-        if order not in cuts:
-            cuts[order] = _truncated(self._cache[name], order)
-        return cuts[order]
+        """Field ``name`` through ``order``, sliced if it is built deeper."""
+        T = self.field(name, order)
+        return T if name in _FLOATS else T[..., : _algebra(2 * self.n, order).size]
 
     def values(self, name):
         """Float values of a field, built at its planned order or deeper."""
-        return _values(self.field(name, self._plan.get(name)))
+        T = self.field(name, self._plan.get(name))
+        if name in _FLOATS:
+            return T
+        v = T[..., 0]
+        return float(v) if v.ndim == 0 else v.copy()
 
     # --- derivative operators ---
 
-    def vderiv(self, T):
-        """Vertical derivative: one extra lower y-slot.
-
-        T is stacked into one coefficient array and each slot m is one
-        row-wise derivative in y^m, so every entry equals ``Jet.deriv``.
-        """
-        n = self.n
-        if isinstance(T, Jet):
-            T = np.array(T, dtype=object)
-        order = min(j.order for j in T.flat)
-        if order == 0:
+    def _derivs(self, T, variables):
+        """Derivatives of T in each of ``variables`` (a range), as a new last slot."""
+        alg = self._alg(T)
+        if alg.order == 0:
             raise OrderExceeded("derivative of an order-0 jet is not determined")
-        hi = _algebra(2 * n, order)
-        Tc = _stack(T, hi.size)
-        out = np.stack([deriv_rows(hi, Tc, self._yv(m)) for m in range(n)], axis=-2)
-        degs = [min(max(j.deg - 1, 0), order - 1) for j in T.flat for _ in range(n)]
-        return _jets(_algebra(2 * n, order - 1), out, degs)
+        return deriv_rows(alg, T, variables)
 
-    def hderiv(self, T, valence=()):
-        """Horizontal (Berwald) derivative with N and Gamma at full order."""
-        return self._hderiv(
-            T, valence, self.field("N"), self.field("Gamma") if valence else None
-        )
+    def vderiv(self, T):
+        """Vertical derivative: one extra lower y-slot."""
+        return self._derivs(T, range(self.n, 2 * self.n))
 
-    def _hderiv(self, T, valence, N, Gamma=None):
-        """Horizontal (Berwald) derivative: one extra lower slot.
+    def hderiv(self, T, valence=(), N=None, Gamma=None):
+        """Horizontal derivative with the Berwald connection: one extra lower
+        slot; N and Gamma default to the fields at full order.
 
         ``valence`` must describe T's existing slots ("up"/"lo") so the
         connection terms get the right sign.  Per entry and new slot k:
@@ -462,91 +395,62 @@ class FieldScope:
                      + sum_m T[..m..] Gamma^s_mk   (each "up" slot s)
                      - sum_m T[..m..] Gamma^m_sk   (each "lo" slot s)
 
-        T, N and Gamma are stacked into coefficient arrays, and each term
-        (one per m, and per slot and m) is one row-wise product over all
-        entries.  Terms are added in the order written, each product is
-        summed like ``Jet.__mul__``, and the result lives in the algebra the
-        entry-by-entry jet arithmetic would truncate to, so every entry
-        equals that loop's jet bit for bit.
+        Each term is one row-wise product over all entries, added in the
+        order written, in the algebra the lowest-order operand allows.
         """
         n = self.n
-        if isinstance(T, Jet):
-            T, valence = np.array(T, dtype=object), ()
-        elif len(valence) != T.ndim:
-            raise ShapeMismatch(
-                f"valence has {len(valence)} slots, tensor has {T.ndim}"
-            )
-        order = min(j.order for j in T.flat) - 1
-        for conn in (N, Gamma) if valence else (N,):
-            order = min(order, min(j.order for j in conn.flat))
+        rank = T.ndim - 1
+        if len(valence) != rank:
+            raise ShapeMismatch(f"valence has {len(valence)} slots, tensor has {rank}")
+        N = self.field("N") if N is None else N
+        if valence and Gamma is None:
+            Gamma = self.field("Gamma")
+        order = min(self._alg(c).order for c in (N, Gamma) if c is not None)
+        order = min(order, self._alg(T).order - 1)
         if order < 0:
             raise OrderExceeded("derivative of an order-0 jet is not determined")
-        hi = _algebra(2 * n, order + 1)
         lo = _algebra(2 * n, order)
-        Tc = _stack(T, hi.size)
-        acc = np.stack([deriv_rows(hi, Tc, self._xv(k)) for k in range(n)], axis=-2)
-        Nc = _stack(N, lo.size)
+        Tc = T[..., : _algebra(2 * n, order + 1).size]
+        acc = self._derivs(Tc, range(n))
+        dy = self.vderiv(Tc)
         for m in range(n):
-            dy = deriv_rows(hi, Tc, self._yv(m))
-            acc -= mul_rows(lo, Nc[m], dy[..., None, :])
-        if valence:
-            Gc = _stack(Gamma, lo.size)
-            rank = T.ndim
-            for slot, kind in enumerate(valence):
-                for m in range(n):
-                    Tm = np.expand_dims(np.take(Tc, m, axis=slot), (slot, rank))
-                    G = Gc[:, m] if kind == "up" else Gc[m]  # axes (s, k)
-                    G = G.reshape((1,) * slot + (n,) + (1,) * (rank - slot - 1) + G.shape[1:])
-                    if kind == "up":
-                        acc += mul_rows(lo, Tm, G)
-                    else:
-                        acc -= mul_rows(lo, Tm, G)
-        return _jets(lo, acc)
+            acc -= mul_rows(lo, N[m], dy[..., m, None, :])
+        for slot, kind in enumerate(valence):
+            for m in range(n):
+                Tm = np.expand_dims(np.take(Tc, m, axis=slot), (slot, rank))
+                G = Gamma[:, m] if kind == "up" else Gamma[m]  # axes (s, k)
+                G = G.reshape((1,) * slot + (n,) + (1,) * (rank - slot - 1) + G.shape[1:])
+                term = mul_rows(lo, Tm, G)
+                acc = acc + term if kind == "up" else acc - term
+        return acc
 
     def directional(self, T, valence=()):
         """Contraction T_{...|s} y^s of the horizontal derivative."""
-        return self._contract_last(self.hderiv(T, valence))
+        return self._contract_y(self.hderiv(T, valence))
 
-    def _contract_last(self, H):
-        """Contract the trailing slot of a jet tensor with y; a scalar comes
-        back as a jet."""
-        n = self.n
-        shape = H.shape[:-1]
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            acc = H[idx + (0,)] * self.yj[0]
-            for s in range(1, n):
-                acc = acc + H[idx + (s,)] * self.yj[s]
-            out[idx] = acc
-        return out if shape else out[()]
+    def _contract_y(self, H):
+        """sum_s H[..., s] y^s, the trailing slot contracted with y."""
+        return _fold(np.moveaxis(mul_rows(self._alg(H), H, self._y), -2, 0))
 
     # --- field builders: inputs as LEDGER lists them, read to its depths ---
 
     def _build_F(self):
-        return _F_jet(self.metric, self.xj, self.yj)
+        return _F_jet(self.metric, self.xj, self.yj).coef
 
     def _build_F2(self, F):
-        return F * F
+        return mul_rows(self._alg(F), F, F)
 
     def _build_recF(self, F):
-        return F.reciprocal()
+        return Jet(self._alg(F), F).reciprocal().coef
 
     def _build_recF2(self, F2):
-        return F2.reciprocal()
+        return Jet(self._alg(F2), F2).reciprocal().coef
 
     def _build_g(self, F2):
-        n = self.n
-        d1 = [F2.deriv(self._yv(i)) for i in range(n)]
-        g = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                gij = d1[i].deriv(self._yv(j)) * 0.5
-                g[i, j] = gij
-                g[j, i] = gij
-        return g
+        return _symmetric(self.vderiv(self.vderiv(F2))) * 0.5
 
     def _build_g0(self, g):
-        g0 = _values(g)
+        g0 = g[..., 0].copy()
         _require_positive_definite(g0, self.point.x, self.point.y)
         return g0
 
@@ -554,191 +458,80 @@ class FieldScope:
         return np.linalg.inv(g0)
 
     def _build_g_inv(self, g, ginv0):
-        """Inverse metric as jets: Horner form of the Neumann series.
-
-        With g = g0 + dev (dev has zero constant part), the truncated
-        inverse is sum_k (-g0^{-1} dev)^k g0^{-1}.  M = -g0^{-1} dev has no
-        constant term, so X_t = g0^{-1} + M X_{t-1} is exact through order
-        t: iteration t runs in the order-t algebra, with X_{t-1} zero-padded
-        into it, and `order` iterations give the full inverse.
-        """
+        """Inverse metric: the Neumann series X_t = g0^{-1} + M X_{t-1} with
+        M = -g0^{-1}(g - g0).  M has no constant term, so X_t is exact through
+        order t: iteration t runs in the order-t algebra, X_{t-1} zero-padded."""
         n = self.n
-        alg = g[0, 0].alg
-        M = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    dev = g[k, j] - g[k, j].value
-                    term = (-ginv0[i, k]) * dev
-                    acc = term if acc is None else acc + term
-                M[i, j] = acc
-        X = np.empty((n, n), dtype=object)
-        alg0 = _algebra(alg.n_vars, 0)
-        for i in range(n):
-            for j in range(n):
-                X[i, j] = Jet.constant(alg0, ginv0[i, j])
-        for t in range(1, alg.order + 1):
-            alg_t = _algebra(alg.n_vars, t)
-            Mt = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    Mt[i, j] = M[i, j].truncated(t)
-                    X[i, j] = X[i, j]._padded(alg_t)
-            X = _matmul(Mt, X)
-            for i in range(n):
-                for j in range(n):
-                    X[i, j] = Jet.constant(alg_t, ginv0[i, j]) + X[i, j]
+        dev = g.copy()
+        dev[..., 0] -= g[..., 0]
+        M = _fold(np.swapaxes(-ginv0[:, :, None, None] * dev, 0, 1))  # [i, j]
+        X = ginv0[..., None]
+        for t in range(1, self._alg(g).order + 1):
+            alg = _algebra(2 * n, t)
+            Xt = np.zeros((n, n, alg.size))
+            Xt[..., : X.shape[-1]] = X
+            products = mul_rows(alg, M[:, :, None], Xt)  # [i, k, j] = M_ik X_kj
+            X = np.zeros((n, n, alg.size))
+            X[..., 0] = ginv0
+            X = X + _fold(np.swapaxes(products, 0, 1))
         return X
 
     def _build_ylow(self, g):
-        n = self.n
-        out = np.empty((n,), dtype=object)
-        for i in range(n):
-            acc = g[i, 0] * self.yj[0]
-            for j in range(1, n):
-                acc = acc + g[i, j] * self.yj[j]
-            out[i] = acc
-        return out
+        return self._contract_y(g)
 
     def _build_h(self, g, ylow, recF2):
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                hij = g[i, j] - ylow[i] * ylow[j] * recF2
-                out[i, j] = hij
-                out[j, i] = hij
-        return out
+        alg = self._alg(g)
+        yy = mul_rows(alg, ylow[:, None], ylow)
+        return _symmetric(g - mul_rows(alg, yy, recF2))
 
     def _build_C(self, F2):
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            di = F2.deriv(self._yv(i))
-            for j in range(i, n):
-                dij = di.deriv(self._yv(j))
-                for k in range(j, n):
-                    val = dij.deriv(self._yv(k)) * 0.25
-                    for p in set(itertools.permutations((i, j, k))):
-                        out[p] = val
-        return out
+        return _symmetric(self.vderiv(self.vderiv(self.vderiv(F2)))) * 0.25
 
     def _build_I(self, g_inv, C):
-        n = self.n
-        out = np.empty((n,), dtype=object)
-        for k in range(n):
-            acc = None
-            for i in range(n):
-                for j in range(n):
-                    term = g_inv[i, j] * C[i, j, k]
-                    acc = term if acc is None else acc + term
-            out[k] = acc
-        return out
+        products = mul_rows(self._alg(C), g_inv[..., None, :], C)  # [i, j, k]
+        return _fold(products.reshape((self.n**2,) + products.shape[2:]))
 
     def _build_G(self, F2, g_inv):
-        n = self.n
-        dx = [F2.deriv(self._xv(k)) for k in range(n)]
-        brk = []
-        for l in range(n):
-            acc = None
-            for k in range(n):
-                term = dx[k].deriv(self._yv(l)) * self.yj[k]
-                acc = term if acc is None else acc + term
-            brk.append(acc - dx[l])
-        out = np.empty((n,), dtype=object)
-        for i in range(n):
-            acc = g_inv[i, 0] * brk[0]
-            for l in range(1, n):
-                acc = acc + g_inv[i, l] * brk[l]
-            out[i] = acc * 0.25
-        return out
+        alg = self._alg(g_inv)
+        dx = self._derivs(F2, range(self.n))  # [k] = dF^2/dx^k
+        yterms = mul_rows(alg, self.vderiv(dx), self._y[:, None])  # [k, l]
+        brk = _fold(yterms) - dx[..., : alg.size]
+        return _fold(np.swapaxes(mul_rows(alg, g_inv, brk), 0, 1)) * 0.25
 
     def _build_N(self, G):
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = G[i].deriv(self._yv(j))
-        return out
+        return self.vderiv(G)
 
     def _build_Gamma(self, N):
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                dij = N[i, j]
-                for k in range(j, n):
-                    val = dij.deriv(self._yv(k))
-                    out[i, j, k] = val
-                    out[i, k, j] = val
-        return out
+        return _symmetric(self.vderiv(N), lead=1)
 
     def _build_B(self, Gamma):
-        n = self.n
-        out = np.empty((n, n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    base = Gamma[i, j, k]
-                    for l in range(k, n):
-                        val = base.deriv(self._yv(l))
-                        for p in set(itertools.permutations((j, k, l))):
-                            out[(i,) + p] = val
-        return out
+        return _symmetric(self.vderiv(Gamma), lead=1)
 
     def _build_E(self, B):
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for j in range(n):
-            for k in range(j, n):
-                acc = B[0, j, k, 0]
-                for m in range(1, n):
-                    acc = acc + B[m, j, k, m]
-                val = acc * 0.5
-                out[j, k] = val
-                out[k, j] = val
-        return out
+        r = range(self.n)
+        return _symmetric(_fold(B[r, :, :, r]) * 0.5)  # [m, j, k] = B^m_jkm
 
     def _build_R1(self, G, N, Gamma):
         n = self.n
-        dxG = [[G[i].deriv(self._xv(k)) for k in range(n)] for i in range(n)]
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for k in range(n):
-                acc = dxG[i][k] * 2.0
-                for j in range(n):
-                    acc = acc - dxG[i][j].deriv(self._yv(k)) * self.yj[j]
-                    acc = acc + (G[j] * Gamma[i, j, k]) * 2.0
-                    acc = acc - N[i, j] * N[j, k]
-                out[i, k] = acc
-        return out
+        alg = self._alg(N)
+        dxG = self._derivs(G, range(n))  # [i, k] = dG^i/dx^k
+        yterms = mul_rows(alg, self.vderiv(dxG), self._y[:, None])  # [i, j, k]
+        gterms = mul_rows(alg, G[:, None], Gamma) * 2.0  # [i, j, k] = 2 G^j Gamma^i_jk
+        nterms = mul_rows(alg, N[..., None, :], N)  # [i, j, k] = N^i_j N^j_k
+        acc = dxG[..., : alg.size] * 2.0
+        for j in range(n):
+            acc = acc - yterms[:, j]
+            acc = acc + gterms[:, j]
+            acc = acc - nterms[:, j]
+        return acc
 
     def _build_Rhh(self, R1):
         n = self.n
-        dR1 = [
-            [[R1[i, k].deriv(self._yv(l)) for l in range(n)] for k in range(n)]
-            for i in range(n)
-        ]
-        out = np.empty((n, n, n, n), dtype=object)
-        third = 1.0 / 3.0
-        zero = None
-        for i in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    A = dR1[i][k][l] - dR1[i][l][k]
-                    for j in range(n):
-                        val = A.deriv(self._yv(j)) * third
-                        out[i, j, k, l] = val
-                        out[i, j, l, k] = -1.0 * val
-                        if zero is None:
-                            zero = val * 0.0
-        if zero is None:  # n == 1: no antisymmetric pairs exist
-            zero = dR1[0][0][0].deriv(self._yv(0)) * 0.0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[i, j, k, k] = zero
+        dR = self.vderiv(R1)  # [i, k, l] = dR^i_k/dy^l
+        V = np.moveaxis(self.vderiv(dR - dR.swapaxes(1, 2)), -2, 1) * (1.0 / 3.0)
+        zero = (V[0, 0, 0, 1] if n > 1 else self.vderiv(dR)[0, 0, 0, 0]) * 0.0
+        out = _antisymmetric(V)
+        out[:, :, range(n), range(n)] = zero
         return out
 
     def _build_RhhV(self, Rhh):
@@ -750,146 +543,79 @@ class FieldScope:
 
     def _build_L_C(self, Ch):
         # L_ijk = C_{ijk|s} y^s
-        return self._contract_last(Ch)
+        return self._contract_y(Ch)
 
     def _build_L_B(self, ylow, B):
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    acc = ylow[0] * B[0, i, j, k]
-                    for m in range(1, n):
-                        acc = acc + ylow[m] * B[m, i, j, k]
-                    val = acc * (-0.5)
-                    for p in set(itertools.permutations((i, j, k))):
-                        out[p] = val
-        return out
+        products = mul_rows(self._alg(B), ylow[:, None, None, None], B)  # [m, i, j, k]
+        return _symmetric(_fold(products) * -0.5)
 
     def _build_Sigma(self, Lh):
-        n = self.n
-        out = np.empty((n, n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(k, n):
-                        val = (Lh[i, j, k, l] - Lh[i, j, l, k]) * 2.0
-                        out[i, j, k, l] = val
-                        out[i, j, l, k] = -1.0 * val
-        return out
+        return _antisymmetric((Lh - Lh.swapaxes(2, 3)) * 2.0)
 
     def _build_D(self, Ch):
         # D_ijkl = C_{ijk|l} - C_{ijl|k}; the stretch tensor is 2*(D h-shifted)
-        n = self.n
-        out = np.empty((n, n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(k, n):
-                        val = Ch[i, j, k, l] - Ch[i, j, l, k]
-                        out[i, j, k, l] = val
-                        out[i, j, l, k] = -1.0 * val
-        return out
+        return _antisymmetric(Ch - Ch.swapaxes(2, 3))
 
     def _build_J_L(self, g_inv, L_B):
-        n = self.n
-        out = np.empty((n,), dtype=object)
-        for i in range(n):
-            acc = None
-            for k in range(n):
-                for l in range(n):
-                    term = g_inv[k, l] * L_B[i, k, l]
-                    acc = term if acc is None else acc + term
-            out[i] = acc
-        return out
+        products = mul_rows(self._alg(L_B), g_inv, L_B)  # [i, k, l]
+        return _fold(np.moveaxis(products.reshape(self.n, self.n**2, -1), 1, 0))
 
     def _build_J_I(self, Ih):
         # J_i = I_{i|s} y^s
-        return self._contract_last(Ih)
+        return self._contract_y(Ih)
 
     def _build_phi(self, g_inv, L_C):
         """phi = L^{ijk} L_ijk (squared norm of the Landsberg tensor)."""
-        n = self.n
+        alg = self._alg(L_C)
         T = L_C
         for _ in range(3):
             # raise the leading slot, then cycle it to the back
-            raised = np.empty((n, n, n), dtype=object)
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        acc = g_inv[a, 0] * T[0, b, c]
-                        for s in range(1, n):
-                            acc = acc + g_inv[a, s] * T[s, b, c]
-                        raised[b, c, a] = acc
-            T = raised
-        acc = None
-        for idx in np.ndindex((n, n, n)):
-            term = T[idx] * L_C[idx]
-            acc = term if acc is None else acc + term
-        return acc
+            products = mul_rows(alg, g_inv[:, :, None, None], T)  # [a, s, b, c]
+            T = np.moveaxis(_fold(np.swapaxes(products, 0, 1)), 0, 2)
+        return _fold(mul_rows(alg, T, L_C).reshape(-1, alg.size))
 
     # --- two-dimensional frame fields and scalar ratios ---
 
     def _build_frame2(self, g, recF):
-        """Orthonormal frame (ell, m) with ell = y/F, det[ell m] > 0; jets."""
+        """Orthonormal frame ell = y/F, m with det[ell m] > 0, as rows 0 and 1."""
         if self.n != 2:
             raise DimensionError(f"frame needs n = 2, got n = {self.n}")
-        ell = np.empty(2, dtype=object)
-        for i in range(2):
-            ell[i] = self.yj[i] * recF
-        y = np.asarray(self.point.y)
-        k0 = int(np.argmin(np.abs(y)))  # seed axis least aligned with y
-        glu = g[0, k0] * ell[0] + g[1, k0] * ell[1]
-        mt = np.empty(2, dtype=object)
-        for i in range(2):
-            mt[i] = (1.0 if i == k0 else 0.0) + (-1.0) * glu * ell[i]
-        nrm2 = None
-        for i in range(2):
-            for j in range(2):
-                term = g[i, j] * mt[i] * mt[j]
-                nrm2 = term if nrm2 is None else nrm2 + term
-        inv = nrm2 ** (-0.5)
-        m = np.empty(2, dtype=object)
-        for i in range(2):
-            m[i] = mt[i] * inv
-        if ell[0].value * m[1].value - ell[1].value * m[0].value < 0:
-            for i in range(2):
-                m[i] = (-1.0) * m[i]
-        return ell, m
+        alg = self._alg(g)
+        ell = mul_rows(alg, self._y, recF)
+        k0 = int(np.argmin(np.abs(self.point.y)))  # seed axis least aligned with y
+        glu = _fold(mul_rows(alg, g[:, k0], ell))
+        mt = mul_rows(alg, -1.0 * glu, ell)
+        mt[:, 0] += np.eye(2)[k0]
+        nrm2 = _fold(mul_rows(alg, mul_rows(alg, g, mt[:, None]), mt).reshape(4, -1))
+        m = mul_rows(alg, mt, (Jet(alg, nrm2) ** (-0.5)).coef)
+        if ell[0, 0] * m[1, 0] - ell[1, 0] * m[0, 0] < 0:
+            m = -1.0 * m
+        return np.stack([ell, m])
 
     def _build_I2(self, frame2, C, F):
         """Principal scalar of a 2-D metric: I with C = F^-1 I m x m x m."""
-        _, m = frame2
-        acc = None
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    term = C[i, j, k] * m[i] * m[j] * m[k]
-                    acc = term if acc is None else acc + term
-        return F * acc
+        alg = self._alg(C)
+        m = frame2[1]
+        T = mul_rows(alg, C, m[:, None, None])
+        T = mul_rows(alg, mul_rows(alg, T, m[:, None]), m)
+        return mul_rows(alg, F, _fold(T.reshape(8, -1)))
 
     def _build_mu2(self, I2, N, recF):
         """mu = I_{|s} y^s / (F I), the log-derivative of the principal scalar."""
-        if abs(I2.value) < 1e-8:
-            raise RiemannianPoint(
-                f"principal scalar {I2.value:.3e} is numerically zero"
-            )
-        num = self._contract_last(self._hderiv(I2, (), N))
-        return num * recF * I2.reciprocal()
+        if abs(I2[0]) < 1e-8:
+            raise RiemannianPoint(f"principal scalar {I2[0]:.3e} is numerically zero")
+        alg = self._alg(N)
+        num = mul_rows(alg, self._contract_y(self.hderiv(I2, (), N)), recF)
+        return mul_rows(alg, num, Jet(self._alg(I2), I2).reciprocal().coef)
 
     def _build_cratio(self, Sigma, D, F):
         """Pointwise stretch ratio c with Sigma = c F (C_{ijk|l} - C_{ijl|k})."""
-        n = self.n
-        num = None
-        den = None
-        for idx in np.ndindex((n,) * 4):
-            FD = F * D[idx]
-            t1 = Sigma[idx] * FD
-            t2 = FD * FD
-            num = t1 if num is None else num + t1
-            den = t2 if den is None else den + t2
-        require_stretch_design(num.value, den.value)
-        return num / den
+        alg = self._alg(D)
+        FD = mul_rows(alg, F, D)
+        num = _fold(mul_rows(alg, Sigma, FD).reshape(-1, alg.size))
+        den = _fold(mul_rows(alg, FD, FD).reshape(-1, alg.size))
+        require_stretch_design(float(num[0]), float(den[0]))
+        return mul_rows(alg, num, Jet(alg, den).reciprocal().coef)
 
 
 # --- public extraction API ---
@@ -897,6 +623,10 @@ class FieldScope:
 def point_scope(metric, point, order=BUNDLE_ORDER) -> FieldScope:
     point = point if isinstance(point, PointState) else PointState(*point)
     return FieldScope(metric, point, order)
+
+
+def _block(scope, name):
+    return TensorBlock(name, scope.values(name), VALENCE[name])
 
 
 def _ensure_scope(metric, point, scope, op):
@@ -913,64 +643,49 @@ def _ensure_scope(metric, point, scope, op):
 def fundamental_tensor(metric, point, scope=None):
     """Returns (g, g_inv, h, F) at the point; raises SingularMetric if not PD."""
     scope = _ensure_scope(metric, point, scope, "fundamental")
-    g0 = scope.values("g0")
-    ginv0 = scope.values("ginv0")
-    h0 = scope.values("h")
-    F = scope.values("F")
     return (
-        TensorBlock("g", g0.copy(), ("lo", "lo")),
-        TensorBlock("g_inv", ginv0.copy(), ("up", "up")),
-        TensorBlock("h", h0, ("lo", "lo")),
-        F,
+        TensorBlock("g", scope.values("g0").copy(), VALENCE["g"]),
+        TensorBlock("g_inv", scope.values("ginv0").copy(), VALENCE["g_inv"]),
+        _block(scope, "h"),
+        scope.values("F"),
     )
 
 
 def cartan_tensor(metric, point, scope=None):
     """Returns (C, I): the Cartan tensor and its mean."""
     scope = _ensure_scope(metric, point, scope, "cartan")
-    return (
-        TensorBlock("C", scope.values("C"), ("lo", "lo", "lo")),
-        TensorBlock("I", scope.values("I"), ("lo",)),
-    )
+    return _block(scope, "C"), _block(scope, "I")
 
 
 def spray(metric, point, scope=None) -> SprayData:
     scope = _ensure_scope(metric, point, scope, "spray")
-    return SprayData(
-        G=scope.values("G"),
-        N=scope.values("N"),
-        Gamma=scope.values("Gamma"),
-    )
+    return SprayData(*(scope.values(k) for k in ("G", "N", "Gamma")))
 
 
 #: F^2 partials read by the direct spray path, named by differentiation
 #: slots with the x slot last: entry [l, j, k] of "yyx" is
 #: d^3 F^2 / dy^l dy^j dx^k.  A pattern of length d needs seed order d.
 _SPRAY_PARTIALS = ("x", "yy", "yx", "yyy", "yyx", "yyyy", "yyyx")
-_SPRAY_SLOTS = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _spray_slots(alg):
     """{pattern: (coefficient indices, factorial scales)} for one jet algebra."""
-    key = (alg.n_vars, alg.order)
-    slots = _SPRAY_SLOTS.get(key)
-    if slots is None:
-        n = alg.n_vars // 2
-        slots = {}
-        for pattern in _SPRAY_PARTIALS:
-            if len(pattern) > alg.order:
-                continue
-            shape = (n,) * len(pattern)
-            idx = np.empty(shape, dtype=np.int64)
-            scale = np.empty(shape)
-            for combo in np.ndindex(shape):
-                exps = [0] * alg.n_vars
-                for kind, i in zip(pattern, combo):
-                    exps[i if kind == "x" else n + i] += 1
-                idx[combo] = alg.index[tuple(exps)]
-                scale[combo] = math.prod(math.factorial(e) for e in exps)
-            slots[pattern] = (idx, scale)
-        _SPRAY_SLOTS[key] = slots
+    n = alg.n_vars // 2
+    slots = {}
+    for pattern in _SPRAY_PARTIALS:
+        if len(pattern) > alg.order:
+            continue
+        shape = (n,) * len(pattern)
+        idx = np.empty(shape, dtype=np.int64)
+        scale = np.empty(shape)
+        for combo in np.ndindex(shape):
+            exps = [0] * alg.n_vars
+            for kind, i in zip(pattern, combo):
+                exps[i if kind == "x" else n + i] += 1
+            idx[combo] = alg.index[tuple(exps)]
+            scale[combo] = math.prod(math.factorial(e) for e in exps)
+        slots[pattern] = (idx, scale)
     return slots
 
 
@@ -979,8 +694,12 @@ def _direct_spray(metric, x, y, depth):
 
     Returns [g, G] for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma]
     for depth 2.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
-    u = 4G solves A u = b; differentiating that system in y gives
-    u_{,j} = 4 N_j and u_{,jk} = 4 Gamma_jk (module docstring).  The gates
+    u = 4G solves A u = b, and differentiating that system in y gives
+
+        u_{,j}  = A^{-1} (b_{,j} - A_{,j} u)                                  = 4 N_j
+        u_{,jk} = A^{-1} (b_{,jk} - A_{,jk} u - A_{,j} u_{,k} - A_{,k} u_{,j})  = 4 Gamma_jk
+
+    so g and G need F^2 at order 2, N order 3 and Gamma order 4.  The gates
     are those of :class:`FieldScope`: dimension, chart, zero y, jet
     propagation, F > 0 and positive definiteness of g.
     """
@@ -1024,53 +743,45 @@ def spray_values(metric, x, y, with_N=False):
 def berwald_curvature(metric, point, scope=None):
     """Returns (B, E): Berwald curvature and its mean."""
     scope = _ensure_scope(metric, point, scope, "berwald")
-    return (
-        TensorBlock("B", scope.values("B"), ("up", "lo", "lo", "lo")),
-        TensorBlock("E", scope.values("E"), ("lo", "lo")),
-    )
+    return _block(scope, "B"), _block(scope, "E")
 
 
 def riemann_curvature(metric, point, scope=None):
     """Returns (R1, Rhh): y-Riemann curvature R^i_k and hh-curvature R_j^i_kl."""
     scope = _ensure_scope(metric, point, scope, "riemann")
-    return (
-        TensorBlock("R1", scope.values("R1"), ("up", "lo")),
-        TensorBlock("Rhh", scope.values("Rhh"), ("up", "lo", "lo", "lo")),
-    )
+    return _block(scope, "R1"), _block(scope, "Rhh")
+
+
+def _route_residual(scope, name, other):
+    """Residual of field ``name`` against the second route ``other``."""
+    a = scope.values(name)
+    return rel_residual(a, scope.values(other), floor=max(1.0, float(np.max(np.abs(a)))))
+
+
+def _checked_block(scope, label, name, other, what, check):
+    if check:
+        resid = _route_residual(scope, name, other)
+        if not resid <= ROUTE_TOLERANCE:  # a NaN residual fails too
+            raise CrossCheckFailure(f"{what} routes disagree: relative residual {resid:.3e}")
+    return TensorBlock(label, scope.values(name), VALENCE[name])
 
 
 def landsberg_tensor(metric, point, scope=None, check=True):
     """Landsberg tensor via the spray route, cross-checked against C_{|s}y^s."""
     scope = _ensure_scope(metric, point, scope, "landsberg")
-    LB = scope.values("L_B")
-    if check:
-        LC = scope.values("L_C")
-        resid = rel_residual(LB, LC, floor=max(1.0, float(np.max(np.abs(LB)))))
-        if not resid <= ROUTE_TOLERANCE:  # a NaN residual fails too
-            raise CrossCheckFailure(
-                f"Landsberg routes disagree: relative residual {resid:.3e}"
-            )
-    return TensorBlock("L", LB, ("lo", "lo", "lo"))
+    return _checked_block(scope, "L", "L_B", "L_C", "Landsberg", check)
 
 
 def mean_landsberg(metric, point, scope=None, check=True):
     """Mean Landsberg J via the trace route, cross-checked against I_{|s}y^s."""
     scope = _ensure_scope(metric, point, scope, "mean_landsberg")
-    JL = scope.values("J_L")
-    if check:
-        JI = scope.values("J_I")
-        resid = rel_residual(JL, JI, floor=max(1.0, float(np.max(np.abs(JL)))))
-        if not resid <= ROUTE_TOLERANCE:  # a NaN residual fails too
-            raise CrossCheckFailure(
-                f"mean Landsberg routes disagree: relative residual {resid:.3e}"
-            )
-    return TensorBlock("J", JL, ("lo",))
+    return _checked_block(scope, "J", "J_L", "J_I", "mean Landsberg", check)
 
 
 def stretch_tensor(metric, point, scope=None):
     """Stretch tensor Sigma_ijkl = 2(L_{ijk|l} - L_{ijl|k})."""
     scope = _ensure_scope(metric, point, scope, "stretch")
-    return TensorBlock("Sigma", scope.values("Sigma"), ("lo",) * 4)
+    return _block(scope, "Sigma")
 
 
 def flag_curvature(metric, point, u, scope=None):
@@ -1096,39 +807,38 @@ def flag_curvature(metric, point, u, scope=None):
     return num / denom
 
 
+#: fields with a derivative rule, by public name
 _DERIV_FIELDS = {
-    "F": ("F", ()),
-    "F2": ("F2", ()),
-    "g": ("g", ("lo", "lo")),
-    "C": ("C", ("lo", "lo", "lo")),
-    "I": ("I", ("lo",)),
-    "L": ("L_C", ("lo", "lo", "lo")),
-    "J": ("J_I", ("lo",)),
-    "E": ("E", ("lo", "lo")),
-    "Sigma": ("Sigma", ("lo",) * 4),
+    "F": "F", "F2": "F2", "g": "g", "C": "C", "I": "I", "L": "L_C", "J": "J_I",
+    "E": "E", "Sigma": "Sigma",
 }
+
+
+def _derivative(metric, point, name, scope, kind):
+    """Horizontal or vertical derivative block of a named field.  A new scope is
+    seeded at the depth of the field at +1, and N and Gamma at +0 if horizontal."""
+    if name not in _DERIV_FIELDS:
+        raise BadConfig(
+            f"no {kind}-derivative rule for {name!r}; known: {sorted(_DERIV_FIELDS)}"
+        )
+    key = _DERIV_FIELDS[name]
+    horizontal = kind == "horizontal"
+    if scope is None:
+        row = ((key, 1), ("N", 0), ("Gamma", 0)) if horizontal else ((key, 1),)
+        scope = point_scope(metric, point, max(2, *(DEPTH[src] + d for src, d in row)))
+    T = scope.field(key)
+    out = scope.hderiv(T, VALENCE[key]) if horizontal else scope.vderiv(T)
+    return TensorBlock(f"{name}_{kind[0]}", out[..., 0], VALENCE[key] + ("lo",))
 
 
 def horizontal_derivative(metric, point, name, scope=None):
     """Berwald-horizontal derivative of a named field; trailing slot is new."""
-    if name not in _DERIV_FIELDS:
-        raise BadConfig(
-            f"no horizontal-derivative rule for {name!r}; "
-            f"known: {sorted(_DERIV_FIELDS)}"
-        )
-    key, valence = _DERIV_FIELDS[name]
-    scope = _ensure_scope(metric, point, scope, "bundle") if scope is None else scope
-    H = scope.hderiv(scope.field(key), valence)
-    return TensorBlock(name + "_h", _values(H), valence + ("lo",))
+    return _derivative(metric, point, name, scope, "horizontal")
 
 
 def vertical_derivative(metric, point, name, scope=None):
-    if name not in _DERIV_FIELDS:
-        raise BadConfig(f"no vertical-derivative rule for {name!r}")
-    key, valence = _DERIV_FIELDS[name]
-    scope = _ensure_scope(metric, point, scope, "cartan") if scope is None else scope
-    V = scope.vderiv(scope.field(key))
-    return TensorBlock(name + "_v", _values(V), valence + ("lo",))
+    """Vertical derivative of a named field; trailing slot is new."""
+    return _derivative(metric, point, name, scope, "vertical")
 
 
 @dataclass
@@ -1169,9 +879,8 @@ class CurvatureBundle:
         }
         for name in ("g", "g_inv", "h", "C", "I", "B", "E", "R1", "Rhh", "L", "J", "Sigma"):
             out[name] = self.block(name).values.tolist()
-        out["G"] = self.spray.G.tolist()
-        out["N"] = self.spray.N.tolist()
-        out["Gamma"] = self.spray.Gamma.tolist()
+        for name in ("G", "N", "Gamma"):
+            out[name] = getattr(self.spray, name).tolist()
         return out
 
 
@@ -1196,39 +905,26 @@ def curvature_bundle(metric, point, order=BUNDLE_ORDER, scope=None) -> Curvature
     Sigma = stretch_tensor(metric, point, scope)
 
     y = np.asarray(point.y)
-    n = scope.n
     diag = {}
 
     # F is horizontally constant; strong wiring check on G and N.
     Fh = scope.values("Fh")
     diag["horizontal_F"] = float(np.max(np.abs(Fh))) / F
 
-    diag["cartan_y_trace"] = rel_residual(
-        np.einsum("i,ijk->jk", y, C.values), floor=max(C.norm, 1.0)
-    )
-    diag["landsberg_y_trace"] = rel_residual(
-        np.einsum("i,ijk->jk", y, L.values), floor=max(L.norm, 1.0)
-    )
-    diag["landsberg_routes"] = rel_residual(
-        L.values, scope.values("L_C"), floor=max(L.norm, 1.0)
-    )
-    diag["mean_landsberg_routes"] = rel_residual(
-        J.values, scope.values("J_I"), floor=max(J.norm, 1.0)
-    )
+    for key, T in (("cartan_y_trace", C), ("landsberg_y_trace", L)):
+        diag[key] = rel_residual(np.einsum("i,ijk->jk", y, T.values), floor=max(T.norm, 1.0))
+    diag["landsberg_routes"] = _route_residual(scope, "L_B", "L_C")
+    diag["mean_landsberg_routes"] = _route_residual(scope, "J_L", "J_I")
     # y^j y^l R_j^i_kl recovers R^i_k
     diag["riemann_y_trace"] = rel_residual(
         np.einsum("j,l,ijkl->ik", y, y, Rhh.values), R1.values,
         floor=max(R1.norm, 1.0),
     )
+    diag["stretch_bianchi"] = None
     if scope.order >= 7:
         RhhV = scope.values("RhhV")
-        ylow0 = scope.values("ylow")
-        sigma_b = np.einsum("i,ijklm->jmkl", ylow0, RhhV)
-        diag["stretch_bianchi"] = rel_residual(
-            Sigma.values, sigma_b, floor=max(Sigma.norm, 1.0)
-        )
-    else:
-        diag["stretch_bianchi"] = None
+        sigma_b = np.einsum("i,ijklm->jmkl", scope.values("ylow"), RhhV)
+        diag["stretch_bianchi"] = rel_residual(Sigma.values, sigma_b, floor=max(Sigma.norm, 1.0))
 
     return CurvatureBundle(
         point=point,

@@ -15,8 +15,10 @@ derivative maps) is precomputed once per ``(n_vars, K)`` and cached.
 
 Seeding a coordinate variable gives the jet of the identity function in
 that slot; pushing seeded jets through arithmetic and the closed-form
-function table below evaluates all mixed partials of the composite
-expression at once, exactly up to round-off.
+functions (``Jet.sqrt``, ``exp``, ``log``, ``sin``, ``cos``, powers)
+evaluates all mixed partials of the composite expression at once, exactly
+up to round-off.  ``Jet.coefficient`` reads one of them, divided by the
+factorials of its multi-index.
 
 Closed-form functions compose a univariate series with u = a - a(0) by
 Horner's rule.  They run it in growing order: u has no constant term, so
@@ -103,6 +105,7 @@ class _Algebra:
         self._mul_table = None
         self._mul_blocks = None
         self._deriv_tables = None
+        self._stacked = {}
 
     def _ranks(self):
         """Exponents, their suffix sums and the binomial tables that rank them.
@@ -177,6 +180,24 @@ class _Algebra:
             self._deriv_tables = tables
         return self._deriv_tables
 
+    def stacked_derivs(self, variables):
+        """(src, dst, fac, size) applying the derivative tables of every
+        variable in ``variables`` (a range) at once: coefficient src times
+        fac is entry dst of the derivatives laid out one after the other,
+        each ``size`` long (order K - 1)."""
+        table = self._stacked.get(variables)
+        if table is None:
+            size = _algebra(self.n_vars, self.order - 1).size
+            parts = [self.deriv_tables[v] for v in variables]
+            table = (
+                np.concatenate([src for src, _, _ in parts]),
+                np.concatenate([k * size + dst for k, (_, dst, _) in enumerate(parts)]),
+                np.concatenate([fac for _, _, fac in parts]),
+                size,
+            )
+            self._stacked[variables] = table
+        return table
+
 
 def _convolve(alg, a, b, size):
     """Coefficients through ``alg.order`` of the product of ``a`` and ``b``,
@@ -207,39 +228,20 @@ def _algebra(n_vars, order):
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector addressing one mixed partial derivative."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if any((not isinstance(e, int)) or e < 0 for e in self.exponents):
-            raise BadConfig(f"multi-index must be non-negative integers: {self.exponents}")
-
-    @property
-    def order(self):
-        return sum(self.exponents)
-
-
-@dataclass(frozen=True)
 class JetConfig:
     """Dimension and truncation settings for seeded jets.
 
     ``n`` is the manifold dimension; jets live in 2n variables (x then y).
-    ``tolerance`` is an optional pruning threshold used by :meth:`Jet.pruned`.
     """
 
     n: int
     order: int = 5
-    tolerance: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
             raise BadConfig(f"dimension must be >= 1, got {self.n}")
         if self.order < 1:
             raise BadConfig(f"truncation order must be >= 1, got {self.order}")
-        if self.tolerance < 0:
-            raise BadConfig("pruning tolerance must be >= 0")
 
 
 class Jet:
@@ -293,11 +295,6 @@ class Jet:
             return self
         alg = _algebra(self.alg.n_vars, order)
         return Jet(alg, self.coef[: alg.size].copy(), min(self.deg, order))
-
-    def pruned(self, tolerance):
-        c = self.coef.copy()
-        c[np.abs(c) < tolerance] = 0.0
-        return Jet(self.alg, c, self.deg)
 
     def __repr__(self):
         return f"Jet(n_vars={self.n_vars}, order={self.order}, value={self.value:.6g})"
@@ -516,12 +513,22 @@ def mul_rows(alg, a, b):
     as in :meth:`Jet.__mul__`, so the rows match it bit for bit.  Rows are
     independent, so above ``_BLOCK`` pairs in all they go in blocks of
     ``_BLOCK // pairs`` rows, which keeps the pair temporaries that small.
+    A single row, and each row where a block would hold one, is one
+    ``_convolve``, the product :meth:`Jet.__mul__` forms, with no copies.
     """
     mi, mj, mo = alg.mul_table
     size = alg.size
+    if a.ndim == b.ndim == 1:
+        return _convolve(alg, a, b, size)
     rows = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     count = math.prod(rows)
-    step = max(1, _BLOCK // mi.size)
+    step = _BLOCK // mi.size
+    if step <= 1:
+        a, b = (np.broadcast_to(x[..., :size], rows + (size,)) for x in (a, b))
+        out = np.empty(rows + (size,))
+        for r in np.ndindex(rows):
+            out[r] = _convolve(alg, a[r], b[r], size)
+        return out
     if count <= step:
         w = np.multiply(a[..., mi], b[..., mj], order="C")  # C order: ravel is a view
         slots = (np.arange(count)[:, None] * size + mo).ravel()
@@ -539,16 +546,17 @@ def mul_rows(alg, a, b):
     return out.reshape(rows + (size,))
 
 
-def deriv_rows(alg, a, var):
-    """Row-wise :meth:`Jet.deriv`: coefficients of shape (..., alg.size) in,
-    (..., size of the order-(K - 1) algebra) out."""
-    src, dst, fac = alg.deriv_tables[var]
-    out = np.zeros(a.shape[:-1] + (_algebra(alg.n_vars, alg.order - 1).size,))
+def deriv_rows(alg, a, variables):
+    """Row-wise :meth:`Jet.deriv` in each of ``variables`` (a range):
+    coefficients of shape (..., alg.size) in, (..., len(variables), size of
+    the order-(K - 1) algebra) out, one gather for all of them."""
+    src, dst, fac, size = alg.stacked_derivs(variables)
+    out = np.zeros(a.shape[:-1] + (len(variables) * size,))
     out[..., dst] = a[..., src] * fac
-    return out
+    return out.reshape(a.shape[:-1] + (len(variables), size))
 
 
-# --- module-level operations (the stable kernel API) ---
+# --- seeding and named functions ---
 
 def seed_variables(x0, y0, cfg: JetConfig):
     """Seed coordinate jets for a tangent-bundle point (x0, y0).
@@ -572,79 +580,13 @@ def seed_variables(x0, y0, cfg: JetConfig):
     return xj, yj
 
 
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Strict-config arithmetic: both jets must share n_vars and order."""
-    if not (isinstance(a, Jet) and isinstance(b, Jet)):
-        raise ShapeMismatch("jet_arith expects two jets")
-    if a.alg is not b.alg:
-        raise ShapeMismatch(
-            f"jet configs differ: ({a.n_vars} vars, K={a.order}) vs "
-            f"({b.n_vars} vars, K={b.order})"
-        )
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise BadConfig(f"unknown arithmetic op {op!r}")
-
-
-_FUNCS = {
-    "sqrt": Jet.sqrt,
-    "exp": Jet.exp,
-    "log": Jet.log,
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-}
-
-
-def jet_func(a: Jet, name: str, exponent=None) -> Jet:
-    """Apply a closed-form function to a jet (sqrt/exp/log/sin/cos/pow_const)."""
-    if name == "pow_const":
-        if exponent is None:
-            raise BadConfig("pow_const requires an exponent")
-        return a**exponent
-    fn = _FUNCS.get(name)
-    if fn is None:
-        raise BadConfig(f"unknown jet function {name!r}")
-    return fn(a)
-
-
-def extract_partial(a: Jet, idx) -> float:
-    """Read one mixed partial d^alpha f from the jet (factorials restored)."""
-    exps = idx.exponents if isinstance(idx, MultiIndex) else tuple(idx)
-    if sum(exps) > a.order:
-        raise OrderExceeded(
-            f"partial of order {sum(exps)} from an order-{a.order} jet"
-        )
-    if len(exps) != a.n_vars:
-        raise ShapeMismatch(f"multi-index has {len(exps)} slots, jet has {a.n_vars}")
-    scale = 1.0
-    for e in exps:
-        scale *= math.factorial(e)
-    return a.coefficient(exps) * scale
-
-
 def smooth(value, name):
     """Apply a named function to a float or a jet uniformly."""
+    if name not in ("sqrt", "exp", "log", "sin", "cos"):
+        raise BadConfig(f"unknown function {name!r}")
     if isinstance(value, Jet):
-        return jet_func(value, name)
+        return getattr(value, name)()
     v = float(value)
-    if name == "sqrt":
-        if v <= 0.0:
-            raise DomainError(f"sqrt of {v:.6g}")
-        return math.sqrt(v)
-    if name == "exp":
-        return math.exp(v)
-    if name == "log":
-        if v <= 0.0:
-            raise DomainError(f"log of {v:.6g}")
-        return math.log(v)
-    if name == "sin":
-        return math.sin(v)
-    if name == "cos":
-        return math.cos(v)
-    raise BadConfig(f"unknown function {name!r}")
+    if name in ("sqrt", "log") and v <= 0.0:
+        raise DomainError(f"{name} of {v:.6g}")
+    return getattr(math, name)(v)

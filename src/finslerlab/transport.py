@@ -624,17 +624,17 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
         xs[row] = x
         ys[row] = y
         scope = point_scope(metric, PointState(tuple(x), tuple(y)), 5)
-        cols["F"][row] = scope.field("F").value
+        cols["F"][row] = scope.values("F")
         for name in names:
             if status[name] != "ok":
                 continue
             try:
                 if name == "phi":
-                    cols[name][row] = scope.field("phi").value
+                    cols[name][row] = scope.field("phi")[0]
                 elif name == "phidot":
-                    cols[name][row] = scope.directional(scope.field("phi")).value
+                    cols[name][row] = scope.directional(scope.field("phi"))[0]
                 elif name == "L_norm":
-                    cols[name][row] = math.sqrt(max(scope.field("phi").value, 0.0))
+                    cols[name][row] = math.sqrt(max(float(scope.field("phi")[0]), 0.0))
                 else:
                     cols[name][row] = point_fns[name](scope)
             except Exception as e:  # noqa: BLE001 - per-quantity isolation

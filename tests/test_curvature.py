@@ -50,6 +50,9 @@ from finslerlab.errors import (
 
 from oracles import christoffel_fd, rel_err, sphere_chart_matrix
 
+#: every field name the derivative extractions accept
+DERIV_NAMES = ("F", "F2", "g", "C", "I", "L", "J", "E", "Sigma")
+
 
 @pytest.fixture(scope="module")
 def funk2():
@@ -242,6 +245,38 @@ def test_homogeneity_property(corpus, name, seed, lam):
         assert rel_err(got, want, floor=1e-3) <= 1e-10, (block, name, seed, lam)
 
 
+# --- the reversed metric F~(x, y) = F(x, -y) ---
+
+#: sign of each block of F~ at y against F's at -y: (-1)^(its y-degree parity)
+REVERSED_SIGNS = {"g": 1, "C": -1, "B": -1, "R1": 1, "L": 1, "Sigma": 1}
+
+
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_reversed_metric_tensors(corpus, name):
+    """F~(x, y) = F(x, -y) is a Finsler metric for every F, reversible or not.
+
+    Each jet coefficient of F~ at (x, y) is F's at (x, -y) times (-1) to its
+    y-order, and the tower's arithmetic commutes with negation, so g~(y) =
+    g(-y), C~ = -C(-y), G~ = G(-y), N~ = -N(-y), Gamma~ = Gamma(-y), B~ =
+    -B(-y), R~ = R(-y), L~ = L(-y), Sigma~ = Sigma(-y) and K~(x, y, u) =
+    K(x, -y, u) hold exactly.  The oracle cannot see a term dropped from a
+    formula if the term has a consistent parity: it is dropped on both sides.
+    """
+    m = corpus[name]
+    rev = dataclasses.replace(m, _fn=lambda x, y, fn=m._fn: fn(x, [-v for v in y]))
+    rng = np.random.default_rng(29)
+    for p in analysis.sample_states(m, 2, seed=23):
+        q = PointState(p.x, tuple(-v for v in p.y))
+        b, r = curvature_bundle(rev, p, order=6), curvature_bundle(m, q, order=6)
+        for block, sign in REVERSED_SIGNS.items():
+            assert np.array_equal(b.block(block).values, sign * r.block(block).values), block
+        assert np.array_equal(b.spray.G, r.spray.G)
+        assert np.array_equal(b.spray.N, -r.spray.N)
+        assert np.array_equal(b.spray.Gamma, r.spray.Gamma)
+        u = rng.normal(size=m.n)
+        assert flag_curvature(rev, p, u, scope=b.scope) == flag_curvature(m, q, u, scope=r.scope)
+
+
 # --- cross-route identities on a non-trivial metric ---
 
 @pytest.mark.parametrize("name", ["randers3x", "funk2", "funk2-drift", "abq3"])
@@ -284,17 +319,25 @@ def test_vertical_derivative_of_g_is_cartan(funk2, funk2_bundle):
     assert rel_err(gv.values, 2.0 * b.C.values) < 1e-12
 
 
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_derivatives_without_a_scope_seed_the_ledger_order(corpus, name):
+    # the scope each extraction seeds by itself reads the values an order-7
+    # scope reads
+    m = corpus[name]
+    p = analysis.sample_states(m, 1, seed=31)[0]
+    sc = point_scope(m, p, 7)
+    for field in DERIV_NAMES:
+        for extract in (horizontal_derivative, vertical_derivative):
+            got = extract(m, p, field)
+            assert np.array_equal(got.values, extract(m, p, field, scope=sc).values), field
+
+
 def test_bianchi_relates_hh_curvature_and_berwald(funk2, funk2_bundle):
     """R_j^i_{kl.m} = B^i_{jml|k} - B^i_{jmk|l}, evaluated entrywise."""
     sc = funk2_bundle.scope
-    RhhV = np.empty((2, 2, 2, 2, 2))
-    field = sc.field("RhhV")
-    for idx in np.ndindex(RhhV.shape):
-        RhhV[idx] = field[idx].value
-    Bh_field = sc.hderiv(sc.field("B"), ("up", "lo", "lo", "lo"))
-    Bh = np.empty((2, 2, 2, 2, 2))
-    for idx in np.ndindex(Bh.shape):
-        Bh[idx] = Bh_field[idx].value
+    RhhV = sc.field("RhhV")[..., 0]
+    Bh = sc.hderiv(sc.field("B"), ("up", "lo", "lo", "lo"))[..., 0]
+    assert RhhV.shape == Bh.shape == (2,) * 5
     rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
     assert rel_residual(RhhV, rhs, floor=1.0) < 1e-10
 

@@ -1,13 +1,15 @@
 """Truncated and batched kernel steps against their full-order references.
 
 Horner composition, the Neumann inverse of g and the horizontal derivative
-run in growing-order or row-batched form inside the library.  Each product
+run in growing-order or row-batched form inside the library, and every
+field builder works on coefficient arrays.  Each product
 is summed like ``Jet.__mul__`` and each sum runs in the reference order, so
 the coefficients must match the jet-by-jet forms in ``oracles`` exactly:
-``np.array_equal``, not a tolerance, and the same truncation order.
+``np.array_equal`` with equal sign bits, not a tolerance, and the same
+truncation order.
 
-The vertical derivative runs as one row-wise derivative per y slot; it must
-equal one ``Jet.deriv`` per entry.  A scope builds each field only to the
+The vertical derivative is one row-wise gather over all y slots; it must
+equal one ``Jet.deriv`` per entry and slot.  A scope builds each field only to the
 order its readers in the ledger need: every such field must be the prefix
 of the same field at the full order, sign bits included.
 
@@ -28,10 +30,14 @@ from finslerlab import analysis
 from finslerlab.curvature import (
     DEPTH, HDERIVS, LEDGER, MIN_ORDER, READS, FieldScope, _plan, point_scope,
 )
+from finslerlab.errors import DimensionError, RiemannianPoint, UndefinedFit
 from finslerlab.jets import Jet, _algebra, mul_rows
 from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
 
 from oracles import (
+    BUILD_LOOPS,
+    as_coefs,
+    as_jets,
     compose_full,
     deriv_tables_loop,
     g_inv_full,
@@ -55,14 +61,12 @@ HDERIV_FIELDS = {
 }
 
 
-def assert_same_jets(got, ref):
-    """Equal shape, equal truncation order and equal coefficients per entry."""
-    if isinstance(ref, Jet):
-        got, ref = np.array(got, dtype=object), np.array(ref, dtype=object)
+def assert_same_coefs(got, ref):
+    """Equal shape, so equal truncation order, and equal coefficients with
+    equal sign bits; jets and object arrays of jets compare by coefficients."""
+    got, ref = as_coefs(got), as_coefs(ref)
     assert got.shape == ref.shape
-    for idx in np.ndindex(ref.shape):
-        assert got[idx].order == ref[idx].order, idx
-        assert np.array_equal(got[idx].coef, ref[idx].coef), idx
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +87,7 @@ def order7_scopes():
 def test_hderiv_matches_entry_loop(order7_scopes, name, valence):
     sc = order7_scopes(name)
     T = sc.field(HDERIV_FIELDS[valence])
-    assert_same_jets(sc.hderiv(T, valence), hderiv_loop(sc, T, valence))
+    assert_same_coefs(sc.hderiv(T, valence), hderiv_loop(sc, as_jets(sc, T), valence))
 
 
 @pytest.mark.parametrize("name", HDERIV_METRICS)
@@ -91,10 +95,7 @@ def test_hderiv_matches_entry_loop(order7_scopes, name, valence):
 def test_vderiv_matches_entry_loop(order7_scopes, name, field):
     sc = order7_scopes(name)
     T = sc.field(field)
-    got, ref = sc.vderiv(T), vderiv_loop(sc, T)
-    assert_same_jets(got, ref)
-    for idx in np.ndindex(ref.shape):
-        assert np.array_equal(np.signbit(got[idx].coef), np.signbit(ref[idx].coef)), idx
+    assert_same_coefs(sc.vderiv(T), vderiv_loop(sc, as_jets(sc, T)))
 
 
 # --- the executable truncation ledger and planned scopes ---
@@ -141,23 +142,10 @@ def test_ledger_plan_at_seed_order_7():
         assert plan[name] == full[name], name
 
 
-def _assert_prefix(got, ref, order):
-    """``got`` holds ``ref``'s coefficients through ``order``, sign bits too."""
-    if isinstance(ref, tuple):
-        for g, r in zip(got, ref):
-            _assert_prefix(g, r, order)
-        return
-    if isinstance(ref, Jet):
-        got, ref = np.array(got, dtype=object), np.array(ref, dtype=object)
-    assert got.shape == ref.shape
-    if ref.dtype != object:
-        assert np.array_equal(got, ref)
-        return
-    for idx in np.ndindex(ref.shape):
-        g, r = got[idx], ref[idx]
-        assert g.order >= order, idx
-        a, b = g.coef[: _algebra(g.n_vars, order).size], r.coef[: _algebra(g.n_vars, order).size]
-        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), idx
+def _assert_prefix(got, ref, size):
+    """``got`` holds ``ref``'s first ``size`` coefficients, sign bits too."""
+    assert got.shape[:-1] == ref.shape[:-1] and got.shape[-1] >= size
+    assert_same_coefs(got[..., :size], ref[..., :size])
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -172,13 +160,12 @@ def test_planned_fields_are_prefixes_of_full_order_fields(name, order):
             planned.values(f)
     for f, built in planned._built.items():
         p = planned._plan[f]
-        assert built == p or f in ("g0", "ginv0"), f
-        _assert_prefix(planned.field(f, p), full.field(f), p)
-    # the horizontal derivatives take N and Gamma as built; only R1 (products
-    # of N) and B (a derivative of Gamma) get truncated copies
-    plan = planned._plan
-    assert set(planned._cuts.get("N", ())) <= {plan["R1"]}
-    assert set(planned._cuts.get("Gamma", ())) <= {plan["B"] + 1}
+        if f in ("g0", "ginv0"):
+            assert built == math.inf
+            assert_same_coefs(planned.field(f), full.field(f))
+            continue
+        assert built == p, f
+        _assert_prefix(planned.field(f, p), full.field(f), _algebra(2 * m.n, p).size)
 
 
 def test_full_order_read_promotes_a_planned_field():
@@ -188,9 +175,36 @@ def test_full_order_read_promotes_a_planned_field():
     assert sc.values("Sigma").shape == (3,) * 4
     assert sc._built["Lh"] == 0
     ref = point_scope(m, st, 7)
-    assert_same_jets(sc.field("Lh"), ref.field("Lh"))
-    assert_same_jets(sc.hderiv(sc.field("L_C"), ("lo",) * 3), ref.field("Lh"))
+    assert_same_coefs(sc.field("Lh"), ref.field("Lh"))
+    assert_same_coefs(sc.hderiv(sc.field("L_C"), ("lo",) * 3), ref.field("Lh"))
     assert np.array_equal(sc.values("Sigma"), ref.values("Sigma"))
+
+
+def test_every_builder_has_an_entry_loop():
+    builders = {name[len("_build_"):] for name in vars(FieldScope) if name.startswith("_build_")}
+    assert set(BUILD_LOOPS) == builders - {"F", "g0", "ginv0"}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("mode", ("planned", "full"))
+def test_array_builders_match_entry_loops(name, mode):
+    # each builder, on the inputs its scope read, against the jet loop it
+    # replaced; fields the point does not define raise in both
+    m = build_metric(builtin(name))
+    for st in analysis.sample_states(m, 2, seed=13):
+        sc = point_scope(m, st, 7)
+        for f in BUILD_LOOPS:
+            try:
+                sc.values(f) if mode == "planned" else sc.field(f)
+            except (DimensionError, RiemannianPoint, UndefinedFit):
+                continue
+            p = sc._built[f]
+            inputs = [sc._cut(src, max(p + d, 0)) for src, d in LEDGER[f]]
+            jets = [x if src in ("g0", "ginv0") else as_jets(sc, x)
+                    for x, (src, _) in zip(inputs, LEDGER[f])]
+            got = getattr(sc, "_build_" + f)(*inputs)
+            assert_same_coefs(got, sc.field(f, p))
+            assert_same_coefs(got, BUILD_LOOPS[f](sc, *jets))
 
 
 def _random_jet(rng, n_vars, order):
@@ -223,7 +237,7 @@ def test_growing_order_horner_matches_full_order(monkeypatch, n_vars, order):
     monkeypatch.setattr(Jet, "_compose", compose_full)
     for name, f in COMPOSITIONS.items():
         for j, out in zip(jets, got[name]):
-            assert_same_jets(out, f(j))
+            assert_same_coefs(out, f(j))
 
 
 @pytest.mark.parametrize("name", ("funk2", "funk2-drift", "quartic2", "funk3", "randers3x", "abq3"))
@@ -231,7 +245,7 @@ def test_growing_order_horner_matches_full_order(monkeypatch, n_vars, order):
 def test_growing_order_neumann_matches_full_order(name, order):
     m = build_metric(builtin(name))
     sc = point_scope(m, analysis.sample_states(m, 1, seed=9)[0], order)
-    assert_same_jets(sc.field("g_inv"), g_inv_full(sc))
+    assert_same_coefs(sc.field("g_inv"), g_inv_full(sc))
 
 
 def test_mul_rows_matches_jet_products():
@@ -261,6 +275,21 @@ def test_mul_rows_in_row_blocks_matches_jet_products():
         bi = tuple(i if n > 1 else 0 for i, n in zip(idx, b.shape[:-1]))
         ref = Jet(alg, a[ai][: alg.size]) * Jet(alg, b[bi])
         assert_bitwise(out[idx], ref.coef)
+
+
+@pytest.mark.parametrize("order", (5, 7))
+def test_mul_rows_one_row_per_block_matches_jet_products(order):
+    # 6x5 and 6x7 tables hold more than _BLOCK / 2 pairs: one row at a time
+    rng = np.random.default_rng(order)
+    alg = _algebra(6, order)
+    a = rng.standard_normal((2, 1, alg.size + 3))
+    b = rng.standard_normal((3, alg.size))
+    b[1, 10:40] = -0.0
+    out = mul_rows(alg, a, b)
+    assert out.shape == (2, 3, alg.size)
+    for i in range(2):
+        for j in range(3):
+            assert_bitwise(out[i, j], (Jet(alg, a[i, 0, : alg.size]) * Jet(alg, b[j])).coef)
 
 
 # --- array-built tables and degree-aware products ---
@@ -365,7 +394,6 @@ def test_degree_invariant_after_every_operation():
         "derivative": (quad.deriv(2), 1),
         "derivative of a constant": (c.deriv(0), 0),
         "truncation": ((quad * quad).truncated(3), 3),
-        "pruned": ((quad * quad).pruned(1e-3), 4),
         "padded": (quad.truncated(3)._padded(alg), 2),
         "composition": (quad.sqrt(), 6),
         "reciprocal": ((quad + 1.0).reciprocal(), 6),
