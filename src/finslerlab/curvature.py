@@ -20,11 +20,13 @@ Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 * K(y, u)   = g(u, R(u)) / (g(y,y) g(u,u) - g(y,u)^2)  with R(u)^i = R^i_k u^k
 
 Fields are coefficient arrays.  A field with slots ``shape`` built at jet
-order p is one float array of shape (*shape, size), each entry's Taylor
-coefficients in the order-p algebra of the 2n seed variables; the scope
-records p beside it (g0 and ginv0 are float matrices).  Truncation is a
-slice, a derivative is ``deriv_rows`` and a product of entries is
-``mul_rows``, summed like ``Jet.__mul__``.  Contractions add their terms one
+order p and x-degree cap c is one float array of shape (*shape, size), each
+entry's Taylor coefficients in the (p, c) algebra of the 2n seed variables;
+the scope records (p, c) beside it (g0 and ginv0 are float matrices), since
+sizes collide across caps.  Truncation is a slice or, to a lower cap, a
+gather (``_Algebra.cut``), a derivative is ``deriv_rows``, a product of
+entries is ``mul_rows``, summed like ``Jet.__mul__``, and a product with a y
+seed is the shift ``mul_seeds``, equal to it.  Contractions add their terms one
 slice at a time in the order of the entry-by-entry jet loops they replace
 (``tests/oracles.py``), from the first term, so every coefficient equals
 those loops' bit for bit.  ``Jet`` remains where a closed-form series is
@@ -42,11 +44,17 @@ which can round differently.  The sign bits follow the loops too:
 * a Neumann step adds ginv0 as a constant jet, a full row of zeros with
   ginv0 in front, to the products' sum.
 
-A scope builds each field only to the deepest order a reader in the
-executable ledger ``LEDGER`` asks of it (``_plan``; ``DEPTH`` and
-``MIN_ORDER`` follow from the ledger too).  Every coefficient kept is summed
-from the same pairs in the same order, so it is the prefix of the
-full-order field bit for bit.  ``spray_values`` builds no scope at all.
+A scope builds each field only to the deepest order, and the deepest
+x-degree, a reader in the executable ledger ``LEDGER`` asks of it
+(``_plan``; ``DEPTH``, ``XDEPTH``, ``SEED_CAP`` and ``MIN_ORDER`` follow
+from the ledger too).  The tower never differentiates F^2 more than twice
+in x, so no field needs x-degree above 2, and a field at its full order
+keeps one more for a horizontal derivative: the seeds carry x-degree
+SEED_CAP = 3 at most.  Every coefficient kept is summed from the same pairs
+in the same order (``jets`` module docstring), so it equals that
+coefficient of the full-order, uncapped field bit for bit.
+``spray_values`` builds no scope at all; its one F^2 jet has x-degree cap 1,
+since every partial it reads holds at most one x.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from .errors import (
     UndefinedFit,
     ZeroVector,
 )
-from .jets import Jet, JetConfig, _algebra, deriv_rows, mul_rows, seed_variables
+from .jets import Jet, _algebra, _seeds, deriv_rows, mul_rows, mul_seeds
 
 BUNDLE_ORDER = 7
 
@@ -84,53 +92,54 @@ VALENCE = {
     "L_C": ("lo",) * 3, "J_L": ("lo",), "J_I": ("lo",), "Sigma": ("lo",) * 4,
 }
 
-#: The truncation ledger: each field's inputs as (input, extra depth).  Built
-#: at jet order p, a field reads each input through order p + depth, the
-#: number of derivatives its builder takes of that input.  ``_build_<field>``
-#: takes the inputs in this order and under these names; F reads the seeds.
-#: gv and RhhV are vertical derivatives of g and Rhh; the horizontal
-#: derivatives (``HDERIVS``) join the ledger below it.
+#: The truncation ledger: each field's inputs as (input, extra depth, extra
+#: x-depth).  Built at jet order p and x-degree cap c, a field reads each
+#: input through order p + depth and x-degree c + x-depth: the number of
+#: derivatives, and of x-derivatives, its builder takes of that input.
+#: ``_build_<field>`` takes the inputs in this order and under these names;
+#: F reads the seeds.  gv and RhhV are vertical derivatives of g and Rhh; the
+#: horizontal derivatives (``HDERIVS``) join the ledger below it.
 LEDGER = {
     "F": (),
-    "F2": (("F", 0),),
-    "recF": (("F", 0),),
-    "recF2": (("F2", 0),),
-    "g": (("F2", 2),),
-    "g0": (("g", 0),),
-    "ginv0": (("g0", 0),),
-    "g_inv": (("g", 0), ("ginv0", 0)),
-    "ylow": (("g", 0),),
-    "h": (("g", 0), ("ylow", 0), ("recF2", 0)),
-    "C": (("F2", 3),),
-    "I": (("g_inv", 0), ("C", 0)),
-    "G": (("F2", 2), ("g_inv", 0)),
-    "N": (("G", 1),),
-    "Gamma": (("N", 1),),
-    "B": (("Gamma", 1),),
-    "E": (("B", 0),),
-    "R1": (("G", 2), ("N", 0), ("Gamma", 0)),
-    "Rhh": (("R1", 2),),
-    "RhhV": (("Rhh", 1),),
-    "gv": (("g", 1),),
-    "L_C": (("Ch", 0),),
-    "L_B": (("ylow", 0), ("B", 0)),
-    "Sigma": (("Lh", 0),),
-    "D": (("Ch", 0),),
-    "J_L": (("g_inv", 0), ("L_B", 0)),
-    "J_I": (("Ih", 0),),
-    "phi": (("g_inv", 0), ("L_C", 0)),
-    "frame2": (("g", 0), ("recF", 0)),
-    "I2": (("frame2", 0), ("C", 0), ("F", 0)),
-    "mu2": (("I2", 1), ("N", 0), ("recF", 0)),
-    "cratio": (("Sigma", 0), ("D", 0), ("F", 0)),
+    "F2": (("F", 0, 0),),
+    "recF": (("F", 0, 0),),
+    "recF2": (("F2", 0, 0),),
+    "g": (("F2", 2, 0),),
+    "g0": (("g", 0, 0),),
+    "ginv0": (("g0", 0, 0),),
+    "g_inv": (("g", 0, 0), ("ginv0", 0, 0)),
+    "ylow": (("g", 0, 0),),
+    "h": (("g", 0, 0), ("ylow", 0, 0), ("recF2", 0, 0)),
+    "C": (("F2", 3, 0),),
+    "I": (("g_inv", 0, 0), ("C", 0, 0)),
+    "G": (("F2", 2, 1), ("g_inv", 0, 0)),
+    "N": (("G", 1, 0),),
+    "Gamma": (("N", 1, 0),),
+    "B": (("Gamma", 1, 0),),
+    "E": (("B", 0, 0),),
+    "R1": (("G", 2, 1), ("N", 0, 0), ("Gamma", 0, 0)),
+    "Rhh": (("R1", 2, 0),),
+    "RhhV": (("Rhh", 1, 0),),
+    "gv": (("g", 1, 0),),
+    "L_C": (("Ch", 0, 0),),
+    "L_B": (("ylow", 0, 0), ("B", 0, 0)),
+    "Sigma": (("Lh", 0, 0),),
+    "D": (("Ch", 0, 0),),
+    "J_L": (("g_inv", 0, 0), ("L_B", 0, 0)),
+    "J_I": (("Ih", 0, 0),),
+    "phi": (("g_inv", 0, 0), ("L_C", 0, 0)),
+    "frame2": (("g", 0, 0), ("recF", 0, 0)),
+    "I2": (("frame2", 0, 0), ("C", 0, 0), ("F", 0, 0)),
+    "mu2": (("I2", 1, 1), ("N", 0, 0), ("recF", 0, 0)),
+    "cratio": (("Sigma", 0, 0), ("D", 0, 0), ("F", 0, 0)),
 }
 
 #: Horizontal derivatives and the tensor each differentiates, built by
-#: ``FieldScope.hderiv``: each reads its tensor at +1 and N, and Gamma when
-#: the tensor has slots, at +0.
+#: ``FieldScope.hderiv``: each reads its tensor at +1 and x+1, and N, and
+#: Gamma when the tensor has slots, at +0.
 HDERIVS = {"Fh": "F", "gh": "g", "Ch": "C", "Bh": "B", "Lh": "L_C", "Ih": "I"}
 LEDGER.update(
-    (name, ((T, 1), ("N", 0)) + ((("Gamma", 0),) if VALENCE[T] else ()))
+    (name, ((T, 1, 1), ("N", 0, 0)) + ((("Gamma", 0, 0),) if VALENCE[T] else ()))
     for name, T in HDERIVS.items()
 )
 
@@ -138,12 +147,20 @@ LEDGER.update(
 _FLOATS = ("g0", "ginv0")
 
 
-#: Orders each field loses below the seed order: at seed order K its full
-#: order is K - depth, so it has values only when K >= depth.  The longest
-#: input path; one relaxation per field settles it.
-DEPTH = dict.fromkeys(LEDGER, 0)
-for _ in LEDGER:
-    DEPTH = {f: max((DEPTH[s] + d for s, d in row), default=0) for f, row in LEDGER.items()}
+#: Orders and x-degrees each field loses below the seed's: at seed order K
+#: its full order is K - DEPTH, so it has values only when K >= DEPTH, and
+#: its full x-degree cap is SEED_CAP - XDEPTH.  The longest input paths,
+#: relaxed until they no longer change.
+DEPTH = XDEPTH = None
+_depth, _xdepth = dict.fromkeys(LEDGER, 0), dict.fromkeys(LEDGER, 0)
+while (_depth, _xdepth) != (DEPTH, XDEPTH):
+    DEPTH, XDEPTH = _depth, _xdepth
+    _depth = {f: max((DEPTH[s] + d for s, d, _ in row), default=0) for f, row in LEDGER.items()}
+    _xdepth = {f: max((XDEPTH[s] + x for s, _, x in row), default=0) for f, row in LEDGER.items()}
+
+#: x-degree cap of the seeds: every field at its full order can still take
+#: one more horizontal derivative
+SEED_CAP = 1 + max(XDEPTH.values())
 
 #: fields whose values each public extraction reads; ``MIN_ORDER`` follows
 READS = {
@@ -167,20 +184,28 @@ MIN_ORDER = {op: max(2, *(DEPTH[f] for f in reads)) for op, reads in READS.items
 
 @functools.lru_cache(maxsize=None)
 def _plan(order):
-    """Build order of every field at seed order ``order``.
+    """Build order and x-degree cap of every field at seed order ``order``.
 
-    Every field's values are read (order 0), and each read is closed over
-    the ledger: an input is needed through the largest order any reader
-    asks of it, capped at the field's full order ``order - DEPTH``.
+    Every field's values are read (order 0, cap 0), and each read is closed
+    over the ledger: an input is needed through the largest order, and the
+    largest x-degree, any reader asks of it, capped at the field's full
+    order ``order - DEPTH`` and full cap ``SEED_CAP - XDEPTH``.  A cap above
+    the order caps nothing, so it is lowered to the order.
     """
     need = {}
-    todo = [(name, 0) for name in LEDGER]
+    todo = [(name, 0, 0) for name in LEDGER]
     while todo:
-        name, q = todo.pop()
-        if need.get(name, -1) < q:
-            need[name] = q
-            todo.extend((src, q + d) for src, d in LEDGER[name])
-    return {name: min(q, order - DEPTH[name]) for name, q in need.items()}
+        name, q, c = todo.pop()
+        q0, c0 = need.get(name, (-1, -1))
+        if q > q0 or c > c0:
+            q, c = max(q, q0), max(c, c0)
+            need[name] = (q, c)
+            todo.extend((src, q + d, c + x) for src, d, x in LEDGER[name])
+    plan = {}
+    for name, (q, c) in need.items():
+        q = min(q, order - DEPTH[name])
+        plan[name] = (q, min(c, SEED_CAP - XDEPTH[name], max(q, 0)))
+    return plan
 
 
 ROUTE_TOLERANCE = 1e-6  # agreement required between independent routes
@@ -234,33 +259,35 @@ def rel_residual(lhs, rhs=None, floor=1e-12):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def _seed_point(metric, x, y, order):
-    """Gate (x, y) against the metric's dimension and chart, then seed jets.
+def _seed_point(metric, x, y, alg):
+    """Gate (x, y) against the metric's dimension and chart, then seed jets
+    in the algebra ``alg``.
 
-    ``seed_variables`` rejects a y of the wrong length and a zero y.
+    The seeding rejects a y of the wrong length and a zero y.
     """
     if len(x) != metric.n:
         raise ShapeMismatch(f"point has dimension {len(x)}, metric has {metric.n}")
     if not metric.chart.contains(x):
         raise OutOfChart(f"x = {x} outside metric chart")
-    return seed_variables(x, y, JetConfig(n=metric.n, order=order))
+    return _seeds(alg, x, y)
 
 
 def _F_jet(metric, xj, yj):
-    """F on seeded jets; F must propagate jets and be positive."""
+    """F on seeded jets; F must propagate jets and be positive and finite."""
     f = metric.F(xj, yj)
     if not isinstance(f, Jet):
         raise BadConfig("metric evaluator did not propagate jets")
-    if not f.value > 0.0:
-        raise SingularMetric(f"F(x, y) = {f.value:.6g} is not positive")
+    if not 0.0 < f.value < math.inf:
+        raise SingularMetric(f"F(x, y) = {f.value:.6g} is not positive and finite")
     return f
 
 
 def _require_positive_definite(g0, x, y):
-    """Raise SingularMetric unless the float fundamental tensor is positive definite."""
+    """Raise SingularMetric unless the float fundamental tensor is positive
+    definite; a NaN or infinite entry fails too."""
     scale = max(float(np.max(np.abs(g0))), 1.0)
     eigs = np.linalg.eigvalsh(g0)
-    if eigs[0] <= 1e-12 * scale:
+    if not eigs[0] > 1e-12 * scale:
         raise SingularMetric(
             f"fundamental tensor not positive definite at {x}, "
             f"{y}: min eigenvalue {eigs[0]:.3e}",
@@ -310,10 +337,11 @@ def _antisymmetric(V):
 class FieldScope:
     """Lazy cache of tensor fields, as coefficient arrays, at one bundle point.
 
-    :meth:`values` builds each field at its planned order (``_plan``), the
-    deepest any reader in ``LEDGER`` needs.  A field read through
-    :meth:`field` without an order is built at the full order the seed
-    allows; a shallower planned field already built is then rebuilt there.
+    :meth:`values` builds each field at its planned order and x-degree cap
+    (``_plan``), the deepest any reader in ``LEDGER`` needs.  A field read
+    through :meth:`field` without an order is built at the full order and
+    cap the seed allows; a shallower planned field already built is then
+    rebuilt there.
     """
 
     def __init__(self, metric, point: PointState, order: int):
@@ -323,49 +351,71 @@ class FieldScope:
         self.point = point
         self.order = order
         self.n = metric.n
-        self.xj, self.yj = _seed_point(metric, point.x, point.y, order)
-        self._y = np.array([j.coef for j in self.yj])  # y seeds as rows
-        self._algs = {a.size: a for a in (_algebra(2 * self.n, k) for k in range(order + 1))}
+        self._xs = range(self.n)
+        self._ys = range(self.n, 2 * self.n)
+        self.xj, self.yj = _seed_point(metric, point.x, point.y, self._at(order, SEED_CAP))
+        self._y0 = np.array(point.y)
         self._plan = _plan(order)
         self._cache = {}
-        self._built = {}  # jet order of each cached field; inf for floats
+        self._built = {}  # (jet order, x-degree cap) of each cached field; inf for floats
 
-    def _alg(self, T):
-        """Jet algebra of a coefficient array: its last axis is the size."""
-        return self._algs[T.shape[-1]]
+    def _at(self, order, cap):
+        """The jet algebra of the 2n seed variables at ``order`` and ``cap``."""
+        return _algebra(2 * self.n, order, cap)
 
-    def field(self, name, order=None):
-        """Field ``name`` through at least jet ``order``, by default its full
-        order ``self.order - DEPTH[name]``.
+    def _deeper(self, alg, depth, xdepth=0):
+        """The algebra a builder in ``alg`` reads an input of this ledger depth
+        in; ``alg`` is None for a field with no values, whose derivative runs out."""
+        if alg is None:
+            raise OrderExceeded("derivative of an order-0 jet is not determined")
+        return self._at(alg.order + depth, alg.cap + xdepth)
 
-        It is built at the larger of the asked and the planned order, at most
-        the full one, from its ledger inputs cut to that order plus their
-        depth (at least 0: a field with no values raises in the derivative
-        that runs out of order).
+    def _alg_of(self, T):
+        """Jet algebra of ``T``, an array :meth:`field` returned and still caches."""
+        for name, cached in self._cache.items():
+            if cached is T and name not in _FLOATS:
+                return self._at(*self._built[name])
+        raise BadConfig("not a cached field of this scope")
+
+    def field(self, name, order=None, cap=None):
+        """Field ``name`` through at least jet ``order`` and x-degree ``cap``,
+        by default its full order ``self.order - DEPTH[name]`` and full cap
+        ``SEED_CAP - XDEPTH[name]``.
+
+        It is built at the larger of the asked, the planned and any order
+        and cap already built, at most the full ones, from its ledger inputs
+        cut to that order and cap plus their depths (at least 0: a field with
+        no values raises in the derivative that runs out of order).
         """
         if name not in LEDGER:
             raise BadConfig(f"unknown field {name!r}")
-        full = self.order - DEPTH[name]
+        full, full_cap = self.order - DEPTH[name], SEED_CAP - XDEPTH[name]
         want = full if order is None else order
-        if self._built.get(name, -math.inf) < want:
-            p = min(max(want, self._plan[name]), full)
-            inputs = [self._cut(src, max(p + d, 0)) for src, d in LEDGER[name]]
+        want_cap = full_cap if cap is None else cap
+        built, built_cap = self._built.get(name, (-math.inf, -math.inf))
+        if built < want or built_cap < min(want_cap, want):
+            plan, plan_cap = self._plan[name]
+            p = min(max(want, plan, built), full)
+            c = min(max(want_cap, plan_cap, built_cap), full_cap, max(p, 0))
+            alg = self._at(p, c) if p >= 0 else None
+            inputs = [self._cut(src, max(p + d, 0), c + x) for src, d, x in LEDGER[name]]
             if name in HDERIVS:
-                out = self.hderiv(inputs[0], VALENCE[HDERIVS[name]], *inputs[1:])
+                valence = VALENCE[HDERIVS[name]]
+                out = self._hderiv(alg, inputs[0], self._at(p + 1, c + 1), valence, *inputs[1:])
             else:
-                out = getattr(self, "_build_" + name)(*inputs)
+                out = getattr(self, "_build_" + name)(alg, *inputs)
             self._cache[name] = out
-            self._built[name] = math.inf if name in _FLOATS else self._alg(out).order
+            self._built[name] = (math.inf, math.inf) if name in _FLOATS else (p, c)
         return self._cache[name]
 
-    def _cut(self, name, order):
-        """Field ``name`` through ``order``, sliced if it is built deeper."""
-        T = self.field(name, order)
-        return T if name in _FLOATS else T[..., : _algebra(2 * self.n, order).size]
+    def _cut(self, name, order, cap):
+        """Field ``name`` through ``order`` and ``cap``, cut down if it is built deeper."""
+        T = self.field(name, order, cap)
+        return T if name in _FLOATS else self._at(*self._built[name]).cut(T, self._at(order, cap))
 
     def values(self, name):
         """Float values of a field, built at its planned order or deeper."""
-        T = self.field(name, self._plan.get(name))
+        T = self.field(name, *self._plan[name])
         if name in _FLOATS:
             return T
         v = T[..., 0]
@@ -373,20 +423,21 @@ class FieldScope:
 
     # --- derivative operators ---
 
-    def _derivs(self, T, variables):
-        """Derivatives of T in each of ``variables`` (a range), as a new last slot."""
-        alg = self._alg(T)
-        if alg.order == 0:
-            raise OrderExceeded("derivative of an order-0 jet is not determined")
-        return deriv_rows(alg, T, variables)
+    def _vd(self, T, alg, times=1):
+        """``times`` vertical derivatives of T, coefficients in ``alg``, each a new last slot."""
+        for _ in range(times):
+            T = deriv_rows(alg, T, self._ys)
+            alg = alg.lowered(self.n)
+        return T
 
     def vderiv(self, T):
-        """Vertical derivative: one extra lower y-slot."""
-        return self._derivs(T, range(self.n, 2 * self.n))
+        """Vertical derivative of a field of this scope: one extra lower y-slot."""
+        return self._vd(T, self._alg_of(T))
 
     def hderiv(self, T, valence=(), N=None, Gamma=None):
         """Horizontal derivative with the Berwald connection: one extra lower
-        slot; N and Gamma default to the fields at full order.
+        slot.  T, and N and Gamma if given, are fields of this scope; N and
+        Gamma default to the fields at full order.
 
         ``valence`` must describe T's existing slots ("up"/"lo") so the
         connection terms get the right sign.  Per entry and new slot k:
@@ -395,26 +446,41 @@ class FieldScope:
                      + sum_m T[..m..] Gamma^s_mk   (each "up" slot s)
                      - sum_m T[..m..] Gamma^m_sk   (each "lo" slot s)
 
-        Each term is one row-wise product over all entries, added in the
-        order written, in the algebra the lowest-order operand allows.
+        It runs in the algebra the lowest order and cap of T's derivatives,
+        N and Gamma allow.
         """
+        return self._horizontal(T, valence, N, Gamma)[0]
+
+    def _horizontal(self, T, valence, N=None, Gamma=None):
+        """:meth:`hderiv` and the algebra it lands in."""
+        talg = self._alg_of(T)
+        N = self.field("N") if N is None else N
+        if valence and Gamma is None:
+            Gamma = self.field("Gamma")
+        conn = [(C, self._alg_of(C)) for C in (N, Gamma) if C is not None]
+        order = min(talg.order - 1, *(a.order for _, a in conn))
+        cap = min(talg.cap - 1, *(a.cap for _, a in conn))
+        if order < 0 or cap < 0:
+            raise OrderExceeded("horizontal derivative of an order-0 or cap-0 jet is not determined")
+        lo = self._at(order, cap)
+        return self._hderiv(lo, T, talg, valence, *(a.cut(C, lo) for C, a in conn)), lo
+
+    def _hderiv(self, lo, T, talg, valence, N, Gamma=None):
+        """:meth:`hderiv` landing in ``lo``, with T's coefficients in ``talg``
+        and N and Gamma in ``lo``.  Each term is one row-wise product over
+        all entries, added in the order written."""
         n = self.n
         rank = T.ndim - 1
         if len(valence) != rank:
             raise ShapeMismatch(f"valence has {len(valence)} slots, tensor has {rank}")
-        N = self.field("N") if N is None else N
-        if valence and Gamma is None:
-            Gamma = self.field("Gamma")
-        order = min(self._alg(c).order for c in (N, Gamma) if c is not None)
-        order = min(order, self._alg(T).order - 1)
-        if order < 0:
-            raise OrderExceeded("derivative of an order-0 jet is not determined")
-        lo = _algebra(2 * n, order)
-        Tc = T[..., : _algebra(2 * n, order + 1).size]
-        acc = self._derivs(Tc, range(n))
-        dy = self.vderiv(Tc)
+        tin = self._deeper(lo, 1, 1)
+        Tc = talg.cut(T, tin)
+        acc = deriv_rows(tin, Tc, self._xs)
+        dy = tin.lowered(n).cut(deriv_rows(tin, Tc, self._ys), lo)
         for m in range(n):
             acc -= mul_rows(lo, N[m], dy[..., m, None, :])
+        if valence:
+            Tc = tin.cut(Tc, lo)
         for slot, kind in enumerate(valence):
             for m in range(n):
                 Tm = np.expand_dims(np.take(Tc, m, axis=slot), (slot, rank))
@@ -425,39 +491,40 @@ class FieldScope:
         return acc
 
     def directional(self, T, valence=()):
-        """Contraction T_{...|s} y^s of the horizontal derivative."""
-        return self._contract_y(self.hderiv(T, valence))
+        """Contraction T_{...|s} y^s of the horizontal derivative of a field."""
+        return self._contract_y(*self._horizontal(T, valence))
 
-    def _contract_y(self, H):
+    def _contract_y(self, H, alg):
         """sum_s H[..., s] y^s, the trailing slot contracted with y."""
-        return _fold(np.moveaxis(mul_rows(self._alg(H), H, self._y), -2, 0))
+        return _fold(np.moveaxis(mul_seeds(alg, H, self._y0), -2, 0))
 
-    # --- field builders: inputs as LEDGER lists them, read to its depths ---
+    # --- field builders: the output algebra, then the inputs as LEDGER lists
+    # them, each read in ``_deeper(alg, depth, xdepth)``
 
-    def _build_F(self):
-        return _F_jet(self.metric, self.xj, self.yj).coef
+    def _build_F(self, alg):
+        return _F_jet(self.metric, *_seeds(alg, self.point.x, self.point.y)).coef
 
-    def _build_F2(self, F):
-        return mul_rows(self._alg(F), F, F)
+    def _build_F2(self, alg, F):
+        return mul_rows(alg, F, F)
 
-    def _build_recF(self, F):
-        return Jet(self._alg(F), F).reciprocal().coef
+    def _build_recF(self, alg, F):
+        return Jet(alg, F).reciprocal().coef
 
-    def _build_recF2(self, F2):
-        return Jet(self._alg(F2), F2).reciprocal().coef
+    def _build_recF2(self, alg, F2):
+        return Jet(alg, F2).reciprocal().coef
 
-    def _build_g(self, F2):
-        return _symmetric(self.vderiv(self.vderiv(F2))) * 0.5
+    def _build_g(self, alg, F2):
+        return _symmetric(self._vd(F2, self._deeper(alg, 2), 2)) * 0.5
 
-    def _build_g0(self, g):
+    def _build_g0(self, alg, g):
         g0 = g[..., 0].copy()
         _require_positive_definite(g0, self.point.x, self.point.y)
         return g0
 
-    def _build_ginv0(self, g0):
+    def _build_ginv0(self, alg, g0):
         return np.linalg.inv(g0)
 
-    def _build_g_inv(self, g, ginv0):
+    def _build_g_inv(self, alg, g, ginv0):
         """Inverse metric: the Neumann series X_t = g0^{-1} + M X_{t-1} with
         M = -g0^{-1}(g - g0).  M has no constant term, so X_t is exact through
         order t: iteration t runs in the order-t algebra, X_{t-1} zero-padded."""
@@ -466,57 +533,56 @@ class FieldScope:
         dev[..., 0] -= g[..., 0]
         M = _fold(np.swapaxes(-ginv0[:, :, None, None] * dev, 0, 1))  # [i, j]
         X = ginv0[..., None]
-        for t in range(1, self._alg(g).order + 1):
-            alg = _algebra(2 * n, t)
-            Xt = np.zeros((n, n, alg.size))
+        for t in range(1, alg.order + 1):
+            at = self._at(t, alg.cap)
+            Xt = np.zeros((n, n, at.size))
             Xt[..., : X.shape[-1]] = X
-            products = mul_rows(alg, M[:, :, None], Xt)  # [i, k, j] = M_ik X_kj
-            X = np.zeros((n, n, alg.size))
+            products = mul_rows(at, M[:, :, None], Xt)  # [i, k, j] = M_ik X_kj
+            X = np.zeros((n, n, at.size))
             X[..., 0] = ginv0
             X = X + _fold(np.swapaxes(products, 0, 1))
         return X
 
-    def _build_ylow(self, g):
-        return self._contract_y(g)
+    def _build_ylow(self, alg, g):
+        return self._contract_y(g, alg)
 
-    def _build_h(self, g, ylow, recF2):
-        alg = self._alg(g)
+    def _build_h(self, alg, g, ylow, recF2):
         yy = mul_rows(alg, ylow[:, None], ylow)
         return _symmetric(g - mul_rows(alg, yy, recF2))
 
-    def _build_C(self, F2):
-        return _symmetric(self.vderiv(self.vderiv(self.vderiv(F2)))) * 0.25
+    def _build_C(self, alg, F2):
+        return _symmetric(self._vd(F2, self._deeper(alg, 3), 3)) * 0.25
 
-    def _build_I(self, g_inv, C):
-        products = mul_rows(self._alg(C), g_inv[..., None, :], C)  # [i, j, k]
+    def _build_I(self, alg, g_inv, C):
+        products = mul_rows(alg, g_inv[..., None, :], C)  # [i, j, k]
         return _fold(products.reshape((self.n**2,) + products.shape[2:]))
 
-    def _build_G(self, F2, g_inv):
-        alg = self._alg(g_inv)
-        dx = self._derivs(F2, range(self.n))  # [k] = dF^2/dx^k
-        yterms = mul_rows(alg, self.vderiv(dx), self._y[:, None])  # [k, l]
+    def _build_G(self, alg, F2, g_inv):
+        a2 = self._deeper(alg, 2, 1)
+        dx = deriv_rows(a2, F2, self._xs)  # [k] = dF^2/dx^k
+        yterms = mul_seeds(alg, self._vd(dx, a2.lowered(0)), self._y0, axis=0)  # [k, l]
         brk = _fold(yterms) - dx[..., : alg.size]
         return _fold(np.swapaxes(mul_rows(alg, g_inv, brk), 0, 1)) * 0.25
 
-    def _build_N(self, G):
-        return self.vderiv(G)
+    def _build_N(self, alg, G):
+        return self._vd(G, self._deeper(alg, 1))
 
-    def _build_Gamma(self, N):
-        return _symmetric(self.vderiv(N), lead=1)
+    def _build_Gamma(self, alg, N):
+        return _symmetric(self._vd(N, self._deeper(alg, 1)), lead=1)
 
-    def _build_B(self, Gamma):
-        return _symmetric(self.vderiv(Gamma), lead=1)
+    def _build_B(self, alg, Gamma):
+        return _symmetric(self._vd(Gamma, self._deeper(alg, 1)), lead=1)
 
-    def _build_E(self, B):
+    def _build_E(self, alg, B):
         r = range(self.n)
         return _symmetric(_fold(B[r, :, :, r]) * 0.5)  # [m, j, k] = B^m_jkm
 
-    def _build_R1(self, G, N, Gamma):
+    def _build_R1(self, alg, G, N, Gamma):
         n = self.n
-        alg = self._alg(N)
-        dxG = self._derivs(G, range(n))  # [i, k] = dG^i/dx^k
-        yterms = mul_rows(alg, self.vderiv(dxG), self._y[:, None])  # [i, j, k]
-        gterms = mul_rows(alg, G[:, None], Gamma) * 2.0  # [i, j, k] = 2 G^j Gamma^i_jk
+        aG = self._deeper(alg, 2, 1)
+        dxG = deriv_rows(aG, G, self._xs)  # [i, k] = dG^i/dx^k
+        yterms = mul_seeds(alg, self._vd(dxG, aG.lowered(0)), self._y0, axis=1)  # [i, j, k]
+        gterms = mul_rows(alg, aG.cut(G, alg)[:, None], Gamma) * 2.0  # [i, j, k] = 2 G^j Gamma^i_jk
         nterms = mul_rows(alg, N[..., None, :], N)  # [i, j, k] = N^i_j N^j_k
         acc = dxG[..., : alg.size] * 2.0
         for j in range(n):
@@ -525,48 +591,48 @@ class FieldScope:
             acc = acc - nterms[:, j]
         return acc
 
-    def _build_Rhh(self, R1):
+    def _build_Rhh(self, alg, R1):
         n = self.n
-        dR = self.vderiv(R1)  # [i, k, l] = dR^i_k/dy^l
-        V = np.moveaxis(self.vderiv(dR - dR.swapaxes(1, 2)), -2, 1) * (1.0 / 3.0)
-        zero = (V[0, 0, 0, 1] if n > 1 else self.vderiv(dR)[0, 0, 0, 0]) * 0.0
+        aR = self._deeper(alg, 2)
+        dR = self._vd(R1, aR)  # [i, k, l] = dR^i_k/dy^l
+        V = np.moveaxis(self._vd(dR - dR.swapaxes(1, 2), aR.lowered(n)), -2, 1) * (1.0 / 3.0)
+        zero = (V[0, 0, 0, 1] if n > 1 else self._vd(dR, aR.lowered(n))[0, 0, 0, 0]) * 0.0
         out = _antisymmetric(V)
         out[:, :, range(n), range(n)] = zero
         return out
 
-    def _build_RhhV(self, Rhh):
+    def _build_RhhV(self, alg, Rhh):
         # vertical derivative of R_j^i_kl; axes (i, j, k, l, m)
-        return self.vderiv(Rhh)
+        return self._vd(Rhh, self._deeper(alg, 1))
 
-    def _build_gv(self, g):
-        return self.vderiv(g)
+    def _build_gv(self, alg, g):
+        return self._vd(g, self._deeper(alg, 1))
 
-    def _build_L_C(self, Ch):
+    def _build_L_C(self, alg, Ch):
         # L_ijk = C_{ijk|s} y^s
-        return self._contract_y(Ch)
+        return self._contract_y(Ch, alg)
 
-    def _build_L_B(self, ylow, B):
-        products = mul_rows(self._alg(B), ylow[:, None, None, None], B)  # [m, i, j, k]
+    def _build_L_B(self, alg, ylow, B):
+        products = mul_rows(alg, ylow[:, None, None, None], B)  # [m, i, j, k]
         return _symmetric(_fold(products) * -0.5)
 
-    def _build_Sigma(self, Lh):
+    def _build_Sigma(self, alg, Lh):
         return _antisymmetric((Lh - Lh.swapaxes(2, 3)) * 2.0)
 
-    def _build_D(self, Ch):
+    def _build_D(self, alg, Ch):
         # D_ijkl = C_{ijk|l} - C_{ijl|k}; the stretch tensor is 2*(D h-shifted)
         return _antisymmetric(Ch - Ch.swapaxes(2, 3))
 
-    def _build_J_L(self, g_inv, L_B):
-        products = mul_rows(self._alg(L_B), g_inv, L_B)  # [i, k, l]
+    def _build_J_L(self, alg, g_inv, L_B):
+        products = mul_rows(alg, g_inv, L_B)  # [i, k, l]
         return _fold(np.moveaxis(products.reshape(self.n, self.n**2, -1), 1, 0))
 
-    def _build_J_I(self, Ih):
+    def _build_J_I(self, alg, Ih):
         # J_i = I_{i|s} y^s
-        return self._contract_y(Ih)
+        return self._contract_y(Ih, alg)
 
-    def _build_phi(self, g_inv, L_C):
+    def _build_phi(self, alg, g_inv, L_C):
         """phi = L^{ijk} L_ijk (squared norm of the Landsberg tensor)."""
-        alg = self._alg(L_C)
         T = L_C
         for _ in range(3):
             # raise the leading slot, then cycle it to the back
@@ -576,12 +642,11 @@ class FieldScope:
 
     # --- two-dimensional frame fields and scalar ratios ---
 
-    def _build_frame2(self, g, recF):
+    def _build_frame2(self, alg, g, recF):
         """Orthonormal frame ell = y/F, m with det[ell m] > 0, as rows 0 and 1."""
         if self.n != 2:
             raise DimensionError(f"frame needs n = 2, got n = {self.n}")
-        alg = self._alg(g)
-        ell = mul_rows(alg, self._y, recF)
+        ell = mul_seeds(alg, np.broadcast_to(recF, (2,) + recF.shape), self._y0, axis=0)
         k0 = int(np.argmin(np.abs(self.point.y)))  # seed axis least aligned with y
         glu = _fold(mul_rows(alg, g[:, k0], ell))
         mt = mul_rows(alg, -1.0 * glu, ell)
@@ -592,25 +657,23 @@ class FieldScope:
             m = -1.0 * m
         return np.stack([ell, m])
 
-    def _build_I2(self, frame2, C, F):
+    def _build_I2(self, alg, frame2, C, F):
         """Principal scalar of a 2-D metric: I with C = F^-1 I m x m x m."""
-        alg = self._alg(C)
         m = frame2[1]
         T = mul_rows(alg, C, m[:, None, None])
         T = mul_rows(alg, mul_rows(alg, T, m[:, None]), m)
         return mul_rows(alg, F, _fold(T.reshape(8, -1)))
 
-    def _build_mu2(self, I2, N, recF):
+    def _build_mu2(self, alg, I2, N, recF):
         """mu = I_{|s} y^s / (F I), the log-derivative of the principal scalar."""
         if abs(I2[0]) < 1e-8:
             raise RiemannianPoint(f"principal scalar {I2[0]:.3e} is numerically zero")
-        alg = self._alg(N)
-        num = mul_rows(alg, self._contract_y(self.hderiv(I2, (), N)), recF)
-        return mul_rows(alg, num, Jet(self._alg(I2), I2).reciprocal().coef)
+        aI = self._deeper(alg, 1, 1)
+        num = mul_rows(alg, self._contract_y(self._hderiv(alg, I2, aI, (), N), alg), recF)
+        return mul_rows(alg, num, aI.cut(Jet(aI, I2).reciprocal().coef, alg))
 
-    def _build_cratio(self, Sigma, D, F):
+    def _build_cratio(self, alg, Sigma, D, F):
         """Pointwise stretch ratio c with Sigma = c F (C_{ijk|l} - C_{ijl|k})."""
-        alg = self._alg(D)
         FD = mul_rows(alg, F, D)
         num = _fold(mul_rows(alg, Sigma, FD).reshape(-1, alg.size))
         den = _fold(mul_rows(alg, FD, FD).reshape(-1, alg.size))
@@ -690,7 +753,8 @@ def _spray_slots(alg):
 
 
 def _direct_spray(metric, x, y, depth):
-    """Float g and spray fields at (x, y) from one F^2 jet of order 2 + depth.
+    """Float g and spray fields at (x, y) from one F^2 jet of order 2 + depth
+    and x-degree cap 1: every pattern in ``_SPRAY_PARTIALS`` holds one x at most.
 
     Returns [g, G] for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma]
     for depth 2.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
@@ -705,7 +769,7 @@ def _direct_spray(metric, x, y, depth):
     """
     x = tuple(float(v) for v in x)
     y = tuple(float(v) for v in y)
-    f = _F_jet(metric, *_seed_point(metric, x, y, 2 + depth))
+    f = _F_jet(metric, *_seed_point(metric, x, y, _algebra(2 * metric.n, 2 + depth, 1)))
     F2 = f * f
     P = {p: F2.coef[idx] * scale for p, (idx, scale) in _spray_slots(F2.alg).items()}
     g = 0.5 * P["yy"]

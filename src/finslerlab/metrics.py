@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import OutOfChart, SingularMetric, SpecError, ZeroVector
+from .errors import DomainError, OutOfChart, SingularMetric, SpecError, ZeroVector
 from .jets import Jet, smooth
 
 _FAMILIES = ("riemannian", "randers", "funk", "custom")
@@ -263,11 +263,15 @@ class MetricInstance:
     _fn: object = field(repr=False)
 
     def F(self, x, y):
-        """Metric value at (x, y); components may be floats or jets."""
-        return self._fn(x, y)
+        """Metric value at (x, y); components may be floats or jets.  An
+        overflow in the evaluator is a DomainError."""
+        try:
+            return self._fn(x, y)
+        except OverflowError as e:
+            raise DomainError(f"F overflows at x = {tuple(map(_val, x))}: {e}") from e
 
     def F2(self, x, y):
-        f = self._fn(x, y)
+        f = self.F(x, y)
         return f * f
 
     def describe(self):

@@ -149,10 +149,11 @@ def jet_partial(jet, alpha):
     return jet.coefficient(alpha) * math.prod(math.factorial(e) for e in alpha)
 
 
-def as_jets(scope, T):
+def as_jets(scope, T, alg=None):
     """A scope's coefficient array (*shape, size) as one Jet per entry; a
-    scalar field comes back as one Jet."""
-    alg = scope._alg(T)
+    scalar field comes back as one Jet.  ``alg`` is the array's jet algebra,
+    by default that of the cached field T is."""
+    alg = scope._alg_of(T) if alg is None else alg
     if T.ndim == 1:
         return Jet(alg, T.copy())
     out = np.empty(T.shape[:-1], dtype=object)
@@ -311,12 +312,12 @@ def _loop_g_inv(sc, g, ginv0):
                 acc = term if acc is None else acc + term
             M[i, j] = acc
     X = np.empty((n, n), dtype=object)
-    alg0 = _algebra(alg.n_vars, 0)
+    alg0 = _algebra(alg.n_vars, 0, alg.cap)
     for i in range(n):
         for j in range(n):
             X[i, j] = Jet.constant(alg0, ginv0[i, j])
     for t in range(1, alg.order + 1):
-        alg_t = _algebra(alg.n_vars, t)
+        alg_t = _algebra(alg.n_vars, t, alg.cap)
         Mt = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(n):

@@ -384,6 +384,23 @@ def test_non_finsler_spec_exits_2(command, expression, tmp_path, capsys):
     assert "not a Finsler metric: homogeneity residual" in captured.err
 
 
+#: passes the CLI probe, but F^2 overflows at x1 = 1.1 and F itself at x1 = 1.7
+STEEP_SPEC = {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y)) * exp(300*x1^2)"}
+
+
+@pytest.mark.parametrize("x1,error", [(1.1, "SingularMetric"), (1.7, "DomainError")])
+def test_non_finite_metric_values_exit_1(x1, error, tmp_path, capsys):
+    spec = tmp_path / "steep.json"
+    spec.write_text(json.dumps(STEEP_SPEC))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps([{"x": [x1, 0.0], "y": [1.0, 0.3]}]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["report", str(spec), "--points", str(points)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ")
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_specs_pass_the_cli_probe(name):
     from finslerlab.cli import _PROBE_SAMPLES

@@ -41,6 +41,7 @@ from finslerlab.errors import (
     BadConfig,
     CrossCheckFailure,
     DegenerateFlag,
+    DomainError,
     OrderExceeded,
     OutOfChart,
     ShapeMismatch,
@@ -437,6 +438,31 @@ def test_direct_spray_singular_metric():
         assert info.value.min_eigenvalue is not None
     with pytest.raises(SingularMetric):
         spray_values(m, (0.0, 0.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("x1,error", [(1.1, SingularMetric), (1.7, DomainError)])
+def test_non_finite_metric_values_raise(x1, error):
+    # F^2 overflows to inf at x1 = 1.1, so g0 holds inf and NaN; F itself
+    # overflows at x1 = 1.7
+    m = metrics.build_metric(metrics.MetricSpec.custom(2, "sqrt(abs2(y)) * exp(300*x1^2)"))
+    x, y = (x1, 0.0), (1.0, 0.3)
+    with np.errstate(all="ignore"):
+        with pytest.raises(error):
+            point_scope(m, PointState(x, y), 7).values("g0")
+        for depth in (0, 1, 2):
+            with pytest.raises(error):
+                _direct_spray(m, x, y, depth)
+        with pytest.raises(error):
+            spray_values(m, x, y)
+
+
+def test_infinite_F_is_singular(funk2):
+    huge = dataclasses.replace(funk2, _fn=lambda x, y: 1e300 * 1e10 * funk2.F(x, y))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SingularMetric):
+            point_scope(huge, PointState((0.1, 0.0), (1.0, 0.0)), 3).values("F")
+        with pytest.raises(SingularMetric):
+            spray_values(huge, (0.1, 0.0), (1.0, 0.0))
 
 
 def test_direct_spray_point_guards(funk2):

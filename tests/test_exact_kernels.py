@@ -28,7 +28,8 @@ import pytest
 
 from finslerlab import analysis
 from finslerlab.curvature import (
-    DEPTH, HDERIVS, LEDGER, MIN_ORDER, READS, FieldScope, _plan, point_scope,
+    DEPTH, HDERIVS, LEDGER, MIN_ORDER, READS, SEED_CAP, XDEPTH, FieldScope, _plan,
+    point_scope,
 )
 from finslerlab.errors import DimensionError, RiemannianPoint, UndefinedFit
 from finslerlab.jets import Jet, _algebra, mul_rows
@@ -114,6 +115,9 @@ def test_min_order_follows_from_the_ledger():
         "landsberg": 5, "mean_landsberg": 5, "stretch": 5, "flag": 4, "bundle": 6,
     }
     assert DEPTH["RhhV"] == 7 and DEPTH["Sigma"] == 5 and DEPTH["F"] == 0
+    assert SEED_CAP == 3 and max(XDEPTH.values()) == 2
+    assert XDEPTH["G"] == 1 and XDEPTH["R1"] == XDEPTH["Sigma"] == XDEPTH["Bh"] == 2
+    assert XDEPTH["F2"] == XDEPTH["C"] == XDEPTH["g_inv"] == 0
 
 
 def test_builders_take_their_ledger_inputs():
@@ -122,14 +126,15 @@ def test_builders_take_their_ledger_inputs():
     for name in builders:
         inputs = LEDGER[name]
         params = list(inspect.signature(getattr(FieldScope, "_build_" + name)).parameters)
-        assert params[1:] == [src for src, _ in inputs], name
+        assert params[1:] == ["alg"] + [src for src, _, _ in inputs], name
 
 
 def test_ledger_plan_at_seed_order_7():
     plan = _plan(7)
     assert set(plan) == set(LEDGER)
+    orders = {name: q for name, (q, _) in plan.items()}
     full = {name: 7 - DEPTH[name] for name in plan}
-    lowered = {name: (full[name], plan[name]) for name in plan if plan[name] != full[name]}
+    lowered = {name: (full[name], orders[name]) for name in plan if orders[name] != full[name]}
     assert lowered == {
         "C": (4, 2), "I": (4, 1), "Ch": (3, 1), "L_C": (3, 1), "Lh": (2, 0),
         "Sigma": (2, 0), "Ih": (3, 0), "J_I": (3, 0), "B": (2, 1), "E": (2, 0),
@@ -139,13 +144,16 @@ def test_ledger_plan_at_seed_order_7():
         "cratio": (2, 0),
     }
     for name in ("F", "F2", "g", "g_inv", "G", "N", "Gamma", "R1", "Rhh", "RhhV"):
-        assert plan[name] == full[name], name
-
-
-def _assert_prefix(got, ref, size):
-    """``got`` holds ``ref``'s first ``size`` coefficients, sign bits too."""
-    assert got.shape[:-1] == ref.shape[:-1] and got.shape[-1] >= size
-    assert_same_coefs(got[..., :size], ref[..., :size])
+        assert orders[name] == full[name], name
+    # x-degree caps: the values need none; R1 <- G <- F2 and Lh <- L_C <- Ch <- C
+    # each take two x-derivatives, and Bh and mu2 one
+    caps = {name: c for name, (_, c) in plan.items() if c}
+    assert caps == {
+        "F": 2, "F2": 2, "C": 2, "g": 1, "g0": 1, "ginv0": 1, "g_inv": 1, "G": 1,
+        "N": 1, "Gamma": 1, "B": 1, "I": 1, "Ch": 1, "L_C": 1, "recF": 1,
+        "frame2": 1, "I2": 1,
+    }
+    assert all(c <= SEED_CAP - XDEPTH[name] for name, (_, c) in plan.items())
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -159,13 +167,14 @@ def test_planned_fields_are_prefixes_of_full_order_fields(name, order):
         if DEPTH[f] <= order:
             planned.values(f)
     for f, built in planned._built.items():
-        p = planned._plan[f]
         if f in ("g0", "ginv0"):
-            assert built == math.inf
+            assert built == (math.inf, math.inf)
             assert_same_coefs(planned.field(f), full.field(f))
             continue
-        assert built == p, f
-        _assert_prefix(planned.field(f, p), full.field(f), _algebra(2 * m.n, p).size)
+        assert built == planned._plan[f], f
+        ref = full.field(f)
+        kept = full._alg_of(ref).cut(ref, planned._at(*built))
+        assert_same_coefs(planned.field(f, *built), kept)
 
 
 def test_full_order_read_promotes_a_planned_field():
@@ -173,7 +182,7 @@ def test_full_order_read_promotes_a_planned_field():
     st = analysis.sample_states(m, 1, seed=2)[0]
     sc = point_scope(m, st, 7)
     assert sc.values("Sigma").shape == (3,) * 4
-    assert sc._built["Lh"] == 0
+    assert sc._built["Lh"] == (0, 0)
     ref = point_scope(m, st, 7)
     assert_same_coefs(sc.field("Lh"), ref.field("Lh"))
     assert_same_coefs(sc.hderiv(sc.field("L_C"), ("lo",) * 3), ref.field("Lh"))
@@ -198,12 +207,12 @@ def test_array_builders_match_entry_loops(name, mode):
                 sc.values(f) if mode == "planned" else sc.field(f)
             except (DimensionError, RiemannianPoint, UndefinedFit):
                 continue
-            p = sc._built[f]
-            inputs = [sc._cut(src, max(p + d, 0)) for src, d in LEDGER[f]]
-            jets = [x if src in ("g0", "ginv0") else as_jets(sc, x)
-                    for x, (src, _) in zip(inputs, LEDGER[f])]
-            got = getattr(sc, "_build_" + f)(*inputs)
-            assert_same_coefs(got, sc.field(f, p))
+            p, c = sc._built[f]
+            inputs = [sc._cut(src, p + d, c + x) for src, d, x in LEDGER[f]]
+            jets = [x if src in ("g0", "ginv0") else as_jets(sc, x, sc._at(p + d, c + xd))
+                    for x, (src, d, xd) in zip(inputs, LEDGER[f])]
+            got = getattr(sc, "_build_" + f)(sc._at(p, c), *inputs)
+            assert_same_coefs(got, sc.field(f, p, c))
             assert_same_coefs(got, BUILD_LOOPS[f](sc, *jets))
 
 
