@@ -221,36 +221,6 @@ def _as_states(metric, points, count, seed):
 
 
 # --------------------------------------------------------------------------
-# pointwise scalar evaluators (FieldScope -> float)
-
-
-def point_relative_stretch(scope):
-    """Ratio c with Sigma = c F (C_{ijk|l} - C_{ijl|k}) at the scope's point."""
-    return scope.values("cratio")
-
-
-def point_principal_scalar(scope):
-    """mu = I_{|s} y^s / (F I) for a 2-D metric at the scope's point."""
-    return scope.values("mu2")
-
-
-def point_semi_c_p(scope):
-    """Torsion-shape weight p at the scope's point (n >= 3)."""
-    if scope.n < 3:
-        raise DimensionError(
-            f"torsion-shape fit needs n >= 3, got n = {scope.n}"
-        )
-    p, _, _, _ = _semi_c_weights(
-        scope.n,
-        scope.values("g_inv"),
-        scope.values("h"),
-        scope.values("C"),
-        scope.values("I"),
-    )
-    return p
-
-
-# --------------------------------------------------------------------------
 # relative stretch
 
 
@@ -357,7 +327,8 @@ def check_characteristic_constancy(metric, geodesic, samples=15, tolerance=1e-6)
     ps = []
     for t in ts:
         x, y = geodesic.state(t)
-        ps.append(point_semi_c_p(point_scope(metric, PointState(x=x, y=y), order=3)))
+        sc = point_scope(metric, PointState(x=x, y=y), order=3)
+        ps.append(fit_semi_c_reducible(metric, None, sc).p)
     ps = np.asarray(ps)
     variation = float(np.max(np.abs(ps - ps[0])))
     pprime = np.gradient(ps, ts)
@@ -389,7 +360,7 @@ def berwald_frame(metric, point, scope=None, with_mu=False):
     dI = sc.vderiv(I2)[..., 0]
     F = sc.values("F")
     I_vert = F * sum(dI[i] * m[i] for i in range(2))
-    mu = point_principal_scalar(sc) if with_mu else None
+    mu = sc.values("mu2") if with_mu else None
     return BerwaldFrame2D(
         ell=ell,
         m=m,
@@ -415,7 +386,7 @@ def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolera
         sc = point_scope(metric, PointState(x=x, y=y), order=5)
         try:
             mu_j = sc.field("mu2")
-            cval = c if c is not None else point_relative_stretch(sc)
+            cval = c if c is not None else sc.values("cratio")
         except (RiemannianPoint, UndefinedFit) as err:
             return IdentityCheckResult(
                 check="principal-scalar-relation",

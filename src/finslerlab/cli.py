@@ -14,11 +14,11 @@ Commands (see ``finslerlab <command> --help`` for flags):
                 (CSV) and run the parallelogram loop experiment.
 
 Exit codes: 0 success / all checks pass; 1 a verification check failed (or a
-computation was inapplicable); 2 malformed spec or expression, or a spec whose
-F fails the positive-homogeneity or strong-convexity probe at seeded chart
-points (message on stderr, no partial output); 3 chart violation (point
-outside the chart, or a trajectory leaving it; the exit time is reported when
-known).
+computation was inapplicable); 2 malformed spec, expression or option value
+(points file, --t, --thresholds, --samples < 1), or a spec whose F fails the
+positive-homogeneity or strong-convexity probe at seeded chart points
+(message on stderr, no partial output); 3 chart violation (point outside the
+chart, or a trajectory leaving it; the exit time is reported when known).
 
 Determinism: identical inputs and seed produce byte-identical output apart
 from the ``version`` field.  Default tolerances: 1e-6 for identity residuals,
@@ -104,6 +104,11 @@ def _parse_vector(text, name):
         raise SpecError(f"{name}: expected comma-separated numbers, got {text!r}") from e
 
 
+def _check_samples(args):
+    if args.samples < 1:
+        raise SpecError(f"--samples must be >= 1, got {args.samples}")
+
+
 def _dump_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -120,13 +125,18 @@ def _load_points(path, n):
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise SpecError(f"cannot read points file {path!r}: {e}") from e
-    rows = data["points"] if isinstance(data, dict) else data
+    rows = data.get("points") if isinstance(data, dict) else data
+    if not isinstance(rows, list) or not rows:
+        raise SpecError(f"points file {path!r}: expected a nonempty list of points, "
+                        f"or an object with one under \"points\"")
     states = []
     for row in rows:
         try:
             states.append(PointState(x=tuple(row["x"]), y=tuple(row["y"])))
         except (KeyError, TypeError) as e:
             raise SpecError(f"points file {path!r}: each entry needs x and y") from e
+        except ValueError as e:
+            raise SpecError(f"points file {path!r}: x and y must hold numbers: {e}") from e
         if len(states[-1].x) != n:
             raise SpecError(f"points file {path!r}: point dimension != {n}")
     return states
@@ -137,6 +147,7 @@ def _load_points(path, n):
 
 
 def cmd_report(args):
+    _check_samples(args)
     spec, metric = _load_metric(args.spec)
     if args.points:
         states = _load_points(args.points, metric.n)
@@ -149,9 +160,8 @@ def cmd_report(args):
         bundle = curvature_bundle(metric, st, order=args.order)
         norms = {
             name: bundle.block(name).norm
-            for name in ("g", "C", "I", "B", "E", "R1", "Rhh", "L", "J", "Sigma")
+            for name in ("g", "C", "I", "G", "B", "E", "R1", "Rhh", "L", "J", "Sigma")
         }
-        norms["G"] = float(np.max(np.abs(bundle.spray.G)))
         u = rng.normal(size=metric.n)
         try:
             K = flag_curvature(metric, st, u, scope=bundle.scope)
@@ -344,6 +354,7 @@ _SUITE_FNS = {
 
 
 def cmd_verify(args):
+    _check_samples(args)
     _, metric = _load_metric(args.spec)
     rows = _SUITE_FNS[args.suite](metric, args)
     table = []
@@ -388,14 +399,27 @@ def cmd_verify(args):
 # classify
 
 
+def _parse_thresholds(text):
+    """--thresholds: a JSON object from flag names to finite numbers."""
+    try:
+        thresholds = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpecError(f"--thresholds is not valid JSON: {e}") from e
+    if not isinstance(thresholds, dict):
+        raise SpecError("--thresholds must be a JSON object")
+    for name, value in thresholds.items():
+        if name not in analysis.CLASS_FLAGS:
+            known = ", ".join(analysis.CLASS_FLAGS)
+            raise SpecError(f"--thresholds: unknown flag {name!r}; known: {known}")
+        if type(value) not in (int, float) or not abs(value) < np.inf:  # bool is no number here
+            raise SpecError(f"--thresholds: {name} must be a finite number, got {value!r}")
+    return thresholds
+
+
 def cmd_classify(args):
+    _check_samples(args)
     _, metric = _load_metric(args.spec)
-    thresholds = None
-    if args.thresholds:
-        try:
-            thresholds = json.loads(args.thresholds)
-        except json.JSONDecodeError as e:
-            raise SpecError(f"--thresholds is not valid JSON: {e}") from e
+    thresholds = _parse_thresholds(args.thresholds) if args.thresholds else None
     verdict = analysis.classify(
         metric, samples=args.samples, seed=args.seed, thresholds=thresholds
     )
@@ -409,14 +433,16 @@ def cmd_classify(args):
 
 
 def cmd_geodesic(args):
+    _check_samples(args)
     spec, metric = _load_metric(args.spec)
     x0 = _parse_vector(args.x0, "--x0")
     y0 = _parse_vector(args.y0, "--y0")
-    if ":" in args.t:
-        a, b = args.t.split(":", 1)
-        span = (float(a), float(b))
-    else:
-        span = float(args.t)
+    try:
+        span = tuple(map(float, args.t.split(":", 1))) if ":" in args.t else float(args.t)
+    except ValueError:
+        span = np.nan
+    if not np.all(np.isfinite(span)):
+        raise SpecError(f"--t: expected a finite duration T or range t0:t1, got {args.t!r}")
     geod = integrate_geodesic(
         metric, x0, y0, span, tol=args.tol, unit_speed=args.unit_speed
     )

@@ -2,7 +2,8 @@
 
 Everything is computed from truncated jets of F^2 seeded at (x, y).  A
 :class:`FieldScope` owns the seeds and lazily builds named tensor fields;
-public functions extract float-valued blocks.
+callers read a field's float values by name with :meth:`FieldScope.values`,
+and :func:`curvature_bundle` gathers the public blocks (``BLOCKS``) that way.
 
 Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 
@@ -68,7 +69,6 @@ import numpy as np
 
 from .errors import (
     BadConfig,
-    CrossCheckFailure,
     DegenerateFlag,
     DimensionError,
     OrderExceeded,
@@ -84,9 +84,11 @@ from .jets import Jet, _algebra, _seeds, deriv_rows, mul_rows, mul_seeds
 BUNDLE_ORDER = 7
 
 #: Slot kinds of the tensor fields; a horizontal or vertical derivative adds
-#: a lower slot.  g0 and ginv0 carry those of g and g_inv.
+#: a lower slot.
 VALENCE = {
     "F": (), "F2": (), "g": ("lo", "lo"), "g_inv": ("up", "up"), "h": ("lo", "lo"),
+    "g0": ("lo", "lo"), "ginv0": ("up", "up"), "G": ("up",), "N": ("up", "lo"),
+    "Gamma": ("up", "lo", "lo"),
     "C": ("lo",) * 3, "I": ("lo",), "B": ("up", "lo", "lo", "lo"), "E": ("lo", "lo"),
     "R1": ("up", "lo"), "Rhh": ("up", "lo", "lo", "lo"), "L_B": ("lo",) * 3,
     "L_C": ("lo",) * 3, "J_L": ("lo",), "J_I": ("lo",), "Sigma": ("lo",) * 4,
@@ -162,24 +164,22 @@ while (_depth, _xdepth) != (DEPTH, XDEPTH):
 #: one more horizontal derivative
 SEED_CAP = 1 + max(XDEPTH.values())
 
-#: fields whose values each public extraction reads; ``MIN_ORDER`` follows
-READS = {
-    "fundamental": ("g0", "ginv0", "h", "F"),
-    "cartan": ("C", "I"),
-    "spray": ("G", "N", "Gamma"),
-    "berwald": ("B", "E"),
-    "riemann": ("R1", "Rhh"),
-    "landsberg": ("L_B", "L_C"),
-    "mean_landsberg": ("J_L", "J_I"),
-    "stretch": ("Sigma",),
-    "flag": ("g0", "R1"),
+#: Each public block of a bundle and the field it reads.  L and J take the
+#: spray and trace routes; the bundle's diagnostics check them against the
+#: horizontal-derivative routes L_C and J_I.
+BLOCKS = {
+    "g": "g0", "g_inv": "ginv0", "h": "h", "C": "C", "I": "I", "G": "G", "N": "N",
+    "Gamma": "Gamma", "B": "B", "E": "E", "R1": "R1", "Rhh": "Rhh", "L": "L_B",
+    "J": "J_L", "Sigma": "Sigma",
 }
-# every block of the bundle, then what its diagnostics add: Fh, the horizontal
-# derivative of F, and y_i (and RhhV at seed order >= 7)
-READS["bundle"] = tuple(dict.fromkeys(sum(READS.values(), ()))) + ("Fh", "ylow")
 
-#: least seed order at which every field an extraction reads has values
-MIN_ORDER = {op: max(2, *(DEPTH[f] for f in reads)) for op, reads in READS.items()}
+#: least seed order at which every field an operation reads has values: a
+#: bundle reads its blocks and, for its diagnostics, Fh and y_i (and RhhV at
+#: seed order >= 7); a flag curvature reads g0 and R1
+MIN_ORDER = {
+    op: max(2, *(DEPTH[f] for f in reads))
+    for op, reads in (("bundle", (*BLOCKS.values(), "Fh", "ylow")), ("flag", ("g0", "R1")))
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,9 +206,6 @@ def _plan(order):
         q = min(q, order - DEPTH[name])
         plan[name] = (q, min(c, SEED_CAP - XDEPTH[name], max(q, 0)))
     return plan
-
-
-ROUTE_TOLERANCE = 1e-6  # agreement required between independent routes
 
 
 @dataclass(frozen=True)
@@ -414,11 +411,10 @@ class FieldScope:
         return T if name in _FLOATS else self._at(*self._built[name]).cut(T, self._at(order, cap))
 
     def values(self, name):
-        """Float values of a field, built at its planned order or deeper."""
+        """Float values of a field, built at its planned order or deeper; a
+        copy, so a caller may keep or change it."""
         T = self.field(name, *self._plan[name])
-        if name in _FLOATS:
-            return T
-        v = T[..., 0]
+        v = T if name in _FLOATS else T[..., 0]
         return float(v) if v.ndim == 0 else v.copy()
 
     # --- derivative operators ---
@@ -434,10 +430,10 @@ class FieldScope:
         """Vertical derivative of a field of this scope: one extra lower y-slot."""
         return self._vd(T, self._alg_of(T))
 
-    def hderiv(self, T, valence=(), N=None, Gamma=None):
+    def hderiv(self, T, valence=()):
         """Horizontal derivative with the Berwald connection: one extra lower
-        slot.  T, and N and Gamma if given, are fields of this scope; N and
-        Gamma default to the fields at full order.
+        slot.  T is a field of this scope; N and Gamma are the fields at full
+        order.
 
         ``valence`` must describe T's existing slots ("up"/"lo") so the
         connection terms get the right sign.  Per entry and new slot k:
@@ -449,15 +445,13 @@ class FieldScope:
         It runs in the algebra the lowest order and cap of T's derivatives,
         N and Gamma allow.
         """
-        return self._horizontal(T, valence, N, Gamma)[0]
+        return self._horizontal(T, valence)[0]
 
-    def _horizontal(self, T, valence, N=None, Gamma=None):
+    def _horizontal(self, T, valence):
         """:meth:`hderiv` and the algebra it lands in."""
         talg = self._alg_of(T)
-        N = self.field("N") if N is None else N
-        if valence and Gamma is None:
-            Gamma = self.field("Gamma")
-        conn = [(C, self._alg_of(C)) for C in (N, Gamma) if C is not None]
+        conn = [self.field("N")] + ([self.field("Gamma")] if valence else [])
+        conn = [(C, self._alg_of(C)) for C in conn]
         order = min(talg.order - 1, *(a.order for _, a in conn))
         cap = min(talg.cap - 1, *(a.cap for _, a in conn))
         if order < 0 or cap < 0:
@@ -681,48 +675,21 @@ class FieldScope:
         return mul_rows(alg, num, Jet(alg, den).reciprocal().coef)
 
 
-# --- public extraction API ---
+# --- public API: scopes, the bundle, the flag curvature and the spray ---
 
 def point_scope(metric, point, order=BUNDLE_ORDER) -> FieldScope:
     point = point if isinstance(point, PointState) else PointState(*point)
     return FieldScope(metric, point, order)
 
 
-def _block(scope, name):
-    return TensorBlock(name, scope.values(name), VALENCE[name])
-
-
-def _ensure_scope(metric, point, scope, op):
+def _ensure_scope(metric, point, scope, op, order=None):
+    """``scope``, or a new one at ``order`` (by default the least ``op``
+    needs); raises OrderExceeded below ``MIN_ORDER[op]``."""
     need = MIN_ORDER[op]
-    if scope is None:
-        return point_scope(metric, point, need)
-    if scope.order < need:
-        raise OrderExceeded(
-            f"{op} needs seed order >= {need}, scope has {scope.order}"
-        )
-    return scope
-
-
-def fundamental_tensor(metric, point, scope=None):
-    """Returns (g, g_inv, h, F) at the point; raises SingularMetric if not PD."""
-    scope = _ensure_scope(metric, point, scope, "fundamental")
-    return (
-        TensorBlock("g", scope.values("g0").copy(), VALENCE["g"]),
-        TensorBlock("g_inv", scope.values("ginv0").copy(), VALENCE["g_inv"]),
-        _block(scope, "h"),
-        scope.values("F"),
-    )
-
-
-def cartan_tensor(metric, point, scope=None):
-    """Returns (C, I): the Cartan tensor and its mean."""
-    scope = _ensure_scope(metric, point, scope, "cartan")
-    return _block(scope, "C"), _block(scope, "I")
-
-
-def spray(metric, point, scope=None) -> SprayData:
-    scope = _ensure_scope(metric, point, scope, "spray")
-    return SprayData(*(scope.values(k) for k in ("G", "N", "Gamma")))
+    order = scope.order if scope is not None else need if order is None else order
+    if order < need:
+        raise OrderExceeded(f"{op} needs seed order >= {need}, got {order}")
+    return scope if scope is not None else point_scope(metric, point, order)
 
 
 #: F^2 partials read by the direct spray path, named by differentiation
@@ -804,48 +771,10 @@ def spray_values(metric, x, y, with_N=False):
     return (out[1], out[2]) if with_N else out[1]
 
 
-def berwald_curvature(metric, point, scope=None):
-    """Returns (B, E): Berwald curvature and its mean."""
-    scope = _ensure_scope(metric, point, scope, "berwald")
-    return _block(scope, "B"), _block(scope, "E")
-
-
-def riemann_curvature(metric, point, scope=None):
-    """Returns (R1, Rhh): y-Riemann curvature R^i_k and hh-curvature R_j^i_kl."""
-    scope = _ensure_scope(metric, point, scope, "riemann")
-    return _block(scope, "R1"), _block(scope, "Rhh")
-
-
 def _route_residual(scope, name, other):
     """Residual of field ``name`` against the second route ``other``."""
     a = scope.values(name)
     return rel_residual(a, scope.values(other), floor=max(1.0, float(np.max(np.abs(a)))))
-
-
-def _checked_block(scope, label, name, other, what, check):
-    if check:
-        resid = _route_residual(scope, name, other)
-        if not resid <= ROUTE_TOLERANCE:  # a NaN residual fails too
-            raise CrossCheckFailure(f"{what} routes disagree: relative residual {resid:.3e}")
-    return TensorBlock(label, scope.values(name), VALENCE[name])
-
-
-def landsberg_tensor(metric, point, scope=None, check=True):
-    """Landsberg tensor via the spray route, cross-checked against C_{|s}y^s."""
-    scope = _ensure_scope(metric, point, scope, "landsberg")
-    return _checked_block(scope, "L", "L_B", "L_C", "Landsberg", check)
-
-
-def mean_landsberg(metric, point, scope=None, check=True):
-    """Mean Landsberg J via the trace route, cross-checked against I_{|s}y^s."""
-    scope = _ensure_scope(metric, point, scope, "mean_landsberg")
-    return _checked_block(scope, "J", "J_L", "J_I", "mean Landsberg", check)
-
-
-def stretch_tensor(metric, point, scope=None):
-    """Stretch tensor Sigma_ijkl = 2(L_{ijk|l} - L_{ijl|k})."""
-    scope = _ensure_scope(metric, point, scope, "stretch")
-    return _block(scope, "Sigma")
 
 
 def flag_curvature(metric, point, u, scope=None):
@@ -871,66 +800,25 @@ def flag_curvature(metric, point, u, scope=None):
     return num / denom
 
 
-#: fields with a derivative rule, by public name
-_DERIV_FIELDS = {
-    "F": "F", "F2": "F2", "g": "g", "C": "C", "I": "I", "L": "L_C", "J": "J_I",
-    "E": "E", "Sigma": "Sigma",
-}
-
-
-def _derivative(metric, point, name, scope, kind):
-    """Horizontal or vertical derivative block of a named field.  A new scope is
-    seeded at the depth of the field at +1, and N and Gamma at +0 if horizontal."""
-    if name not in _DERIV_FIELDS:
-        raise BadConfig(
-            f"no {kind}-derivative rule for {name!r}; known: {sorted(_DERIV_FIELDS)}"
-        )
-    key = _DERIV_FIELDS[name]
-    horizontal = kind == "horizontal"
-    if scope is None:
-        row = ((key, 1), ("N", 0), ("Gamma", 0)) if horizontal else ((key, 1),)
-        scope = point_scope(metric, point, max(2, *(DEPTH[src] + d for src, d in row)))
-    T = scope.field(key)
-    out = scope.hderiv(T, VALENCE[key]) if horizontal else scope.vderiv(T)
-    return TensorBlock(f"{name}_{kind[0]}", out[..., 0], VALENCE[key] + ("lo",))
-
-
-def horizontal_derivative(metric, point, name, scope=None):
-    """Berwald-horizontal derivative of a named field; trailing slot is new."""
-    return _derivative(metric, point, name, scope, "horizontal")
-
-
-def vertical_derivative(metric, point, name, scope=None):
-    """Vertical derivative of a named field; trailing slot is new."""
-    return _derivative(metric, point, name, scope, "vertical")
-
-
 @dataclass
 class CurvatureBundle:
-    """Every curvature block at one point, plus route diagnostics."""
+    """Every curvature block at one point, by name (``BLOCKS``), plus route
+    diagnostics."""
 
     point: PointState
     label: str
     order: int
     F: float
-    g: TensorBlock
-    g_inv: TensorBlock
-    h: TensorBlock
-    C: TensorBlock
-    I: TensorBlock
-    spray: SprayData
-    B: TensorBlock
-    E: TensorBlock
-    R1: TensorBlock
-    Rhh: TensorBlock
-    L: TensorBlock
-    J: TensorBlock
-    Sigma: TensorBlock
+    blocks: dict
     diagnostics: dict
     scope: FieldScope = dc_field(repr=False, default=None)
 
     def block(self, name):
-        return getattr(self, name)
+        return self.blocks[name]
+
+    @property
+    def spray(self):
+        return SprayData(*(self.blocks[k].values for k in ("G", "N", "Gamma")))
 
     def to_dict(self):
         out = {
@@ -941,10 +829,8 @@ class CurvatureBundle:
             "F": self.F,
             "diagnostics": dict(self.diagnostics),
         }
-        for name in ("g", "g_inv", "h", "C", "I", "B", "E", "R1", "Rhh", "L", "J", "Sigma"):
-            out[name] = self.block(name).values.tolist()
-        for name in ("G", "N", "Gamma"):
-            out[name] = getattr(self.spray, name).tolist()
+        for name, blk in self.blocks.items():
+            out[name] = blk.values.tolist()
         return out
 
 
@@ -952,23 +838,15 @@ def curvature_bundle(metric, point, order=BUNDLE_ORDER, scope=None) -> Curvature
     """Evaluate the full tower at one point, with route cross-checks.
 
     Needs order >= 6; the stretch-vs-hh-curvature diagnostic additionally
-    needs order >= 7 and reports None below that.
+    needs order >= 7 and reports None below that.  Given a ``scope``, it
+    reads that scope at its point and order.
     """
-    point = point if isinstance(point, PointState) else PointState(*point)
-    if scope is None:
-        if order < MIN_ORDER["bundle"]:
-            raise OrderExceeded(f"bundle needs seed order >= 6, got {order}")
-        scope = FieldScope(metric, point, order)
-    g, g_inv, h, F = fundamental_tensor(metric, point, scope)
-    C, I = cartan_tensor(metric, point, scope)
-    spr = spray(metric, point, scope)
-    B, E = berwald_curvature(metric, point, scope)
-    R1, Rhh = riemann_curvature(metric, point, scope)
-    L = landsberg_tensor(metric, point, scope, check=False)
-    J = mean_landsberg(metric, point, scope, check=False)
-    Sigma = stretch_tensor(metric, point, scope)
+    scope = _ensure_scope(metric, point, scope, "bundle", order)
+    blocks = {name: TensorBlock(name, scope.values(f), VALENCE[f]) for name, f in BLOCKS.items()}
+    F = scope.values("F")
+    C, L, R1, Rhh, Sigma = (blocks[k] for k in ("C", "L", "R1", "Rhh", "Sigma"))
 
-    y = np.asarray(point.y)
+    y = np.asarray(scope.point.y)
     diag = {}
 
     # F is horizontally constant; strong wiring check on G and N.
@@ -991,23 +869,11 @@ def curvature_bundle(metric, point, order=BUNDLE_ORDER, scope=None) -> Curvature
         diag["stretch_bianchi"] = rel_residual(Sigma.values, sigma_b, floor=max(Sigma.norm, 1.0))
 
     return CurvatureBundle(
-        point=point,
+        point=scope.point,
         label=getattr(metric, "label", ""),
         order=scope.order,
         F=F,
-        g=g,
-        g_inv=g_inv,
-        h=h,
-        C=C,
-        I=I,
-        spray=spr,
-        B=B,
-        E=E,
-        R1=R1,
-        Rhh=Rhh,
-        L=L,
-        J=J,
-        Sigma=Sigma,
+        blocks=blocks,
         diagnostics=diag,
         scope=scope,
     )

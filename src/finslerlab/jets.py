@@ -464,17 +464,6 @@ class Jet:
                 acc = acc * acc
         return out
 
-    def _padded(self, alg):
-        """These coefficients zero-padded into the higher-order algebra ``alg``
-        of the same cap.
-
-        The padding is not a Taylor extension; callers use it only where the
-        new top-order coefficients meet a zero constant term.
-        """
-        c = np.zeros(alg.size)
-        c[: self.alg.size] = self.coef
-        return Jet(alg, c, self.deg)
-
     # --- composition with univariate series ---
 
     def _compose(self, series):

@@ -427,7 +427,7 @@ def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
 
 def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> ValidationReport:
     """Positive homogeneity and strong convexity over random chart samples."""
-    from .curvature import PointState, fundamental_tensor  # deferred: layering
+    from .curvature import PointState, point_scope  # deferred: layering
 
     rng = np.random.default_rng(seed)
     failures = []
@@ -451,13 +451,9 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
                     {"x": list(x), "y": list(y), "problem": f"homogeneity residual {resid:.3e}"}
                 )
         try:
-            g_blk, _, _, _ = fundamental_tensor(m, PointState(tuple(x), tuple(y)))
-            eigs = np.linalg.eigvalsh(g_blk.values)
-            min_eig = min(min_eig, float(eigs[0]))
-            if eigs[0] <= 0:
-                failures.append(
-                    {"x": list(x), "y": list(y), "problem": f"min eigenvalue {eigs[0]:.3e} <= 0"}
-                )
+            # the scope raises SingularMetric unless g0 is positive definite
+            g0 = point_scope(m, PointState(tuple(x), tuple(y)), 2).values("g0")
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(g0)[0]))
         except SingularMetric as e:
             ev = e.min_eigenvalue if e.min_eigenvalue is not None else float("nan")
             min_eig = min(min_eig, ev) if not math.isnan(ev) else min_eig

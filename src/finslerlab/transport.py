@@ -602,11 +602,6 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
             )
     from . import analysis
 
-    point_fns = {
-        "c": analysis.point_relative_stretch,
-        "p": analysis.point_semi_c_p,
-        "mu": analysis.point_principal_scalar,
-    }
     ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
     names = list(quantities)
     if c is not None:
@@ -635,8 +630,12 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
                     cols[name][row] = scope.directional(scope.field("phi"))[0]
                 elif name == "L_norm":
                     cols[name][row] = math.sqrt(max(float(scope.field("phi")[0]), 0.0))
+                elif name == "p":
+                    cols[name][row] = analysis.fit_semi_c_reducible(metric, None, scope).p
+                elif name == "c":
+                    cols[name][row] = scope.values("cratio")
                 else:
-                    cols[name][row] = point_fns[name](scope)
+                    cols[name][row] = scope.values("mu2")
             except Exception as e:  # noqa: BLE001 - per-quantity isolation
                 status[name] = f"{type(e).__name__}: {e}"
     if c is not None and status.get("phi") == "ok" and status.get("phidot") == "ok":

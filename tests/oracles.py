@@ -187,6 +187,14 @@ def _matmul_jets(A, B):
     return out
 
 
+def _padded(jet, alg):
+    """The coefficients of ``jet`` zero-padded into the higher-order algebra
+    ``alg`` of the same cap; not a Taylor extension."""
+    c = np.zeros(alg.size)
+    c[: jet.alg.size] = jet.coef
+    return Jet(alg, c, jet.deg)
+
+
 def g_inv_full(scope):
     """Neumann-series inverse of the scope's g, every iteration at g's order."""
     n = scope.n
@@ -322,7 +330,7 @@ def _loop_g_inv(sc, g, ginv0):
         for i in range(n):
             for j in range(n):
                 Mt[i, j] = M[i, j].truncated(t)
-                X[i, j] = X[i, j]._padded(alg_t)
+                X[i, j] = _padded(X[i, j], alg_t)
         X = _matmul_jets(Mt, X)
         for i in range(n):
             for j in range(n):

@@ -77,7 +77,7 @@ def test_relative_stretch_degenerate_raises():
             an.fit_relative_stretch(m, count=2, seed=0)
         # the pointwise ratio applies the same degeneracy rule
         with pytest.raises(UndefinedFit):
-            an.point_relative_stretch(point_scope(m, an.sample_states(m, 1, 0)[0], 5))
+            point_scope(m, an.sample_states(m, 1, 0)[0], 5).values("cratio")
 
 
 # --- torsion shape (p, q) ---
@@ -130,8 +130,9 @@ def test_semi_c_guards(funk2):
         an.fit_semi_c_reducible(m, an.sample_states(m, 1, seed=0)[0])
     with pytest.raises(DimensionError):
         an.fit_semi_c_reducible(funk2, an.sample_states(funk2, 1, seed=0)[0])
+    sc = point_scope(funk2, an.sample_states(funk2, 1, seed=0)[0], 3)
     with pytest.raises(DimensionError):
-        an.point_semi_c_p(point_scope(funk2, an.sample_states(funk2, 1, seed=0)[0], 3))
+        an.fit_semi_c_reducible(funk2, None, sc)
 
 
 def test_characteristic_constancy_along_geodesics(funk3):

@@ -440,6 +440,68 @@ def test_zero_vector_point_is_1(funk2_spec, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _assert_rejected(capsys):
+    # exit 2: a message on stderr and nothing on stdout
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("points", [
+    {"pts": []},
+    5,
+    {"points": [{"x": ["a", 0], "y": [1, 0]}]},
+    {"points": []},
+], ids=["no-points-key", "number", "non-numeric-x", "empty"])
+def test_malformed_points_file_exits_2(funk2_spec, tmp_path, capsys, points):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    assert main(["report", funk2_spec, "--points", str(pts)]) == 2
+    _assert_rejected(capsys)
+
+
+@pytest.mark.parametrize("span", ["a:b", "0:x", "abc", "nan", "0:inf"])
+def test_malformed_time_span_exits_2(funk2_spec, capsys, span):
+    argv = ["geodesic", funk2_spec, "--x0", "0.1,0.0", "--y0", "0.3,0.2", "--t", span]
+    assert main(argv) == 2
+    _assert_rejected(capsys)
+
+
+@pytest.mark.parametrize("thresholds", [
+    "[1]", '{"berwald": "x"}', '{"foo": 1}', '{"berwald": NaN}', '{"berwald": Infinity}',
+    '{"berwald": true}', "1e-8",
+])
+def test_malformed_thresholds_exit_2(funk2_spec, capsys, thresholds):
+    assert main(["classify", funk2_spec, "--samples", "1", "--thresholds", thresholds]) == 2
+    _assert_rejected(capsys)
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["report"], ["verify", "--suite", "bianchi"], ["classify"],
+    ["geodesic", "--x0", "0.1,0.0", "--y0", "0.3,0.2"],
+], ids=lambda c: c[0])
+def test_samples_below_one_exit_2(funk2_spec, capsys, command, samples):
+    assert main([command[0], funk2_spec, *command[1:], "--samples", samples]) == 2
+    _assert_rejected(capsys)
+
+
+@pytest.mark.parametrize("suite,field,check", [
+    ("identities", "L_C", "landsberg_routes"),
+    ("identities", "J_I", "mean_landsberg_routes"),
+    ("landsberg-routes", "L_C", "landsberg-two-routes"),
+    ("landsberg-routes", "J_I", "mean-landsberg-two-routes"),
+])
+def test_nan_route_residual_fails_the_cross_check(funk2_spec, nan_field, capsys, suite, field, check):
+    # a NaN residual is not above the tolerance, yet it must not pass
+    nan_field(field)
+    assert main(["verify", funk2_spec, "--suite", suite, "--samples", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith(f"{suite}: FAIL")
+    verdicts = {line.split()[1]: line.split()[-1] for line in lines[:-1]}
+    assert verdicts[check] == "fail"
+
+
 # --------------------------------------------------------------------------
 # metric-spec schema
 

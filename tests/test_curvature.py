@@ -19,27 +19,19 @@ from hypothesis import strategies as st
 
 from finslerlab import analysis, metrics
 from finslerlab.curvature import (
+    BLOCKS,
+    DEPTH,
+    VALENCE,
     PointState,
     _direct_spray,
-    berwald_curvature,
-    cartan_tensor,
     curvature_bundle,
     flag_curvature,
-    fundamental_tensor,
-    horizontal_derivative,
-    landsberg_tensor,
-    mean_landsberg,
     point_scope,
     rel_residual,
-    riemann_curvature,
-    spray,
     spray_values,
-    stretch_tensor,
-    vertical_derivative,
 )
 from finslerlab.errors import (
     BadConfig,
-    CrossCheckFailure,
     DegenerateFlag,
     DomainError,
     OrderExceeded,
@@ -51,8 +43,8 @@ from finslerlab.errors import (
 
 from oracles import christoffel_fd, rel_err, sphere_chart_matrix
 
-#: every field name the derivative extractions accept
-DERIV_NAMES = ("F", "F2", "g", "C", "I", "L", "J", "E", "Sigma")
+#: fields whose horizontal and vertical derivatives are checked below
+DERIV_FIELDS = ("F", "F2", "g", "C", "I", "L_C", "J_I", "E", "Sigma")
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +62,7 @@ def funk2_bundle(funk2):
 def test_euclidean_everything_flat():
     m = metrics.build_metric(metrics.builtin("euclidean3"))
     b = curvature_bundle(m, PointState((0.5, -1.0, 2.0), (1.0, 0.2, -0.4)), order=6)
-    assert rel_err(b.g.values, np.eye(3)) < 1e-14
+    assert rel_err(b.block("g").values, np.eye(3)) < 1e-14
     for name in ("C", "I", "B", "E", "R1", "Rhh", "L", "J", "Sigma"):
         assert b.block(name).norm < 1e-13, name
     assert np.max(np.abs(b.spray.G)) == 0.0
@@ -91,18 +83,18 @@ def test_sphere_spray_matches_fd_christoffels():
     x = (0.3, -0.2)
     y = np.array([0.7, 0.4])
     gamma = christoffel_fd(sphere_chart_matrix, x)
-    data = spray(m, PointState(x, tuple(y)))
-    assert rel_err(data.G, 0.5 * np.einsum("ijk,j,k->i", gamma, y, y)) < 1e-8
-    assert rel_err(data.N, np.einsum("ijk,k->ij", gamma, y)) < 1e-8
+    sc = point_scope(m, PointState(x, tuple(y)), 4)
+    assert rel_err(sc.values("G"), 0.5 * np.einsum("ijk,j,k->i", gamma, y, y)) < 1e-8
+    assert rel_err(sc.values("N"), np.einsum("ijk,k->ij", gamma, y)) < 1e-8
     # Berwald connection of a Riemannian metric is its Levi-Civita connection
-    assert rel_err(data.Gamma, gamma) < 1e-8
+    assert rel_err(sc.values("Gamma"), gamma) < 1e-8
 
 
 def test_riemannian_berwald_curvature_vanishes():
     m = metrics.build_metric(metrics.builtin("sphere3"))
-    B, E = berwald_curvature(m, PointState((0.2, 0.1, -0.3), (0.5, -0.4, 0.7)))
-    assert B.norm < 1e-12
-    assert E.norm < 1e-12
+    sc = point_scope(m, PointState((0.2, 0.1, -0.3), (0.5, -0.4, 0.7)), 5)
+    assert np.max(np.abs(sc.values("B"))) < 1e-12
+    assert np.max(np.abs(sc.values("E"))) < 1e-12
 
 
 def test_sphere_constant_flag_curvature():
@@ -123,17 +115,15 @@ def test_sphere_riemann_closed_form():
     m = metrics.build_metric(metrics.builtin("sphere2"))
     p = PointState((0.4, 0.1), (0.3, -0.9))
     sc = point_scope(m, p, 7)
-    R1, Rhh = riemann_curvature(m, p, sc)
-    g_blk, _, _, F = fundamental_tensor(m, p, sc)
+    g, F = sc.values("g0"), sc.values("F")
     y = np.asarray(p.y)
-    ylow = g_blk.values @ y
+    ylow = g @ y
     pred = F * F * np.eye(2) - np.outer(y, ylow)
-    assert rel_err(R1.values, pred) < 1e-10
-    g = g_blk.values
+    assert rel_err(sc.values("R1"), pred) < 1e-10
     pred4 = np.einsum("jl,ik->ijkl", g, np.eye(2)) - np.einsum(
         "jk,il->ijkl", g, np.eye(2)
     )
-    assert rel_err(Rhh.values, pred4) < 1e-9
+    assert rel_err(sc.values("Rhh"), pred4) < 1e-9
 
 
 # --- unit-ball closed forms ---
@@ -146,14 +136,15 @@ def test_funk_spray_closed_form(funk2_bundle):
 
 def test_funk_landsberg_closed_form(funk2_bundle):
     b = funk2_bundle
-    assert b.L.norm > 0.01  # genuinely non-Landsberg
-    assert rel_err(b.L.values, -0.5 * b.F * b.C.values) < 1e-12
-    assert rel_err(b.J.values, -0.5 * b.F * b.I.values) < 1e-12
+    L, J = b.block("L"), b.block("J")
+    assert L.norm > 0.01  # genuinely non-Landsberg
+    assert rel_err(L.values, -0.5 * b.F * b.block("C").values) < 1e-12
+    assert rel_err(J.values, -0.5 * b.F * b.block("I").values) < 1e-12
 
 
 def test_funk_mean_berwald_closed_form(funk2_bundle):
     b = funk2_bundle
-    assert rel_err(b.E.values, 3.0 / (4.0 * b.F) * b.h.values) < 1e-12
+    assert rel_err(b.block("E").values, 3.0 / (4.0 * b.F) * b.block("h").values) < 1e-12
 
 
 def test_funk_flag_curvature_constant(funk2):
@@ -178,9 +169,9 @@ def test_funk3_flag_curvature_constant():
 def test_funk_riemann_constant_form(funk2_bundle):
     b = funk2_bundle
     y = np.asarray(b.point.y)
-    ylow = b.g.values @ y
+    ylow = b.block("g").values @ y
     pred = -0.25 * (b.F**2 * np.eye(2) - np.outer(y, ylow))
-    assert rel_err(b.R1.values, pred) < 1e-10
+    assert rel_err(b.block("R1").values, pred) < 1e-10
 
 
 # --- homogeneity in y (each block is tested at its known degree) ---
@@ -220,10 +211,6 @@ PROPERTY_DEGREES = {
 }
 
 
-def _block(bundle, name):
-    return getattr(bundle.spray, name) if name in ("G", "N", "Gamma") else bundle.block(name).values
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     name=st.sampled_from(metrics.BUILTIN_NAMES),
@@ -242,7 +229,7 @@ def test_homogeneity_property(corpus, name, seed, lam):
     b1 = curvature_bundle(m, p, order=6)
     b2 = curvature_bundle(m, PointState(p.x, tuple(lam * v for v in p.y)), order=6)
     for block, deg in PROPERTY_DEGREES.items():
-        got, want = _block(b2, block), lam**deg * _block(b1, block)
+        got, want = b2.block(block).values, lam**deg * b1.block(block).values
         assert rel_err(got, want, floor=1e-3) <= 1e-10, (block, name, seed, lam)
 
 
@@ -292,45 +279,65 @@ def test_bundle_diagnostics_clean(name):
 
 
 def test_landsberg_routes_agree_api(funk2):
-    p = PointState((0.1, 0.4), (-0.3, 1.1))
-    L = landsberg_tensor(funk2, p)  # cross-checks the two routes internally
-    J = mean_landsberg(funk2, p)
-    ginv = point_scope(funk2, p, 2).field("ginv0")
-    assert rel_err(J.values, np.einsum("kl,ikl->i", ginv, L.values)) < 1e-11
+    # L and J take the spray and trace routes; the bundle's diagnostics check
+    # them against C_{|s}y^s and I_{|s}y^s
+    sc = point_scope(funk2, PointState((0.1, 0.4), (-0.3, 1.1)), 5)
+    L, J = sc.values(BLOCKS["L"]), sc.values(BLOCKS["J"])
+    assert rel_err(L, sc.values("L_C")) < 1e-10
+    assert rel_err(J, sc.values("J_I")) < 1e-10
+    assert rel_err(J, np.einsum("kl,ikl->i", sc.values("ginv0"), L)) < 1e-11
 
 
-@pytest.mark.parametrize("extract,field", [(landsberg_tensor, "L_C"), (mean_landsberg, "J_I")])
-def test_nan_route_residual_fails_the_cross_check(funk2, nan_field, extract, field):
-    # a NaN residual is not > tolerance, so it used to pass
-    nan_field(field)
-    with pytest.raises(CrossCheckFailure):
-        extract(funk2, PointState((0.1, 0.4), (-0.3, 1.1)))
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_bundle_blocks_are_scope_values(corpus, name):
+    # each block is the value of the field BLOCKS names, bit for bit, read
+    # from a scope of its own
+    m = corpus[name]
+    p = analysis.sample_states(m, 1, seed=37)[0]
+    b, sc = curvature_bundle(m, p), point_scope(m, p, 7)
+    assert list(b.blocks) == list(BLOCKS)
+    for block, field in BLOCKS.items():
+        got, want = b.block(block).values, sc.values(field)
+        assert np.array_equal(got, want), block
+        assert np.array_equal(np.signbit(got), np.signbit(want)), block
+        assert b.block(block).valence == VALENCE[field], block
+    assert all(np.array_equal(getattr(b.spray, k), sc.values(k)) for k in ("G", "N", "Gamma"))
 
 
 def test_metric_compatibility_defect(funk2, funk2_bundle):
     """Berwald-horizontal derivative of g equals -2L (the Landsberg defect)."""
     b = funk2_bundle
-    gh = horizontal_derivative(funk2, b.point, "g", scope=b.scope)
-    assert rel_err(gh.values, -2.0 * b.L.values) < 1e-11
+    gh = b.scope.hderiv(b.scope.field("g"), VALENCE["g"])[..., 0]
+    assert rel_err(gh, -2.0 * b.block("L").values) < 1e-11
 
 
 def test_vertical_derivative_of_g_is_cartan(funk2, funk2_bundle):
     b = funk2_bundle
-    gv = vertical_derivative(funk2, b.point, "g", scope=b.scope)
-    assert rel_err(gv.values, 2.0 * b.C.values) < 1e-12
+    gv = b.scope.vderiv(b.scope.field("g"))[..., 0]
+    assert rel_err(gv, 2.0 * b.block("C").values) < 1e-12
+
+
+def _hderiv(sc, name):
+    return sc.hderiv(sc.field(name), VALENCE[name])[..., 0]
+
+
+def _vderiv(sc, name):
+    return sc.vderiv(sc.field(name))[..., 0]
 
 
 @pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
 def test_derivatives_without_a_scope_seed_the_ledger_order(corpus, name):
-    # the scope each extraction seeds by itself reads the values an order-7
-    # scope reads
+    # a scope seeded at the least order the ledger gives a derivative (the
+    # field's depth + 1, and N's and Gamma's if horizontal) reads the values
+    # an order-7 scope reads
     m = corpus[name]
     p = analysis.sample_states(m, 1, seed=31)[0]
-    sc = point_scope(m, p, 7)
-    for field in DERIV_NAMES:
-        for extract in (horizontal_derivative, vertical_derivative):
-            got = extract(m, p, field)
-            assert np.array_equal(got.values, extract(m, p, field, scope=sc).values), field
+    deep = point_scope(m, p, 7)
+    for field in DERIV_FIELDS:
+        least = 1 + DEPTH[field]
+        for deriv, order in ((_hderiv, max(least, DEPTH["N"], DEPTH["Gamma"])), (_vderiv, least)):
+            got = deriv(point_scope(m, p, max(2, order)), field)
+            assert np.array_equal(got, deriv(deep, field)), (field, deriv.__name__)
 
 
 def test_bianchi_relates_hh_curvature_and_berwald(funk2, funk2_bundle):
@@ -344,11 +351,12 @@ def test_bianchi_relates_hh_curvature_and_berwald(funk2, funk2_bundle):
 
 
 def test_stretch_antisymmetry_and_y_trace(funk2_bundle):
-    S = funk2_bundle.Sigma.values
+    S = funk2_bundle.block("Sigma").values
     assert rel_err(S, -np.einsum("ijkl->ijlk", S)) < 1e-12
     y = np.asarray(funk2_bundle.point.y)
     # first two slots carry the Cartan-derivative structure: y kills them
-    assert np.max(np.abs(np.einsum("i,ijkl->jkl", y, S))) < 1e-10 * max(1.0, funk2_bundle.Sigma.norm)
+    scale = max(1.0, funk2_bundle.block("Sigma").norm)
+    assert np.max(np.abs(np.einsum("i,ijkl->jkl", y, S))) < 1e-10 * scale
 
 
 # --- guards ---
@@ -363,8 +371,10 @@ def test_scope_order_guards(funk2):
     p = PointState((0.2, 0.1), (0.8, 0.5))
     sc = point_scope(funk2, p, 3)
     with pytest.raises(OrderExceeded):
-        riemann_curvature(funk2, p, scope=sc)
+        flag_curvature(funk2, p, (1.0, 0.0), scope=sc)
     with pytest.raises(OrderExceeded):
+        curvature_bundle(funk2, p, scope=sc)
+    with pytest.raises(OrderExceeded, match="bundle needs seed order >= 6, got 4"):
         curvature_bundle(funk2, p, order=4)
 
 

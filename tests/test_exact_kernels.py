@@ -28,7 +28,7 @@ import pytest
 
 from finslerlab import analysis
 from finslerlab.curvature import (
-    DEPTH, HDERIVS, LEDGER, MIN_ORDER, READS, SEED_CAP, XDEPTH, FieldScope, _plan,
+    BLOCKS, DEPTH, HDERIVS, LEDGER, MIN_ORDER, SEED_CAP, XDEPTH, FieldScope, _plan,
     point_scope,
 )
 from finslerlab.errors import DimensionError, RiemannianPoint, UndefinedFit
@@ -104,16 +104,14 @@ def test_vderiv_matches_entry_loop(order7_scopes, name, field):
 #: what the bundle, classify, the fits, the constant-flag chain and the
 #: bianchi and landsberg-routes suites read, and the Landsberg norm phi
 PLANNED_READS = tuple(dict.fromkeys(
-    READS["bundle"]
-    + ("RhhV", "D", "g_inv", "g", "Bh", "gh", "gv", "phi")
+    tuple(BLOCKS.values())
+    + ("Fh", "ylow", "RhhV", "D", "g_inv", "g", "Bh", "gh", "gv", "phi")
 ))
 
 
 def test_min_order_follows_from_the_ledger():
-    assert MIN_ORDER == {
-        "fundamental": 2, "cartan": 3, "spray": 4, "berwald": 5, "riemann": 6,
-        "landsberg": 5, "mean_landsberg": 5, "stretch": 5, "flag": 4, "bundle": 6,
-    }
+    assert MIN_ORDER == {"flag": 4, "bundle": 6}
+    assert DEPTH["g0"] == 2 and DEPTH["Gamma"] == 4 and DEPTH["B"] == 5 and DEPTH["Rhh"] == 6
     assert DEPTH["RhhV"] == 7 and DEPTH["Sigma"] == 5 and DEPTH["F"] == 0
     assert SEED_CAP == 3 and max(XDEPTH.values()) == 2
     assert XDEPTH["G"] == 1 and XDEPTH["R1"] == XDEPTH["Sigma"] == XDEPTH["Bh"] == 2
@@ -403,7 +401,6 @@ def test_degree_invariant_after_every_operation():
         "derivative": (quad.deriv(2), 1),
         "derivative of a constant": (c.deriv(0), 0),
         "truncation": ((quad * quad).truncated(3), 3),
-        "padded": (quad.truncated(3)._padded(alg), 2),
         "composition": (quad.sqrt(), 6),
         "reciprocal": ((quad + 1.0).reciprocal(), 6),
         "built without a degree": (Jet(alg, quad.coef.copy()), 6),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerlab import metrics
-from finslerlab.curvature import PointState, fundamental_tensor
+from finslerlab.curvature import PointState, point_scope
 from finslerlab.errors import OutOfChart, SingularMetric, SpecError
 from finslerlab.metrics import Chart, MetricSpec, build_metric, funk_metric, validate
 
@@ -180,7 +180,8 @@ def test_fundamental_from_finite_differences():
     def f2(yv):
         return m.F2(x, tuple(yv))
 
-    g_blk, g_inv_blk, h_blk, F = fundamental_tensor(m, PointState(x, y0))
+    sc = point_scope(m, PointState(x, y0), 2)
+    g, g_inv, h, F = (sc.values(k) for k in ("g0", "ginv0", "h", "F"))
     fd = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
@@ -188,10 +189,10 @@ def test_fundamental_from_finite_differences():
             alpha[i] += 1
             alpha[j] += 1
             fd[i, j] = 0.5 * fd_partial(f2, list(y0), tuple(alpha), h=1e-4)
-    assert rel_err(g_blk.values, fd) < 1e-6
-    assert rel_err(g_inv_blk.values @ g_blk.values, np.eye(3)) < 1e-12
+    assert rel_err(g, fd) < 1e-6
+    assert rel_err(g_inv @ g, np.eye(3)) < 1e-12
     # h annihilates y and agrees with g on the orthogonal complement
-    assert np.max(np.abs(h_blk.values @ np.asarray(y0))) < 1e-12 * F**2
+    assert np.max(np.abs(h @ np.asarray(y0))) < 1e-12 * F**2
 
 
 @pytest.mark.parametrize("name", ["euclidean3", "sphere2", "mink-randers3", "funk2"])
@@ -202,17 +203,17 @@ def test_metric_y_contraction(name):
     for _ in range(5):
         x = 0.4 * rng.uniform(-1, 1, size=m.n)
         y = rng.normal(size=m.n)
-        g_blk, _, _, F = fundamental_tensor(m, PointState(tuple(x), tuple(y)))
-        assert float(y @ g_blk.values @ y) == pytest.approx(F * F, rel=1e-12)
+        sc = point_scope(m, PointState(tuple(x), tuple(y)), 2)
+        assert float(y @ sc.values("g0") @ y) == pytest.approx(sc.values("F") ** 2, rel=1e-12)
 
 
 def test_quartic_axis_singularity():
     """(y1^4 + y2^4)^(1/4) has rank-deficient g on the coordinate axes."""
     m = build_metric(metrics.builtin("quartic2"))
     # off-axis: fine
-    fundamental_tensor(m, PointState((0.0, 0.0), (0.8, 0.6)))
+    point_scope(m, PointState((0.0, 0.0), (0.8, 0.6)), 2).values("g0")
     with pytest.raises(SingularMetric):
-        fundamental_tensor(m, PointState((0.0, 0.0), (1.0, 1e-9)))
+        point_scope(m, PointState((0.0, 0.0), (1.0, 1e-9)), 2).values("g0")
 
 
 # --- validation sweep ---
