@@ -354,10 +354,9 @@ def berwald_frame(metric, point, scope=None, with_mu=False):
     if metric.n != 2:
         raise DimensionError(f"frame needs n = 2, got n = {metric.n}")
     sc = scope if scope is not None else point_scope(metric, point, order=5)
+    dI = sc.vderiv("I2")
     ell, m = sc.values("frame2")
     g = sc.values("g")
-    I2 = sc.field("I2")
-    dI = sc.vderiv(I2)[..., 0]
     F = sc.values("F")
     I_vert = F * sum(dI[i] * m[i] for i in range(2))
     mu = sc.values("mu2") if with_mu else None
@@ -365,7 +364,7 @@ def berwald_frame(metric, point, scope=None, with_mu=False):
         ell=ell,
         m=m,
         m_low=g @ m,
-        I_scalar=float(I2[0]),
+        I_scalar=sc.values("I2"),
         I_vert=float(I_vert),
         mu=mu,
     )
@@ -385,7 +384,7 @@ def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolera
         x, y = geodesic.state(t)
         sc = point_scope(metric, PointState(x=x, y=y), order=5)
         try:
-            mu_j = sc.field("mu2")
+            mup = sc.directional("mu2")
             cval = c if c is not None else sc.values("cratio")
         except (RiemannianPoint, UndefinedFit) as err:
             return IdentityCheckResult(
@@ -395,9 +394,8 @@ def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolera
                 tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
-        mu = float(mu_j[0])
-        mup = float(sc.directional(mu_j)[0])
-        F = float(sc.values("F"))
+        mu = sc.values("mu2")
+        F = sc.values("F")
         mus.append(mu)
         mups.append(mup)
         cs.append(cval)
@@ -578,7 +576,7 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
         x, y = geodesic.state(t)
         sc = point_scope(metric, PointState(x=x, y=y), order=6)
         try:
-            c_j = sc.field("cratio")
+            cp = sc.directional("cratio")
         except UndefinedFit as err:
             return IdentityCheckResult(
                 check="stretch-dichotomy",
@@ -587,9 +585,8 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
                 tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
-        cv = float(c_j[0])
-        cp = float(sc.directional(c_j)[0])
-        F = float(sc.values("F"))
+        cv = sc.values("cratio")
+        F = sc.values("F")
         lam, _ = _isotropic_lambda(
             sc.values("R1"), F, np.asarray(y, dtype=float),
             sc.values("ylow"), spread_tolerance,

@@ -3,7 +3,9 @@
 Everything is computed from truncated jets of F^2 seeded at (x, y).  A
 :class:`FieldScope` owns the seeds and lazily builds named tensor fields;
 callers read a field's float values by name with :meth:`FieldScope.values`,
-and :func:`curvature_bundle` gathers the public blocks (``BLOCKS``) that way.
+and those of its first derivatives with ``vderiv``, ``hderiv`` and
+``directional``; :func:`curvature_bundle` gathers the public blocks
+(``BLOCKS``) that way.
 
 Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 
@@ -49,11 +51,12 @@ A scope builds each field only to the deepest order, and the deepest
 x-degree, a reader in the executable ledger ``LEDGER`` asks of it
 (``_plan``; ``DEPTH``, ``XDEPTH``, ``SEED_CAP`` and ``MIN_ORDER`` follow
 from the ledger too).  The tower never differentiates F^2 more than twice
-in x, so no field needs x-degree above 2, and a field at its full order
-keeps one more for a horizontal derivative: the seeds carry x-degree
-SEED_CAP = 3 at most.  Every coefficient kept is summed from the same pairs
-in the same order (``jets`` module docstring), so it equals that
-coefficient of the full-order, uncapped field bit for bit.
+in x, so no field needs x-degree above 2; the seeds carry SEED_CAP = 3, one
+more, which leaves every field room for one horizontal derivative by name
+(it reads the field at order 1 and x-degree 1).  Every coefficient kept is
+summed from the same pairs in the same order (``jets`` module docstring),
+so it equals that coefficient of the full-order, uncapped field bit for
+bit, at any seed order deep enough to hold it.
 ``spray_values`` builds no scope at all; its one F^2 jet has x-degree cap 1,
 since every partial it reads holds at most one x.
 """
@@ -137,7 +140,7 @@ LEDGER = {
 }
 
 #: Horizontal derivatives and the tensor each differentiates, built by
-#: ``FieldScope.hderiv``: each reads its tensor at +1 and x+1, and N, and
+#: ``FieldScope._hderiv``: each reads its tensor at +1 and x+1, and N, and
 #: Gamma when the tensor has slots, at +0.
 HDERIVS = {"Fh": "F", "gh": "g", "Ch": "C", "Bh": "B", "Lh": "L_C", "Ih": "I"}
 LEDGER.update(
@@ -305,6 +308,11 @@ def require_stretch_design(num, den):
         )
 
 
+def _values(T):
+    """Float values of coefficient array T: a float for a scalar, else a copy."""
+    return float(T[0]) if T.ndim == 1 else T[..., 0].copy()
+
+
 def _fold(terms):
     """Sum over the leading axis, left to right from the first term: the jet loops' order."""
     return functools.reduce(operator.add, terms)
@@ -367,13 +375,6 @@ class FieldScope:
             raise OrderExceeded("derivative of an order-0 jet is not determined")
         return self._at(alg.order + depth, alg.cap + xdepth)
 
-    def _alg_of(self, T):
-        """Jet algebra of ``T``, an array :meth:`field` returned and still caches."""
-        for name, cached in self._cache.items():
-            if cached is T and name not in _FLOATS:
-                return self._at(*self._built[name])
-        raise BadConfig("not a cached field of this scope")
-
     def field(self, name, order=None, cap=None):
         """Field ``name`` through at least jet ``order`` and x-degree ``cap``,
         by default its full order ``self.order - DEPTH[name]`` and full cap
@@ -397,8 +398,7 @@ class FieldScope:
             alg = self._at(p, c) if p >= 0 else None
             inputs = [self._cut(src, max(p + d, 0), c + x) for src, d, x in LEDGER[name]]
             if name in HDERIVS:
-                valence = VALENCE[HDERIVS[name]]
-                out = self._hderiv(alg, inputs[0], self._at(p + 1, c + 1), valence, *inputs[1:])
+                out = self._hderiv(alg, *inputs, valence=VALENCE[HDERIVS[name]])
             else:
                 out = getattr(self, "_build_" + name)(alg, *inputs)
             self._cache[name] = out
@@ -414,8 +414,7 @@ class FieldScope:
         """Float values of a field, built at its planned order or deeper; a
         copy, so a caller may keep or change it."""
         T = self.field(name, *self._plan[name])
-        v = T if name in _FLOATS else T[..., 0]
-        return float(v) if v.ndim == 0 else v.copy()
+        return T.copy() if name in _FLOATS else _values(T)
 
     # --- derivative operators ---
 
@@ -426,67 +425,63 @@ class FieldScope:
             alg = alg.lowered(self.n)
         return T
 
-    def vderiv(self, T):
-        """Vertical derivative of a field of this scope: one extra lower y-slot."""
-        return self._vd(T, self._alg_of(T))
+    def _first_jet(self, name, cap):
+        """Field ``name`` through order 1 and x-degree ``cap``: all that the
+        values of its first derivatives read."""
+        if name in _FLOATS:
+            raise BadConfig(f"{name} holds float values, not jets")
+        return self._cut(name, 1, cap)
 
-    def hderiv(self, T, valence=()):
-        """Horizontal derivative with the Berwald connection: one extra lower
-        slot.  T is a field of this scope; N and Gamma are the fields at full
-        order.
+    def vderiv(self, name):
+        """Values of the vertical derivative of field ``name``: one extra lower y-slot."""
+        return _values(self._vd(self._first_jet(name, 0), self._at(1, 0)))
 
-        ``valence`` must describe T's existing slots ("up"/"lo") so the
-        connection terms get the right sign.  Per entry and new slot k:
+    def hderiv(self, name):
+        """Values of the horizontal derivative of field ``name`` with the
+        Berwald connection: one extra lower slot.  Per entry and new slot k,
+        with the field's slots as ``VALENCE`` lists them (none if unlisted):
 
             T_{|k} = dT/dx^k - sum_m N^m_k dT/dy^m
                      + sum_m T[..m..] Gamma^s_mk   (each "up" slot s)
                      - sum_m T[..m..] Gamma^m_sk   (each "lo" slot s)
-
-        It runs in the algebra the lowest order and cap of T's derivatives,
-        N and Gamma allow.
         """
-        return self._horizontal(T, valence)[0]
+        return _values(self._horizontal(name))
 
-    def _horizontal(self, T, valence):
-        """:meth:`hderiv` and the algebra it lands in."""
-        talg = self._alg_of(T)
-        conn = [self.field("N")] + ([self.field("Gamma")] if valence else [])
-        conn = [(C, self._alg_of(C)) for C in conn]
-        order = min(talg.order - 1, *(a.order for _, a in conn))
-        cap = min(talg.cap - 1, *(a.cap for _, a in conn))
-        if order < 0 or cap < 0:
-            raise OrderExceeded("horizontal derivative of an order-0 or cap-0 jet is not determined")
-        lo = self._at(order, cap)
-        return self._hderiv(lo, T, talg, valence, *(a.cut(C, lo) for C, a in conn)), lo
+    def directional(self, name):
+        """Values of T_{...|s} y^s for the field T = ``name``."""
+        return _values(self._contract_y(self._horizontal(name), self._at(0, 0)))
 
-    def _hderiv(self, lo, T, talg, valence, N, Gamma=None):
-        """:meth:`hderiv` landing in ``lo``, with T's coefficients in ``talg``
-        and N and Gamma in ``lo``.  Each term is one row-wise product over
-        all entries, added in the order written."""
+    def _horizontal(self, name):
+        """:meth:`hderiv` through order 0, from the field at order 1 and
+        x-degree 1 and N, and Gamma if the field has slots, at order 0."""
+        T = self._first_jet(name, 1)
+        valence = VALENCE.get(name, ())
+        conn = [self._cut(C, 0, 0) for C in ("N", "Gamma")[: 1 + bool(valence)]]
+        return self._hderiv(self._at(0, 0), T, *conn, valence=valence)
+
+    def _hderiv(self, lo, T, N, Gamma=None, valence=()):
+        """:meth:`hderiv` in ``lo`` of T in ``_deeper(lo, 1, 1)``, N and Gamma
+        in ``lo``: each term one row-wise product over all entries, added in
+        the order written."""
         n = self.n
         rank = T.ndim - 1
         if len(valence) != rank:
             raise ShapeMismatch(f"valence has {len(valence)} slots, tensor has {rank}")
         tin = self._deeper(lo, 1, 1)
-        Tc = talg.cut(T, tin)
-        acc = deriv_rows(tin, Tc, self._xs)
-        dy = tin.lowered(n).cut(deriv_rows(tin, Tc, self._ys), lo)
+        acc = deriv_rows(tin, T, self._xs)
+        dy = tin.lowered(n).cut(deriv_rows(tin, T, self._ys), lo)
         for m in range(n):
             acc -= mul_rows(lo, N[m], dy[..., m, None, :])
         if valence:
-            Tc = tin.cut(Tc, lo)
+            T = tin.cut(T, lo)
         for slot, kind in enumerate(valence):
             for m in range(n):
-                Tm = np.expand_dims(np.take(Tc, m, axis=slot), (slot, rank))
+                Tm = np.expand_dims(np.take(T, m, axis=slot), (slot, rank))
                 G = Gamma[:, m] if kind == "up" else Gamma[m]  # axes (s, k)
                 G = G.reshape((1,) * slot + (n,) + (1,) * (rank - slot - 1) + G.shape[1:])
                 term = mul_rows(lo, Tm, G)
                 acc = acc + term if kind == "up" else acc - term
         return acc
-
-    def directional(self, T, valence=()):
-        """Contraction T_{...|s} y^s of the horizontal derivative of a field."""
-        return self._contract_y(*self._horizontal(T, valence))
 
     def _contract_y(self, H, alg):
         """sum_s H[..., s] y^s, the trailing slot contracted with y."""
@@ -663,7 +658,7 @@ class FieldScope:
         if abs(I2[0]) < 1e-8:
             raise RiemannianPoint(f"principal scalar {I2[0]:.3e} is numerically zero")
         aI = self._deeper(alg, 1, 1)
-        num = mul_rows(alg, self._contract_y(self._hderiv(alg, I2, aI, (), N), alg), recF)
+        num = mul_rows(alg, self._contract_y(self._hderiv(alg, I2, N), alg), recF)
         return mul_rows(alg, num, aI.cut(Jet(aI, I2).reciprocal().coef, alg))
 
     def _build_cratio(self, alg, Sigma, D, F):

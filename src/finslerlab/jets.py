@@ -143,7 +143,6 @@ class _Algebra:
         self.index = {e: i for i, e in enumerate(exps)}
         self.orders = np.array([sum(e) for e in exps], dtype=np.int64)
         self.xdeg = np.array([sum(e[: self.n_x]) for e in exps], dtype=np.int64)
-        self.count_through_order = np.cumsum(np.bincount(self.orders, minlength=order + 1)).tolist()
         self._mul_table = None
         self._deriv_tables = None
         self._stacked = {}
@@ -358,16 +357,6 @@ class Jet:
     @property
     def n_vars(self):
         return self.alg.n_vars
-
-    def truncated(self, order):
-        if order > self.alg.order:
-            raise OrderExceeded(
-                f"cannot extend order {self.alg.order} jet to order {order}"
-            )
-        if order == self.alg.order:
-            return self
-        alg = _algebra(self.alg.n_vars, order, self.alg.cap)
-        return Jet(alg, self.coef[: alg.size].copy(), min(self.deg, order))
 
     def __repr__(self):
         return f"Jet(n_vars={self.n_vars}, order={self.order}, value={self.value:.6g})"

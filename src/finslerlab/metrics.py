@@ -274,9 +274,6 @@ class MetricInstance:
         f = self.F(x, y)
         return f * f
 
-    def describe(self):
-        return self.spec.to_dict()
-
 
 def funk_metric(drift, x, y):
     """Unit-ball metric value; generic over floats and jets.

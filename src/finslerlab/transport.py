@@ -273,6 +273,8 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = (float(v) for v in t_span)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise BadConfig(f"integration span must be finite, got {t_span!r}")
     if t1 == t0:
         raise BadConfig("empty integration span")
     F0 = float(metric.F(tuple(x0), tuple(y0)))
@@ -490,6 +492,8 @@ def parallelogram_holonomy(
     if np.linalg.norm(support0) < 1e-14:
         raise ZeroVector("support0 must be nonzero")
     eps_arr = np.asarray(sorted(float(e) for e in eps_list))
+    if not np.all(np.isfinite(eps_arr)):
+        raise BadConfig(f"eps_list must hold finite scales, got {eps_arr.tolist()}")
     if eps_arr.size == 0 or eps_arr[0] <= 0:
         raise BadConfig("eps_list must contain positive scales")
 
@@ -625,11 +629,11 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
                 continue
             try:
                 if name == "phi":
-                    cols[name][row] = scope.field("phi")[0]
+                    cols[name][row] = scope.values("phi")
                 elif name == "phidot":
-                    cols[name][row] = scope.directional(scope.field("phi"))[0]
+                    cols[name][row] = scope.directional("phi")
                 elif name == "L_norm":
-                    cols[name][row] = math.sqrt(max(float(scope.field("phi")[0]), 0.0))
+                    cols[name][row] = math.sqrt(max(scope.values("phi"), 0.0))
                 elif name == "p":
                     cols[name][row] = analysis.fit_semi_c_reducible(metric, None, scope).p
                 elif name == "c":

@@ -12,7 +12,8 @@ the entry-by-entry horizontal and vertical derivatives, and one loop per
 a time.  They use the same jet arithmetic, so tests require the library's
 coefficient arrays to match them bit for bit.  It also keeps the
 pair-by-pair build of the product and derivative tables, which the library
-builds with array operations; the tables must be equal.
+builds with array operations; the tables must be equal.  ``truncated`` and
+``count_through_order`` are jet helpers only the tests use.
 """
 
 import itertools
@@ -144,22 +145,38 @@ def compose_full(jet, series):
     return out
 
 
+def truncated(jet, order):
+    """``jet`` cut to a lower ``order``, in the algebra of the same cap."""
+    assert order <= jet.order
+    alg = _algebra(jet.n_vars, order, jet.alg.cap)
+    return Jet(alg, jet.coef[: alg.size].copy(), min(jet.deg, order))
+
+
+def count_through_order(alg):
+    """Number of basis monomials of order <= d, for d = 0 .. alg.order."""
+    return np.cumsum(np.bincount(alg.orders, minlength=alg.order + 1)).tolist()
+
+
 def jet_partial(jet, alpha):
     """The mixed partial d^alpha f at the base point: coefficient times alpha!."""
     return jet.coefficient(alpha) * math.prod(math.factorial(e) for e in alpha)
 
 
-def as_jets(scope, T, alg=None):
-    """A scope's coefficient array (*shape, size) as one Jet per entry; a
-    scalar field comes back as one Jet.  ``alg`` is the array's jet algebra,
-    by default that of the cached field T is."""
-    alg = scope._alg_of(T) if alg is None else alg
+def as_jets(T, alg):
+    """A coefficient array (*shape, size) in the jet algebra ``alg`` as one
+    Jet per entry; a scalar field comes back as one Jet."""
     if T.ndim == 1:
         return Jet(alg, T.copy())
     out = np.empty(T.shape[:-1], dtype=object)
     for idx in np.ndindex(out.shape):
         out[idx] = Jet(alg, T[idx].copy())
     return out
+
+
+def field_jets(scope, name):
+    """Field ``name`` of a scope at its full order, as jets in the algebra
+    it is built in."""
+    return as_jets(scope.field(name), scope._at(*scope._built[name]))
 
 
 def as_coefs(T):
@@ -198,7 +215,7 @@ def _padded(jet, alg):
 def g_inv_full(scope):
     """Neumann-series inverse of the scope's g, every iteration at g's order."""
     n = scope.n
-    g = as_jets(scope, scope.field("g"))
+    g = field_jets(scope, "g")
     inv0 = scope.field("ginv0")
     alg = g[0, 0].alg
     base = np.empty((n, n), dtype=object)
@@ -227,7 +244,7 @@ def hderiv_loop(scope, T, valence=(), N=None, Gamma=None):
     """Berwald horizontal derivative of jets T, one jet product at a time;
     N and Gamma default to the scope's fields at full order."""
     n = scope.n
-    N = as_jets(scope, scope.field("N")) if N is None else N
+    N = field_jets(scope, "N") if N is None else N
     if isinstance(T, Jet):
         out = np.empty((n,), dtype=object)
         dy = [T.deriv(n + m) for m in range(n)]
@@ -238,7 +255,7 @@ def hderiv_loop(scope, T, valence=(), N=None, Gamma=None):
             out[k] = acc
         return out
     if valence and Gamma is None:
-        Gamma = as_jets(scope, scope.field("Gamma"))
+        Gamma = field_jets(scope, "Gamma")
     out = np.empty(T.shape + (n,), dtype=object)
     for idx in np.ndindex(T.shape):
         jet = T[idx]
@@ -329,7 +346,7 @@ def _loop_g_inv(sc, g, ginv0):
         Mt = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(n):
-                Mt[i, j] = M[i, j].truncated(t)
+                Mt[i, j] = truncated(M[i, j], t)
                 X[i, j] = _padded(X[i, j], alg_t)
         X = _matmul_jets(Mt, X)
         for i in range(n):
@@ -606,7 +623,7 @@ def mul_table_loop(alg):
     """The product table (mi, mj, mo) of ``alg``, built pair by pair."""
     mi, mj, mo = [], [], []
     for i, ei in enumerate(alg.exponents):
-        limit = alg.count_through_order[alg.order - sum(ei)]
+        limit = count_through_order(alg)[alg.order - sum(ei)]
         for j in range(limit):
             mi.append(i)
             mj.append(j)

@@ -52,10 +52,6 @@ def _vals(sc, name):
     return sc.values(name)
 
 
-def _values_of(field):
-    return field[..., 0]
-
-
 @pytest.fixture(scope="module")
 def funk2_geodesic(corpus):
     return integrate_geodesic(
@@ -127,8 +123,8 @@ def test_04_curvature_derivative_identity(corpus, scorecard):
         m = corpus[name]
         for st in an.sample_states(m, 10, seed=2):
             sc = point_scope(m, st, 7)
-            RhhV = _values_of(sc.field("RhhV"))
-            Bh = _values_of(sc.hderiv(sc.field("B"), ("up", "lo", "lo", "lo")))
+            RhhV = sc.values("RhhV")
+            Bh = sc.hderiv("B")
             rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
             worst = max(worst, rel_residual(RhhV, rhs, floor=1.0))
     ok = worst <= 1e-5
@@ -145,7 +141,7 @@ def test_05_stretch_from_curvature(corpus, scorecard):
         m = corpus[name]
         for st in an.sample_states(m, 6, seed=4):
             sc = point_scope(m, st, 7)
-            RhhV = _values_of(sc.field("RhhV"))
+            RhhV = sc.values("RhhV")
             pred = np.einsum("i,ijklm->jmkl", sc.values("ylow"), RhhV)
             worst_rel = max(
                 worst_rel, rel_residual(sc.values("Sigma"), pred, floor=1.0)
@@ -175,8 +171,8 @@ def test_06_two_route_torsion_and_metric_derivatives(corpus, scorecard):
                 rel_residual(sc.values("L_C"), sc.values("L_B"), floor=1.0),
                 rel_residual(sc.values("J_I"), sc.values("J_L"), floor=1.0),
             )
-            gh = _values_of(sc.hderiv(sc.field("g"), ("lo", "lo")))
-            gv = _values_of(sc.vderiv(sc.field("g")))
+            gh = sc.hderiv("g")
+            gv = sc.vderiv("g")
             worst_gderiv = max(
                 worst_gderiv,
                 rel_residual(gh, -2.0 * sc.values("L_C"), floor=1.0),

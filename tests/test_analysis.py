@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab import analysis as an
-from finslerlab.curvature import PointState, point_scope
+from finslerlab.curvature import FieldScope, PointState, point_scope
 from finslerlab.errors import (
     CrossCheckFailure,
     DimensionError,
@@ -29,8 +29,8 @@ from finslerlab.errors import (
     RiemannianPoint,
     UndefinedFit,
 )
-from finslerlab.metrics import build_metric, builtin
-from finslerlab.transport import integrate_geodesic
+from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
+from finslerlab.transport import integrate_geodesic, scalar_flows
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +251,78 @@ def test_stretch_dichotomy_vacuous():
     g = integrate_geodesic(m, (0.1, 0.0), (0.3, 0.2), 1.0)
     res = an.check_stretch_dichotomy(m, g, samples=4)
     assert res.verdict == "vacuous"
+
+
+# --- reads by name: no field is built twice in one scope ---
+
+
+@pytest.fixture()
+def rebuilds(monkeypatch):
+    """(field, order, cap) of every build over a field a scope already holds."""
+    seen = []
+    field = FieldScope.field
+
+    def watched(self, name, order=None, cap=None):
+        before = self._built.get(name)
+        out = field(self, name, order, cap)
+        if before is not None and self._built[name] != before:
+            seen.append((name, *self._built[name]))
+        return out
+
+    monkeypatch.setattr(FieldScope, "field", watched)
+    return seen
+
+
+FLOWS = ("phidot", "phi", "L_norm", "mu", "p", "c")
+
+#: callers whose scopes read derivatives by name, each at 3 samples
+SCOPE_CALLERS = {
+    "principal-scalar": lambda m, geo: an.check_principal_scalar_relation(m, geo, samples=3),
+    "stretch-dichotomy": lambda m, geo: an.check_stretch_dichotomy(m, geo, samples=3),
+    "frame": lambda m, geo: an.berwald_frame(m, PointState(*geo.state(0.4)), with_mu=True),
+    "flows": lambda m, geo: scalar_flows(m, geo, quantities=FLOWS, samples=3),
+}
+
+
+@pytest.mark.parametrize("caller", list(SCOPE_CALLERS))
+def test_no_field_is_built_twice(funk2, funk2_geodesic, rebuilds, caller):
+    # each caller reads a derivative before the values of the same field and
+    # reads N and Gamma at order 0, so every field is built once, at its plan
+    # or at the order a first derivative reads
+    SCOPE_CALLERS[caller](funk2, funk2_geodesic)
+    assert rebuilds == []
+
+
+def test_flows_rebuild_only_phi_listed_before_phidot(funk2, funk2_geodesic, rebuilds):
+    phi_first = ("phi", "phidot", "L_norm", "mu", "p", "c")
+    flow = scalar_flows(funk2, funk2_geodesic, quantities=phi_first, samples=3)
+    assert rebuilds == [("phi", 1, 1)] * 3
+    ref = scalar_flows(funk2, funk2_geodesic, quantities=FLOWS, samples=3)
+    for q in FLOWS:
+        assert np.array_equal(flow.columns[q], ref.columns[q], equal_nan=True), q
+
+
+# --- the stretch ratio by its two routes ---
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_stretch_ratio_routes_agree(name):
+    # the cratio field (jet folds) and the fits' numpy sums round
+    # differently; they agree to 1e-12 and fail at the same points
+    m = build_metric(builtin(name))
+    for st in an.sample_states(m, 8, seed=41):
+        sc = point_scope(m, st, 5)
+        try:
+            field = sc.values("cratio")
+        except UndefinedFit:
+            field = None
+        try:
+            fitted = an._stretch_ratio_values(sc.values("Sigma"), sc.values("D"), sc.values("F"))[0]
+        except UndefinedFit:
+            fitted = None
+        assert (field is None) == (fitted is None), st
+        if field is not None:
+            assert abs(field - fitted) <= 1e-12 * max(abs(fitted), 1e-300), st
 
 
 # --- constant flag curvature chain ---

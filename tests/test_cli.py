@@ -467,6 +467,17 @@ def test_malformed_time_span_exits_2(funk2_spec, capsys, span):
     _assert_rejected(capsys)
 
 
+@pytest.mark.parametrize("vectors", [
+    ["--x0", "nan,0", "--y0", "0.3,0.2"],
+    ["--x0", "0.1,0", "--y0", "inf,0.3"],
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;nan"],
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;0.01,inf"],
+])
+def test_non_finite_vectors_exit_2(funk2_spec, capsys, vectors):
+    assert main(["geodesic", funk2_spec, "--t", "0.5", "--samples", "2", *vectors]) == 2
+    _assert_rejected(capsys)
+
+
 @pytest.mark.parametrize("thresholds", [
     "[1]", '{"berwald": "x"}', '{"foo": 1}', '{"berwald": NaN}', '{"berwald": Infinity}',
     '{"berwald": true}', "1e-8",

@@ -307,22 +307,14 @@ def test_bundle_blocks_are_scope_values(corpus, name):
 def test_metric_compatibility_defect(funk2, funk2_bundle):
     """Berwald-horizontal derivative of g equals -2L (the Landsberg defect)."""
     b = funk2_bundle
-    gh = b.scope.hderiv(b.scope.field("g"), VALENCE["g"])[..., 0]
+    gh = b.scope.hderiv("g")
     assert rel_err(gh, -2.0 * b.block("L").values) < 1e-11
 
 
 def test_vertical_derivative_of_g_is_cartan(funk2, funk2_bundle):
     b = funk2_bundle
-    gv = b.scope.vderiv(b.scope.field("g"))[..., 0]
+    gv = b.scope.vderiv("g")
     assert rel_err(gv, 2.0 * b.block("C").values) < 1e-12
-
-
-def _hderiv(sc, name):
-    return sc.hderiv(sc.field(name), VALENCE[name])[..., 0]
-
-
-def _vderiv(sc, name):
-    return sc.vderiv(sc.field(name))[..., 0]
 
 
 @pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
@@ -335,16 +327,16 @@ def test_derivatives_without_a_scope_seed_the_ledger_order(corpus, name):
     deep = point_scope(m, p, 7)
     for field in DERIV_FIELDS:
         least = 1 + DEPTH[field]
-        for deriv, order in ((_hderiv, max(least, DEPTH["N"], DEPTH["Gamma"])), (_vderiv, least)):
-            got = deriv(point_scope(m, p, max(2, order)), field)
-            assert np.array_equal(got, deriv(deep, field)), (field, deriv.__name__)
+        for deriv, order in (("hderiv", max(least, DEPTH["N"], DEPTH["Gamma"])), ("vderiv", least)):
+            got = getattr(point_scope(m, p, max(2, order)), deriv)(field)
+            assert np.array_equal(got, getattr(deep, deriv)(field)), (field, deriv)
 
 
 def test_bianchi_relates_hh_curvature_and_berwald(funk2, funk2_bundle):
     """R_j^i_{kl.m} = B^i_{jml|k} - B^i_{jmk|l}, evaluated entrywise."""
     sc = funk2_bundle.scope
-    RhhV = sc.field("RhhV")[..., 0]
-    Bh = sc.hderiv(sc.field("B"), ("up", "lo", "lo", "lo"))[..., 0]
+    RhhV = sc.values("RhhV")
+    Bh = sc.hderiv("B")
     assert RhhV.shape == Bh.shape == (2,) * 5
     rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
     assert rel_residual(RhhV, rhs, floor=1.0) < 1e-10

@@ -15,6 +15,8 @@ Oracles used here:
     metric scales like eps^2.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,9 @@ def test_geodesic_guards(funk2):
         integrate_geodesic(funk2, (1.2, 0.0), (1.0, 0.0), 1.0)
     with pytest.raises(ShapeMismatch):
         integrate_geodesic(funk2, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
+    for span in (float("nan"), -math.inf, (0.0, float("nan")), (math.inf, 1.0)):
+        with pytest.raises(BadConfig):
+            integrate_geodesic(funk2, (0.1, 0.0), (1.0, 0.3), span)
 
 
 # --- parallel transport ---
@@ -311,6 +316,9 @@ def test_parallelogram_guards(funk2):
         parallelogram_holonomy(
             funk2, (0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), [0.9]
         )
+    for eps in ([float("nan")], [0.01, math.inf], [float("nan"), 0.01]):
+        with pytest.raises(BadConfig):
+            parallelogram_holonomy(funk2, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), eps)
 
 
 # --- scalar flows ---
