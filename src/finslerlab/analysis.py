@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .curvature import PointState, point_scope, rel_residual, require_stretch_design
+from .curvature import DEPTH, PointState, point_scope, rel_residual, require_stretch_design
 from .errors import (
     CrossCheckFailure,
     DimensionError,
@@ -136,6 +136,11 @@ _FLAG_FIELDS = {
     "r_quadratic": "RhhV",
 }
 
+#: least seed orders at which the fields classify and the stretch fit read
+#: have values, derived like ``curvature.MIN_ORDER``
+_CLASSIFY_ORDER = max(2, *(DEPTH[f] for f in _FLAG_FIELDS.values()))
+_STRETCH_ORDER = max(2, *(DEPTH[f] for f in ("Sigma", "D", "F")))
+
 #: a true flag forces these other flags true
 _IMPLICATIONS = {
     "riemannian": ("berwald",),
@@ -236,7 +241,7 @@ def _stretch_ratio_values(S, D, F):
     return c, residual, float(np.sqrt(den))
 
 
-def fit_relative_stretch(metric, points=None, count=20, seed=0, order=5):
+def fit_relative_stretch(metric, points=None, count=20, seed=0):
     """Fit the ratio c in Sigma = c F (C_{|l} - C_{|k}) over sampled points.
 
     ``points`` may be a PointState, a sequence of them, or None (then
@@ -247,7 +252,7 @@ def fit_relative_stretch(metric, points=None, count=20, seed=0, order=5):
     states = _as_states(metric, points, count, seed)
     cs, resids, norms = [], [], []
     for st in states:
-        sc = point_scope(metric, st, order=order)
+        sc = point_scope(metric, st, order=_STRETCH_ORDER)
         c, r, dn = _stretch_ratio_values(
             sc.values("Sigma"), sc.values("D"), sc.values("F")
         )
@@ -615,7 +620,7 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
 # classification
 
 
-def classify(metric, samples=12, seed=0, thresholds=None, order=7):
+def classify(metric, samples=12, seed=0, thresholds=None):
     """Classify a metric by which curvature tensors vanish on sampled points.
 
     Each flag compares the max-abs norm of one tensor over the samples with
@@ -630,7 +635,7 @@ def classify(metric, samples=12, seed=0, thresholds=None, order=7):
     states = sample_states(metric, samples, seed)
     norms = {name: 0.0 for name in CLASS_FLAGS}
     for st in states:
-        sc = point_scope(metric, st, order=order)
+        sc = point_scope(metric, st, order=_CLASSIFY_ORDER)
         for name in CLASS_FLAGS:
             norm = float(np.max(np.abs(sc.values(_FLAG_FIELDS[name]))))
             if not math.isfinite(norm):

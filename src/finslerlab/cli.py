@@ -43,6 +43,7 @@ from .curvature import (
     rel_residual,
 )
 from .errors import (
+    BadConfig,
     ChartExit,
     DegenerateFlag,
     DimensionError,
@@ -52,8 +53,10 @@ from .errors import (
     OutOfChart,
     ParseError,
     RiemannianPoint,
+    ShapeMismatch,
     SpecError,
     UndefinedFit,
+    ZeroVector,
 )
 from .metrics import MetricSpec, build_metric, validate
 from .transport import integrate_geodesic, parallelogram_holonomy, scalar_flows
@@ -140,6 +143,8 @@ def _load_points(path, n):
             raise SpecError(f"points file {path!r}: each entry needs x and y") from e
         except ValueError as e:
             raise SpecError(f"points file {path!r}: x and y must hold numbers: {e}") from e
+        except (BadConfig, ShapeMismatch, ZeroVector) as e:
+            raise SpecError(f"points file {path!r}: {e}") from e
         if len(states[-1].x) != n:
             raise SpecError(f"points file {path!r}: point dimension != {n}")
     return states

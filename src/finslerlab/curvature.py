@@ -87,14 +87,16 @@ from .jets import Jet, _algebra, _seeds, deriv_rows, mul_rows, mul_seeds
 BUNDLE_ORDER = 7
 
 #: Slot kinds of the tensor fields; a horizontal or vertical derivative adds
-#: a lower slot.
+#: a lower slot (the ``HDERIVS`` fields join below them).  frame2 is not
+#: listed: its rows are frame vectors, not tensor slots.
 VALENCE = {
     "F": (), "F2": (), "g": ("lo", "lo"), "g_inv": ("up", "up"), "h": ("lo", "lo"),
-    "g0": ("lo", "lo"), "ginv0": ("up", "up"), "G": ("up",), "N": ("up", "lo"),
-    "Gamma": ("up", "lo", "lo"),
+    "g0": ("lo", "lo"), "ginv0": ("up", "up"), "ylow": ("lo",), "gv": ("lo",) * 3,
+    "G": ("up",), "N": ("up", "lo"), "Gamma": ("up", "lo", "lo"),
     "C": ("lo",) * 3, "I": ("lo",), "B": ("up", "lo", "lo", "lo"), "E": ("lo", "lo"),
-    "R1": ("up", "lo"), "Rhh": ("up", "lo", "lo", "lo"), "L_B": ("lo",) * 3,
-    "L_C": ("lo",) * 3, "J_L": ("lo",), "J_I": ("lo",), "Sigma": ("lo",) * 4,
+    "R1": ("up", "lo"), "Rhh": ("up", "lo", "lo", "lo"), "RhhV": ("up",) + ("lo",) * 4,
+    "L_B": ("lo",) * 3, "L_C": ("lo",) * 3, "J_L": ("lo",), "J_I": ("lo",),
+    "Sigma": ("lo",) * 4, "D": ("lo",) * 4,
 }
 
 #: The truncation ledger: each field's inputs as (input, extra depth, extra
@@ -147,6 +149,7 @@ LEDGER.update(
     (name, ((T, 1, 1), ("N", 0, 0)) + ((("Gamma", 0, 0),) if VALENCE[T] else ()))
     for name, T in HDERIVS.items()
 )
+VALENCE.update((name, VALENCE[T] + ("lo",)) for name, T in HDERIVS.items())
 
 #: fields held as float matrices, with no jet order
 _FLOATS = ("g0", "ginv0")
@@ -223,6 +226,8 @@ class PointState:
         object.__setattr__(self, "y", tuple(float(v) for v in self.y))
         if len(self.x) != len(self.y):
             raise ShapeMismatch(f"x has {len(self.x)} components, y has {len(self.y)}")
+        if not all(map(math.isfinite, self.x + self.y)):
+            raise BadConfig(f"point coordinates must be finite, got x = {self.x}, y = {self.y}")
         if all(v == 0.0 for v in self.y):
             raise ZeroVector("y must be nonzero")
 
@@ -259,17 +264,12 @@ def rel_residual(lhs, rhs=None, floor=1e-12):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def _seed_point(metric, x, y, alg):
-    """Gate (x, y) against the metric's dimension and chart, then seed jets
-    in the algebra ``alg``.
-
-    The seeding rejects a y of the wrong length and a zero y.
-    """
+def _check_point(metric, x):
+    """Gate x against the metric's dimension and chart."""
     if len(x) != metric.n:
         raise ShapeMismatch(f"point has dimension {len(x)}, metric has {metric.n}")
     if not metric.chart.contains(x):
         raise OutOfChart(f"x = {x} outside metric chart")
-    return _seeds(alg, x, y)
 
 
 def _F_jet(metric, xj, yj):
@@ -358,7 +358,7 @@ class FieldScope:
         self.n = metric.n
         self._xs = range(self.n)
         self._ys = range(self.n, 2 * self.n)
-        self.xj, self.yj = _seed_point(metric, point.x, point.y, self._at(order, SEED_CAP))
+        _check_point(metric, point.x)
         self._y0 = np.array(point.y)
         self._plan = _plan(order)
         self._cache = {}
@@ -687,7 +687,7 @@ def _ensure_scope(metric, point, scope, op, order=None):
     return scope if scope is not None else point_scope(metric, point, order)
 
 
-#: F^2 partials read by the direct spray path, named by differentiation
+#: F^2 partials read by :func:`spray_values`, named by differentiation
 #: slots with the x slot last: entry [l, j, k] of "yyx" is
 #: d^3 F^2 / dy^l dy^j dx^k.  A pattern of length d needs seed order d.
 _SPRAY_PARTIALS = ("x", "yy", "yx", "yyy", "yyx", "yyyy", "yyyx")
@@ -714,24 +714,26 @@ def _spray_slots(alg):
     return slots
 
 
-def _direct_spray(metric, x, y, depth):
-    """Float g and spray fields at (x, y) from one F^2 jet of order 2 + depth
-    and x-degree cap 1: every pattern in ``_SPRAY_PARTIALS`` holds one x at most.
+def spray_values(metric, x, y, depth=0):
+    """Float g and spray fields at (x, y), for ODE right-hand sides: [g, G]
+    for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma] for depth 2.
 
-    Returns [g, G] for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma]
-    for depth 2.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
+    No :class:`FieldScope`: one F^2 jet of order 2 + depth and x-degree cap
+    1, since every pattern in ``_SPRAY_PARTIALS`` holds one x at most, and
+    float linear algebra.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
     u = 4G solves A u = b, and differentiating that system in y gives
 
         u_{,j}  = A^{-1} (b_{,j} - A_{,j} u)                                  = 4 N_j
         u_{,jk} = A^{-1} (b_{,jk} - A_{,jk} u - A_{,j} u_{,k} - A_{,k} u_{,j})  = 4 Gamma_jk
 
     so g and G need F^2 at order 2, N order 3 and Gamma order 4.  The gates
-    are those of :class:`FieldScope`: dimension, chart, zero y, jet
-    propagation, F > 0 and positive definiteness of g.
+    are a scope's: dimension, chart, y's length, a zero y, jet propagation,
+    F > 0 and positive definiteness of g.
     """
     x = tuple(float(v) for v in x)
     y = tuple(float(v) for v in y)
-    f = _F_jet(metric, *_seed_point(metric, x, y, _algebra(2 * metric.n, 2 + depth, 1)))
+    _check_point(metric, x)
+    f = _F_jet(metric, *_seeds(_algebra(2 * metric.n, 2 + depth, 1), x, y))
     F2 = f * f
     P = {p: F2.coef[idx] * scale for p, (idx, scale) in _spray_slots(F2.alg).items()}
     g = 0.5 * P["yy"]
@@ -753,17 +755,6 @@ def _direct_spray(metric, x, y, depth):
         n = len(y)
         out.append(0.25 * (ginv @ rhs.reshape(n, -1)).reshape(n, n, n))
     return out
-
-
-def spray_values(metric, x, y, with_N=False):
-    """G, or (G, N) when ``with_N``, as floats for ODE right-hand sides.
-
-    Takes the direct path: one F^2 jet of order 2 (3 with N) and float
-    linear algebra, no :class:`FieldScope`.  It raises what a scope would:
-    ShapeMismatch, OutOfChart, ZeroVector, BadConfig and SingularMetric.
-    """
-    out = _direct_spray(metric, x, y, 1 if with_N else 0)
-    return (out[1], out[2]) if with_N else out[1]
 
 
 def _route_residual(scope, name, other):

@@ -85,16 +85,6 @@ class MetricSpec:
         return MetricSpec(n=n, family="riemannian", a=eye, label=label)
 
     @staticmethod
-    def riemannian(n, a, chart_radius=None, label="riemannian"):
-        return MetricSpec(
-            n=n,
-            family="riemannian",
-            a=tuple(tuple(row) for row in a),
-            chart_radius=chart_radius,
-            label=label,
-        )
-
-    @staticmethod
     def sphere_chart(n, label="sphere"):
         """Round sphere in the conformal chart a_ij = 4 delta_ij/(1+|x|^2)^2."""
         entry = "4/(1 + abs2(x))^2"
@@ -424,7 +414,7 @@ def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
 
 def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> ValidationReport:
     """Positive homogeneity and strong convexity over random chart samples."""
-    from .curvature import PointState, point_scope  # deferred: layering
+    from . import curvature  # deferred: layering
 
     rng = np.random.default_rng(seed)
     failures = []
@@ -448,8 +438,8 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
                     {"x": list(x), "y": list(y), "problem": f"homogeneity residual {resid:.3e}"}
                 )
         try:
-            # the scope raises SingularMetric unless g0 is positive definite
-            g0 = point_scope(m, PointState(tuple(x), tuple(y)), 2).values("g0")
+            # SingularMetric unless g is positive definite
+            g0 = curvature.spray_values(m, x, y)[0]
             min_eig = min(min_eig, float(np.linalg.eigvalsh(g0)[0]))
         except SingularMetric as e:
             ev = e.min_eigenvalue if e.min_eigenvalue is not None else float("nan")

@@ -23,6 +23,12 @@ parallelogram experiment's F-length channel measures integrator noise
 for every metric; the support/probe channel below is the one that
 resolves the stretch tensor.  See the probe description on
 :func:`parallelogram_holonomy`.
+
+Every float spray read here is one call of
+:func:`finslerlab.curvature.spray_values`, looked up on that module at call
+time: G for a geodesic right-hand side at depth 0, N for a transport at
+depth 1, N and Gamma for the parallelogram's probe at depth 2, and g for a
+length column at depth 0.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import PointState, _direct_spray, point_scope
+from . import curvature
 from .errors import (
     BadConfig,
     ChartExit,
@@ -62,6 +68,12 @@ _B4 = np.array(
 )
 
 _RECOVERABLE = (DomainError, OutOfChart, SingularMetric, ZeroVector, FloatingPointError)
+
+#: relative drift of F, a first integral of the spray, that an accepted step
+#: may leave; the step budget of one integration; the transport tolerance
+_F_TOL = 5e-8
+_MAX_STEPS = 100000
+_TRANSPORT_TOL = 1e-10
 
 
 @dataclass
@@ -93,17 +105,28 @@ class _Path:
         )
 
 
-def _integrate(
-    rhs,
-    z0,
-    span,
-    rtol=1e-10,
-    atol=1e-12,
-    invariant=None,
-    invariant_tol=5e-8,
-    inside=None,
-    max_steps=100000,
-):
+def _bisect(inside, at, lo, hi, width):
+    """Halve [lo, hi], with at(lo) inside and at(hi) not, until it is
+    narrower than ``width`` or 80 times; returns the last (lo, hi)."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if inside(at(mid)):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < width:
+            break
+    return lo, hi
+
+
+def _chart_exit(ts, zs, fs, t_exit):
+    """ChartExit at ``t_exit``, carrying the accepted nodes as ``partial``."""
+    exc = ChartExit(f"trajectory leaves the chart at t = {t_exit:.9g}", t_exit=t_exit)
+    exc.partial = _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs))
+    return exc
+
+
+def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=None):
     """Adaptive RK step loop; returns a _Path over t in [0, span] (span > 0)."""
     z = np.asarray(z0, dtype=float)
     t = 0.0
@@ -112,7 +135,7 @@ def _integrate(
     h = span / 64.0
     hmin = span * 1e-13
     rejected_in_a_row = 0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= span:
             return _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs))
         h = min(h, span - t)
@@ -125,23 +148,9 @@ def _integrate(
             # A chart boundary dead ahead starves the step loop (stages keep
             # raising); detect it with a first-order probe and walk onto it.
             if inside is not None and not inside(z + h * fs[-1]):
-                lo, hi = 0.0, h
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if inside(z + mid * fs[-1]):
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-15 * max(span, 1.0):
-                        break
+                lo, hi = _bisect(inside, lambda s: z + s * fs[-1], 0.0, h, 1e-15 * max(span, 1.0))
                 if hi <= max(8 * hmin, 1e-12 * span):
-                    partial = _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs))
-                    exc = ChartExit(
-                        f"trajectory leaves the chart at t = {t + hi:.9g}",
-                        t_exit=t + hi,
-                    )
-                    exc.partial = partial
-                    raise exc from None
+                    raise _chart_exit(ts, zs, fs, t + hi) from None
                 h = max(0.9 * lo, 4 * hmin)  # step to just inside the boundary
                 continue
             h *= 0.5
@@ -164,7 +173,7 @@ def _integrate(
                 defect = invariant(z5)
             except _RECOVERABLE:
                 defect = math.inf
-            if defect > invariant_tol:
+            if defect > _F_TOL:
                 ok = False
                 enorm = max(enorm, 4.0)  # force a real shrink
         if not ok:
@@ -180,33 +189,62 @@ def _integrate(
         f5 = k[6]  # first same as last: the next step's first stage
         if inside is not None and not inside(z5):
             # exit happened inside this step: bisect the Hermite interpolant
-            piece = _Path(
-                np.array([t, t + h]),
-                np.stack([z, z5]),
-                np.stack([fs[-1], f5]),
-            )
-            lo, hi = t, t + h
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if inside(piece.state(mid)):
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-14 * max(1.0, abs(span)):
-                    break
-            partial = _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs))
-            exc = ChartExit(
-                f"trajectory leaves the chart at t = {hi:.9g}", t_exit=hi
-            )
-            exc.partial = partial
-            raise exc
+            piece = _Path(np.array([t, t + h]), np.stack([z, z5]), np.stack([fs[-1], f5]))
+            _, hi = _bisect(inside, piece.state, t, t + h, 1e-14 * max(1.0, abs(span)))
+            raise _chart_exit(ts, zs, fs, hi)
         t += h
         z = z5
         ts.append(t)
         zs.append(z.copy())
         fs.append(f5)
         h *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
-    raise StepFailure(f"step budget exhausted after {max_steps} steps at t = {t:.6g}")
+    raise StepFailure(f"step budget exhausted after {_MAX_STEPS} steps at t = {t:.6g}")
+
+
+def _vectors(n, *groups):
+    """The vectors of ``groups``, (label, vector, ...) tuples, as float arrays.
+
+    Every vector must have n components, or ShapeMismatch names its group
+    ("x0 and y0 need 2 components"); then every one must be finite, or
+    BadConfig.
+    """
+    out = []
+    for label, *vecs in groups:
+        vecs = [np.asarray(v, dtype=float) for v in vecs]
+        if any(v.shape != (n,) for v in vecs):
+            raise ShapeMismatch(f"{label} need{'' if len(vecs) > 1 else 's'} {n} components")
+        out += [(label, v) for v in vecs]
+    for label, v in out:
+        if not np.all(np.isfinite(v)):
+            raise BadConfig(f"{label} must be finite, got {v.tolist()}")
+    return [v for _, v in out]
+
+
+def _F_drift(metric, F0, x, y):
+    """Largest relative deviation of F(x_i, y_i) from F0 over the rows of x and y."""
+    Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
+    return float(np.max(np.abs(Fs - F0)) / F0)
+
+
+def _along_spray(metric, rhs, z0, span, tol, F0):
+    """:func:`_integrate` a state that starts (x, xdot, ...), with F(x, xdot)
+    held to F0 as an accept/reject gate and x to the chart."""
+    n = metric.n
+    return _integrate(
+        rhs,
+        z0,
+        span,
+        rtol=tol,
+        atol=tol * 1e-2,
+        invariant=lambda z: _F_drift(metric, F0, [z[:n]], [z[n : 2 * n]]),
+        inside=lambda z: metric.chart.contains(z[:n]),
+    )
+
+
+def _g_length(metric, x, ref, w):
+    """Length of w in the fundamental tensor at (x, ref)."""
+    g = curvature.spray_values(metric, x, ref)[0]
+    return math.sqrt(max(float(w @ g @ w), 0.0))
 
 
 # --- geodesics ---
@@ -261,10 +299,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     accept/reject gate at 5e-8 relative.
     """
     n = metric.n
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    if x0.shape != (n,) or y0.shape != (n,):
-        raise ShapeMismatch(f"x0 and y0 need {n} components")
+    x0, y0 = _vectors(n, ("x0 and y0", x0, y0))
     if not np.any(y0):
         raise ZeroVector("geodesic needs a nonzero initial velocity")
     if not metric.chart.contains(x0):
@@ -284,29 +319,13 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     sign = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
 
-    from .curvature import spray_values
-
     def rhs(_t, z):
         x, y = z[:n], z[n:]
-        G = spray_values(metric, x, y)
+        G = curvature.spray_values(metric, x, y)[1]
         return np.concatenate([sign * y, -2.0 * sign * G])
 
-    def f_defect(z):
-        return abs(float(metric.F(tuple(z[:n]), tuple(z[n:]))) - F0) / F0
-
-    def inside(z):
-        return metric.chart.contains(z[:n])
-
     try:
-        path = _integrate(
-            rhs,
-            np.concatenate([x0, y0]),
-            span,
-            rtol=tol,
-            atol=tol * 1e-2,
-            invariant=f_defect,
-            inside=inside,
-        )
+        path = _along_spray(metric, rhs, np.concatenate([x0, y0]), span, tol, F0)
     except ChartExit as exc:
         exc.t_exit = t0 + sign * exc.t_exit
         if getattr(exc, "partial", None) is not None:
@@ -321,8 +340,6 @@ def _wrap_geodesic(metric, path, t0, sign, F0, unit_speed):
     n = metric.n
     x = path.z[:, :n]
     y = path.z[:, n:]
-    Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
-    drift = float(np.max(np.abs(Fs - F0)) / F0)
     return GeodesicSolution(
         label=getattr(metric, "label", ""),
         n=n,
@@ -330,7 +347,7 @@ def _wrap_geodesic(metric, path, t0, sign, F0, unit_speed):
         x=x,
         y=y,
         F0=F0,
-        F_drift=drift,
+        F_drift=_F_drift(metric, F0, x, y),
         unit_speed=unit_speed,
         _path=path,
         _sign=sign,
@@ -349,7 +366,7 @@ class TransportResult:
     length_drift: float     # relative drift of the length column
 
 
-def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear", tol=1e-10):
+def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
     """Transport V0 along a geodesic in the selected mode.
 
     The joint system (x, y, V) is re-integrated from the geodesic's own
@@ -358,9 +375,7 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear", to
     if mode not in ("linear", "nonlinear"):
         raise BadConfig(f"transport mode must be linear or nonlinear, got {mode!r}")
     n = metric.n
-    V0 = np.asarray(V0, dtype=float)
-    if V0.shape != (n,):
-        raise ShapeMismatch(f"V0 needs {n} components")
+    (V0,) = _vectors(n, ("V0", V0))
     vscale = float(np.linalg.norm(V0))
     if vscale == 0.0:
         raise ZeroVector("V0 must be nonzero")
@@ -369,8 +384,6 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear", to
     sign = geodesic._sign
     span = abs(geodesic.t_final - float(geodesic.t[0]))
 
-    from .curvature import spray_values
-
     def rhs(_t, z):
         x, y, V = z[:n], z[n : 2 * n], z[2 * n :]
         if mode == "nonlinear" and np.linalg.norm(V) < 1e-10 * vscale:
@@ -378,45 +391,28 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear", to
                 "transported vector collapsed; nonlinear mode undefined"
             )
         if mode == "linear":
-            G, N = spray_values(metric, x, y, with_N=True)
+            _, G, N = curvature.spray_values(metric, x, y, 1)
             dV = -N @ V
         else:
-            G = spray_values(metric, x, y)
-            _, Nv = spray_values(metric, x, V, with_N=True)
+            G = curvature.spray_values(metric, x, y)[1]
+            Nv = curvature.spray_values(metric, x, V, 1)[2]
             dV = -Nv @ y
         return np.concatenate([sign * y, -2.0 * sign * G, sign * dV])
 
-    def f_defect(z):
-        return abs(float(metric.F(tuple(z[:n]), tuple(z[n : 2 * n]))) - F0) / F0
-
-    def inside(z):
-        return metric.chart.contains(z[:n])
-
-    path = _integrate(
-        rhs,
-        np.concatenate([x0, y0, V0]),
-        span,
-        rtol=tol,
-        atol=tol * 1e-2,
-        invariant=f_defect,
-        inside=inside,
-    )
+    z0 = np.concatenate([x0, y0, V0])
+    path = _along_spray(metric, rhs, z0, span, _TRANSPORT_TOL, F0)
     x = path.z[:, :n]
     y = path.z[:, n : 2 * n]
     V = path.z[:, 2 * n :]
-    lengths = np.empty(len(path.t))
-    for row, (xi, yi, vi) in enumerate(zip(x, y, V)):
-        ref = yi if mode == "linear" else vi
-        g0 = _direct_spray(metric, xi, ref, 0)[0]
-        lengths[row] = math.sqrt(max(float(vi @ g0 @ vi), 0.0))
-    Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
+    refs = y if mode == "linear" else V
+    lengths = np.array([_g_length(metric, xi, ri, vi) for xi, ri, vi in zip(x, refs, V)])
     scale = max(float(np.max(lengths)), 1e-300)
     return TransportResult(
         mode=mode,
         t=geodesic.t[0] + sign * path.t,
         V=V,
         length=lengths,
-        F_drift=float(np.max(np.abs(Fs - F0)) / F0),
+        F_drift=_F_drift(metric, F0, x, y),
         length_drift=float((np.max(lengths) - np.min(lengths)) / scale),
     )
 
@@ -455,7 +451,6 @@ class ParallelogramExperiment:
     delta: np.ndarray
     delta_probe: np.ndarray
     return_defect: np.ndarray     # |w_end - w0|_inf, nonlinear channel
-    w_final: np.ndarray
     exponent: float
     exponent_probe: float
 
@@ -479,16 +474,10 @@ def parallelogram_holonomy(
     homogeneity, which empties the probe channel).
     """
     n = metric.n
-    x0 = np.asarray(x0, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    for name, vec in (("x0", x0), ("u", u), ("v", v), ("w0", w0)):
-        if vec.shape != (n,):
-            raise ShapeMismatch(f"{name} needs {n} components")
+    x0, u, v, w0 = _vectors(n, ("x0", x0), ("u", u), ("v", v), ("w0", w0))
     if np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < 1e-14:
         raise BadConfig("u and v must be linearly independent")
-    support0 = u + v if support0 is None else np.asarray(support0, dtype=float)
+    (support0,) = _vectors(n, ("support0", u + v if support0 is None else support0))
     if np.linalg.norm(support0) < 1e-14:
         raise ZeroVector("support0 must be nonzero")
     eps_arr = np.asarray(sorted(float(e) for e in eps_list))
@@ -506,18 +495,12 @@ def parallelogram_holonomy(
                 f"leaves the chart at eps = {emax:g}"
             )
 
-    from .curvature import spray_values
-
-    def length_at(ref, w):
-        g0 = _direct_spray(metric, x0, ref, 0)[0]
-        return math.sqrt(max(float(w @ g0 @ w), 0.0))
-
     len_F0 = float(metric.F(tuple(x0), tuple(w0)))
-    len_probe0 = length_at(support0, w0)
+    len_probe0 = _g_length(metric, x0, support0, w0)
     wscale = float(np.linalg.norm(w0))
     sscale = float(np.linalg.norm(support0))
 
-    deltas, deltas_probe, returns, finals = [], [], [], []
+    deltas, deltas_probe, returns = [], [], []
     for eps in eps_arr:
         state = np.concatenate([w0, support0, w0])  # (w nonlinear, Y support, W probe)
         edges = [
@@ -535,8 +518,8 @@ def parallelogram_holonomy(
                     raise VanishingVector("nonlinear transport vector collapsed")
                 if np.linalg.norm(Y) < 1e-10 * sscale:
                     raise VanishingVector("support vector collapsed")
-                _, N_w = spray_values(metric, x, wn, with_N=True)
-                _, _, N_Y, Gamma_Y = _direct_spray(metric, x, Y, 2)
+                N_w = curvature.spray_values(metric, x, wn, 1)[2]
+                _, _, N_Y, Gamma_Y = curvature.spray_values(metric, x, Y, 2)
                 return np.concatenate(
                     [
                         -_e * (N_w @ _d),
@@ -549,9 +532,8 @@ def parallelogram_holonomy(
             state = path.z[-1]
         wn_end, Y_end, W_end = state[:n], state[n : 2 * n], state[2 * n :]
         deltas.append(abs(float(metric.F(tuple(x0), tuple(wn_end))) - len_F0))
-        deltas_probe.append(abs(length_at(Y_end, W_end) - len_probe0))
+        deltas_probe.append(abs(_g_length(metric, x0, Y_end, W_end) - len_probe0))
         returns.append(float(np.max(np.abs(wn_end - w0))))
-        finals.append(wn_end)
 
     deltas = np.asarray(deltas)
     deltas_probe = np.asarray(deltas_probe)
@@ -565,7 +547,6 @@ def parallelogram_holonomy(
         delta=deltas,
         delta_probe=deltas_probe,
         return_defect=np.asarray(returns),
-        w_final=np.asarray(finals),
         exponent=_fit_exponent(eps_arr, deltas),
         exponent_probe=_fit_exponent(eps_arr, deltas_probe),
     )
@@ -622,7 +603,7 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
         x, y = geodesic.state(float(t))
         xs[row] = x
         ys[row] = y
-        scope = point_scope(metric, PointState(tuple(x), tuple(y)), 5)
+        scope = curvature.point_scope(metric, curvature.PointState(tuple(x), tuple(y)), 5)
         cols["F"][row] = scope.values("F")
         for name in names:
             if status[name] != "ok":

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from finslerlab.jets import Jet, _algebra
+from finslerlab.curvature import SEED_CAP
+from finslerlab.jets import Jet, _algebra, _seeds
 
 
 def fd_partial(f, point, alpha, h=1e-4):
@@ -289,15 +290,21 @@ def vderiv_loop(scope, T):
     return out
 
 
+def y_seeds(scope):
+    """The y seed jets at ``scope``'s point, seed order and x-degree cap."""
+    return _seeds(scope._at(scope.order, SEED_CAP), scope.point.x, scope.point.y)[1]
+
+
 def contract_loop(scope, H):
     """Trailing slot of jets H contracted with the y seeds, entry by entry."""
     n = scope.n
+    yj = y_seeds(scope)
     shape = H.shape[:-1]
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
-        acc = H[idx + (0,)] * scope.yj[0]
+        acc = H[idx + (0,)] * yj[0]
         for s in range(1, n):
-            acc = acc + H[idx + (s,)] * scope.yj[s]
+            acc = acc + H[idx + (s,)] * yj[s]
         out[idx] = acc
     return out if shape else out[()]
 
@@ -395,12 +402,13 @@ def _loop_I(sc, g_inv, C):
 
 def _loop_G(sc, F2, g_inv):
     n = sc.n
+    yj = y_seeds(sc)
     dx = [F2.deriv(k) for k in range(n)]
     brk = []
     for l in range(n):
         acc = None
         for k in range(n):
-            term = dx[k].deriv(n + l) * sc.yj[k]
+            term = dx[k].deriv(n + l) * yj[k]
             acc = term if acc is None else acc + term
         brk.append(acc - dx[l])
     out = np.empty((n,), dtype=object)
@@ -455,13 +463,14 @@ def _loop_E(sc, B):
 
 def _loop_R1(sc, G, N, Gamma):
     n = sc.n
+    yj = y_seeds(sc)
     dxG = [[G[i].deriv(k) for k in range(n)] for i in range(n)]
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for k in range(n):
             acc = dxG[i][k] * 2.0
             for j in range(n):
-                acc = acc - dxG[i][j].deriv(n + k) * sc.yj[j]
+                acc = acc - dxG[i][j].deriv(n + k) * yj[j]
                 acc = acc + (G[j] * Gamma[i, j, k]) * 2.0
                 acc = acc - N[i, j] * N[j, k]
             out[i, k] = acc
@@ -555,8 +564,9 @@ def _loop_phi(sc, g_inv, L_C):
 
 def _loop_frame2(sc, g, recF):
     ell = np.empty(2, dtype=object)
+    yj = y_seeds(sc)
     for i in range(2):
-        ell[i] = sc.yj[i] * recF
+        ell[i] = yj[i] * recF
     k0 = int(np.argmin(np.abs(np.asarray(sc.point.y))))
     glu = g[0, k0] * ell[0] + g[1, k0] * ell[1]
     mt = np.empty(2, dtype=object)

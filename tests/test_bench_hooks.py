@@ -6,9 +6,12 @@ and its per-layer metrics then read 0, so these tests fail instead.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
-from finslerlab import analysis
+import pytest
+
+from finslerlab import analysis, curvature, metrics, transport
 from finslerlab.curvature import LEDGER, point_scope
 from finslerlab.metrics import build_metric, builtin
 
@@ -34,3 +37,36 @@ def test_scope_has_the_cache_the_tracer_reads():
     assert sc._cache == {}
     sc.values("g0")
     assert "g0" in sc._cache
+
+
+@pytest.fixture
+def spray_depths(monkeypatch):
+    """Depths of the calls that reach ``curvature.spray_values`` by that name,
+    as the tracer's wrapper sees them."""
+    depths = Counter()
+    spray_values = curvature.spray_values
+
+    def counted(metric, x, y, depth=0):
+        depths[depth] += 1
+        return spray_values(metric, x, y, depth)
+
+    monkeypatch.setattr(curvature, "spray_values", counted)
+    return depths
+
+
+def test_dynamics_and_validate_read_the_traced_spray(spray_depths):
+    m = build_metric(builtin("funk2"))
+    geodesic = transport.integrate_geodesic(m, (0.1, -0.2), (0.5, 0.3), 0.3)
+    assert set(spray_depths) == {0}
+    for mode in ("linear", "nonlinear"):
+        spray_depths.clear()
+        transport.parallel_transport(m, geodesic, (0.2, 1.0), mode=mode)
+        # depth 1 for N; depth 0 for G (nonlinear) and the length column
+        assert set(spray_depths) == {0, 1}, mode
+    spray_depths.clear()
+    transport.parallelogram_holonomy(m, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), [0.05])
+    # N of the transported vector, N and Gamma at the support, probe lengths
+    assert set(spray_depths) == {0, 1, 2}
+    spray_depths.clear()
+    metrics.validate(m, samples=3)
+    assert spray_depths == {0: 3}

@@ -433,13 +433,6 @@ def test_out_of_chart_point_is_3(funk2_spec, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_zero_vector_point_is_1(funk2_spec, tmp_path, capsys):
-    pts = tmp_path / "pts.json"
-    pts.write_text(json.dumps([{"x": [0.1, 0.0], "y": [0.0, 0.0]}]))
-    assert main(["report", funk2_spec, "--points", str(pts)]) == 1
-    capsys.readouterr()
-
-
 def _assert_rejected(capsys):
     # exit 2: a message on stderr and nothing on stdout
     captured = capsys.readouterr()
@@ -452,8 +445,14 @@ def _assert_rejected(capsys):
     5,
     {"points": [{"x": ["a", 0], "y": [1, 0]}]},
     {"points": []},
-], ids=["no-points-key", "number", "non-numeric-x", "empty"])
+    [{"x": [0.1, 0.0], "y": [0.0, 0.0]}],
+    [{"x": [float("nan"), 0.0], "y": [1.0, 0.0]}],
+    [{"x": [0.1, 0.0], "y": [float("inf"), 0.3]}],
+    [{"x": [0.1, 0.0], "y": [1.0, 0.0, 0.2]}],
+], ids=["no-points-key", "number", "non-numeric-x", "empty", "zero-y", "nan-x", "inf-y",
+        "x-y-lengths"])
 def test_malformed_points_file_exits_2(funk2_spec, tmp_path, capsys, points):
+    # json writes NaN and Infinity literals, which json.loads reads back
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps(points))
     assert main(["report", funk2_spec, "--points", str(pts)]) == 2

@@ -21,9 +21,9 @@ from finslerlab import analysis, metrics
 from finslerlab.curvature import (
     BLOCKS,
     DEPTH,
+    HDERIVS,
     VALENCE,
     PointState,
-    _direct_spray,
     curvature_bundle,
     flag_curvature,
     point_scope,
@@ -74,6 +74,20 @@ def test_point_state_guards():
         PointState((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(ShapeMismatch):
         PointState((0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("x,y", [
+    ((float("nan"), 0.0), (1.0, 0.0)),
+    ((0.1, 0.0), (float("inf"), 0.3)),
+    ((0.1, -float("inf")), (1.0, float("nan"))),
+])
+def test_non_finite_points_raise(corpus, x, y):
+    # on an all-space chart a NaN x passes the chart test; the point refuses it
+    m = corpus["euclidean2"]
+    with pytest.raises(BadConfig):
+        point_scope(m, (x, y), 7)
+    with pytest.raises(BadConfig):
+        curvature_bundle(m, (x, y))
 
 
 # --- Riemannian spray against finite-difference Christoffels ---
@@ -332,6 +346,42 @@ def test_derivatives_without_a_scope_seed_the_ledger_order(corpus, name):
             assert np.array_equal(got, getattr(deep, deriv)(field)), (field, deriv)
 
 
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_horizontal_derivative_of_ylow_vanishes(corpus, name):
+    # y_{i|k} = g_{ij|k} y^j = -2 L_ijk y^j = 0
+    m = corpus[name]
+    for p in analysis.sample_states(m, 2, seed=41):
+        sc = point_scope(m, p, 7)
+        scale = max(float(np.max(np.abs(sc.values("g")))), 1.0)
+        assert float(np.max(np.abs(sc.hderiv("ylow")))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ("funk2", "randers3x"))
+@pytest.mark.parametrize("field", ("ylow", "gv", "RhhV", "D", *HDERIVS))
+def test_tensor_fields_read_through_hderiv_and_directional(corpus, name, field):
+    # RhhV has values from seed order 7, so its order-1 read needs 8
+    m = corpus[name]
+    p = analysis.sample_states(m, 1, seed=43)[0]
+    sc = point_scope(m, p, 8 if field == "RhhV" else 7)
+    shape = np.shape(sc.values(field))
+    assert len(VALENCE[field]) == len(shape)
+    H = sc.hderiv(field)
+    assert H.shape == shape + (m.n,)
+    assert rel_err(sc.directional(field), H @ np.asarray(p.y)) < 1e-13
+
+
+@pytest.mark.parametrize("name", ("funk2", "randers3x"))
+def test_listed_valences_follow_field_identities(corpus, name):
+    # gv = 2 C, gh = -2 L_C and D = Ch - Ch swapped in (k, l) hold as fields,
+    # so their horizontal derivatives agree when every valence is right
+    m = corpus[name]
+    sc = point_scope(m, analysis.sample_states(m, 1, seed=47)[0], 7)
+    assert rel_err(sc.hderiv("gv"), 2.0 * sc.values("Ch")) < 1e-12
+    assert rel_err(sc.hderiv("gh"), -2.0 * sc.values("Lh")) < 1e-11
+    Chh = sc.hderiv("Ch")
+    assert rel_err(sc.hderiv("D"), Chh - Chh.swapaxes(2, 3)) < 1e-12
+
+
 def test_bianchi_relates_hh_curvature_and_berwald(funk2, funk2_bundle):
     """R_j^i_{kl.m} = B^i_{jml|k} - B^i_{jmk|l}, evaluated entrywise."""
     sc = funk2_bundle.scope
@@ -385,10 +435,10 @@ def test_singular_directions_raise():
 
 
 def test_spray_values_fast_path(funk2):
-    G = spray_values(funk2, (0.3, -0.1), (0.8, 0.5))
+    G = spray_values(funk2, (0.3, -0.1), (0.8, 0.5))[1]
     b_G = np.asarray([0.5 * funk2.F((0.3, -0.1), (0.8, 0.5)) * v for v in (0.8, 0.5)])
     assert rel_err(G, b_G) < 1e-13
-    G2, N2 = spray_values(funk2, (0.3, -0.1), (0.8, 0.5), with_N=True)
+    _, G2, N2 = spray_values(funk2, (0.3, -0.1), (0.8, 0.5), 1)
     assert rel_err(G, G2) < 1e-14
     assert N2.shape == (2, 2)
 
@@ -406,14 +456,14 @@ def test_direct_spray_matches_scope(name):
         x = 0.5 * m.chart.sample_radius * rng.uniform(-1, 1, size=m.n) / np.sqrt(m.n)
         y = rng.normal(size=m.n)
         sc = point_scope(m, PointState(tuple(x), tuple(y)), 4)
-        direct = _direct_spray(m, x, y, 2)
+        direct = spray_values(m, x, y, 2)
         for got, key in zip(direct, ("g0", "G", "N", "Gamma")):
             want = sc.field(key) if key == "g0" else sc.values(key)
             scale = float(np.max(np.abs(want)))
             err = float(np.max(np.abs(got - want)))
             # abq3 is x-independent and its spray is 0: absolute floor
             assert err <= 1e-13 * scale + 1e-15, (key, err, scale)
-        G, N = spray_values(m, x, y, with_N=True)
+        _, G, N = spray_values(m, x, y, 1)
         assert rel_err(G, direct[1]) < 1e-14
         assert rel_err(N, direct[2]) < 1e-14
 
@@ -426,17 +476,19 @@ def test_direct_spray_G_is_the_same_at_every_depth(name):
     for _ in range(3):
         x = 0.5 * m.chart.sample_radius * rng.uniform(-1, 1, size=m.n) / np.sqrt(m.n)
         y = rng.normal(size=m.n)
-        G = spray_values(m, x, y)
+        g, G = spray_values(m, x, y)
         for depth in (0, 1, 2):
-            assert np.array_equal(_direct_spray(m, x, y, depth)[1], G)
-        assert np.array_equal(spray_values(m, x, y, with_N=True)[0], G)
+            out = spray_values(m, x, y, depth)
+            assert len(out) == 2 + depth
+            assert np.array_equal(out[0], g)
+            assert np.array_equal(out[1], G)
 
 
 def test_direct_spray_singular_metric():
     m = metrics.build_metric(metrics.builtin("quartic2"))
     for depth in (0, 1, 2):
         with pytest.raises(SingularMetric) as info:
-            _direct_spray(m, (0.0, 0.0), (1.0, 0.0), depth)
+            spray_values(m, (0.0, 0.0), (1.0, 0.0), depth)
         assert info.value.min_eigenvalue is not None
     with pytest.raises(SingularMetric):
         spray_values(m, (0.0, 0.0), (1.0, 0.0))
@@ -453,7 +505,7 @@ def test_non_finite_metric_values_raise(x1, error):
             point_scope(m, PointState(x, y), 7).values("g0")
         for depth in (0, 1, 2):
             with pytest.raises(error):
-                _direct_spray(m, x, y, depth)
+                spray_values(m, x, y, depth)
         with pytest.raises(error):
             spray_values(m, x, y)
 
@@ -471,13 +523,13 @@ def test_direct_spray_point_guards(funk2):
     with pytest.raises(OutOfChart):
         spray_values(funk2, (1.2, 0.0), (1.0, 0.0))
     with pytest.raises(OutOfChart):
-        _direct_spray(funk2, (0.0, 1.0), (1.0, 0.0), 2)
+        spray_values(funk2, (0.0, 1.0), (1.0, 0.0), 2)
     with pytest.raises(ShapeMismatch):
         spray_values(funk2, (0.1, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(ShapeMismatch):
         spray_values(funk2, (0.1, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(ZeroVector):
-        spray_values(funk2, (0.1, 0.0), (0.0, 0.0), with_N=True)
+        spray_values(funk2, (0.1, 0.0), (0.0, 0.0), 1)
     floats_only = dataclasses.replace(funk2, _fn=lambda x, y: 1.0)
     with pytest.raises(BadConfig):
         spray_values(floats_only, (0.1, 0.0), (1.0, 0.0))

@@ -85,7 +85,7 @@ def test_rhs_calls_per_accepted_step():
 
 def test_node_derivatives_are_rhs_at_nodes(funk2):
     def rhs(_t, z):
-        return np.concatenate([z[2:], -2.0 * spray_values(funk2, z[:2], z[2:])])
+        return np.concatenate([z[2:], -2.0 * spray_values(funk2, z[:2], z[2:])[1]])
 
     path = _integrate(rhs, np.array([0.1, -0.2, 0.5, 0.3]), 1.2)
     for t, z, f in zip(path.t, path.z, path.f):
@@ -146,15 +146,13 @@ def test_time_reversal(funk2, funk2_geodesic):
 
 def test_dense_output_collocation(funk2, funk2_geodesic):
     """The interpolant satisfies xdot = y and ydot = -2G between nodes."""
-    from finslerlab.curvature import spray_values
-
     h = 1e-4
     for t in np.linspace(0.05, 1.15, 9):
         xp, yp = funk2_geodesic.state(t + h)
         xm, ym = funk2_geodesic.state(t - h)
         x, y = funk2_geodesic.state(t)
         assert np.max(np.abs((xp - xm) / (2 * h) - y)) < 1e-6
-        G = spray_values(funk2, x, y)
+        G = spray_values(funk2, x, y)[1]
         assert np.max(np.abs((yp - ym) / (2 * h) + 2 * G)) < 1e-6
 
 
@@ -319,6 +317,29 @@ def test_parallelogram_guards(funk2):
     for eps in ([float("nan")], [0.01, math.inf], [float("nan"), 0.01]):
         with pytest.raises(BadConfig):
             parallelogram_holonomy(funk2, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), eps)
+
+
+@pytest.mark.parametrize("slot", range(5))
+def test_non_finite_dynamics_inputs_raise(slot):
+    # on an all-space chart a NaN x0 passes the chart test, and a loop run
+    # from it reads zero defects: each vector is gated for shape, then finiteness
+    m = build_metric(builtin("euclidean2"))
+    args = [np.array(v) for v in ((0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (1.0, 1.0))]
+    args[slot][1] = float("nan")
+    x0, u, v, w0, support0 = args
+    with pytest.raises(BadConfig):
+        parallelogram_holonomy(m, x0, u, v, w0, [0.05, 0.1], support0=support0)
+    if slot == 4:  # x0, u, v and w0 are finite: support0's shape is gated too
+        with pytest.raises(ShapeMismatch):
+            parallelogram_holonomy(m, x0, u, v, w0, [0.05, 0.1], support0=(1.0, 1.0, 1.0))
+    g = integrate_geodesic(m, (0.1, 0.0), (1.0, 0.3), 0.5)
+    bad = (float("nan"), 0.0) if slot % 2 else (math.inf, 0.0)
+    with pytest.raises(BadConfig):
+        integrate_geodesic(m, bad, (1.0, 0.3), 0.5)
+    with pytest.raises(BadConfig):
+        integrate_geodesic(m, (0.1, 0.0), bad, 0.5)
+    with pytest.raises(BadConfig):
+        parallel_transport(m, g, bad)
 
 
 # --- scalar flows ---
