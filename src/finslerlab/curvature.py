@@ -74,6 +74,7 @@ from .errors import (
     BadConfig,
     DegenerateFlag,
     DimensionError,
+    DomainError,
     OrderExceeded,
     OutOfChart,
     RiemannianPoint,
@@ -727,11 +728,13 @@ def spray_values(metric, x, y, depth=0):
         u_{,jk} = A^{-1} (b_{,jk} - A_{,jk} u - A_{,j} u_{,k} - A_{,k} u_{,j})  = 4 Gamma_jk
 
     so g and G need F^2 at order 2, N order 3 and Gamma order 4.  The gates
-    are a scope's: dimension, chart, y's length, a zero y, jet propagation,
-    F > 0 and positive definiteness of g.
+    are a scope's: dimension, finite x and y, chart, y's length, a zero y,
+    jet propagation, F > 0 and positive definiteness of g.
     """
     x = tuple(float(v) for v in x)
     y = tuple(float(v) for v in y)
+    if not all(map(math.isfinite, x + y)):  # a DomainError, which an integrator stage recovers from
+        raise DomainError(f"point is not finite: x = {x}, y = {y}")
     _check_point(metric, x)
     f = _F_jet(metric, *_seeds(_algebra(2 * metric.n, 2 + depth, 1), x, y))
     F2 = f * f

@@ -17,14 +17,20 @@ Grammar (EBNF, also in docs/expression_grammar.md):
              [ ( "e" | "E" ) , [ "+" | "-" ] , digit , { digit } ] ;
     ident  = lowercase , { lowercase | digit } ;
 
-Evaluation is generic: plug floats in and you get a float, plug jets in
-and you get a jet carrying all mixed partials of the formula.
+A parsed tree is folded (names bound, ``abs2``/``dot`` unrolled, constant
+subtrees evaluated) and compiled once into a straight-line tape that
+evaluates every distinct subtree once per call (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 2).  The tape is generic:
+plug floats in and you get a float, plug jets in and you get a jet carrying
+all mixed partials of the formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     ArityError,
@@ -32,6 +38,7 @@ from .errors import (
     DomainError,
     LexError,
     ParseError,
+    ShapeMismatch,
     UnboundVariable,
 )
 from .jets import Jet, smooth
@@ -300,98 +307,6 @@ def parse(text: str):
     return _Parser(tokenize(text), len(text)).parse()
 
 
-# --- evaluation ---
-
-@dataclass
-class EvalEnv:
-    """Bindings for one evaluation: coordinates, fiber, named constants.
-
-    ``x`` and ``y`` are sequences of floats or jets.  ``constants`` maps
-    identifiers to scalars or to vectors (sequences).
-    """
-
-    n: int
-    x: tuple
-    y: tuple
-    constants: dict = field(default_factory=dict)
-
-
-def _resolve_vector(ident, env):
-    if ident == "x":
-        return env.x
-    if ident == "y":
-        return env.y
-    if ident in env.constants:
-        v = env.constants[ident]
-        if hasattr(v, "__len__"):
-            return v
-    raise UnboundVariable(f"unknown vector {ident!r}")
-
-
-def evaluate(node, env: EvalEnv):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        seq = env.x if node.group == "x" else env.y
-        if node.index > env.n:
-            raise UnboundVariable(
-                f"{node.group}{node.index} out of range for dimension {env.n}"
-            )
-        return seq[node.index - 1]
-    if isinstance(node, Name):
-        if node.ident in env.constants:
-            v = env.constants[node.ident]
-            if hasattr(v, "__len__"):
-                raise UnboundVariable(
-                    f"vector constant {node.ident!r} used as a scalar"
-                )
-            return v
-        raise UnboundVariable(f"unknown identifier {node.ident!r}")
-    if isinstance(node, Neg):
-        return -evaluate(node.child, env)
-    if isinstance(node, Bin):
-        a = evaluate(node.left, env)
-        b = evaluate(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        try:
-            return a / b
-        except ZeroDivisionError as e:
-            raise DivisionByZero(str(e)) from e
-    if isinstance(node, Pow):
-        base = evaluate(node.base, env)
-        if isinstance(base, Jet):
-            return base**node.exponent
-        if base < 0 and not float(node.exponent).is_integer():
-            raise DomainError(f"negative base {base:.6g} with non-integer power")
-        if base == 0 and node.exponent < 0:
-            raise DivisionByZero("zero base with negative power")
-        return float(base) ** node.exponent
-    if isinstance(node, Call):
-        if node.fn == "dot":
-            u = _resolve_vector(node.args[0].ident, env)
-            v = _resolve_vector(node.args[1].ident, env)
-            if len(u) != len(v):
-                raise UnboundVariable("dot of vectors with different lengths")
-            total = u[0] * v[0]
-            for i in range(1, len(u)):
-                total = total + u[i] * v[i]
-            return total
-        if node.fn == "abs2":
-            u = _resolve_vector(node.args[0].ident, env)
-            total = u[0] * u[0]
-            for i in range(1, len(u)):
-                total = total + u[i] * u[i]
-            return total
-        arg = evaluate(node.args[0], env)
-        return smooth(arg, node.fn)
-    raise TypeError(f"unknown AST node {node!r}")
-
-
 def variables_used(node, acc=None):
     """Collect Var references, for dimension validation at build time."""
     if acc is None:
@@ -412,57 +327,134 @@ def variables_used(node, acc=None):
     return acc
 
 
-# --- printing ---
+# --- folding and compiling ---
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+@dataclass(frozen=True)
+class Op:
+    """A folded operation, valued f(value of a, value of b); a unary one has b = a."""
 
-
-def _level(node):
-    if isinstance(node, (Num, Var, Name, VecRef, Call)):
-        return _LEVEL_ATOM
-    if isinstance(node, Pow):
-        return _LEVEL_POW
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_MUL if node.op in "*/" else _LEVEL_ADD
+    f: object
+    a: object
+    b: object
 
 
-def _wrap(node, minimum):
-    s = pretty(node)
-    return f"({s})" if _level(node) < minimum else s
+def _divide(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError as e:
+        raise DivisionByZero(str(e)) from e
 
 
-def _fmt_number(v):
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
+def _power(base, exponent):
+    if isinstance(base, Jet):
+        return base**exponent
+    if base < 0 and not float(exponent).is_integer():
+        raise DomainError(f"negative base {base:.6g} with non-integer power")
+    if base == 0 and exponent < 0:
+        raise DivisionByZero("zero base with negative power")
+    return float(base) ** exponent
 
 
-def pretty(node) -> str:
-    """Render an AST back to source; reparsing gives an equal AST."""
-    if isinstance(node, Num):
-        return _fmt_number(node.value)
+# every op is f(a, b); a unary one is given its operand twice
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_UNARY = {fn: (lambda a, _, fn=fn: smooth(a, fn)) for fn in ("sqrt", "exp", "log", "sin", "cos")}
+_UNARY["-"] = lambda a, _: -a
+
+
+def _vector(ident, n, constants):
+    if ident in ("x", "y"):
+        return [Var(ident, i) for i in range(1, n + 1)]
+    v = constants.get(ident)
+    if not hasattr(v, "__len__"):
+        raise UnboundVariable(f"unknown vector {ident!r}")
+    if len(v) == 0:
+        raise UnboundVariable(f"vector {ident!r} is empty")
+    return [Num(c) for c in v]
+
+
+def fold(node, n, constants):
+    """``node`` over n-dimensional x and y as a tree of :class:`Op`, names
+    bound to ``constants`` (scalars, or vectors as numpy arrays), ``abs2``
+    and ``dot`` unrolled to the left fold u1*v1 + u2*v2 + ..., and constant
+    subtrees replaced by their values, which evaluation would compute the
+    same way.  Bad names, ``dot`` lengths and constant operands raise here.
+    """
+    if isinstance(node, (Num, Op)):
+        return node
     if isinstance(node, Var):
-        return f"{node.group}{node.index}"
-    if isinstance(node, (Name, VecRef)):
-        return node.ident
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.child, _LEVEL_UNARY)
-    if isinstance(node, Pow):
-        exp = node.exponent
-        if exp < 0:
-            exp_s = f"(-{_fmt_number(-exp)})"
-        else:
-            exp_s = _fmt_number(exp)
-        return f"{_wrap(node.base, _LEVEL_ATOM)}^{exp_s}"
+        if node.index > n:
+            raise UnboundVariable(f"{node.group}{node.index} exceeds dimension {n}")
+        return node
+    if isinstance(node, Name):
+        if node.ident not in constants:
+            raise UnboundVariable(f"unknown identifier {node.ident!r}")
+        if hasattr(constants[node.ident], "__len__"):
+            raise UnboundVariable(f"vector constant {node.ident!r} used as a scalar")
+        return Num(constants[node.ident])
+    if isinstance(node, Call) and node.fn in _VECTOR_FUNCTIONS:
+        u, v = (_vector(a.ident, n, constants) for a in (node.args[0], node.args[-1]))
+        if len(u) != len(v):
+            raise UnboundVariable("dot of vectors with different lengths")
+        terms = [Bin("*", a, b) for a, b in zip(u, v)]
+        return fold(reduce(lambda s, t: Bin("+", s, t), terms), n, constants)
     if isinstance(node, Bin):
-        if node.op in "+-":
-            left = _wrap(node.left, _LEVEL_ADD)
-            right = _wrap(node.right, _LEVEL_MUL)
-        else:
-            left = _wrap(node.left, _LEVEL_MUL)
-            right = _wrap(node.right, _LEVEL_UNARY)
-        return f"{left} {node.op} {right}"
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(pretty(a) for a in node.args)})"
-    raise TypeError(f"unknown AST node {node!r}")
+        f, a, b = _BINARY[node.op], fold(node.left, n, constants), fold(node.right, n, constants)
+    elif isinstance(node, Pow):
+        f, a, b = _power, fold(node.base, n, constants), Num(node.exponent)
+    else:
+        f, arg = (_UNARY["-"], node.child) if isinstance(node, Neg) else (_UNARY[node.fn], node.args[0])
+        a = b = fold(arg, n, constants)
+    return Num(f(a.value, b.value)) if isinstance(a, Num) and isinstance(b, Num) else Op(f, a, b)
+
+
+def compile_tape(node, n, constants=None):
+    """Fold ``node`` and compile it once into a straight-line tape ``(n, init,
+    ops, out)``.  Its slots hold x, then y, then ``init``: the constants and
+    one None per register.  Op ``(f, i, j, k)`` writes f(slot i, slot j) to
+    register k, and ``out`` is the slot of the value.  Structurally equal
+    subtrees share one op, and an op overwrites a register no later op reads,
+    so each intermediate value is dropped once it is dead."""
+    consts, ops, memo = [], [], {}
+
+    def visit(node):  # input r < 2n, constant k as -1 - k, op t as 2n + t
+        if isinstance(node, Var):
+            return (0 if node.group == "x" else n) + node.index - 1
+        if isinstance(node, Num):
+            # 0.0 == -0.0: the sign bit and the type keep their slots apart
+            key = (type(node.value), node.value, math.copysign(1.0, node.value))
+            if key not in memo:
+                consts.append(node.value)
+                memo[key] = -len(consts)
+            return memo[key]
+        i = visit(node.a)
+        key = (node.f, i, i if node.b is node.a else visit(node.b))
+        if key not in memo:
+            ops.append(key)
+            memo[key] = 2 * n + len(ops) - 1
+        return memo[key]
+
+    out = visit(fold(node, n, constants or {}))
+    last = {r: t for t, (_, i, j) in enumerate(ops) for r in (i, j)}
+    last[out] = len(ops)
+    slot = {r: r if r >= 0 else 2 * n - 1 - r for r in range(-len(consts), 2 * n)}
+    free, registers, program = [], 0, []
+    for t, (f, i, j) in enumerate(ops):
+        free += [slot[r] for r in {i, j} if r >= 2 * n and last[r] == t]
+        if not free:
+            free.append(2 * n + len(consts) + registers)
+            registers += 1
+        slot[2 * n + t] = free.pop()
+        program.append((f, slot[i], slot[j], slot[2 * n + t]))
+    return n, (*consts, *[None] * registers), tuple(program), slot[out]
+
+
+def evaluate(tape, x, y):
+    """Run a tape on x and y, sequences of floats or of jets: floats give a
+    float, jets a jet carrying every mixed partial of the formula."""
+    n, init, ops, out = tape
+    if len(x) != n or len(y) != n:
+        raise ShapeMismatch(f"need {n} components, got x:{len(x)} y:{len(y)}")
+    vals = [*x, *y, *init]
+    for f, i, j, k in ops:
+        vals[k] = f(vals[i], vals[j])
+    return vals[out]

@@ -348,7 +348,7 @@ class Jet:
 
     @property
     def value(self):
-        return float(self.coef[0])
+        return self.coef.item(0)
 
     @property
     def order(self):

@@ -1,8 +1,13 @@
 """Metric catalog: build, evaluate, and sanity-check Finsler metrics.
 
 A metric is specified declaratively (family plus parameters, possibly
-with coordinate-dependent entries given in the expression language) and
-compiled to an evaluator ``F(x, y)`` that accepts floats or jets.
+with coordinate-dependent entries given in the expression language).
+:func:`build_metric` turns every family into one expression tree and
+compiles it once to a tape (:func:`expr.compile_tape`), the evaluator ``F(x, y)`` that
+accepts floats or jets.  A malformed expression (an undeclared name, a
+vector constant in scalar position, ``dot`` of vectors of different lengths,
+a constant subtree outside its domain) raises SpecError there, before any
+evaluation.
 
 Families:
 
@@ -22,26 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from . import expr
-from .errors import DomainError, OutOfChart, SingularMetric, SpecError, ZeroVector
-from .jets import Jet, smooth
+from .errors import DomainError, FinslerError, OutOfChart, SingularMetric, SpecError
+from .jets import Jet
 
 _FAMILIES = ("riemannian", "randers", "funk", "custom")
 
 
 def _val(v):
     return v.value if isinstance(v, Jet) else float(v)
-
-
-def _dot(u, v):
-    total = u[0] * v[0]
-    for i in range(1, len(u)):
-        total = total + u[i] * v[i]
-    return total
 
 
 @dataclass(frozen=True)
@@ -223,23 +222,39 @@ def _spec_constant(v, where):
     return _spec_number(v, where)
 
 
-def _compile_entry(entry, n, where):
-    """Compile one matrix/covector entry to a callable of the x jets."""
-    if isinstance(entry, (int, float)):  # bool is an int: _spec_number rejects it
-        c = _spec_number(entry, where)
-        return lambda env: c
-    if not isinstance(entry, str):
-        raise SpecError(f"{where}: entry must be a number or an expression string")
+def _expression(text, n, constants, where, groups="xy"):
+    """A spec expression parsed and folded (:func:`expr.fold`); every error is
+    a SpecError naming ``where``."""
     try:
-        ast = expr.parse(entry)
+        ast = expr.parse(text)
     except Exception as e:
         raise SpecError(f"{where}: {e}") from e
     for group, index in expr.variables_used(ast):
-        if group == "y":
+        if group not in groups:
             raise SpecError(f"{where}: coefficient may not depend on y")
         if index > n:
-            raise SpecError(f"{where}: x{index} exceeds dimension {n}")
-    return lambda env: expr.evaluate(ast, env)
+            raise SpecError(f"{where}: {group}{index} exceeds dimension {n}")
+    try:
+        return expr.fold(ast, n, constants)
+    except (FinslerError, ArithmeticError) as e:
+        raise SpecError(f"{where}: {e}") from e
+
+
+def _entry(entry, n, constants, where):
+    """One matrix/covector entry as a folded tree of the x coordinates."""
+    if isinstance(entry, (int, float)):  # bool is an int: _spec_number rejects it
+        return expr.Num(_spec_number(entry, where))
+    if not isinstance(entry, str):
+        raise SpecError(f"{where}: entry must be a number or an expression string")
+    return _expression(entry, n, constants, where, "x")
+
+
+def _zero(node):
+    return isinstance(node, expr.Num) and node.value == 0.0
+
+
+def _plus(s, t):
+    return expr.Bin("+", s, t)
 
 
 @dataclass
@@ -265,21 +280,8 @@ class MetricInstance:
         return f * f
 
 
-def funk_metric(drift, x, y):
-    """Unit-ball metric value; generic over floats and jets.
-
-    F = (sqrt(|y|^2 - (|x|^2 |y|^2 - <x,y>^2)) + <x,y> + <a,y>) / (1 - |x|^2)
-    """
-    xx = _dot(x, x)
-    if _val(xx) >= 1.0:
-        raise OutOfChart(f"|x| = {math.sqrt(_val(xx)):.4f} >= 1")
-    yy = _dot(y, y)
-    xy = _dot(x, y)
-    disc = yy - (xx * yy - xy * xy)
-    out = smooth(disc, "sqrt") + xy
-    if any(float(c) != 0.0 for c in drift):
-        out = out + _dot(drift, y)
-    return out / (1.0 - xx)
+#: the unit-ball metric, F = (sqrt(|y|^2 - (|x|^2 |y|^2 - <x,y>^2)) + <x,y> + <a,y>) / (1 - |x|^2)
+_FUNK = "(sqrt(abs2(y) - (abs2(x)*abs2(y) - dot(x,y)*dot(x,y))) + dot(x,y){}) / (1 - abs2(x))"
 
 
 def build_metric(spec: MetricSpec) -> MetricInstance:
@@ -308,36 +310,24 @@ def build_metric(spec: MetricSpec) -> MetricInstance:
             for j in range(i + 1, n):
                 if spec.a[i][j] != spec.a[j][i]:
                     raise SpecError(f"a[{i}][{j}] != a[{j}][{i}]: matrix must be symmetric")
-        a_fns = [
-            [_compile_entry(spec.a[i][j], n, f"a[{i}][{j}]") for j in range(n)]
-            for i in range(n)
-        ]
-        b_fns = None
+        a = [[_entry(spec.a[i][j], n, constants, f"a[{i}][{j}]") for j in range(n)] for i in range(n)]
+        b = []
         if spec.family == "randers":
             if spec.b is None or len(spec.b) != n:
                 raise SpecError(f"family 'randers' needs a length-{n} covector b")
-            b_fns = [_compile_entry(spec.b[i], n, f"b[{i}]") for i in range(n)]
-
-        def fn(x, y, _a=a_fns, _b=b_fns):
-            env = expr.EvalEnv(n, tuple(x), tuple(y), constants)
-            alpha2 = None
-            for i in range(n):
-                for j in range(n):
-                    aij = _a[i][j](env)
-                    if isinstance(aij, float) and aij == 0.0:
-                        continue
-                    term = aij * y[i] * y[j]
-                    alpha2 = term if alpha2 is None else alpha2 + term
-            out = smooth(alpha2, "sqrt")
-            if _b is not None:
-                for i in range(n):
-                    bi = _b[i](env)
-                    if isinstance(bi, float) and bi == 0.0:
-                        continue
-                    out = out + bi * y[i]
-            return out
-
-        return MetricInstance(spec, n, chart, spec.label or spec.family, fn)
+            b = [_entry(spec.b[i], n, constants, f"b[{i}]") for i in range(n)]
+        # sqrt((a_11 y1) y1 + (a_12 y1) y2 + ...) + b_1 y1 + ..., left folds
+        # without the constant zero entries
+        y = [expr.Var("y", i + 1) for i in range(n)]
+        alpha2 = [expr.Bin("*", expr.Bin("*", a[i][j], y[i]), y[j])
+                  for i in range(n) for j in range(n) if not _zero(a[i][j])]
+        if not alpha2:
+            raise SpecError(f"family {spec.family!r} needs a nonzero matrix a")
+        beta = [expr.Bin("*", bi, yi) for bi, yi in zip(b, y) if not _zero(bi)]
+        tree = reduce(_plus, beta, expr.Call("sqrt", (reduce(_plus, alpha2),)))
+        tape = expr.compile_tape(tree, n)
+        return MetricInstance(spec, n, chart, spec.label or spec.family,
+                              lambda x, y: expr.evaluate(tape, x, y))
 
     if spec.family == "funk":
         drift = np.asarray(spec.drift if spec.drift is not None else np.zeros(n), dtype=float)
@@ -349,27 +339,29 @@ def build_metric(spec: MetricSpec) -> MetricInstance:
         radius = 1.0 if d == 0.0 else 1.0 - d
         if spec.chart_radius is not None:
             radius = min(radius, spec.chart_radius)
+        ast = expr.parse(_FUNK.format(" + dot(a,y)" if any(c != 0.0 for c in drift) else ""))
+        tape = expr.compile_tape(ast, n, {"a": drift})
 
-        def fn(x, y, _drift=tuple(drift)):
-            return funk_metric(_drift, x, y)
+        def fn(x, y):
+            # the domain |x| < 1, on the seeds' values: with a drift the chart
+            # is smaller, and float F stays defined in between.  0.0 + v * v
+            # is exact, so xx is the left fold abs2(x) runs.
+            xx = 0.0
+            for v in x:
+                v = v.value if isinstance(v, Jet) else v
+                xx += v * v
+            if xx >= 1.0:
+                raise OutOfChart(f"|x| = {math.sqrt(xx):.4f} >= 1")
+            return expr.evaluate(tape, x, y)
 
         return MetricInstance(spec, n, Chart("ball", radius), spec.label or "funk", fn)
 
     # custom
     if not spec.expression:
         raise SpecError("family 'custom' needs an expression")
-    try:
-        ast = expr.parse(spec.expression)
-    except Exception as e:
-        raise SpecError(f"expression: {e}") from e
-    for group, index in expr.variables_used(ast):
-        if index > n:
-            raise SpecError(f"expression: {group}{index} exceeds dimension {n}")
-
-    def fn(x, y, _ast=ast):
-        return expr.evaluate(_ast, expr.EvalEnv(n, tuple(x), tuple(y), constants))
-
-    return MetricInstance(spec, n, chart, spec.label or "custom", fn)
+    tape = expr.compile_tape(_expression(spec.expression, n, constants, "expression"), n)
+    return MetricInstance(spec, n, chart, spec.label or "custom",
+                          lambda x, y: expr.evaluate(tape, x, y))
 
 
 # --- validation ---

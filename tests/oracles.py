@@ -2,7 +2,10 @@
 
 Most of this is deliberately dumb and derivative-free of the library
 internals: central finite differences, textbook closed forms, and plain
-ODE integration.  Tests compare engine output against these.
+ODE integration.  Tests compare engine output against these.  The
+expression language keeps its recursive tree walk here, the reference the
+compiled tape must match bit for bit, and its printer, which only the
+round-trip tests read.
 
 The last section keeps the straightforward jet-by-jet forms of the kernel
 steps and field builders that the library runs in truncated or batched
@@ -22,7 +25,9 @@ import math
 import numpy as np
 
 from finslerlab.curvature import SEED_CAP
-from finslerlab.jets import Jet, _algebra, _seeds
+from finslerlab.errors import DivisionByZero, DomainError, UnboundVariable
+from finslerlab.expr import Bin, Call, Name, Neg, Num, Pow, Var, VecRef
+from finslerlab.jets import Jet, _algebra, _seeds, smooth
 
 
 def fd_partial(f, point, alpha, h=1e-4):
@@ -126,6 +131,131 @@ def funk_value(a, x, y):
     yy = float(y @ y)
     xy = float(x @ y)
     return (math.sqrt(yy - (xx * yy - xy * xy)) + xy + float(a @ y)) / (1.0 - xx)
+
+
+# --------------------------------------------------------------------------
+# the expression language's recursive tree walk and printer
+
+
+def walk(node, x, y, constants=None):
+    """Evaluate a parsed tree by recursion on every call, floats or jets.
+
+    The reference the compiled tape is tested against: the same operations
+    on the same operands, with names and vectors looked up as it goes.
+    """
+    constants = {} if constants is None else constants
+    n = len(x)
+
+    def vector(ident):
+        if ident in ("x", "y"):
+            return x if ident == "x" else y
+        v = constants.get(ident)
+        if hasattr(v, "__len__"):
+            return v
+        raise UnboundVariable(f"unknown vector {ident!r}")
+
+    def ev(node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            if node.index > n:
+                raise UnboundVariable(f"{node.group}{node.index} out of range for dimension {n}")
+            return (x if node.group == "x" else y)[node.index - 1]
+        if isinstance(node, Name):
+            if node.ident not in constants:
+                raise UnboundVariable(f"unknown identifier {node.ident!r}")
+            v = constants[node.ident]
+            if hasattr(v, "__len__"):
+                raise UnboundVariable(f"vector constant {node.ident!r} used as a scalar")
+            return v
+        if isinstance(node, Neg):
+            return -ev(node.child)
+        if isinstance(node, Bin):
+            a, b = ev(node.left), ev(node.right)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            try:
+                return a / b
+            except ZeroDivisionError as e:
+                raise DivisionByZero(str(e)) from e
+        if isinstance(node, Pow):
+            base = ev(node.base)
+            if isinstance(base, Jet):
+                return base**node.exponent
+            if base < 0 and not float(node.exponent).is_integer():
+                raise DomainError(f"negative base {base:.6g} with non-integer power")
+            if base == 0 and node.exponent < 0:
+                raise DivisionByZero("zero base with negative power")
+            return float(base) ** node.exponent
+        if node.fn in ("abs2", "dot"):
+            u, v = vector(node.args[0].ident), vector(node.args[-1].ident)
+            if len(u) != len(v):
+                raise UnboundVariable("dot of vectors with different lengths")
+            total = u[0] * v[0]
+            for i in range(1, len(u)):
+                total = total + u[i] * v[i]
+            return total
+        return smooth(ev(node.args[0]), node.fn)
+
+    return ev(node)
+
+
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
+
+def _level(node):
+    if isinstance(node, (Num, Var, Name, VecRef, Call)):
+        return _LEVEL_ATOM
+    if isinstance(node, Pow):
+        return _LEVEL_POW
+    if isinstance(node, Neg):
+        return _LEVEL_UNARY
+    return _LEVEL_MUL if node.op in "*/" else _LEVEL_ADD
+
+
+def _wrap(node, minimum):
+    s = pretty(node)
+    return f"({s})" if _level(node) < minimum else s
+
+
+def _fmt_number(v):
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
+def pretty(node) -> str:
+    """Render an AST back to source; reparsing gives an equal AST."""
+    if isinstance(node, Num):
+        return _fmt_number(node.value)
+    if isinstance(node, Var):
+        return f"{node.group}{node.index}"
+    if isinstance(node, (Name, VecRef)):
+        return node.ident
+    if isinstance(node, Neg):
+        return "-" + _wrap(node.child, _LEVEL_UNARY)
+    if isinstance(node, Pow):
+        exp = node.exponent
+        if exp < 0:
+            exp_s = f"(-{_fmt_number(-exp)})"
+        else:
+            exp_s = _fmt_number(exp)
+        return f"{_wrap(node.base, _LEVEL_ATOM)}^{exp_s}"
+    if isinstance(node, Bin):
+        if node.op in "+-":
+            left = _wrap(node.left, _LEVEL_ADD)
+            right = _wrap(node.right, _LEVEL_MUL)
+        else:
+            left = _wrap(node.left, _LEVEL_MUL)
+            right = _wrap(node.right, _LEVEL_UNARY)
+        return f"{left} {node.op} {right}"
+    if isinstance(node, Call):
+        return f"{node.fn}({', '.join(pretty(a) for a in node.args)})"
+    raise TypeError(f"unknown AST node {node!r}")
 
 
 # --------------------------------------------------------------------------

@@ -418,6 +418,31 @@ def test_bad_expression_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec,message", [
+    ({"expression": "sqrt(abs2(y)) + q*y1"}, "expression: unknown identifier 'q'"),
+    ({"expression": "sqrt(abs2(y)) + c*y1", "constants": {"c": [1, 2]}},
+     "expression: vector constant 'c' used as a scalar"),
+    ({"expression": "sqrt(abs2(y)) + dot(c, y)", "constants": {"c": [0.1, 0.2, 0.3]}},
+     "expression: dot of vectors with different lengths"),
+    ({"expression": "sqrt(abs2(y)) + sqrt(-1)*y1"}, "expression: sqrt of -1"),
+    ({"expression": "sqrt(abs2(y)) + abs2(c)*y1", "constants": {"c": []}},
+     "expression: vector 'c' is empty"),
+    ({"family": "riemannian", "a": [["q", 0], [0, 1]]}, "a[0][0]: unknown identifier 'q'"),
+    ({"family": "riemannian", "a": [[0, "0*1"], ["0*1", 0]]},
+     "family 'riemannian' needs a nonzero matrix a"),
+], ids=["undeclared", "vector-as-scalar", "dot-lengths", "constant-domain", "empty-vector",
+        "entry-undeclared", "zero-matrix"])
+def test_malformed_expression_fails_at_build_and_exits_2(spec, message, tmp_path, capsys):
+    # the metric is built once, so the error names the entry; the probe
+    # samples never run
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"dimension": 2, "family": "custom", **spec}))
+    assert main(["report", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_geodesic_chart_exit_is_3(ball_spec, tmp_path, capsys):
     rc = main(["geodesic", ball_spec, "--x0", "0.2,0", "--y0", "1,0",
                "--t", "2.0", "--csv", str(tmp_path / "g.csv")])

@@ -82,12 +82,18 @@ def test_point_state_guards():
     ((0.1, -float("inf")), (1.0, float("nan"))),
 ])
 def test_non_finite_points_raise(corpus, x, y):
-    # on an all-space chart a NaN x passes the chart test; the point refuses it
+    # on an all-space chart a NaN x passes the chart test; the point refuses
+    # it, and the float spray's gate raises the error an integrator stage
+    # recovers from, before a non-finite seed reaches the jet products
     m = corpus["euclidean2"]
     with pytest.raises(BadConfig):
         point_scope(m, (x, y), 7)
     with pytest.raises(BadConfig):
         curvature_bundle(m, (x, y))
+    for name in ("euclidean2", "funk2"):
+        for depth in range(3):
+            with pytest.raises(DomainError, match="point is not finite"):
+                spray_values(corpus[name], x, y, depth)
 
 
 # --- Riemannian spray against finite-difference Christoffels ---

@@ -1,4 +1,4 @@
-"""Expression language: lexing, parsing, generic evaluation, printing."""
+"""Expression language: lexing, parsing, folding, tape evaluation, printing."""
 
 import math
 
@@ -15,10 +15,11 @@ from finslerlab.errors import (
     ParseError,
     UnboundVariable,
 )
-from finslerlab.expr import Bin, Call, EvalEnv, Neg, Num, Pow, Var, VecRef, evaluate, parse, pretty, tokenize
-from finslerlab.jets import JetConfig, seed_variables
+from finslerlab.expr import Bin, Call, Name, Neg, Num, Pow, Var, VecRef, parse, tokenize
+from finslerlab.jets import Jet, JetConfig, _algebra, _seeds, seed_variables
+from finslerlab.metrics import build_metric, builtin
 
-from oracles import funk_value, jet_partial
+from oracles import funk_value, jet_partial, pretty, walk
 
 
 FUNK_EXPR = (
@@ -80,7 +81,7 @@ def test_unary_minus_binds_looser_than_power():
 def test_power_right_associative_constant_folding():
     ast = parse("2^3^2")
     assert isinstance(ast, Pow) and ast.exponent == 9.0
-    assert evaluate(ast, EvalEnv(1, (0.0,), (1.0,))) == 512.0
+    assert run(ast, (0.0,), (1.0,)) == 512.0
 
 
 def test_power_requires_constant_exponent():
@@ -115,25 +116,29 @@ def test_parse_error_position_for_missing_paren():
 
 # --- evaluation ---
 
-def env2(x, y, **consts):
-    return EvalEnv(2, tuple(x), tuple(y), dict(consts))
+def run(source, x, y, **consts):
+    """Fold and compile ``source`` (text or AST) over len(x) dimensions, then
+    run the tape once."""
+    n = len(x)
+    ast = parse(source) if isinstance(source, str) else source
+    return expr.evaluate(expr.compile_tape(ast, n, consts), x, y)
 
 
 def test_eval_norm():
-    got = evaluate(parse("sqrt(y1^2 + y2^2)"), env2((0, 0), (3.0, 4.0)))
+    got = run("sqrt(y1^2 + y2^2)", (0, 0), (3.0, 4.0))
     assert got == pytest.approx(5.0, abs=1e-14)
 
 
 def test_eval_vector_builtins():
-    e = env2((0.5, -0.5), (1.0, 2.0), a=np.array([0.1, 0.2]))
-    assert evaluate(parse("abs2(x)"), e) == pytest.approx(0.5)
-    assert evaluate(parse("dot(x,y)"), e) == pytest.approx(-0.5)
-    assert evaluate(parse("dot(a,y)"), e) == pytest.approx(0.5)
+    x, y, a = (0.5, -0.5), (1.0, 2.0), np.array([0.1, 0.2])
+    assert run("abs2(x)", x, y, a=a) == pytest.approx(0.5)
+    assert run("dot(x,y)", x, y, a=a) == pytest.approx(-0.5)
+    assert run("dot(a,y)", x, y, a=a) == pytest.approx(0.5)
 
 
 def test_funk_expression_at_center_is_euclidean_norm():
-    e = env2((0.0, 0.0), (1.0, 0.0), a=np.zeros(2))
-    assert evaluate(parse(FUNK_EXPR), e) == pytest.approx(1.0, abs=1e-14)
+    got = run(FUNK_EXPR, (0.0, 0.0), (1.0, 0.0), a=np.zeros(2))
+    assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_funk_expression_matches_closed_form_oracle():
@@ -145,36 +150,35 @@ def test_funk_expression_matches_closed_form_oracle():
         if np.linalg.norm(y) < 0.1:
             continue
         a = rng.uniform(-0.2, 0.2, 2)
-        got = evaluate(ast, EvalEnv(2, tuple(x), tuple(y), {"a": a}))
+        got = run(ast, tuple(x), tuple(y), a=a)
         assert got == pytest.approx(funk_value(a, x, y), rel=1e-12)
 
 
 def test_eval_scalar_constant():
-    got = evaluate(parse("k*y1"), EvalEnv(1, (0.0,), (2.0,), {"k": 3.5}))
-    assert got == 7.0
+    assert run("k*y1", (0.0,), (2.0,), k=3.5) == 7.0
 
 
 def test_unbound_variable_cases():
     with pytest.raises(UnboundVariable):
-        evaluate(parse("y3"), env2((0, 0), (1, 1)))
+        run("y3", (0, 0), (1, 1))
     with pytest.raises(UnboundVariable):
-        evaluate(parse("q + y1"), env2((0, 0), (1, 1)))
+        run("q + y1", (0, 0), (1, 1))
     with pytest.raises(UnboundVariable):
-        evaluate(parse("dot(b, y)"), env2((0, 0), (1, 1)))
+        run("dot(b, y)", (0, 0), (1, 1))
 
 
 def test_domain_error_bubbles():
     with pytest.raises(DomainError):
-        evaluate(parse("sqrt(y1 - 10)"), env2((0, 0), (1.0, 1.0)))
+        run("sqrt(y1 - 10)", (0, 0), (1.0, 1.0))
 
 
 def test_jet_scalar_consistency():
     """Same expression through floats and through jets agrees at order 0."""
     ast = parse("exp(0.1*dot(x,y)) + log(1 + abs2(y)) - y2^3 / (2 + y1)")
     xs, ys = (0.3, -0.7), (1.2, 0.8)
-    scalar = evaluate(ast, env2(xs, ys))
+    scalar = run(ast, xs, ys)
     xj, yj = seed_variables(xs, ys, JetConfig(n=2, order=4))
-    jet = evaluate(ast, EvalEnv(2, tuple(xj), tuple(yj)))
+    jet = run(ast, xj, yj)
     assert scalar == pytest.approx(jet.value, rel=1e-14)
 
 
@@ -183,7 +187,7 @@ def test_jet_evaluation_gradient():
     x, y = (0.2, 0.1), (0.7, -0.4)
     a = np.array([0.0, 0.0])
     xj, yj = seed_variables(x, y, JetConfig(n=2, order=3))
-    jet = evaluate(ast, EvalEnv(2, tuple(xj), tuple(yj), {"a": a}))
+    jet = run(ast, xj, yj, a=a)
     h = 1e-6
     for k in range(2):
         yp = list(y)
@@ -209,10 +213,8 @@ def test_positive_homogeneity_harness():
         for s in (0.5, 2.0, 3.0):
             x = rng.uniform(-0.3, 0.3, 2)
             y = rng.uniform(0.2, 1.0, 2)
-            e1 = EvalEnv(2, tuple(x), tuple(y), {"a": np.zeros(2)})
-            e2 = EvalEnv(2, tuple(x), tuple(s * y), {"a": np.zeros(2)})
-            f1 = evaluate(ast, e1)
-            f2 = evaluate(ast, e2)
+            f1 = run(ast, tuple(x), tuple(y), a=np.zeros(2))
+            f2 = run(ast, tuple(x), tuple(s * y), a=np.zeros(2))
             assert f2 == pytest.approx(s * f1, rel=1e-10)
 
 
@@ -235,25 +237,109 @@ def test_pretty_round_trip(text):
     assert parse(pretty(ast)) == ast
 
 
+def random_ast(rng, depth=0):
+    """A random small AST over x1, x2, y1, y2, the scalar constant k and the
+    vectors x, y and a; leaves only from depth 3 on."""
+    pick = rng.integers(0, 10 if depth < 3 else 5)
+    vector = lambda: VecRef(("x", "y", "a")[rng.integers(0, 3)])  # noqa: E731
+    if pick == 0:
+        return Num(float(rng.integers(0, 9)))
+    if pick == 1:
+        return Var("y" if rng.integers(0, 2) else "x", int(rng.integers(1, 3)))
+    if pick == 2:
+        return Name("k")
+    if pick == 3:
+        return Call("abs2", (vector(),))
+    if pick == 4:
+        return Call("dot", (vector(), vector()))
+    if pick == 5:
+        return Neg(random_ast(rng, depth + 1))
+    if pick == 6:
+        return Bin("+-*/"[rng.integers(0, 4)], random_ast(rng, depth + 1), random_ast(rng, depth + 1))
+    if pick == 7:
+        return Pow(random_ast(rng, depth + 1), (1.0, 2.0, 3.0, 0.5, -1.0)[rng.integers(0, 5)])
+    fn = ("sqrt", "exp", "log", "sin", "cos")[rng.integers(0, 5)]
+    return Call(fn, (random_ast(rng, depth + 1),))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 24))
 def test_pretty_round_trip_random(bits):
     """Random small ASTs survive print -> parse."""
-    rng = np.random.default_rng(bits)
-
-    def build(depth):
-        pick = rng.integers(0, 6 if depth < 3 else 2)
-        if pick == 0:
-            return Num(float(rng.integers(0, 9)))
-        if pick == 1:
-            return Var("y" if rng.integers(0, 2) else "x", int(rng.integers(1, 3)))
-        if pick == 2:
-            return Neg(build(depth + 1))
-        if pick == 3:
-            return Bin("+-*/"[rng.integers(0, 4)], build(depth + 1), build(depth + 1))
-        if pick == 4:
-            return Pow(build(depth + 1), float(rng.integers(1, 4)))
-        return Call("sqrt", (build(depth + 1),))
-
-    ast = build(0)
+    ast = random_ast(np.random.default_rng(bits))
     assert parse(pretty(ast)) == ast
+
+
+# --- the tape against the recursive walk ---
+
+def same_bits(u, v):
+    """Equal type and value, sign of zero included; jets also in algebra and deg."""
+    if isinstance(u, Jet):
+        return (isinstance(v, Jet) and u.alg is v.alg and u.deg == v.deg
+                and np.array_equal(u.coef, v.coef, equal_nan=True)
+                and np.array_equal(np.signbit(u.coef), np.signbit(v.coef)))
+    return (type(u) is type(v) and (u == v or (u != u and v != v))
+            and math.copysign(1.0, u) == math.copysign(1.0, v))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 - the error type is the outcome
+        return type(e)
+
+
+def assert_tape_matches_walk(ast, points, consts):
+    """On every point the tape gives the walk's value bit for bit or raises
+    the walk's error type; a tree that fails to fold fails the walk at every
+    point, since a constant subtree is evaluated on every call."""
+    try:
+        tape = expr.compile_tape(ast, 2, consts)
+    except Exception:  # noqa: BLE001
+        for x, y in points:
+            assert isinstance(outcome(walk, ast, x, y, consts), type), pretty(ast)
+        return
+    for x, y in points:
+        want, got = outcome(walk, ast, x, y, consts), outcome(expr.evaluate, tape, x, y)
+        if isinstance(want, type):
+            assert got is want, (pretty(ast), x, y)
+        else:
+            assert same_bits(got, want), (pretty(ast), x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 24))
+def test_tape_matches_recursive_walk(bits):
+    """Random trees, on floats and on seeded jets at (order 3, cap 1)."""
+    rng = np.random.default_rng(bits)
+    ast = random_ast(rng)
+    consts = {"k": (0.75, -0.0, 2.0)[rng.integers(0, 3)],
+              "a": np.array([(0.0, -0.0, 0.3, -1.5)[i] for i in rng.integers(0, 4, 2)])}
+    points = []
+    for _ in range(2):
+        x, y = tuple(rng.uniform(-0.9, 0.9, 2)), tuple(rng.uniform(-1.5, 1.5, 2))
+        points += [(x, y), _seeds(_algebra(4, 3, 1), x, y)]
+    assert_tape_matches_walk(ast, points, consts)
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(abs2(y)) + y1*0 + y2*(-0)",
+    "y1*(-0) + y2*0",
+])
+def test_tape_keeps_signed_zero_constants_apart(text):
+    """0 and -0 compare equal, so a constant slot keyed by value alone would
+    merge them and flip the sign of zero coefficients."""
+    xj, yj = _seeds(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
+    assert_tape_matches_walk(parse(text), [(xj, yj), ((0.3, -0.2), (0.8, 0.6))], {})
+
+
+def test_shared_subtree_is_evaluated_once(monkeypatch):
+    """sphere3's three diagonal entries are one conformal factor
+    4/(1 + abs2(x))^2: one F jet call composes its power once."""
+    m = build_metric(builtin("sphere3"))
+    xj, yj = _seeds(_algebra(6, 3, 1), (0.1, 0.2, -0.3), (1.0, 0.5, 0.2))
+    calls = []
+    power = Jet.__pow__
+    monkeypatch.setattr(Jet, "__pow__", lambda self, p: calls.append(p) or power(self, p))
+    m.F(xj, yj)
+    assert calls == [2.0]

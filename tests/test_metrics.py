@@ -8,7 +8,7 @@ import pytest
 from finslerlab import metrics
 from finslerlab.curvature import PointState, point_scope
 from finslerlab.errors import OutOfChart, SingularMetric, SpecError
-from finslerlab.metrics import Chart, MetricSpec, build_metric, funk_metric, validate
+from finslerlab.metrics import Chart, MetricSpec, build_metric, validate
 
 from oracles import fd_partial, funk_value, rel_err
 
@@ -50,8 +50,19 @@ def test_funk_matches_oracle():
 
 
 def test_funk_out_of_chart():
-    with pytest.raises(OutOfChart):
-        funk_metric((0.0, 0.0), (1.0, 0.2), (1.0, 0.0))
+    with pytest.raises(OutOfChart, match=r"^\|x\| = 1\.0198 >= 1$"):
+        build_metric(MetricSpec.funk(2)).F((1.0, 0.2), (1.0, 0.0))
+
+
+def test_funk_domain_gate_is_the_unit_ball_not_the_chart():
+    """With a drift the chart is smaller than the unit ball; float F is still
+    defined between the two, and the gate rejects |x| >= 1 only."""
+    m = build_metric(metrics.builtin("funk2-drift"))
+    x = (0.9, 0.0)
+    assert not m.chart.contains(x)
+    assert isinstance(m.F(x, (0.0, 1.0)), float)
+    with pytest.raises(OutOfChart, match=r"^\|x\| = 1\.0000 >= 1$"):
+        m.F((1.0, 0.0), (0.0, 1.0))
 
 
 def test_funk_chart_shrinks_with_drift():
