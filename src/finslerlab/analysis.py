@@ -21,12 +21,20 @@ opposite to c's; the raw sign of c is always reported alongside so nothing
 hinges on remembering the inversion.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .curvature import DEPTH, PointState, point_scope, rel_residual, require_stretch_design
+from .curvature import (
+    DEPTH,
+    FieldScope,
+    PointState,
+    point_scope,
+    rel_residual,
+    require_stretch_design,
+)
 from .errors import (
     CrossCheckFailure,
     DimensionError,
@@ -225,6 +233,33 @@ def _as_states(metric, points, count, seed):
     return list(points)
 
 
+def _point_reads(metric, states, order, names):
+    """Yield, per state in sample order, (state, read): ``read(name)`` gives
+    the float values of field ``name`` there, as a single-point scope gives
+    them.
+
+    One scope holds every state and builds ``names`` up front; each point's
+    values equal its single-point scope's bit for bit.  If that raises, each
+    state gets its own scope instead, made when the caller reaches it, so
+    the caller raises what a loop over single-point scopes raises: the
+    error of the first failing state.
+    """
+    try:
+        scope = FieldScope(metric, states, order)
+        table = {name: scope.values(name) for name in names}
+    except Exception:  # noqa: BLE001 - rerun point by point for that point's own error
+        for st in states:
+            yield st, point_scope(metric, st, order).values
+        return
+    for p, st in enumerate(states):
+        yield st, functools.partial(_at_point, table, p)
+
+
+def _at_point(table, p, name):
+    values = table[name][p]
+    return float(values) if values.ndim == 0 else values
+
+
 # --------------------------------------------------------------------------
 # relative stretch
 
@@ -251,11 +286,8 @@ def fit_relative_stretch(metric, points=None, count=20, seed=0):
     """
     states = _as_states(metric, points, count, seed)
     cs, resids, norms = [], [], []
-    for st in states:
-        sc = point_scope(metric, st, order=_STRETCH_ORDER)
-        c, r, dn = _stretch_ratio_values(
-            sc.values("Sigma"), sc.values("D"), sc.values("F")
-        )
+    for _, read in _point_reads(metric, states, _STRETCH_ORDER, ("Sigma", "D", "F")):
+        c, r, dn = _stretch_ratio_values(read("Sigma"), read("D"), read("F"))
         cs.append(c)
         resids.append(r)
         norms.append(dn)
@@ -457,6 +489,10 @@ def _isotropic_lambda(R1, F, y, ylow, spread_tolerance):
     return lam, misfit
 
 
+#: the fields the constant-flag chain reads at each sample
+_CHAIN_FIELDS = ("R1", "F", "ylow", "g", "C", "Rhh", "Sigma", "D", "L_C", "J_I", "I")
+
+
 def check_constant_flag_chain(
     metric,
     points=None,
@@ -482,19 +518,18 @@ def check_constant_flag_chain(
     """
     states = _as_states(metric, points, samples, seed)
     lams, iso_resids = [], []
-    scopes = []
-    for st in states:
-        sc = point_scope(metric, st, order=6)
+    reads = []
+    for st, read in _point_reads(metric, states, 6, _CHAIN_FIELDS):
         lam, misfit = _isotropic_lambda(
-            sc.values("R1"),
-            float(sc.values("F")),
+            read("R1"),
+            float(read("F")),
             np.asarray(st.y, dtype=float),
-            sc.values("ylow"),
+            read("ylow"),
             spread_tolerance,
         )
         lams.append(lam)
         iso_resids.append(misfit)
-        scopes.append(sc)
+        reads.append(read)
     lam_spread = float(np.max(lams) - np.min(lams))
     lam = float(np.mean(lams))
     if lam_spread > spread_tolerance * (1.0 + abs(lam)):
@@ -504,22 +539,22 @@ def check_constant_flag_chain(
 
     res_a, res_b, res_c, res_d, c_vals = [], [], [], [], []
     notes = []
-    for st, sc in zip(states, scopes):
-        g = sc.values("g")
-        C = sc.values("C")
-        ylow = sc.values("ylow")
+    for read in reads:
+        g = read("g")
+        C = read("C")
+        ylow = read("ylow")
         eye = np.eye(metric.n)
         pred_a = lam * (
             np.einsum("jl,ik->ijkl", g, eye) - np.einsum("jk,il->ijkl", g, eye)
         )
-        res_a.append(_guarded_residual(sc.values("Rhh"), pred_a))
+        res_a.append(_guarded_residual(read("Rhh"), pred_a))
         pred_b = 2.0 * lam * (
             np.einsum("ijl,k->ijkl", C, ylow) - np.einsum("ijk,l->ijkl", C, ylow)
         )
-        res_b.append(_guarded_residual(sc.values("Sigma"), pred_b))
+        res_b.append(_guarded_residual(read("Sigma"), pred_b))
         try:
             cv = c if c is not None else _stretch_ratio_values(
-                sc.values("Sigma"), sc.values("D"), sc.values("F")
+                read("Sigma"), read("D"), read("F")
             )[0]
         except UndefinedFit as err:
             notes.append(f"stretch ratio undefined: {err}")
@@ -528,10 +563,10 @@ def check_constant_flag_chain(
             notes.append(f"stretch ratio {cv:.1e} too small to divide by")
             continue
         c_vals.append(cv)
-        F = float(sc.values("F"))
+        F = float(read("F"))
         coef = 2.0 * lam / cv * F
-        res_c.append(_guarded_residual(sc.values("L_C"), -coef * C))
-        res_d.append(_guarded_residual(sc.values("J_I"), -coef * sc.values("I")))
+        res_c.append(_guarded_residual(read("L_C"), -coef * C))
+        res_d.append(_guarded_residual(read("J_I"), -coef * read("I")))
 
     residuals = {
         "curvature_form": float(np.max(res_a)),
@@ -634,10 +669,9 @@ def classify(metric, samples=12, seed=0, thresholds=None):
     thr.update(thresholds or {})
     states = sample_states(metric, samples, seed)
     norms = {name: 0.0 for name in CLASS_FLAGS}
-    for st in states:
-        sc = point_scope(metric, st, order=_CLASSIFY_ORDER)
+    for st, read in _point_reads(metric, states, _CLASSIFY_ORDER, tuple(_FLAG_FIELDS.values())):
         for name in CLASS_FLAGS:
-            norm = float(np.max(np.abs(sc.values(_FLAG_FIELDS[name]))))
+            norm = float(np.max(np.abs(read(_FLAG_FIELDS[name]))))
             if not math.isfinite(norm):
                 raise CrossCheckFailure(
                     f"{_FLAG_FIELDS[name]} norm is {norm} at x = {st.x}, y = {st.y}"

@@ -1,11 +1,11 @@
-"""Curvature tower of a Finsler metric at one point of the slit tangent bundle.
+"""Curvature tower of a Finsler metric at points of the slit tangent bundle.
 
 Everything is computed from truncated jets of F^2 seeded at (x, y).  A
-:class:`FieldScope` owns the seeds and lazily builds named tensor fields;
-callers read a field's float values by name with :meth:`FieldScope.values`,
-and those of its first derivatives with ``vderiv``, ``hderiv`` and
-``directional``; :func:`curvature_bundle` gathers the public blocks
-(``BLOCKS``) that way.
+:class:`FieldScope` owns the seeds of P >= 1 points and lazily builds named
+tensor fields; callers read a field's float values by name with
+:meth:`FieldScope.values`, and those of its first derivatives with
+``vderiv``, ``hderiv`` and ``directional``; :func:`curvature_bundle`
+gathers the public blocks (``BLOCKS``) that way.
 
 Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 
@@ -23,17 +23,30 @@ Conventions (indices i,j,k,...; ``_{.k}`` vertical, ``_{|k}`` horizontal):
 * K(y, u)   = g(u, R(u)) / (g(y,y) g(u,u) - g(y,u)^2)  with R(u)^i = R^i_k u^k
 
 Fields are coefficient arrays.  A field with slots ``shape`` built at jet
-order p and x-degree cap c is one float array of shape (*shape, size), each
-entry's Taylor coefficients in the (p, c) algebra of the 2n seed variables;
-the scope records (p, c) beside it (g0 and ginv0 are float matrices), since
-sizes collide across caps.  Truncation is a slice or, to a lower cap, a
-gather (``_Algebra.cut``), a derivative is ``deriv_rows``, a product of
-entries is ``mul_rows``, summed like ``Jet.__mul__``, and a product with a y
-seed is the shift ``mul_seeds``, equal to it.  Contractions add their terms one
-slice at a time in the order of the entry-by-entry jet loops they replace
-(``tests/oracles.py``), from the first term, so every coefficient equals
-those loops' bit for bit.  ``Jet`` remains where a closed-form series is
-composed on a scalar field: recF, recF2, the norm of frame2, mu2, cratio.
+order p and x-degree cap c is one float array of shape (*shape, P, size):
+per entry and point, its Taylor coefficients in the (p, c) algebra of the
+2n seed variables; the scope records (p, c) beside it (g0 and ginv0 are
+float arrays (n, n, P)), since sizes collide across caps.  Truncation is a
+slice or, to a lower cap, a gather (``_Algebra.cut``), a derivative is
+``deriv_rows``, a product of entries is ``mul_rows``, summed like
+``Jet.__mul__``, and a product with a y seed is the shift ``mul_seeds``,
+equal to it.  Contractions add their terms one slice at a time in the
+order of the entry-by-entry jet loops they replace (``tests/oracles.py``),
+from the first term, so every coefficient equals those loops' bit for bit.
+``Jet`` remains where a closed-form series is composed on a scalar field,
+one point at a time: recF, recF2, the norm of frame2, mu2, cratio.
+
+The point axis sits between the slots and the coefficients, so slot code
+(positional indexing, folds over a leading slot, slots broadcast against
+each other) reads the same for every P, and every kernel works row by row:
+each point's coefficients equal those of its single-point scope bit for
+bit.  A scope of one PointState is the P = 1 case; it hands out values
+without the point axis.  The gates run per point: the chart when the scope
+is made, a positive and finite F (one tape call per point) and positive
+definiteness of g0 (one batched ``eigvalsh``), each raising for the first
+point in order that fails it.  A driver that needs the error a loop over
+single-point scopes raises reruns that loop when a batched build raises
+(``analysis._point_reads``).
 
 The loops stored one jet in all permuted slots of a symmetric field, so g,
 C, Gamma, B, h, E and L_B gather every entry from the entry with its
@@ -283,16 +296,16 @@ def _F_jet(metric, xj, yj):
     return f
 
 
-def _require_positive_definite(g0, x, y):
-    """Raise SingularMetric unless the float fundamental tensor is positive
-    definite; a NaN or infinite entry fails too."""
+def _require_positive_definite(g0, eig, x, y):
+    """Raise SingularMetric unless the float fundamental tensor g0 at (x, y),
+    whose least eigenvalue is ``eig``, is positive definite; a NaN or
+    infinite entry fails too."""
     scale = max(float(np.max(np.abs(g0))), 1.0)
-    eigs = np.linalg.eigvalsh(g0)
-    if not eigs[0] > 1e-12 * scale:
+    if not eig > 1e-12 * scale:
         raise SingularMetric(
             f"fundamental tensor not positive definite at {x}, "
-            f"{y}: min eigenvalue {eigs[0]:.3e}",
-            min_eigenvalue=float(eigs[0]),
+            f"{y}: min eigenvalue {eig:.3e}",
+            min_eigenvalue=float(eig),
         )
 
 
@@ -307,11 +320,6 @@ def require_stretch_design(num, den):
         raise UndefinedFit(
             "stretch-ratio design tensor F(C_{|l} - C_{|k}) is numerically zero"
         )
-
-
-def _values(T):
-    """Float values of coefficient array T: a float for a scalar, else a copy."""
-    return float(T[0]) if T.ndim == 1 else T[..., 0].copy()
 
 
 def _fold(terms):
@@ -329,19 +337,32 @@ def _sorted_entries(n, rank, lead):
 
 def _symmetric(T, lead=0):
     """Every entry of T gathered from its sorted-index entry (module docstring)."""
-    flat = T.reshape(-1, T.shape[-1])
-    return flat[_sorted_entries(T.shape[0], T.ndim - 1, lead)].reshape(T.shape)
+    rank = T.ndim - 2
+    flat = T.reshape(T.shape[0] ** rank, -1)
+    return flat[_sorted_entries(T.shape[0], rank, lead)].reshape(T.shape)
 
 
 def _antisymmetric(V):
     """Entry [..., k, l] of V where k < l, else -1.0 * V[..., l, k] (module docstring)."""
-    n = V.shape[-2]
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)[..., None]
-    return np.where(upper, V, -1.0 * V.swapaxes(-2, -3))
+    n = V.shape[-3]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)[..., None, None]
+    return np.where(upper, V, -1.0 * V.swapaxes(-3, -4))
+
+
+def _deriv(alg, T, variables):
+    """``deriv_rows`` with the new slot last among the slots, before the point axis."""
+    return deriv_rows(alg, T, variables).swapaxes(-2, -3)
+
+
+def _compose_rows(alg, A, fn):
+    """The closed-form jet function ``fn`` of a scalar field A, one point at a time."""
+    return np.stack([fn(Jet(alg, a)).coef for a in A])
 
 
 class FieldScope:
-    """Lazy cache of tensor fields, as coefficient arrays, at one bundle point.
+    """Lazy cache of tensor fields, as coefficient arrays, at P bundle points:
+    ``point`` is one PointState (P = 1, and ``self.point`` is it) or a
+    sequence of P of them (``self.point`` is None), kept in ``self.points``.
 
     :meth:`values` builds each field at its planned order and x-degree cap
     (``_plan``), the deepest any reader in ``LEDGER`` needs.  A field read
@@ -350,17 +371,23 @@ class FieldScope:
     rebuilt there.
     """
 
-    def __init__(self, metric, point: PointState, order: int):
+    def __init__(self, metric, point, order: int):
         if order < 2:
             raise BadConfig(f"scope order must be >= 2, got {order}")
         self.metric = metric
-        self.point = point
+        self.point = point if isinstance(point, PointState) else None
+        self.points = (point,) if self.point is not None else tuple(
+            p if isinstance(p, PointState) else PointState(*p) for p in point
+        )
+        if not self.points:
+            raise BadConfig("a scope needs at least one point")
         self.order = order
         self.n = metric.n
         self._xs = range(self.n)
         self._ys = range(self.n, 2 * self.n)
-        _check_point(metric, point.x)
-        self._y0 = np.array(point.y)
+        for p in self.points:
+            _check_point(metric, p.x)
+        self._y0 = np.array([p.y for p in self.points]).T  # [k, point] = y^k
         self._plan = _plan(order)
         self._cache = {}
         self._built = {}  # (jet order, x-degree cap) of each cached field; inf for floats
@@ -412,17 +439,24 @@ class FieldScope:
         return T if name in _FLOATS else self._at(*self._built[name]).cut(T, self._at(order, cap))
 
     def values(self, name):
-        """Float values of a field, built at its planned order or deeper; a
-        copy, so a caller may keep or change it."""
+        """Float values of a field, built at its planned order or deeper: one
+        array (P, *slots), or at a single point the (*slots) array, a float
+        for a scalar field.  A copy, so a caller may keep or change it."""
         T = self.field(name, *self._plan[name])
-        return T.copy() if name in _FLOATS else _values(T)
+        return self._values(T if name in _FLOATS else T[..., 0])
+
+    def _values(self, V):
+        """Values V, shape (*slots, P), as :meth:`values` hands them out."""
+        if self.point is None:
+            return np.moveaxis(V, -1, 0).copy()
+        return float(V[0]) if V.ndim == 1 else V[..., 0].copy()
 
     # --- derivative operators ---
 
     def _vd(self, T, alg, times=1):
         """``times`` vertical derivatives of T, coefficients in ``alg``, each a new last slot."""
         for _ in range(times):
-            T = deriv_rows(alg, T, self._ys)
+            T = _deriv(alg, T, self._ys)
             alg = alg.lowered(self.n)
         return T
 
@@ -435,7 +469,7 @@ class FieldScope:
 
     def vderiv(self, name):
         """Values of the vertical derivative of field ``name``: one extra lower y-slot."""
-        return _values(self._vd(self._first_jet(name, 0), self._at(1, 0)))
+        return self._values(self._vd(self._first_jet(name, 0), self._at(1, 0))[..., 0])
 
     def hderiv(self, name):
         """Values of the horizontal derivative of field ``name`` with the
@@ -446,11 +480,11 @@ class FieldScope:
                      + sum_m T[..m..] Gamma^s_mk   (each "up" slot s)
                      - sum_m T[..m..] Gamma^m_sk   (each "lo" slot s)
         """
-        return _values(self._horizontal(name))
+        return self._values(self._horizontal(name)[..., 0])
 
     def directional(self, name):
         """Values of T_{...|s} y^s for the field T = ``name``."""
-        return _values(self._contract_y(self._horizontal(name), self._at(0, 0)))
+        return self._values(self._contract_y(self._horizontal(name), self._at(0, 0))[..., 0])
 
     def _horizontal(self, name):
         """:meth:`hderiv` through order 0, from the field at order 1 and
@@ -465,14 +499,14 @@ class FieldScope:
         in ``lo``: each term one row-wise product over all entries, added in
         the order written."""
         n = self.n
-        rank = T.ndim - 1
+        rank = T.ndim - 2
         if len(valence) != rank:
             raise ShapeMismatch(f"valence has {len(valence)} slots, tensor has {rank}")
         tin = self._deeper(lo, 1, 1)
-        acc = deriv_rows(tin, T, self._xs)
-        dy = tin.lowered(n).cut(deriv_rows(tin, T, self._ys), lo)
+        acc = _deriv(tin, T, self._xs)
+        dy = tin.lowered(n).cut(_deriv(tin, T, self._ys), lo)
         for m in range(n):
-            acc -= mul_rows(lo, N[m], dy[..., m, None, :])
+            acc -= mul_rows(lo, N[m], dy[..., m, None, :, :])
         if valence:
             T = tin.cut(T, lo)
         for slot, kind in enumerate(valence):
@@ -486,51 +520,55 @@ class FieldScope:
 
     def _contract_y(self, H, alg):
         """sum_s H[..., s] y^s, the trailing slot contracted with y."""
-        return _fold(np.moveaxis(mul_seeds(alg, H, self._y0), -2, 0))
+        terms = mul_seeds(alg, H, self._y0, axis=-3)
+        return _fold(terms[..., s, :, :] for s in range(self.n))
 
     # --- field builders: the output algebra, then the inputs as LEDGER lists
     # them, each read in ``_deeper(alg, depth, xdepth)``
 
     def _build_F(self, alg):
-        return _F_jet(self.metric, *_seeds(alg, self.point.x, self.point.y)).coef
+        return np.stack([_F_jet(self.metric, *_seeds(alg, p.x, p.y)).coef for p in self.points])
 
     def _build_F2(self, alg, F):
         return mul_rows(alg, F, F)
 
     def _build_recF(self, alg, F):
-        return Jet(alg, F).reciprocal().coef
+        return _compose_rows(alg, F, Jet.reciprocal)
 
     def _build_recF2(self, alg, F2):
-        return Jet(alg, F2).reciprocal().coef
+        return _compose_rows(alg, F2, Jet.reciprocal)
 
     def _build_g(self, alg, F2):
         return _symmetric(self._vd(F2, self._deeper(alg, 2), 2)) * 0.5
 
     def _build_g0(self, alg, g):
         g0 = g[..., 0].copy()
-        _require_positive_definite(g0, self.point.x, self.point.y)
+        per_point = np.moveaxis(g0, -1, 0)
+        for g_p, eig, p in zip(per_point, np.linalg.eigvalsh(per_point)[:, 0], self.points):
+            _require_positive_definite(g_p, eig, p.x, p.y)
         return g0
 
     def _build_ginv0(self, alg, g0):
-        return np.linalg.inv(g0)
+        return np.moveaxis(np.linalg.inv(np.moveaxis(g0, -1, 0)), 0, -1)
 
     def _build_g_inv(self, alg, g, ginv0):
         """Inverse metric: the Neumann series X_t = g0^{-1} + M X_{t-1} with
         M = -g0^{-1}(g - g0).  M has no constant term, so X_t is exact through
         order t: iteration t runs in the order-t algebra, X_{t-1} zero-padded."""
-        n = self.n
         dev = g.copy()
         dev[..., 0] -= g[..., 0]
-        M = _fold(np.swapaxes(-ginv0[:, :, None, None] * dev, 0, 1))  # [i, j]
+        M = _fold(-ginv0[:, k, None, :, None] * dev[k] for k in range(self.n))  # [i, j]
+        del dev
         X = ginv0[..., None]
         for t in range(1, alg.order + 1):
             at = self._at(t, alg.cap)
-            Xt = np.zeros((n, n, at.size))
+            Xt = np.zeros(X.shape[:-1] + (at.size,))
             Xt[..., : X.shape[-1]] = X
             products = mul_rows(at, M[:, :, None], Xt)  # [i, k, j] = M_ik X_kj
-            X = np.zeros((n, n, at.size))
-            X[..., 0] = ginv0
-            X = X + _fold(np.swapaxes(products, 0, 1))
+            # ginv0 as a constant jet plus the sum: the other coefficients gain + 0.0
+            X = _fold(np.swapaxes(products, 0, 1))
+            X[..., 0] += ginv0
+            X[..., 1:] += 0.0
         return X
 
     def _build_ylow(self, alg, g):
@@ -544,12 +582,12 @@ class FieldScope:
         return _symmetric(self._vd(F2, self._deeper(alg, 3), 3)) * 0.25
 
     def _build_I(self, alg, g_inv, C):
-        products = mul_rows(alg, g_inv[..., None, :], C)  # [i, j, k]
+        products = mul_rows(alg, g_inv[:, :, None], C)  # [i, j, k]
         return _fold(products.reshape((self.n**2,) + products.shape[2:]))
 
     def _build_G(self, alg, F2, g_inv):
         a2 = self._deeper(alg, 2, 1)
-        dx = deriv_rows(a2, F2, self._xs)  # [k] = dF^2/dx^k
+        dx = _deriv(a2, F2, self._xs)  # [k] = dF^2/dx^k
         yterms = mul_seeds(alg, self._vd(dx, a2.lowered(0)), self._y0, axis=0)  # [k, l]
         brk = _fold(yterms) - dx[..., : alg.size]
         return _fold(np.swapaxes(mul_rows(alg, g_inv, brk), 0, 1)) * 0.25
@@ -570,10 +608,10 @@ class FieldScope:
     def _build_R1(self, alg, G, N, Gamma):
         n = self.n
         aG = self._deeper(alg, 2, 1)
-        dxG = deriv_rows(aG, G, self._xs)  # [i, k] = dG^i/dx^k
+        dxG = _deriv(aG, G, self._xs)  # [i, k] = dG^i/dx^k
         yterms = mul_seeds(alg, self._vd(dxG, aG.lowered(0)), self._y0, axis=1)  # [i, j, k]
         gterms = mul_rows(alg, aG.cut(G, alg)[:, None], Gamma) * 2.0  # [i, j, k] = 2 G^j Gamma^i_jk
-        nterms = mul_rows(alg, N[..., None, :], N)  # [i, j, k] = N^i_j N^j_k
+        nterms = mul_rows(alg, N[:, :, None], N)  # [i, j, k] = N^i_j N^j_k
         acc = dxG[..., : alg.size] * 2.0
         for j in range(n):
             acc = acc - yterms[:, j]
@@ -585,7 +623,7 @@ class FieldScope:
         n = self.n
         aR = self._deeper(alg, 2)
         dR = self._vd(R1, aR)  # [i, k, l] = dR^i_k/dy^l
-        V = np.moveaxis(self._vd(dR - dR.swapaxes(1, 2), aR.lowered(n)), -2, 1) * (1.0 / 3.0)
+        V = np.moveaxis(self._vd(dR - dR.swapaxes(1, 2), aR.lowered(n)), -3, 1) * (1.0 / 3.0)
         zero = (V[0, 0, 0, 1] if n > 1 else self._vd(dR, aR.lowered(n))[0, 0, 0, 0]) * 0.0
         out = _antisymmetric(V)
         out[:, :, range(n), range(n)] = zero
@@ -615,7 +653,7 @@ class FieldScope:
 
     def _build_J_L(self, alg, g_inv, L_B):
         products = mul_rows(alg, g_inv, L_B)  # [i, k, l]
-        return _fold(np.moveaxis(products.reshape(self.n, self.n**2, -1), 1, 0))
+        return _fold(np.moveaxis(products.reshape((self.n, self.n**2) + products.shape[-2:]), 1, 0))
 
     def _build_J_I(self, alg, Ih):
         # J_i = I_{i|s} y^s
@@ -628,7 +666,7 @@ class FieldScope:
             # raise the leading slot, then cycle it to the back
             products = mul_rows(alg, g_inv[:, :, None, None], T)  # [a, s, b, c]
             T = np.moveaxis(_fold(np.swapaxes(products, 0, 1)), 0, 2)
-        return _fold(mul_rows(alg, T, L_C).reshape(-1, alg.size))
+        return _fold(mul_rows(alg, T, L_C).reshape((-1,) + L_C.shape[-2:]))
 
     # --- two-dimensional frame fields and scalar ratios ---
 
@@ -637,38 +675,39 @@ class FieldScope:
         if self.n != 2:
             raise DimensionError(f"frame needs n = 2, got n = {self.n}")
         ell = mul_seeds(alg, np.broadcast_to(recF, (2,) + recF.shape), self._y0, axis=0)
-        k0 = int(np.argmin(np.abs(self.point.y)))  # seed axis least aligned with y
-        glu = _fold(mul_rows(alg, g[:, k0], ell))
+        k0 = np.argmin(np.abs(self._y0), axis=0)  # per point, the seed axis least aligned with y
+        glu = _fold(mul_rows(alg, g[:, k0, range(k0.size)], ell))
         mt = mul_rows(alg, -1.0 * glu, ell)
-        mt[:, 0] += np.eye(2)[k0]
-        nrm2 = _fold(mul_rows(alg, mul_rows(alg, g, mt[:, None]), mt).reshape(4, -1))
-        m = mul_rows(alg, mt, (Jet(alg, nrm2) ** (-0.5)).coef)
-        if ell[0, 0] * m[1, 0] - ell[1, 0] * m[0, 0] < 0:
-            m = -1.0 * m
-        return np.stack([ell, m])
+        mt[..., 0] += np.eye(2)[k0].T
+        nrm2 = _fold(mul_rows(alg, mul_rows(alg, g, mt[:, None]), mt).reshape((4,) + mt.shape[1:]))
+        m = mul_rows(alg, mt, _compose_rows(alg, nrm2, lambda j: j ** (-0.5)))
+        flip = ell[0, :, 0] * m[1, :, 0] - ell[1, :, 0] * m[0, :, 0] < 0
+        return np.stack([ell, np.where(flip[:, None], -1.0 * m, m)])
 
     def _build_I2(self, alg, frame2, C, F):
         """Principal scalar of a 2-D metric: I with C = F^-1 I m x m x m."""
         m = frame2[1]
         T = mul_rows(alg, C, m[:, None, None])
         T = mul_rows(alg, mul_rows(alg, T, m[:, None]), m)
-        return mul_rows(alg, F, _fold(T.reshape(8, -1)))
+        return mul_rows(alg, F, _fold(T.reshape((8,) + T.shape[-2:])))
 
     def _build_mu2(self, alg, I2, N, recF):
         """mu = I_{|s} y^s / (F I), the log-derivative of the principal scalar."""
-        if abs(I2[0]) < 1e-8:
-            raise RiemannianPoint(f"principal scalar {I2[0]:.3e} is numerically zero")
+        for value in I2[:, 0]:
+            if abs(value) < 1e-8:
+                raise RiemannianPoint(f"principal scalar {value:.3e} is numerically zero")
         aI = self._deeper(alg, 1, 1)
         num = mul_rows(alg, self._contract_y(self._hderiv(alg, I2, N), alg), recF)
-        return mul_rows(alg, num, aI.cut(Jet(aI, I2).reciprocal().coef, alg))
+        return mul_rows(alg, num, aI.cut(_compose_rows(aI, I2, Jet.reciprocal), alg))
 
     def _build_cratio(self, alg, Sigma, D, F):
         """Pointwise stretch ratio c with Sigma = c F (C_{ijk|l} - C_{ijl|k})."""
         FD = mul_rows(alg, F, D)
-        num = _fold(mul_rows(alg, Sigma, FD).reshape(-1, alg.size))
-        den = _fold(mul_rows(alg, FD, FD).reshape(-1, alg.size))
-        require_stretch_design(float(num[0]), float(den[0]))
-        return mul_rows(alg, num, Jet(alg, den).reciprocal().coef)
+        num = _fold(mul_rows(alg, Sigma, FD).reshape((-1,) + FD.shape[-2:]))
+        den = _fold(mul_rows(alg, FD, FD).reshape((-1,) + FD.shape[-2:]))
+        for a, b in zip(num[:, 0], den[:, 0]):
+            require_stretch_design(float(a), float(b))
+        return mul_rows(alg, num, _compose_rows(alg, den, Jet.reciprocal))
 
 
 # --- public API: scopes, the bundle, the flag curvature and the spray ---
@@ -740,7 +779,7 @@ def spray_values(metric, x, y, depth=0):
     F2 = f * f
     P = {p: F2.coef[idx] * scale for p, (idx, scale) in _spray_slots(F2.alg).items()}
     g = 0.5 * P["yy"]
-    _require_positive_definite(g, x, y)
+    _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)
     ginv = np.linalg.inv(g)
     yv = np.asarray(y)
     u = ginv @ (P["yx"] @ yv - P["x"])

@@ -308,7 +308,9 @@ def parse(text: str):
 
 
 def variables_used(node, acc=None):
-    """Collect Var references, for dimension validation at build time."""
+    """Collect Var references, for dimension validation at build time.  A
+    vector argument x or y reads every component, the first among them, so
+    it counts as (group, 1)."""
     if acc is None:
         acc = set()
     if isinstance(node, Var):
@@ -324,6 +326,8 @@ def variables_used(node, acc=None):
         for a in node.args:
             if not isinstance(a, VecRef):
                 variables_used(a, acc)
+            elif a.ident in ("x", "y"):
+                acc.add((a.ident, 1))
     return acc
 
 

@@ -147,6 +147,7 @@ class _Algebra:
         self._deriv_tables = None
         self._stacked = {}
         self._cuts = {}
+        self._row_slots = np.empty(0, dtype=np.int64)
 
     def _ranks(self):
         """Exponents, their suffix sums and the binomial tables that rank them.
@@ -241,6 +242,15 @@ class _Algebra:
             )
             self._stacked[variables] = table
         return table
+
+    def row_slots(self, rows):
+        """The product table's output index ``mo`` for ``rows`` stacked rows,
+        row r's offset by r * size: the bincount slots of :func:`mul_rows`.
+        Built for the most rows asked so far; fewer rows read its prefix."""
+        need = rows * self.mul_table[2].size
+        if self._row_slots.size < need:
+            self._row_slots = (np.arange(rows)[:, None] * self.size + self.mul_table[2]).ravel()
+        return self._row_slots[:need]
 
     def cut(self, coef, sub):
         """The coefficients of the algebra ``sub`` (no larger order or cap)
@@ -560,22 +570,23 @@ def mul_rows(alg, a, b):
 
     ``a`` and ``b`` are coefficient arrays of shape (..., >= alg.size) that
     broadcast against each other.  One gather (``np.take``), one multiply
-    and one bincount with per-row offsets; each row's products are added in
-    mul-table order, as in :meth:`Jet.__mul__`, so the rows match it bit for
-    bit.  Rows are independent, so above ``_BLOCK`` pairs in all they go in
-    blocks of ``_BLOCK // pairs`` rows, which keeps the pair temporaries
-    that small.  A single row, and each row where a block would hold one, is
-    one ``_convolve``, the product :meth:`Jet.__mul__` forms, with no copies.
-    In the order-0 algebra each row is its one pair's product added to +0.0.
+    and one bincount with per-row offsets (``_Algebra.row_slots``); each
+    row's products are added in mul-table order, as in :meth:`Jet.__mul__`,
+    so the rows match it bit for bit, however many rows are stacked.  Rows
+    are independent, so above ``_BLOCK`` pairs in all they go in blocks of
+    ``_BLOCK // pairs`` rows, which keeps the pair temporaries that small.
+    A single row, and each row where a block would hold one, is one
+    ``_convolve``, the product :meth:`Jet.__mul__` forms.  In the order-0
+    algebra each row is its one pair's product added to +0.0.
     """
     mi, mj, mo = alg.mul_table
     size = alg.size
     if size == 1:
         return np.multiply(a[..., :1], b[..., :1]) + 0.0
-    if a.ndim == b.ndim == 1:
-        return _convolve(alg, a, b, size)
     rows = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     count = math.prod(rows)
+    if count == 1:
+        return _convolve(alg, a.reshape(-1), b.reshape(-1), size).reshape(rows + (size,))
     step = _BLOCK // mi.size
     if step <= 1:
         a, b = (np.broadcast_to(x[..., :size], rows + (size,)) for x in (a, b))
@@ -585,16 +596,19 @@ def mul_rows(alg, a, b):
         return out
     if count <= step:
         w = np.multiply(np.take(a, mi, axis=-1), np.take(b, mj, axis=-1), order="C")
-        slots = (np.arange(count)[:, None] * size + mo).ravel()
-        out = np.bincount(slots, weights=w.ravel(), minlength=count * size)  # C order: a view
-        return out.reshape(rows + (size,))
-    a, b = (np.broadcast_to(x[..., :size], rows + (size,)).reshape(count, size) for x in (a, b))
-    slots = (np.arange(step)[:, None] * size + mo).ravel()
+        out = np.bincount(alg.row_slots(count), weights=w.ravel(), minlength=count * size)
+        return out.reshape(rows + (size,))  # C order: a view
+    # each block gathers its rows through their flat indices in a and in b,
+    # so no operand is copied out to all ``count`` rows
+    ra, rb = (np.broadcast_to(np.arange(math.prod(x.shape[:-1])).reshape(x.shape[:-1]), rows).ravel()
+              for x in (a, b))
+    a, b = (x.reshape(-1, x.shape[-1]) for x in (a, b))
+    slots = alg.row_slots(step)
     out = np.empty((count, size))
     for r in range(0, count, step):
         n = min(step, count - r)
-        w = np.take(a[r : r + n], mi, axis=1)
-        w *= np.take(b[r : r + n], mj, axis=1)
+        w = np.take(a[ra[r : r + n], :size], mi, axis=1)
+        w *= np.take(b[rb[r : r + n], :size], mj, axis=1)
         out[r : r + n] = np.bincount(
             slots[: n * mi.size], weights=w.ravel(), minlength=n * size
         ).reshape(n, size)
@@ -607,7 +621,9 @@ def deriv_rows(alg, a, variables):
     size of ``alg.lowered``) out, one gather for all of them."""
     src, dst, fac, lower = alg.stacked_derivs(variables)
     out = np.zeros(a.shape[:-1] + (len(variables) * lower.size,))
-    out[..., dst] = a[..., src] * fac
+    terms = a[..., src]
+    terms *= fac
+    out[..., dst] = terms
     return out.reshape(a.shape[:-1] + (len(variables), lower.size))
 
 
@@ -620,14 +636,16 @@ def mul_seeds(alg, a, values, axis=-2):
     that variable through its derivative table's indices, then + 0.0, which
     equals :func:`mul_rows` with the seed rows bit for bit on finite data
     (module docstring).  A y-derivative keeps the cap, so the shift stays in
-    this algebra.
+    this algebra.  ``values`` has shape (count,) or (count, *rows): then
+    values[k] holds one seed value per row and broadcasts against the axes
+    of ``a`` just before its coefficients, one y per stacked point.
     """
     a = a[..., : alg.size]
     axis %= a.ndim
-    shape = [1] * a.ndim
-    shape[axis] = len(values)
-    out = a * np.reshape(np.asarray(values, dtype=float), shape)
-    for k in range(len(values)):
+    v = np.asarray(values, dtype=float)
+    shape = v.shape[:1] + (1,) * (a.ndim - axis - v.ndim - 1) + v.shape[1:] + (1,)
+    out = a * v.reshape(shape)
+    for k in range(v.shape[0]):
         src, dst, _ = alg.deriv_tables[alg.n_x + k]
         row = (slice(None),) * axis + (k, Ellipsis)
         out[row + (src,)] += a[row + (dst,)]

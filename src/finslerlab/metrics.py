@@ -268,8 +268,11 @@ class MetricInstance:
     _fn: object = field(repr=False)
 
     def F(self, x, y):
-        """Metric value at (x, y); components may be floats or jets.  An
-        overflow in the evaluator is a DomainError."""
+        """Metric value at (x, y); components are all floats or all jets.
+        Floats are taken as Python floats, so numpy scalars follow Python's
+        error rules too.  An overflow in the evaluator is a DomainError."""
+        if not isinstance(y[0], Jet):
+            x, y = tuple(map(float, x)), tuple(map(float, y))
         try:
             return self._fn(x, y)
         except OverflowError as e:

@@ -1,10 +1,20 @@
-"""Shared fixtures: each example metric is built once per test session."""
+"""Shared fixtures: each example metric is built once per test session.
+
+The hypothesis profile "ci" draws the same examples on every run (set
+``HYPOTHESIS_PROFILE=ci``); local runs keep the default, random profile.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from finslerlab.curvature import FieldScope
 from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

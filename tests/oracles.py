@@ -294,8 +294,9 @@ def jet_partial(jet, alpha):
 
 
 def as_jets(T, alg):
-    """A coefficient array (*shape, size) in the jet algebra ``alg`` as one
-    Jet per entry; a scalar field comes back as one Jet."""
+    """A single-point scope's coefficient array (*shape, 1, size) in the jet
+    algebra ``alg`` as one Jet per entry; a scalar field comes back as one Jet."""
+    T = T[..., 0, :]
     if T.ndim == 1:
         return Jet(alg, T.copy())
     out = np.empty(T.shape[:-1], dtype=object)
@@ -312,14 +313,15 @@ def field_jets(scope, name):
 
 def as_coefs(T):
     """Coefficient array of a Jet, an object array of jets or a tuple of
-    them; float arrays pass through."""
+    them, laid out as a single-point scope holds it: (*shape, 1, size);
+    float arrays pass through."""
     if isinstance(T, Jet):
-        return T.coef
+        return T.coef[None]
     if isinstance(T, tuple):
         return np.stack([as_coefs(t) for t in T])
     if T.dtype != object:
         return T
-    return np.array([j.coef for j in T.flat]).reshape(T.shape + (-1,))
+    return np.array([j.coef for j in T.flat]).reshape(T.shape + (1, -1))
 
 
 def _matmul_jets(A, B):
@@ -347,7 +349,7 @@ def g_inv_full(scope):
     """Neumann-series inverse of the scope's g, every iteration at g's order."""
     n = scope.n
     g = field_jets(scope, "g")
-    inv0 = scope.field("ginv0")
+    inv0 = scope.field("ginv0")[..., 0]
     alg = g[0, 0].alg
     base = np.empty((n, n), dtype=object)
     M = np.empty((n, n), dtype=object)

@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab import analysis as an
-from finslerlab.curvature import FieldScope, PointState, point_scope
+from finslerlab.curvature import LEDGER, FieldScope, PointState, point_scope
 from finslerlab.errors import (
     CrossCheckFailure,
     DimensionError,
+    FinslerError,
     NotConstantCurvature,
     RiemannianPoint,
     UndefinedFit,
@@ -397,6 +398,132 @@ def test_classify_summary_mentions_every_flag(funk2):
     text = an.classify(funk2, samples=3, seed=1).summary()
     for name in an.CLASS_FLAGS:
         assert name in text
+
+
+# --- point-batched scopes ---
+
+#: the seed order and the fields each batched driver reads
+BATCHED_READS = {
+    "classify": (an._CLASSIFY_ORDER, tuple(an._FLAG_FIELDS.values())),
+    "stretch": (an._STRETCH_ORDER, ("Sigma", "D", "F")),
+    "chain": (6, an._CHAIN_FIELDS),
+}
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(BUILTIN_NAMES), count=st.integers(1, 13),
+       seed=st.integers(0, 2**16), driver=st.sampled_from(sorted(BATCHED_READS)))
+def test_batched_scope_equals_single_point_scopes(corpus, name, count, seed, driver):
+    m = corpus[name]
+    order, names = BATCHED_READS[driver]
+    states = an.sample_states(m, count, seed)
+    batched = FieldScope(m, states, order)
+    tables = {f: batched.values(f) for f in names}
+    for p, state in enumerate(states):
+        single = point_scope(m, state, order)
+        for f in names:
+            assert tables[f].shape[0] == count
+            assert_bitwise(tables[f][p], single.values(f))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batched_scope_builds_every_field_as_single_points_do(corpus, name):
+    # every field and derivative read, or the error of the first point that
+    # raises it (frame2, I2 and mu2 choose an axis and a sign per point)
+    m = corpus[name]
+    states = an.sample_states(m, 3, seed=23)
+    batched = FieldScope(m, states, 7)
+    singles = [point_scope(m, state, 7) for state in states]
+
+    def read(sc, how, f):
+        try:
+            return getattr(sc, how)(f)
+        except FinslerError as err:
+            return type(err), str(err)
+
+    for how, fields in (("values", LEDGER), ("vderiv", ("C", "I2")), ("hderiv", ("C", "I")),
+                        ("directional", ("mu2", "cratio", "L_C"))):
+        for f in fields:
+            got = read(batched, how, f)
+            want = [read(sc, how, f) for sc in singles]
+            errors = [w for w in want if isinstance(w, tuple)]
+            if errors:
+                assert got == errors[0], (how, f)
+                continue
+            for p, w in enumerate(want):
+                assert_bitwise(got[p], w)
+
+
+def test_drivers_build_one_scope_for_all_their_points(funk3, monkeypatch):
+    built = []
+    init = FieldScope.__init__
+
+    def counted(self, metric, point, order):
+        init(self, metric, point, order)
+        built.append((len(self.points), order))
+
+    monkeypatch.setattr(FieldScope, "__init__", counted)
+    an.classify(funk3, samples=4, seed=1)
+    an.fit_relative_stretch(funk3, count=3, seed=1)
+    an.check_constant_flag_chain(funk3, samples=2, seed=1)
+    assert built == [(4, 7), (3, 5), (2, 6)]
+
+
+def _raised(call):
+    with pytest.raises(FinslerError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _first_ratio(m, state):
+    sc = point_scope(m, state, an._STRETCH_ORDER)
+    return an._stretch_ratio_values(sc.values("Sigma"), sc.values("D"), sc.values("F"))
+
+
+def _error_case(case):
+    """A driver call that fails, and a call that raises the failure of the
+    first point that fails when each point is read from its own scope."""
+    if case == "stretch-on-riemannian":
+        m = build_metric(builtin("sphere2"))
+        return (lambda: an.fit_relative_stretch(m, count=3, seed=2),
+                lambda: _first_ratio(m, an.sample_states(m, 3, seed=2)[0]))
+    if case == "stretch-later-point-out-of-chart":
+        m = build_metric(builtin("funk2"))
+        out = PointState((1.2, 0.0), (1.0, 0.0))
+        return (lambda: an.fit_relative_stretch(m, points=an.sample_states(m, 2, seed=4) + [out]),
+                lambda: point_scope(m, out, an._STRETCH_ORDER))
+    # quartic2 is locally Minkowski (R = 0, and D = 0, so the stretch fit is
+    # undefined) and g degenerates where y is on an axis: the batched build
+    # fails at the last point
+    m = build_metric(builtin("quartic2"))
+    good, axis = an.sample_states(m, 2, seed=3), PointState((0.0, 0.0), (1.0, 0.0))
+    if case == "chain-later-point-singular":
+        return (lambda: an.check_constant_flag_chain(m, points=good + [axis]),
+                lambda: point_scope(m, axis, 6).values("R1"))
+    assert case == "stretch-undefined-before-singular"
+    return (lambda: an.fit_relative_stretch(m, points=good + [axis]),
+            lambda: _first_ratio(m, good[0]))
+
+
+@pytest.mark.parametrize("case", ["stretch-on-riemannian", "stretch-later-point-out-of-chart",
+                                  "chain-later-point-singular",
+                                  "stretch-undefined-before-singular"])
+def test_batched_drivers_raise_the_first_failing_points_error(case):
+    call, first_failure = _error_case(case)
+    assert _raised(call) == _raised(first_failure)
+
+
+def test_batched_classify_raises_at_the_first_nan_point(funk2, nan_field):
+    nan_field("Sigma")
+    first = an.sample_states(funk2, 3, seed=1)[0]
+    assert _raised(lambda: an.classify(funk2, samples=3, seed=1)) == (
+        CrossCheckFailure, f"Sigma norm is nan at x = {first.x}, y = {first.y}")
 
 
 # --- plumbing ---

@@ -15,6 +15,7 @@ Exit-code contract exercised here:
 
 import json
 import importlib.resources
+import warnings
 
 import numpy as np
 import pytest
@@ -430,8 +431,12 @@ def test_bad_expression_exits_2(tmp_path, capsys):
     ({"family": "riemannian", "a": [["q", 0], [0, 1]]}, "a[0][0]: unknown identifier 'q'"),
     ({"family": "riemannian", "a": [[0, "0*1"], ["0*1", 0]]},
      "family 'riemannian' needs a nonzero matrix a"),
+    ({"family": "riemannian", "a": [["1 + dot(x,y)^2/abs2(x)", 0], [0, 1]]},
+     "a[0][0]: coefficient may not depend on y"),
+    ({"family": "randers", "a": [[1, 0], [0, 1]], "b": [0.1, "0.1*abs2(y)"]},
+     "b[1]: coefficient may not depend on y"),
 ], ids=["undeclared", "vector-as-scalar", "dot-lengths", "constant-domain", "empty-vector",
-        "entry-undeclared", "zero-matrix"])
+        "entry-undeclared", "zero-matrix", "entry-reads-y-by-dot", "entry-reads-y-by-abs2"])
 def test_malformed_expression_fails_at_build_and_exits_2(spec, message, tmp_path, capsys):
     # the metric is built once, so the error names the entry; the probe
     # samples never run
@@ -441,6 +446,23 @@ def test_malformed_expression_fails_at_build_and_exits_2(spec, message, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_float_division_by_zero_in_F_is_one_error_line(tmp_path, capsys, action):
+    # numpy scalars from the probe's samples divide as Python floats do:
+    # DivisionByZero with or without warnings as errors, and no warning
+    p = tmp_path / "divz.json"
+    p.write_text(json.dumps({"dimension": 2, "family": "custom",
+                             "expression": "sqrt(abs2(y)) + y1/(1-1)"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert main(["classify", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: spec file {str(p)!r} is not a Finsler metric: "
+                                   "evaluation: float division by zero at x = (")
+    assert captured.err.count("\n") == 1
 
 
 def test_geodesic_chart_exit_is_3(ball_spec, tmp_path, capsys):

@@ -464,7 +464,7 @@ def test_direct_spray_matches_scope(name):
         sc = point_scope(m, PointState(tuple(x), tuple(y)), 4)
         direct = spray_values(m, x, y, 2)
         for got, key in zip(direct, ("g0", "G", "N", "Gamma")):
-            want = sc.field(key) if key == "g0" else sc.values(key)
+            want = sc.values(key)
             scale = float(np.max(np.abs(want)))
             err = float(np.max(np.abs(got - want)))
             # abq3 is x-independent and its spray is 0: absolute floor

@@ -241,7 +241,7 @@ def test_array_builders_match_entry_loops(name, mode):
                 continue
             p, c = sc._built[f]
             inputs = [sc._cut(src, p + d, c + x) for src, d, x in LEDGER[f]]
-            jets = [x if src in ("g0", "ginv0") else as_jets(x, sc._at(p + d, c + xd))
+            jets = [x[..., 0] if src in ("g0", "ginv0") else as_jets(x, sc._at(p + d, c + xd))
                     for x, (src, d, xd) in zip(inputs, LEDGER[f])]
             got = getattr(sc, "_build_" + f)(sc._at(p, c), *inputs)
             assert_same_coefs(got, sc.field(f, p, c))

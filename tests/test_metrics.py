@@ -1,13 +1,14 @@
 """Metric construction, evaluation, charts, and validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from finslerlab import metrics
 from finslerlab.curvature import PointState, point_scope
-from finslerlab.errors import OutOfChart, SingularMetric, SpecError
+from finslerlab.errors import DivisionByZero, OutOfChart, SingularMetric, SpecError
 from finslerlab.metrics import Chart, MetricSpec, build_metric, validate
 
 from oracles import fd_partial, funk_value, rel_err
@@ -63,6 +64,23 @@ def test_funk_domain_gate_is_the_unit_ball_not_the_chart():
     assert isinstance(m.F(x, (0.0, 1.0)), float)
     with pytest.raises(OutOfChart, match=r"^\|x\| = 1\.0000 >= 1$"):
         m.F((1.0, 0.0), (0.0, 1.0))
+
+
+def test_float_F_takes_numpy_scalars_as_python_floats():
+    # Python's error rules whatever the caller passes: no RuntimeWarning and
+    # inf, but DivisionByZero; and on finite data the same float as before
+    bad = build_metric(MetricSpec.custom(2, "sqrt(abs2(y)) + y1/(1-1)"))
+    x, y = np.array([0.1, 0.2]), np.array([0.6, 0.8])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivisionByZero, match="float division by zero"):
+            bad.F(tuple(x), tuple(y))
+    assert caught == []
+    m = build_metric(metrics.builtin("funk3"))
+    x, y = np.array([0.1, -0.2, 0.05]), np.array([0.6, 0.8, -0.3])
+    got = m.F(tuple(x), tuple(y))
+    assert type(got) is float
+    assert got == m.F(tuple(map(float, x)), tuple(map(float, y)))
 
 
 def test_funk_chart_shrinks_with_drift():
