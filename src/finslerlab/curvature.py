@@ -70,8 +70,9 @@ more, which leaves every field room for one horizontal derivative by name
 summed from the same pairs in the same order (``jets`` module docstring),
 so it equals that coefficient of the full-order, uncapped field bit for
 bit, at any seed order deep enough to hold it.
-``spray_values`` builds no scope at all; its one F^2 jet has x-degree cap 1,
-since every partial it reads holds at most one x.
+``spray_values`` builds no scope at all; its one F jet has x-degree cap 1,
+since every partial of F^2 it reads holds at most one x, and it sums only
+the pairs of F * F that land on those partials.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from .errors import (
     UndefinedFit,
     ZeroVector,
 )
-from .jets import Jet, _algebra, _seeds, deriv_rows, mul_rows, mul_seeds
+from .jets import Jet, _algebra, _seeds, deriv_rows, mul_rows, mul_seeds, product_algebra
 
 BUNDLE_ORDER = 7
 
@@ -307,6 +308,20 @@ def _require_positive_definite(g0, eig, x, y):
             f"{y}: min eigenvalue {eig:.3e}",
             min_eigenvalue=float(eig),
         )
+
+
+def _clears_gate(g0):
+    """Whether Gershgorin's discs put every eigenvalue of the float matrix g0
+    above 1e-9 of the scale :func:`_require_positive_definite` uses, so far
+    above its gate that the least eigenvalue eigvalsh computes passes it
+    too; a NaN or infinite entry never clears it.  Where every row clears,
+    no entry exceeds the largest diagonal one, so that is the scale."""
+    rows = g0.tolist()
+    bar = 1e-9 * max(1.0, *(row[i] for i, row in enumerate(rows)))
+    for i, row in enumerate(rows):
+        if not 2.0 * row[i] - sum(map(abs, row)) > bar:  # g_ii - sum_{j != i} |g_ij|
+            return False
+    return True
 
 
 def require_stretch_design(num, den):
@@ -734,33 +749,47 @@ _SPRAY_PARTIALS = ("x", "yy", "yx", "yyy", "yyx", "yyyy", "yyyx")
 
 
 @functools.lru_cache(maxsize=None)
-def _spray_slots(alg):
-    """{pattern: (coefficient indices, factorial scales)} for one jet algebra."""
+def _spray_slots(alg, product):
+    """Where the partials of ``_SPRAY_PARTIALS`` that ``alg`` holds sit in
+    F^2 = F * F, for F in ``alg`` and its square in the ``product`` algebra.
+
+    Returns the pairs (mi, mj) of product's table that land on a coefficient
+    read, in table order, with that coefficient's place among those read
+    (``bins``, ``count`` of them), each partial's coefficient as such a
+    place (``where``), its factorial ``scale``, and {pattern: (slice,
+    shape)} to split the partials into views.  A bincount over these pairs
+    adds each coefficient read from the same pairs in the same order as the
+    whole product does.
+    """
     n = alg.n_vars // 2
-    slots = {}
+    idx, scale, split = [], [], {}
     for pattern in _SPRAY_PARTIALS:
         if len(pattern) > alg.order:
             continue
         shape = (n,) * len(pattern)
-        idx = np.empty(shape, dtype=np.int64)
-        scale = np.empty(shape)
+        split[pattern] = (slice(len(idx), len(idx) + n ** len(pattern)), shape)
         for combo in np.ndindex(shape):
             exps = [0] * alg.n_vars
             for kind, i in zip(pattern, combo):
                 exps[i if kind == "x" else n + i] += 1
-            idx[combo] = alg.index[tuple(exps)]
-            scale[combo] = math.prod(math.factorial(e) for e in exps)
-        slots[pattern] = (idx, scale)
-    return slots
+            idx.append(alg.index[tuple(exps)])
+            scale.append(math.prod(math.factorial(e) for e in exps))
+    read, where = np.unique(idx, return_inverse=True)
+    place = np.full(alg.size, -1)
+    place[read] = np.arange(read.size)
+    mi, mj, mo = product.mul_table
+    keep = place[mo] >= 0
+    return mi[keep], mj[keep], place[mo[keep]], read.size, where, np.array(scale, dtype=float), split
 
 
 def spray_values(metric, x, y, depth=0):
     """Float g and spray fields at (x, y), for ODE right-hand sides: [g, G]
     for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma] for depth 2.
 
-    No :class:`FieldScope`: one F^2 jet of order 2 + depth and x-degree cap
-    1, since every pattern in ``_SPRAY_PARTIALS`` holds one x at most, and
-    float linear algebra.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
+    No :class:`FieldScope`: one F jet of order 2 + depth and x-degree cap
+    1, since every pattern in ``_SPRAY_PARTIALS`` holds one x at most, the
+    coefficients of F^2 those patterns read (``_spray_slots``), and float
+    linear algebra.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
     u = 4G solves A u = b, and differentiating that system in y gives
 
         u_{,j}  = A^{-1} (b_{,j} - A_{,j} u)                                  = 4 N_j
@@ -768,18 +797,22 @@ def spray_values(metric, x, y, depth=0):
 
     so g and G need F^2 at order 2, N order 3 and Gamma order 4.  The gates
     are a scope's: dimension, finite x and y, chart, y's length, a zero y,
-    jet propagation, F > 0 and positive definiteness of g.
+    jet propagation, F > 0 and positive definiteness of g, for which
+    eigvalsh runs only where Gershgorin's discs do not clear g
+    (:func:`_clears_gate`).
     """
-    x = tuple(float(v) for v in x)
-    y = tuple(float(v) for v in y)
+    x, y = tuple(map(float, x)), tuple(map(float, y))
     if not all(map(math.isfinite, x + y)):  # a DomainError, which an integrator stage recovers from
         raise DomainError(f"point is not finite: x = {x}, y = {y}")
     _check_point(metric, x)
     f = _F_jet(metric, *_seeds(_algebra(2 * metric.n, 2 + depth, 1), x, y))
-    F2 = f * f
-    P = {p: F2.coef[idx] * scale for p, (idx, scale) in _spray_slots(F2.alg).items()}
+    product, _ = product_algebra(f.alg, f.deg + f.deg)  # the algebra F * F runs in
+    mi, mj, bins, count, where, scale, split = _spray_slots(f.alg, product)
+    flat = np.bincount(bins, f.coef[mi] * f.coef[mj], count)[where] * scale
+    P = {p: flat[part].reshape(shape) for p, (part, shape) in split.items()}
     g = 0.5 * P["yy"]
-    _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)
+    if not _clears_gate(g):
+        _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)
     ginv = np.linalg.inv(g)
     yv = np.asarray(y)
     u = ginv @ (P["yx"] @ yv - P["x"])

@@ -22,7 +22,13 @@ subtrees evaluated) and compiled once into a straight-line tape that
 evaluates every distinct subtree once per call (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 2).  The tape is generic:
 plug floats in and you get a float, plug jets in and you get a jet carrying
-all mixed partials of the formula.
+all mixed partials of the formula.  Floats run the tape op by op.  Jets of
+one algebra run a jet program, the tape lowered once per algebra and input
+degrees to kernels on raw coefficient arrays, with each product's algebra
+and each function's series resolved when it is compiled.  It runs the ops
+in the tape's order and returns the jet, or raises the error, that the same
+ops on ``Jet`` objects would, bit for bit; a numpy warning keeps its message
+but may cite a line here rather than in ``jets``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -41,7 +49,17 @@ from .errors import (
     ShapeMismatch,
     UnboundVariable,
 )
-from .jets import Jet, smooth
+from .jets import (
+    SERIES,
+    Jet,
+    _convolve,
+    compose,
+    power_chain,
+    power_series,
+    product_algebra,
+    reciprocal_series,
+    smooth,
+)
 
 _OPS = set("+-*/^")
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "abs2": 1, "dot": 2}
@@ -411,13 +429,24 @@ def fold(node, n, constants):
     return Num(f(a.value, b.value)) if isinstance(a, Num) and isinstance(b, Num) else Op(f, a, b)
 
 
+class Tape:
+    """A compiled formula (:func:`compile_tape`) and the jet programs built
+    from it so far, keyed by input algebra and degrees (:func:`evaluate`)."""
+
+    __slots__ = ("n", "init", "ops", "out", "programs")
+
+    def __init__(self, n, init, ops, out):
+        self.n, self.init, self.ops, self.out = n, init, ops, out
+        self.programs = {}
+
+
 def compile_tape(node, n, constants=None):
-    """Fold ``node`` and compile it once into a straight-line tape ``(n, init,
-    ops, out)``.  Its slots hold x, then y, then ``init``: the constants and
-    one None per register.  Op ``(f, i, j, k)`` writes f(slot i, slot j) to
-    register k, and ``out`` is the slot of the value.  Structurally equal
-    subtrees share one op, and an op overwrites a register no later op reads,
-    so each intermediate value is dropped once it is dead."""
+    """Fold ``node`` and compile it once into a straight-line :class:`Tape`
+    ``(n, init, ops, out)``.  Its slots hold x, then y, then ``init``: the
+    constants and one None per register.  Op ``(f, i, j, k)`` writes f(slot
+    i, slot j) to register k, and ``out`` is the slot of the value.
+    Structurally equal subtrees share one op, and an op overwrites a register
+    no later op reads, so each intermediate value is dropped once it is dead."""
     consts, ops, memo = [], [], {}
 
     def visit(node):  # input r < 2n, constant k as -1 - k, op t as 2n + t
@@ -449,16 +478,177 @@ def compile_tape(node, n, constants=None):
             registers += 1
         slot[2 * n + t] = free.pop()
         program.append((f, slot[i], slot[j], slot[2 * n + t]))
-    return n, (*consts, *[None] * registers), tuple(program), slot[out]
+    return Tape(n, (*consts, *[None] * registers), tuple(program), slot[out])
 
 
 def evaluate(tape, x, y):
     """Run a tape on x and y, sequences of floats or of jets: floats give a
-    float, jets a jet carrying every mixed partial of the formula."""
-    n, init, ops, out = tape
+    float, jets a jet carrying every mixed partial of the formula.  Jets of
+    one algebra run the tape's jet program for their degrees, compiled on
+    first use (:func:`_jet_program`); anything else runs op by op."""
+    n = tape.n
     if len(x) != n or len(y) != n:
         raise ShapeMismatch(f"need {n} components, got x:{len(x)} y:{len(y)}")
-    vals = [*x, *y, *init]
-    for f, i, j, k in ops:
+    inputs = (*x, *y)
+    alg = getattr(inputs[0], "alg", None)
+    key = (alg, *[v.deg if isinstance(v, Jet) and v.alg is alg else None for v in inputs])
+    if alg is not None and None not in key:  # jets, all in one algebra
+        program = tape.programs.get(key)
+        if program is None:
+            program = tape.programs[key] = _jet_program(tape, alg, key[1:])
+        vals = [v.coef for v in inputs]
+        vals += tape.init
+        for f, i, j, k in program.steps:
+            vals[k] = f(vals[i], vals[j])
+        if program.deg is None:  # the formula is a constant
+            return vals[tape.out]
+        return Jet(alg, vals[tape.out], program.deg)
+    vals = [*inputs, *tape.init]
+    for f, i, j, k in tape.ops:
         vals[k] = f(vals[i], vals[j])
-    return vals[out]
+    return vals[tape.out]
+
+
+# --- jet programs ---
+
+class JetProgram:
+    """A tape lowered for jet inputs of one algebra and given degrees.
+
+    The slots are the tape's, with the inputs' coefficient arrays in place
+    of the jets; constants are bound into the kernels that read them.  Step
+    ``(kernel, i, j, k)`` writes kernel(slot i, slot j) to slot k, as the
+    tape op it lowers does, and no kernel writes into an array it reads.
+    ``deg`` is the result's degree, None where the formula is a constant.
+    """
+
+    __slots__ = ("steps", "deg")
+
+    def __init__(self, steps, deg):
+        self.steps, self.deg = steps, deg
+
+
+#: the op a tape function stands for, which a jet program lowers
+_KIND = {**{f: op for op, f in _BINARY.items()}, _power: "^", _UNARY["-"]: "neg",
+         **{f: fn for fn, f in _UNARY.items() if fn != "-"}}
+
+
+def _jet_program(tape, alg, degs):
+    """Lower ``tape`` for jets in ``alg`` of degrees ``degs``, x then y.
+
+    Every slot's degree is fixed by the input degrees (``jets`` module
+    docstring), so each step's kernel is resolved here: a product's
+    degree-aware algebra, a power's chain of products, a function's series.
+    Each step does what the ``Jet`` operator its tape op calls would, in the
+    tape's order, and raises the same errors at run time.
+    """
+    n2 = 2 * tape.n
+    deg = [*degs, *[None] * len(tape.init)]  # None: a constant
+    steps = []
+    for f, i, j, k in tape.ops:
+        kind = _KIND[f]
+        if deg[i] is None or deg[j] is None:  # a jet and a scalar
+            s, c = (j, tape.init[i - n2]) if deg[i] is None else (i, tape.init[j - n2])
+            kernel, d = _scalar_step(alg, kind, deg[s], float(c), s == i)
+            i = j = s
+        elif kind == "neg":
+            kernel, d = _negate, deg[i]
+        elif kind in SERIES:
+            kernel, d = partial(_series, alg, SERIES[kind]), alg.order
+        elif kind == "*":
+            product, d = product_algebra(alg, deg[i] + deg[j])
+            kernel = partial(_convolve, product, size=alg.size)
+        elif kind == "/":  # times the reciprocal, of degree K: a full-order product
+            kernel, d = partial(_quotient, alg), alg.order
+        else:  # + or -
+            kernel, d = np.add if kind == "+" else _subtract, min(max(deg[i], deg[j]), alg.order)
+        steps.append((kernel, i, j, k))
+        deg[k] = d
+    return JetProgram(tuple(steps), deg[tape.out])
+
+
+def _scalar_step(alg, kind, d, s, jet_left):
+    """Kernel and degree of ``jet kind s`` (or ``s kind jet``) for a jet of
+    degree d and a float s."""
+    K = alg.order
+    if kind == "+":
+        return partial(_shift, s), d
+    if kind == "-":
+        return (partial(_shift, -s), d) if jet_left else (partial(_shift_negated, s), d)
+    if kind == "*":
+        return partial(_scale, s), d if math.isfinite(s) else K
+    if kind == "/" and not jet_left:
+        return partial(_scale_reciprocal, alg, s), K
+    if kind == "/":
+        try:
+            r = 1.0 / s
+        except ZeroDivisionError as e:
+            return partial(_fail, DivisionByZero, str(e)), d
+        return partial(_scale, r), d if math.isfinite(r) else K
+    # kind == "^": Jet.__pow__ with the constant exponent s
+    if not s.is_integer():
+        return partial(_series, alg, partial(power_series, s)), K
+    m = int(s)
+    if m == 0:
+        return partial(_one, alg.size), 0
+    degs, products = [d if m > 0 else K], []
+    for a, b in power_chain(abs(m)):
+        product, e = product_algebra(alg, degs[a] + degs[b])
+        products.append((a, b, partial(_convolve, product, size=alg.size)))
+        degs.append(e)
+    invert = partial(_series, alg, reciprocal_series) if m < 0 else None
+    return partial(_int_power, invert, tuple(products)), degs[-1]
+
+
+# kernels: each takes two coefficient arrays, and a unary one ignores the second
+
+def _subtract(a, b):
+    return a + -b  # Jet.__sub__ adds the negation: a NaN's sign follows it
+
+
+def _negate(a, _):
+    return -a
+
+
+def _shift(s, a, _):
+    out = a.copy()
+    out[0] += s
+    return out
+
+
+def _shift_negated(s, a, _):
+    out = -a
+    out[0] += s
+    return out
+
+
+def _scale(s, a, _):
+    return a * s
+
+
+def _one(size, a, _):
+    out = np.zeros(size)
+    out[0] = 1.0
+    return out
+
+
+def _fail(error, message, a, _):
+    raise error(message)
+
+
+def _series(alg, series_of, a, _):
+    return compose(alg, a, series_of(a.item(0), alg.order))
+
+
+def _scale_reciprocal(alg, s, a, _):
+    return _series(alg, reciprocal_series, a, a) * s
+
+
+def _quotient(alg, a, b):
+    return _convolve(alg, a, _series(alg, reciprocal_series, b, b), alg.size)
+
+
+def _int_power(invert, products, a, _):
+    regs = [a if invert is None else invert(a, a)]
+    for i, j, product in products:
+        regs.append(product(regs[i], regs[j]))
+    return regs[-1]

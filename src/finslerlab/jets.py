@@ -42,7 +42,10 @@ order < d, and the Horner value after adding series[k] is needed only
 through order K - k.  Each step runs in that algebra, with the jet's cap.
 A product's coefficient sums the same pairs in the same order in every
 algebra that holds it, so the result equals the full-order evaluation bit
-for bit.  ``mul_rows`` and ``deriv_rows`` apply the product and derivative
+for bit.  The series builders and the Horner evaluation (``compose``) work
+on coefficient arrays, so the compiled jet programs of ``expr`` run them
+without ``Jet`` objects; so does the binary powering of integer powers
+(``power_chain``).  ``mul_rows`` and ``deriv_rows`` apply the product and derivative
 tables to stacked coefficient arrays, one row per jet, with the same
 summation order.
 
@@ -66,12 +69,14 @@ degree 1 and constants 0.  A sum takes the larger degree and a product the
 sum of the two; negation and finite scalars keep it, a derivative lowers it
 by one, and compositions and jets built without one get the full order.
 Jets of degrees p and q with d = p + q < K multiply in the order-d algebra
-of the same cap, zero-padded: a coefficient of order <= d sums the same
-pairs in the same order there (the basis is a prefix), and each pair of
-higher order has a +-0 factor, so its full-table sum is the +0.0 the padding
-gives.  That holds for finite coefficients; where one is inf or NaN, the
-full table would put 0 * inf = NaN above order d and the padding keeps +0.0
-there, the exact product of the two polynomials.
+of the same cap, zero-padded (``product_algebra``, the one place this rule
+lives for ``Jet``, the jet programs and ``spray_values``): a coefficient of
+order <= d sums the same pairs in the same order there (the basis is a
+prefix), and each pair of higher order has a +-0 factor, so its full-table
+sum is the +0.0 the padding gives.  That holds for finite coefficients;
+where one is inf or NaN, the full table would put 0 * inf = NaN above order
+d and the padding keeps +0.0 there, the exact product of the two
+polynomials.
 
 Products of more than ``_BLOCK`` pairs run ``_BLOCK`` pairs at a time through
 ``np.add.at``, which adds in the order of one ``np.bincount``.  No
@@ -148,6 +153,8 @@ class _Algebra:
         self._stacked = {}
         self._cuts = {}
         self._row_slots = np.empty(0, dtype=np.int64)
+        self._seed_rows = None
+        self._horner = None
 
     def _ranks(self):
         """Exponents, their suffix sums and the binomial tables that rank them.
@@ -252,6 +259,22 @@ class _Algebra:
             self._row_slots = (np.arange(rows)[:, None] * self.size + self.mul_table[2]).ravel()
         return self._row_slots[:need]
 
+    @property
+    def seed_rows(self):
+        """Every variable's seed at value 0, as rows: row v is
+        ``Jet.variable(self, v, 0.0).coef``."""
+        if self._seed_rows is None:
+            self._seed_rows = np.stack([Jet.variable(self, v, 0.0).coef for v in range(self.n_vars)])
+        return self._seed_rows
+
+    @property
+    def horner(self):
+        """The algebras of orders 1 to ``order`` with this cap, in which
+        :func:`compose` runs its Horner steps: entry d - 1 has order d."""
+        if self._horner is None:
+            self._horner = tuple(_algebra(self.n_vars, d, self.cap) for d in range(1, self.order + 1))
+        return self._horner
+
     def cut(self, coef, sub):
         """The coefficients of the algebra ``sub`` (no larger order or cap)
         out of ``coef``, a coefficient array of this one: a slice where
@@ -284,11 +307,21 @@ def _convolve(alg, a, b, size):
     """
     mi, mj, mo = alg.mul_table
     if mi.size <= _BLOCK:
-        return np.bincount(mo, weights=a[mi] * b[mj], minlength=size)
+        return np.bincount(mo, a[mi] * b[mj], size)
     out = np.zeros(size)
     for s in range(0, mi.size, _BLOCK):
         np.add.at(out, mo[s : s + _BLOCK], a[mi[s : s + _BLOCK]] * b[mj[s : s + _BLOCK]])
     return out
+
+
+def product_algebra(alg, d):
+    """Algebra and degree of the product, in ``alg``, of jets whose degrees
+    sum to d: the order-d algebra of the same cap while d < K, whose
+    products are zero-padded to ``alg.size`` (module docstring), else
+    ``alg`` itself and degree K."""
+    if d < alg.order:
+        return _algebra(alg.n_vars, d, alg.cap), d
+    return alg, alg.order
 
 
 def _algebra(n_vars, order, cap=None):
@@ -412,17 +445,15 @@ class Jet:
     def __mul__(self, other):
         """Product; a scalar keeps the degree unless it is inf or NaN.
 
-        Two jets of degrees p and q with d = p + q < K multiply in the
-        order-d algebra, zero-padded (module docstring).
+        Two jets multiply in the algebra :func:`product_algebra` picks for
+        their degrees.
         """
         alg, a, b = self._with(other)
         if b is None:
             s = float(other)
             return Jet(alg, a * s, self.deg if math.isfinite(s) else alg.order)
-        d = self.deg + other.deg
-        if d < alg.order:
-            return Jet(alg, _convolve(_algebra(alg.n_vars, d, alg.cap), a, b, alg.size), d)
-        return Jet(alg, _convolve(alg, a, b, alg.size))
+        product, d = product_algebra(alg, self.deg + other.deg)
+        return Jet(alg, _convolve(product, a, b, alg.size), d)
 
     __rmul__ = __mul__
 
@@ -438,108 +469,39 @@ class Jet:
         p = float(exponent)
         if p.is_integer():
             return self._int_pow(int(p))
-        if self.value <= 0.0:
-            raise DomainError(
-                f"non-integer power of jet with value {self.value:.6g}"
-            )
-        a0 = self.value
-        series = [a0**p]
-        for k in range(1, self.alg.order + 1):
-            series.append(series[-1] * (p - (k - 1)) / (k * a0))
-        return self._compose(series)
+        return self._compose(power_series(p, self.value, self.alg.order))
 
     def _int_pow(self, p):
         if p == 0:
             return Jet.constant(self.alg, 1.0)
-        base = self if p > 0 else self.reciprocal()
-        m = abs(p)
-        out = None
-        acc = base
-        while m:
-            if m & 1:
-                out = acc if out is None else out * acc
-            m >>= 1
-            if m:
-                acc = acc * acc
-        return out
+        regs = [self if p > 0 else self.reciprocal()]
+        for a, b in power_chain(abs(p)):
+            regs.append(regs[a] * regs[b])
+        return regs[-1]
 
     # --- composition with univariate series ---
 
     def _compose(self, series):
-        """Horner evaluation of sum series[k] * u^k with u the nilpotent part.
-
-        The value after the step that adds series[k] is needed only through
-        order K - k, so that step runs in the order-(K - k) algebra (module
-        docstring) with the jet's cap: ``out``, zero-padded into it, times u
-        plus series[k], as :meth:`__mul__` and :meth:`__add__` compute them.
-        The first step, a constant times u, is a scalar multiply; ``+ 0.0``
-        turns -0.0 into 0.0 as a product's bincount does.
-        """
-        K, cap = self.alg.order, self.alg.cap
-        u = self.coef.copy()
-        u[0] = 0.0
-        top = min(len(series) - 1, K)  # u^k vanishes for k > K
-        if top == 0:
-            return Jet.constant(self.alg, series[0])
-        size = _algebra(self.alg.n_vars, K - top + 1, cap).size
-        out = u[:size] * series[top] + 0.0
-        out[0] += series[top - 1]
-        for k in range(top - 2, -1, -1):
-            alg = _algebra(self.alg.n_vars, K - k, cap)
-            padded = np.zeros(alg.size)
-            padded[: out.size] = out
-            out = _convolve(alg, padded, u, alg.size)
-            out[0] += series[k]
-        return Jet(self.alg, out)
+        """sum series[k] * u^k with u the nilpotent part (:func:`compose`)."""
+        return Jet(self.alg, compose(self.alg, self.coef, series))
 
     def reciprocal(self):
-        a0 = self.value
-        if a0 == 0.0:
-            raise DivisionByZero("division by jet with zero value part")
-        series = [1.0 / a0]
-        for _ in range(self.alg.order):
-            series.append(-series[-1] / a0)
-        return self._compose(series)
+        return self._compose(reciprocal_series(self.value, self.alg.order))
 
     def sqrt(self):
-        a0 = self.value
-        if a0 <= 0.0:
-            raise DomainError(f"sqrt of jet with value {a0:.6g}")
-        series = [math.sqrt(a0)]
-        for k in range(1, self.alg.order + 1):
-            series.append(series[-1] * (0.5 - (k - 1)) / (k * a0))
-        return self._compose(series)
+        return self._compose(sqrt_series(self.value, self.alg.order))
 
     def exp(self):
-        series = [math.exp(self.value)]
-        for k in range(1, self.alg.order + 1):
-            series.append(series[-1] / k)
-        return self._compose(series)
+        return self._compose(exp_series(self.value, self.alg.order))
 
     def log(self):
-        a0 = self.value
-        if a0 <= 0.0:
-            raise DomainError(f"log of jet with value {a0:.6g}")
-        series = [math.log(a0), 1.0 / a0]
-        for k in range(2, self.alg.order + 1):
-            series.append(-series[-1] * (k - 1) / (k * a0))
-        return self._compose(series)
+        return self._compose(log_series(self.value, self.alg.order))
 
     def sin(self):
-        return self._trig(math.sin(self.value), math.cos(self.value))
+        return self._compose(sin_series(self.value, self.alg.order))
 
     def cos(self):
-        return self._trig(math.cos(self.value), -math.sin(self.value))
-
-    def _trig(self, f0, f1):
-        cycle = (f0, f1, -f0, -f1)
-        series = []
-        fact = 1.0
-        for k in range(self.alg.order + 1):
-            if k:
-                fact *= k
-            series.append(cycle[k % 4] / fact)
-        return self._compose(series)
+        return self._compose(cos_series(self.value, self.alg.order))
 
     # --- differentiation and coefficient access ---
 
@@ -561,6 +523,134 @@ class Jet:
                 f"multi-index {tuple(exponents)} beyond truncation order {self.alg.order}"
             )
         return float(self.coef[idx])
+
+
+# --- closed-form functions on coefficient arrays ---
+#
+# A series builder takes the value a0 of the argument and the order K and
+# returns the function's Taylor coefficients at a0 through order K, raising
+# where a0 is outside its domain; :func:`compose` applies them to a coefficient
+# array.  ``Jet`` methods and the compiled jet programs of ``expr`` both run
+# through these.
+
+def reciprocal_series(a0, K):
+    if a0 == 0.0:
+        raise DivisionByZero("division by jet with zero value part")
+    series = [1.0 / a0]
+    for _ in range(K):
+        series.append(-series[-1] / a0)
+    return series
+
+
+def power_series(p, a0, K):
+    """Series of t ** p for a non-integer p, which needs a0 > 0."""
+    if a0 <= 0.0:
+        raise DomainError(f"non-integer power of jet with value {a0:.6g}")
+    series = [a0**p]
+    for k in range(1, K + 1):
+        series.append(series[-1] * (p - (k - 1)) / (k * a0))
+    return series
+
+
+def sqrt_series(a0, K):
+    if a0 <= 0.0:
+        raise DomainError(f"sqrt of jet with value {a0:.6g}")
+    series = [math.sqrt(a0)]
+    for k in range(1, K + 1):
+        series.append(series[-1] * (0.5 - (k - 1)) / (k * a0))
+    return series
+
+
+def exp_series(a0, K):
+    series = [math.exp(a0)]
+    for k in range(1, K + 1):
+        series.append(series[-1] / k)
+    return series
+
+
+def log_series(a0, K):
+    if a0 <= 0.0:
+        raise DomainError(f"log of jet with value {a0:.6g}")
+    series = [math.log(a0), 1.0 / a0]
+    for k in range(2, K + 1):
+        series.append(-series[-1] * (k - 1) / (k * a0))
+    return series
+
+
+def _trig_series(f0, f1, K):
+    cycle = (f0, f1, -f0, -f1)
+    series = []
+    fact = 1.0
+    for k in range(K + 1):
+        if k:
+            fact *= k
+        series.append(cycle[k % 4] / fact)
+    return series
+
+
+def sin_series(a0, K):
+    return _trig_series(math.sin(a0), math.cos(a0), K)
+
+
+def cos_series(a0, K):
+    return _trig_series(math.cos(a0), -math.sin(a0), K)
+
+
+#: the series builders of the named functions :func:`smooth` applies
+SERIES = {"sqrt": sqrt_series, "exp": exp_series, "log": log_series,
+          "sin": sin_series, "cos": cos_series}
+
+
+def power_chain(m):
+    """The products that raise a base to the power m >= 1 by binary
+    powering, as register pairs: register 0 holds the base, product t of
+    the pair (a, b) goes to register t + 1, and the last register holds the
+    power.  :meth:`Jet.__pow__` and the compiled jet programs of ``expr``
+    both run it."""
+    pairs, out, acc = [], None, 0
+    while m:
+        if m & 1:
+            if out is None:
+                out = acc
+            else:
+                pairs.append((out, acc))
+                out = len(pairs)
+        m >>= 1
+        if m:
+            pairs.append((acc, acc))
+            acc = len(pairs)
+    return pairs
+
+
+def compose(alg, coef, series):
+    """Coefficients, in ``alg``, of sum series[k] * u^k, with u the jet
+    ``coef`` less its value, by Horner's rule.
+
+    The value after the step that adds series[k] is needed only through
+    order K - k, so that step runs in the order-(K - k) algebra of
+    ``alg.horner`` (module docstring): ``out``, zero-padded into it, times u
+    plus series[k], as :meth:`Jet.__mul__` and :meth:`Jet.__add__` compute
+    them.  Each step leaves its result zero-padded to the next step's size.
+    The first step, a constant times u, is a scalar multiply; ``+ 0.0`` turns
+    -0.0 into 0.0 as a product's bincount does.
+    """
+    K = alg.order
+    top = min(len(series) - 1, K)  # u^k vanishes for k > K
+    if top == 0:
+        out = np.zeros(alg.size)
+        out[0] = float(series[0])
+        return out
+    u = coef.copy()
+    u[0] = 0.0
+    horner = alg.horner
+    size = horner[K - top].size
+    out = np.zeros(horner[K - top + 1].size if top > 1 else size)
+    out[:size] = u[:size] * series[top] + 0.0
+    out[0] += series[top - 1]
+    for k in range(top - 2, -1, -1):
+        out = _convolve(horner[K - k - 1], out, u, horner[K - k].size if k else alg.size)
+        out[0] += series[k]
+    return out
 
 
 # --- row-wise kernels on stacked coefficient arrays ---
@@ -675,16 +765,18 @@ def _seeds(alg, x0, y0):
         raise ShapeMismatch(
             f"need {n} components, got x:{len(x0)} y:{len(y0)}"
         )
-    if all(v == 0.0 for v in y0):
+    if not any(y0):
         raise ZeroVector("y seed must be nonzero")
-    xj = [Jet.variable(alg, i, x0[i]) for i in range(n)]
-    yj = [Jet.variable(alg, n + i, y0[i]) for i in range(n)]
-    return xj, yj
+    rows = alg.seed_rows.copy()
+    rows[:, 0] = x0 + y0
+    deg = min(1, alg.order)
+    seeds = [Jet(alg, row, deg) for row in rows]
+    return seeds[:n], seeds[n:]
 
 
 def smooth(value, name):
     """Apply a named function to a float or a jet uniformly."""
-    if name not in ("sqrt", "exp", "log", "sin", "cos"):
+    if name not in SERIES:
         raise BadConfig(f"unknown function {name!r}")
     if isinstance(value, Jet):
         return getattr(value, name)()

@@ -204,6 +204,15 @@ def walk(node, x, y, constants=None):
     return ev(node)
 
 
+def tape_walk(tape, x, y):
+    """Run a compiled tape op by op on its inputs, floats or ``Jet`` objects:
+    each op is the ``Jet`` operator itself, which a jet program lowers."""
+    vals = [*x, *y, *tape.init]
+    for f, i, j, k in tape.ops:
+        vals[k] = f(vals[i], vals[j])
+    return vals[tape.out]
+
+
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 

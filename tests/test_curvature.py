@@ -24,6 +24,7 @@ from finslerlab.curvature import (
     HDERIVS,
     VALENCE,
     PointState,
+    _clears_gate,
     curvature_bundle,
     flag_curvature,
     point_scope,
@@ -542,6 +543,35 @@ def test_direct_spray_point_guards(funk2):
     negative = dataclasses.replace(funk2, _fn=lambda x, y: -1.0 * funk2.F(x, y))
     with pytest.raises(SingularMetric):
         spray_values(negative, (0.1, 0.0), (1.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 24), st.sampled_from((2, 3)))
+def test_gershgorin_shortcut_never_passes_what_the_gate_rejects(bits, n):
+    """spray_values asks eigvalsh only when Gershgorin's discs do not clear
+    g; whatever they clear, the eigenvalue gate passes too."""
+    rng = np.random.default_rng(bits)
+    A = rng.standard_normal((n, n))
+    g = (A @ A.T + np.diag(rng.uniform(-0.5, 2.0, n))) * 10.0 ** rng.integers(-14, 4)
+    if rng.integers(0, 4) == 0:
+        g[rng.integers(0, n), rng.integers(0, n)] = (np.nan, np.inf, -np.inf)[rng.integers(0, 3)]
+    with np.errstate(invalid="ignore"):
+        eig = np.linalg.eigvalsh(g)[0] if np.isfinite(g).all() else np.nan
+    if _clears_gate(g):
+        assert eig > 1e-12 * max(float(np.abs(g).max()), 1.0)
+
+
+@pytest.mark.parametrize("g,clears", [
+    (np.eye(3), True),
+    (np.array([[2.0, 0.9], [0.9, 1.0]]), True),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), False),     # singular
+    (np.array([[1.0, 0.5], [0.5, -1.0]]), False),
+    (np.array([[1e-13, 0.0], [0.0, 1.0]]), False),    # positive, under the gate's margin
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), False),
+])
+def test_gershgorin_shortcut_cases(g, clears):
+    assert _clears_gate(g) is clears
 
 
 def test_rel_residual_semantics():

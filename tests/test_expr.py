@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab import expr
+from finslerlab.analysis import sample_states
+from finslerlab.curvature import SEED_CAP, _plan
 from finslerlab.errors import (
     ArityError,
+    DivisionByZero,
     DomainError,
     LexError,
     ParseError,
@@ -17,9 +20,9 @@ from finslerlab.errors import (
 )
 from finslerlab.expr import Bin, Call, Name, Neg, Num, Pow, Var, VecRef, parse, tokenize
 from finslerlab.jets import Jet, JetConfig, _algebra, _seeds, seed_variables
-from finslerlab.metrics import build_metric, builtin
+from finslerlab.metrics import BUILTIN_NAMES, MetricSpec, build_metric, builtin
 
-from oracles import funk_value, jet_partial, pretty, walk
+from oracles import funk_value, jet_partial, pretty, tape_walk, walk
 
 
 FUNK_EXPR = (
@@ -237,15 +240,15 @@ def test_pretty_round_trip(text):
     assert parse(pretty(ast)) == ast
 
 
-def random_ast(rng, depth=0):
-    """A random small AST over x1, x2, y1, y2, the scalar constant k and the
+def random_ast(rng, depth=0, n=2):
+    """A random small AST over x1..xn, y1..yn, the scalar constant k and the
     vectors x, y and a; leaves only from depth 3 on."""
     pick = rng.integers(0, 10 if depth < 3 else 5)
     vector = lambda: VecRef(("x", "y", "a")[rng.integers(0, 3)])  # noqa: E731
     if pick == 0:
         return Num(float(rng.integers(0, 9)))
     if pick == 1:
-        return Var("y" if rng.integers(0, 2) else "x", int(rng.integers(1, 3)))
+        return Var("y" if rng.integers(0, 2) else "x", int(rng.integers(1, n + 1)))
     if pick == 2:
         return Name("k")
     if pick == 3:
@@ -253,13 +256,13 @@ def random_ast(rng, depth=0):
     if pick == 4:
         return Call("dot", (vector(), vector()))
     if pick == 5:
-        return Neg(random_ast(rng, depth + 1))
+        return Neg(random_ast(rng, depth + 1, n))
     if pick == 6:
-        return Bin("+-*/"[rng.integers(0, 4)], random_ast(rng, depth + 1), random_ast(rng, depth + 1))
+        return Bin("+-*/"[rng.integers(0, 4)], random_ast(rng, depth + 1, n), random_ast(rng, depth + 1, n))
     if pick == 7:
-        return Pow(random_ast(rng, depth + 1), (1.0, 2.0, 3.0, 0.5, -1.0)[rng.integers(0, 5)])
+        return Pow(random_ast(rng, depth + 1, n), (1.0, 2.0, 3.0, 0.5, -1.0)[rng.integers(0, 5)])
     fn = ("sqrt", "exp", "log", "sin", "cos")[rng.integers(0, 5)]
-    return Call(fn, (random_ast(rng, depth + 1),))
+    return Call(fn, (random_ast(rng, depth + 1, n),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,7 +297,7 @@ def assert_tape_matches_walk(ast, points, consts):
     the walk's error type; a tree that fails to fold fails the walk at every
     point, since a constant subtree is evaluated on every call."""
     try:
-        tape = expr.compile_tape(ast, 2, consts)
+        tape = expr.compile_tape(ast, len(points[0][0]), consts)
     except Exception:  # noqa: BLE001
         for x, y in points:
             assert isinstance(outcome(walk, ast, x, y, consts), type), pretty(ast)
@@ -307,18 +310,40 @@ def assert_tape_matches_walk(ast, points, consts):
             assert same_bits(got, want), (pretty(ast), x, y)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 24))
-def test_tape_matches_recursive_walk(bits):
-    """Random trees, on floats and on seeded jets at (order 3, cap 1)."""
+def jet_inputs(kind, alg, x, y, rng):
+    """Jets of ``alg`` at (x, y): the seeds, linear maps of them (degree 1,
+    x among x and y among y, as the coordinate change tests build them) or
+    products of two seeds (degree 2)."""
+    xj, yj = _seeds(alg, x, y)
+    if kind == "linear":
+        def apply(v):
+            A = rng.uniform(-1.2, 1.2, (len(v), len(v)))
+            return [sum((float(A[i, j]) * v[j] for j in range(1, len(v))), float(A[i, 0]) * v[0])
+                    for i in range(len(v))]
+        return apply(xj), apply(yj)
+    if kind == "quadratic":
+        s = [*xj, *yj]
+        s = [a * b for a, b in zip(s, s[1:] + s[:1])]
+        return s[: len(xj)], s[len(xj):]
+    return xj, yj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 24), st.sampled_from((2, 3)), st.integers(2, 7),
+       st.sampled_from((0, 1, 3, None)), st.sampled_from(("seeds", "linear", "quadratic")))
+def test_tape_matches_recursive_walk(bits, n, order, cap, kind):
+    """Random trees over n dimensions, on floats and on jets of one (order,
+    cap) algebra: the jet program gives the walk's jet, algebra and degree
+    included, or raises its error."""
     rng = np.random.default_rng(bits)
-    ast = random_ast(rng)
+    ast = random_ast(rng, n=n)
     consts = {"k": (0.75, -0.0, 2.0)[rng.integers(0, 3)],
-              "a": np.array([(0.0, -0.0, 0.3, -1.5)[i] for i in rng.integers(0, 4, 2)])}
+              "a": np.array([(0.0, -0.0, 0.3, -1.5)[i] for i in rng.integers(0, 4, n)])}
+    alg = _algebra(2 * n, order, cap)
     points = []
     for _ in range(2):
-        x, y = tuple(rng.uniform(-0.9, 0.9, 2)), tuple(rng.uniform(-1.5, 1.5, 2))
-        points += [(x, y), _seeds(_algebra(4, 3, 1), x, y)]
+        x, y = tuple(rng.uniform(-0.9, 0.9, n)), tuple(rng.uniform(-1.5, 1.5, n))
+        points += [(x, y), jet_inputs(kind, alg, x, y, rng)]
     assert_tape_matches_walk(ast, points, consts)
 
 
@@ -333,13 +358,85 @@ def test_tape_keeps_signed_zero_constants_apart(text):
     assert_tape_matches_walk(parse(text), [(xj, yj), ((0.3, -0.2), (0.8, 0.6))], {})
 
 
-def test_shared_subtree_is_evaluated_once(monkeypatch):
+@pytest.mark.parametrize("text,error", [
+    ("y1/0", DivisionByZero),
+    ("y1/(y2 - y2)", DivisionByZero),
+    ("2/(y2 - y2)", DivisionByZero),
+    ("(y2 - y2)^(-2)", DivisionByZero),
+    ("sqrt(y1 - y1)", DomainError),
+    ("log(-y1*y1)", DomainError),
+    ("(x1 - 1)^0.5", DomainError),
+    ("exp(1000*y1)", OverflowError),
+])
+def test_jet_program_raises_the_walks_errors(text, error):
+    xj, yj = _seeds(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
+    with pytest.raises(error):
+        walk(parse(text), xj, yj)
+    with pytest.raises(error):
+        expr.evaluate(expr.compile_tape(parse(text), 2), xj, yj)
+
+
+@pytest.mark.parametrize("text", [
+    "x1*y1 + x2*y2 - y1*x2",
+    "(1e308*10*y1)*y2 + y1",
+    "sqrt(abs2(y)) - dot(x, y)",
+    "(x1 - y1)*(x2 - y2)/(y1*y1 + 1)",
+])
+def test_jet_program_keeps_nan_signs_and_infinities(text):
+    """Seeds with infinite and NaN slopes of both signs and a -0.0 value: the
+    program matches the walk bit for bit, NaN signs included, so it keeps
+    the order of every operand and each scalar's effect on the degree."""
+    alg = _algebra(4, 3, 1)
+    x, y = _seeds(alg, (0.3, -0.0), (0.8, 0.6))
+    for var, (v, slope) in enumerate(zip(x + y, (-np.nan, np.inf, np.nan, -np.inf))):
+        v.coef[1 + var] = slope  # the first-order coefficients follow the value
+    with np.errstate(all="ignore"):
+        want, got = walk(parse(text), x, y), expr.evaluate(expr.compile_tape(parse(text), 2), x, y)
+    assert same_bits(got, want), text
+
+
+def test_jet_overflow_is_a_domain_error():
+    m = build_metric(MetricSpec.custom(2, "sqrt(abs2(y)) + exp(1000*y1)"))
+    with pytest.raises(DomainError, match="^F overflows"):
+        m.F(*_seeds(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6)))
+
+
+def metric_tape(metric):
+    """The tape behind ``metric.F``, caught from one float call."""
+    tapes = []
+    run_tape = expr.evaluate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "evaluate", lambda tape, x, y: tapes.append(tape) or run_tape(tape, x, y))
+        metric.F((0.1,) * metric.n, (1.0,) * metric.n)
+    return tapes[0]
+
+
+def test_shared_subtree_is_evaluated_once():
     """sphere3's three diagonal entries are one conformal factor
-    4/(1 + abs2(x))^2: one F jet call composes its power once."""
+    4/(1 + abs2(x))^2: the F program compiled from its tape holds one power."""
     m = build_metric(builtin("sphere3"))
-    xj, yj = _seeds(_algebra(6, 3, 1), (0.1, 0.2, -0.3), (1.0, 0.5, 0.2))
-    calls = []
-    power = Jet.__pow__
-    monkeypatch.setattr(Jet, "__pow__", lambda self, p: calls.append(p) or power(self, p))
-    m.F(xj, yj)
-    assert calls == [2.0]
+    tape = metric_tape(m)
+    m.F(*_seeds(_algebra(6, 3, 1), (0.1, 0.2, -0.3), (1.0, 0.5, 0.2)))
+    (program,) = tape.programs.values()
+    powers = [f for f, *_ in program.steps if getattr(f, "func", None) is expr._int_power]
+    assert len(powers) == 1
+
+
+#: every (order, cap) a scope seeds F in (its planned and its full cap) and
+#: every one spray_values seeds it in
+ALGEBRAS_IN_USE = sorted(
+    {_plan(k)["F"] for k in range(2, 8)} | {(k, SEED_CAP) for k in range(2, 8)}
+    | {(2 + depth, 1) for depth in range(3)}
+)
+
+
+@pytest.mark.parametrize("order,cap", ALGEBRAS_IN_USE)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_programs_match_tape_walk(name, order, cap):
+    """Each built-in's F jet through its jet program equals its tape run op
+    by op on ``Jet`` objects, at two sample states."""
+    m = build_metric(builtin(name))
+    tape = metric_tape(m)
+    for point in sample_states(m, 2, seed=5):
+        xj, yj = _seeds(_algebra(2 * m.n, order, cap), point.x, point.y)
+        assert same_bits(m.F(xj, yj), tape_walk(tape, xj, yj)), (name, point)
