@@ -15,8 +15,9 @@ Commands (see ``finslerlab <command> --help`` for flags):
 
 Exit codes: 0 success / all checks pass; 1 a verification check failed (or a
 computation was inapplicable); 2 malformed spec, expression or option value
-(points file, --t, --thresholds, --samples < 1), or a spec whose F fails the
-positive-homogeneity or strong-convexity probe at seeded chart points
+(points file, --t, --thresholds, --samples < 1, a NaN or negative --tol or
+--spread-tol, a geodesic --tol that is not finite and > 0), or a spec whose
+F fails the positive-homogeneity or strong-convexity probe at seeded chart points
 (message on stderr, no partial output); 3 chart violation (point outside the
 chart, or a trajectory leaving it; the exit time is reported when known).
 
@@ -29,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -110,9 +112,18 @@ def _parse_vector(text, name):
     return vec
 
 
-def _check_samples(args):
+def _check_options(args):
+    """Malformed numeric options are a SpecError: --samples below 1, a NaN
+    or negative --tol or --spread-tol, and a geodesic --tol, the
+    integrator's, that is not finite and > 0."""
     if args.samples < 1:
         raise SpecError(f"--samples must be >= 1, got {args.samples}")
+    if args.command == "geodesic" and not 0.0 < args.tol < math.inf:
+        raise SpecError(f"--tol must be finite and > 0, got {args.tol!r}")
+    for flag in ("tol", "spread_tol"):
+        value = getattr(args, flag, 0.0)
+        if not value >= 0.0:
+            raise SpecError(f"--{flag.replace('_', '-')} must be >= 0, got {value!r}")
 
 
 def _dump_json(doc):
@@ -155,7 +166,7 @@ def _load_points(path, n):
 
 
 def cmd_report(args):
-    _check_samples(args)
+    _check_options(args)
     spec, metric = _load_metric(args.spec)
     if args.points:
         states = _load_points(args.points, metric.n)
@@ -363,7 +374,7 @@ _SUITE_FNS = {
 
 
 def cmd_verify(args):
-    _check_samples(args)
+    _check_options(args)
     _, metric = _load_metric(args.spec)
     rows = _SUITE_FNS[args.suite](metric, args)
     table = []
@@ -426,7 +437,7 @@ def _parse_thresholds(text):
 
 
 def cmd_classify(args):
-    _check_samples(args)
+    _check_options(args)
     _, metric = _load_metric(args.spec)
     thresholds = _parse_thresholds(args.thresholds) if args.thresholds else None
     verdict = analysis.classify(
@@ -442,7 +453,7 @@ def cmd_classify(args):
 
 
 def cmd_geodesic(args):
-    _check_samples(args)
+    _check_options(args)
     spec, metric = _load_metric(args.spec)
     x0 = _parse_vector(args.x0, "--x0")
     y0 = _parse_vector(args.y0, "--y0")

@@ -70,9 +70,11 @@ more, which leaves every field room for one horizontal derivative by name
 summed from the same pairs in the same order (``jets`` module docstring),
 so it equals that coefficient of the full-order, uncapped field bit for
 bit, at any seed order deep enough to hold it.
-``spray_values`` builds no scope at all; its one F jet has x-degree cap 1,
-since every partial of F^2 it reads holds at most one x, and it sums only
-the pairs of F * F that land on those partials.
+F is read off the metric's tape: a scope's F field, and ``spray_values``,
+run the tape's seed program on each point's seed block (``expr.run``).
+``spray_values`` builds no scope at all; its F has x-degree cap 1, since
+every partial of F^2 it reads holds at most one x, and it sums only the
+pairs of F * F that land on those partials, by a plan kept on the tape.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ from .errors import (
     UndefinedFit,
     ZeroVector,
 )
-from .jets import Jet, _algebra, _seeds, deriv_rows, mul_rows, mul_seeds, product_algebra
+from .expr import seed_program
+from .jets import Jet, _algebra, deriv_rows, mul_rows, mul_seeds, product_algebra
 
 BUNDLE_ORDER = 7
 
@@ -287,13 +290,17 @@ def _check_point(metric, x):
         raise OutOfChart(f"x = {x} outside metric chart")
 
 
-def _F_jet(metric, xj, yj):
-    """F on seeded jets; F must propagate jets and be positive and finite."""
-    f = metric.F(xj, yj)
-    if not isinstance(f, Jet):
+def _F_coef(metric, program, x, y):
+    """F's coefficients at the seeds of the float point (x, y) in the
+    algebra of ``program``, the seed program of the metric's tape
+    (``MetricInstance.F_seeded``); F must propagate jets and be positive
+    and finite."""
+    f = metric.F_seeded(program, x, y)
+    if program.deg is None:  # the formula is a constant
         raise BadConfig("metric evaluator did not propagate jets")
-    if not 0.0 < f.value < math.inf:
-        raise SingularMetric(f"F(x, y) = {f.value:.6g} is not positive and finite")
+    value = f.item(0)
+    if not 0.0 < value < math.inf:
+        raise SingularMetric(f"F(x, y) = {value:.6g} is not positive and finite")
     return f
 
 
@@ -542,7 +549,8 @@ class FieldScope:
     # them, each read in ``_deeper(alg, depth, xdepth)``
 
     def _build_F(self, alg):
-        return np.stack([_F_jet(self.metric, *_seeds(alg, p.x, p.y)).coef for p in self.points])
+        program = seed_program(self.metric.tape, alg)
+        return np.stack([_F_coef(self.metric, program, p.x, p.y) for p in self.points])
 
     def _build_F2(self, alg, F):
         return mul_rows(alg, F, F)
@@ -748,68 +756,90 @@ def _ensure_scope(metric, point, scope, op, order=None):
 _SPRAY_PARTIALS = ("x", "yy", "yx", "yyy", "yyx", "yyyy", "yyyx")
 
 
-@functools.lru_cache(maxsize=None)
-def _spray_slots(alg, product):
-    """Where the partials of ``_SPRAY_PARTIALS`` that ``alg`` holds sit in
-    F^2 = F * F, for F in ``alg`` and its square in the ``product`` algebra.
+class _SprayPlan:
+    """What :func:`spray_values` runs at one depth of one tape, resolved
+    once and kept in ``tape.plans``: the seed program of F (``program``, in
+    the order-(2 + depth), x-degree-cap-1 algebra) and where the partials
+    of ``_SPRAY_PARTIALS`` it holds sit in F^2 = F * F.
 
-    Returns the pairs (mi, mj) of product's table that land on a coefficient
-    read, in table order, with that coefficient's place among those read
-    (``bins``, ``count`` of them), each partial's coefficient as such a
-    place (``where``), its factorial ``scale``, and {pattern: (slice,
-    shape)} to split the partials into views.  A bincount over these pairs
-    adds each coefficient read from the same pairs in the same order as the
-    whole product does.
+    Those are the pairs (mi, mj) of the product table of F * F that land on
+    a coefficient read, in table order, with that coefficient's place among
+    those read (``bins``, ``count`` of them), each partial's coefficient as
+    such a place (``where``), its factorial ``scale``, and {pattern:
+    (slice, shape)} to split the partials into blocks.  A bincount over
+    these pairs adds each coefficient read from the same pairs in the same
+    order as the whole product does.  A constant formula has no pairs:
+    :func:`_F_coef` rejects it first.
     """
-    n = alg.n_vars // 2
-    idx, scale, split = [], [], {}
-    for pattern in _SPRAY_PARTIALS:
-        if len(pattern) > alg.order:
-            continue
-        shape = (n,) * len(pattern)
-        split[pattern] = (slice(len(idx), len(idx) + n ** len(pattern)), shape)
-        for combo in np.ndindex(shape):
-            exps = [0] * alg.n_vars
-            for kind, i in zip(pattern, combo):
-                exps[i if kind == "x" else n + i] += 1
-            idx.append(alg.index[tuple(exps)])
-            scale.append(math.prod(math.factorial(e) for e in exps))
-    read, where = np.unique(idx, return_inverse=True)
-    place = np.full(alg.size, -1)
-    place[read] = np.arange(read.size)
-    mi, mj, mo = product.mul_table
-    keep = place[mo] >= 0
-    return mi[keep], mj[keep], place[mo[keep]], read.size, where, np.array(scale, dtype=float), split
+
+    __slots__ = ("program", "mi", "mj", "bins", "count", "where", "scale", "split")
+
+    def __init__(self, tape, depth):
+        alg = _algebra(2 * tape.n, 2 + depth, 1)
+        self.program = seed_program(tape, alg)
+        if self.program.deg is None:
+            return
+        product, _ = product_algebra(alg, 2 * self.program.deg)  # the algebra F * F runs in
+        n = tape.n
+        idx, scale, self.split = [], [], {}
+        for pattern in _SPRAY_PARTIALS:
+            if len(pattern) > alg.order:
+                continue
+            shape = (n,) * len(pattern)
+            self.split[pattern] = (slice(len(idx), len(idx) + n ** len(pattern)), shape)
+            for combo in np.ndindex(shape):
+                exps = [0] * alg.n_vars
+                for kind, i in zip(pattern, combo):
+                    exps[i if kind == "x" else n + i] += 1
+                idx.append(alg.index[tuple(exps)])
+                scale.append(math.prod(math.factorial(e) for e in exps))
+        read, self.where = np.unique(idx, return_inverse=True)
+        place = np.full(alg.size, -1)
+        place[read] = np.arange(read.size)
+        mi, mj, mo = product.mul_table
+        keep = place[mo] >= 0
+        self.mi, self.mj, self.bins, self.count = mi[keep], mj[keep], place[mo[keep]], read.size
+        self.scale = np.array(scale, dtype=float)
+
+    def partials(self, f):
+        """The partials of F^2 from F's coefficients f, by pattern: each a
+        C-contiguous block, so every matmul on it sums in one order."""
+        flat = np.bincount(self.bins, f[self.mi] * f[self.mj], self.count)[self.where] * self.scale
+        return {p: flat[part].reshape(shape) for p, (part, shape) in self.split.items()}
 
 
 def spray_values(metric, x, y, depth=0):
     """Float g and spray fields at (x, y), for ODE right-hand sides: [g, G]
-    for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma] for depth 2.
+    for depth 0, [g, G, N] for depth 1 and [g, G, N, Gamma] for depth 2;
+    any other depth is a BadConfig.
 
-    No :class:`FieldScope`: one F jet of order 2 + depth and x-degree cap
-    1, since every pattern in ``_SPRAY_PARTIALS`` holds one x at most, the
-    coefficients of F^2 those patterns read (``_spray_slots``), and float
-    linear algebra.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l,
-    u = 4G solves A u = b, and differentiating that system in y gives
+    No :class:`FieldScope` and no ``Jet``: the tape's plan for this depth
+    (:class:`_SprayPlan`) runs F's seed program on the point's seed block,
+    in the order-(2 + depth) algebra with x-degree cap 1, since every
+    pattern in ``_SPRAY_PARTIALS`` holds one x at most.  It sums only the
+    coefficients of F^2 those patterns read, and the rest is float linear
+    algebra.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l, u = 4G
+    solves A u = b, and differentiating that system in y gives
 
         u_{,j}  = A^{-1} (b_{,j} - A_{,j} u)                                  = 4 N_j
         u_{,jk} = A^{-1} (b_{,jk} - A_{,jk} u - A_{,j} u_{,k} - A_{,k} u_{,j})  = 4 Gamma_jk
 
     so g and G need F^2 at order 2, N order 3 and Gamma order 4.  The gates
-    are a scope's: dimension, finite x and y, chart, y's length, a zero y,
-    jet propagation, F > 0 and positive definiteness of g, for which
-    eigvalsh runs only where Gershgorin's discs do not clear g
-    (:func:`_clears_gate`).
+    are a scope's: finite x and y, dimension, chart, y's length, a zero y,
+    the metric's domain, jet propagation, F > 0 and positive definiteness
+    of g, for which eigvalsh runs only where Gershgorin's discs do not clear
+    g (:func:`_clears_gate`).
     """
+    if type(depth) is not int or not 0 <= depth <= 2:
+        raise BadConfig(f"spray depth must be 0, 1 or 2, got {depth!r}")
     x, y = tuple(map(float, x)), tuple(map(float, y))
     if not all(map(math.isfinite, x + y)):  # a DomainError, which an integrator stage recovers from
         raise DomainError(f"point is not finite: x = {x}, y = {y}")
     _check_point(metric, x)
-    f = _F_jet(metric, *_seeds(_algebra(2 * metric.n, 2 + depth, 1), x, y))
-    product, _ = product_algebra(f.alg, f.deg + f.deg)  # the algebra F * F runs in
-    mi, mj, bins, count, where, scale, split = _spray_slots(f.alg, product)
-    flat = np.bincount(bins, f.coef[mi] * f.coef[mj], count)[where] * scale
-    P = {p: flat[part].reshape(shape) for p, (part, shape) in split.items()}
+    plan = metric.tape.plans.get(depth)
+    if plan is None:
+        plan = metric.tape.plans[depth] = _SprayPlan(metric.tape, depth)
+    P = plan.partials(_F_coef(metric, plan.program, x, y))
     g = 0.5 * P["yy"]
     if not _clears_gate(g):
         _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)

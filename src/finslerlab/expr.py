@@ -29,6 +29,12 @@ and each function's series resolved when it is compiled.  It runs the ops
 in the tape's order and returns the jet, or raises the error, that the same
 ops on ``Jet`` objects would, bit for bit; a numpy warning keeps its message
 but may cite a line here rather than in ``jets``.
+
+:func:`run` is the one coefficient-level entry: it runs a jet program on
+input coefficient rows, x then y, with no ``Jet`` object.  ``evaluate``
+passes it the rows of its jets; the curvature layer's spray and scopes pass
+it a point's seed block (``jets.seed_block``) and the seed program of its
+algebra (:func:`seed_program`).
 """
 
 from __future__ import annotations
@@ -430,14 +436,17 @@ def fold(node, n, constants):
 
 
 class Tape:
-    """A compiled formula (:func:`compile_tape`) and the jet programs built
-    from it so far, keyed by input algebra and degrees (:func:`evaluate`)."""
+    """A compiled formula (:func:`compile_tape`), the jet programs built
+    from it so far, keyed by input algebra and degrees (:func:`jet_program`),
+    and the plans callers build on it, keyed by the caller's own key (the
+    spray plan of ``curvature.spray_values``, by depth)."""
 
-    __slots__ = ("n", "init", "ops", "out", "programs")
+    __slots__ = ("n", "init", "ops", "out", "programs", "plans")
 
     def __init__(self, n, init, ops, out):
         self.n, self.init, self.ops, self.out = n, init, ops, out
         self.programs = {}
+        self.plans = {}
 
 
 def compile_tape(node, n, constants=None):
@@ -484,27 +493,33 @@ def compile_tape(node, n, constants=None):
 def evaluate(tape, x, y):
     """Run a tape on x and y, sequences of floats or of jets: floats give a
     float, jets a jet carrying every mixed partial of the formula.  Jets of
-    one algebra run the tape's jet program for their degrees, compiled on
-    first use (:func:`_jet_program`); anything else runs op by op."""
+    one algebra run the tape's jet program for their degrees
+    (:func:`jet_program`) on their coefficients (:func:`run`); anything else
+    runs op by op."""
     n = tape.n
     if len(x) != n or len(y) != n:
         raise ShapeMismatch(f"need {n} components, got x:{len(x)} y:{len(y)}")
     inputs = (*x, *y)
     alg = getattr(inputs[0], "alg", None)
-    key = (alg, *[v.deg if isinstance(v, Jet) and v.alg is alg else None for v in inputs])
-    if alg is not None and None not in key:  # jets, all in one algebra
-        program = tape.programs.get(key)
-        if program is None:
-            program = tape.programs[key] = _jet_program(tape, alg, key[1:])
-        vals = [v.coef for v in inputs]
-        vals += tape.init
-        for f, i, j, k in program.steps:
-            vals[k] = f(vals[i], vals[j])
-        if program.deg is None:  # the formula is a constant
-            return vals[tape.out]
-        return Jet(alg, vals[tape.out], program.deg)
+    degs = tuple(v.deg if isinstance(v, Jet) and v.alg is alg else None for v in inputs)
+    if alg is not None and None not in degs:  # jets, all in one algebra
+        program = jet_program(tape, alg, degs)
+        out = run(tape, program, [v.coef for v in inputs])
+        return out if program.deg is None else Jet(alg, out, program.deg)
     vals = [*inputs, *tape.init]
     for f, i, j, k in tape.ops:
+        vals[k] = f(vals[i], vals[j])
+    return vals[tape.out]
+
+
+def run(tape, program, rows):
+    """Run ``program``, a jet program of ``tape``, on the inputs'
+    coefficient rows, x then y: for F at a point, its seed block
+    (``jets.seed_block``) and :func:`seed_program`.  Returns the result's
+    coefficients, or the formula's float where it is a constant
+    (``program.deg`` is None)."""
+    vals = [*rows, *tape.init]
+    for f, i, j, k in program.steps:
         vals[k] = f(vals[i], vals[j])
     return vals[tape.out]
 
@@ -512,7 +527,7 @@ def evaluate(tape, x, y):
 # --- jet programs ---
 
 class JetProgram:
-    """A tape lowered for jet inputs of one algebra and given degrees.
+    """A tape lowered for jet inputs of the algebra ``alg`` and given degrees.
 
     The slots are the tape's, with the inputs' coefficient arrays in place
     of the jets; constants are bound into the kernels that read them.  Step
@@ -521,10 +536,27 @@ class JetProgram:
     ``deg`` is the result's degree, None where the formula is a constant.
     """
 
-    __slots__ = ("steps", "deg")
+    __slots__ = ("alg", "steps", "deg")
 
-    def __init__(self, steps, deg):
-        self.steps, self.deg = steps, deg
+    def __init__(self, alg, steps, deg):
+        self.alg, self.steps, self.deg = alg, steps, deg
+
+
+def jet_program(tape, alg, degs):
+    """The jet program of ``tape`` for inputs in ``alg`` of degrees
+    ``degs``, x then y: compiled on first use (:func:`_jet_program`) and kept
+    on the tape."""
+    key = (alg, *degs)
+    program = tape.programs.get(key)
+    if program is None:
+        program = tape.programs[key] = _jet_program(tape, alg, degs)
+    return program
+
+
+def seed_program(tape, alg):
+    """The jet program of ``tape`` for seeds of ``alg``: every input of
+    degree ``min(1, alg.order)``, as in a seed block."""
+    return jet_program(tape, alg, (min(1, alg.order),) * (2 * tape.n))
 
 
 #: the op a tape function stands for, which a jet program lowers
@@ -556,14 +588,14 @@ def _jet_program(tape, alg, degs):
             kernel, d = partial(_series, alg, SERIES[kind]), alg.order
         elif kind == "*":
             product, d = product_algebra(alg, deg[i] + deg[j])
-            kernel = partial(_convolve, product, size=alg.size)
+            kernel = partial(_convolve, product, alg.size)
         elif kind == "/":  # times the reciprocal, of degree K: a full-order product
             kernel, d = partial(_quotient, alg), alg.order
         else:  # + or -
             kernel, d = np.add if kind == "+" else _subtract, min(max(deg[i], deg[j]), alg.order)
         steps.append((kernel, i, j, k))
         deg[k] = d
-    return JetProgram(tuple(steps), deg[tape.out])
+    return JetProgram(alg, tuple(steps), deg[tape.out])
 
 
 def _scalar_step(alg, kind, d, s, jet_left):
@@ -593,7 +625,7 @@ def _scalar_step(alg, kind, d, s, jet_left):
     degs, products = [d if m > 0 else K], []
     for a, b in power_chain(abs(m)):
         product, e = product_algebra(alg, degs[a] + degs[b])
-        products.append((a, b, partial(_convolve, product, size=alg.size)))
+        products.append((a, b, partial(_convolve, product, alg.size)))
         degs.append(e)
     invert = partial(_series, alg, reciprocal_series) if m < 0 else None
     return partial(_int_power, invert, tuple(products)), degs[-1]
@@ -644,7 +676,7 @@ def _scale_reciprocal(alg, s, a, _):
 
 
 def _quotient(alg, a, b):
-    return _convolve(alg, a, _series(alg, reciprocal_series, b, b), alg.size)
+    return _convolve(alg, alg.size, a, _series(alg, reciprocal_series, b, b))
 
 
 def _int_power(invert, products, a, _):

@@ -297,9 +297,10 @@ class _Algebra:
         return coef[..., idx]
 
 
-def _convolve(alg, a, b, size):
+def _convolve(alg, size, a, b):
     """Coefficients through ``alg.order`` of the product of ``a`` and ``b``,
-    zero-padded to ``size``.
+    zero-padded to ``size``.  The operands come last, so a jet program binds
+    the algebra and size positionally (``functools.partial``).
 
     Each coefficient adds its pairs in ``alg.mul_table`` order, starting
     from +0.0: in one ``np.bincount`` for up to ``_BLOCK`` pairs, else
@@ -453,7 +454,7 @@ class Jet:
             s = float(other)
             return Jet(alg, a * s, self.deg if math.isfinite(s) else alg.order)
         product, d = product_algebra(alg, self.deg + other.deg)
-        return Jet(alg, _convolve(product, a, b, alg.size), d)
+        return Jet(alg, _convolve(product, alg.size, a, b), d)
 
     __rmul__ = __mul__
 
@@ -648,7 +649,7 @@ def compose(alg, coef, series):
     out[:size] = u[:size] * series[top] + 0.0
     out[0] += series[top - 1]
     for k in range(top - 2, -1, -1):
-        out = _convolve(horner[K - k - 1], out, u, horner[K - k].size if k else alg.size)
+        out = _convolve(horner[K - k - 1], horner[K - k].size if k else alg.size, out, u)
         out[0] += series[k]
     return out
 
@@ -676,13 +677,13 @@ def mul_rows(alg, a, b):
     rows = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     count = math.prod(rows)
     if count == 1:
-        return _convolve(alg, a.reshape(-1), b.reshape(-1), size).reshape(rows + (size,))
+        return _convolve(alg, size, a.reshape(-1), b.reshape(-1)).reshape(rows + (size,))
     step = _BLOCK // mi.size
     if step <= 1:
         a, b = (np.broadcast_to(x[..., :size], rows + (size,)) for x in (a, b))
         out = np.empty(rows + (size,))
         for r in np.ndindex(rows):
-            out[r] = _convolve(alg, a[r], b[r], size)
+            out[r] = _convolve(alg, size, a[r], b[r])
         return out
     if count <= step:
         w = np.multiply(np.take(a, mi, axis=-1), np.take(b, mj, axis=-1), order="C")
@@ -753,25 +754,27 @@ def seed_variables(x0, y0, cfg: JetConfig):
     nonzero vector because all downstream geometry lives on the slit
     tangent bundle.
     """
-    return _seeds(_algebra(2 * cfg.n, cfg.order), x0, y0)
+    alg = _algebra(2 * cfg.n, cfg.order)
+    rows = seed_block(alg, [float(v) for v in x0], [float(v) for v in y0])
+    seeds = [Jet(alg, row, 1) for row in rows]  # cfg.order >= 1
+    return seeds[: cfg.n], seeds[cfg.n :]
 
 
-def _seeds(alg, x0, y0):
-    """:func:`seed_variables` in the jet algebra ``alg``, x-degree cap included."""
+def seed_block(alg, x0, y0):
+    """The seeds of the point (x0, y0) in the jet algebra ``alg``, x-degree
+    cap included, as one (n_vars, size) array: ``alg.seed_rows`` with the
+    point in column 0.  Row v is the coefficients of the seed of variable
+    v, of degree ``min(1, alg.order)``.  x0 and y0 need n_vars / 2
+    components each, or ShapeMismatch, and y0 must be nonzero, or
+    ZeroVector."""
     n = alg.n_vars // 2
-    x0 = [float(v) for v in x0]
-    y0 = [float(v) for v in y0]
     if len(x0) != n or len(y0) != n:
-        raise ShapeMismatch(
-            f"need {n} components, got x:{len(x0)} y:{len(y0)}"
-        )
+        raise ShapeMismatch(f"need {n} components, got x:{len(x0)} y:{len(y0)}")
     if not any(y0):
         raise ZeroVector("y seed must be nonzero")
     rows = alg.seed_rows.copy()
-    rows[:, 0] = x0 + y0
-    deg = min(1, alg.order)
-    seeds = [Jet(alg, row, deg) for row in rows]
-    return seeds[:n], seeds[n:]
+    rows[:, 0] = (*x0, *y0)
+    return rows
 
 
 def smooth(value, name):

@@ -3,11 +3,14 @@
 A metric is specified declaratively (family plus parameters, possibly
 with coordinate-dependent entries given in the expression language).
 :func:`build_metric` turns every family into one expression tree and
-compiles it once to a tape (:func:`expr.compile_tape`), the evaluator ``F(x, y)`` that
-accepts floats or jets.  A malformed expression (an undeclared name, a
-vector constant in scalar position, ``dot`` of vectors of different lengths,
-a constant subtree outside its domain) raises SpecError there, before any
-evaluation.
+compiles it once to a tape (:func:`expr.compile_tape`).  A
+:class:`MetricInstance` holds that tape and its domain gate as data: ``F(x,
+y)``, on floats or jets, is the gate plus ``expr.evaluate``, and
+``F_seeded`` is the gate plus the tape's seed program on a point's seed
+block, the route the curvature layer reads.  A malformed expression (an
+undeclared name, a vector constant in scalar position, ``dot`` of vectors
+of different lengths, a constant subtree outside its domain) raises
+SpecError there, before any evaluation.
 
 Families:
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import expr
 from .errors import DomainError, FinslerError, OutOfChart, SingularMetric, SpecError
-from .jets import Jet
+from .jets import Jet, seed_block
 
 _FAMILIES = ("riemannian", "randers", "funk", "custom")
 
@@ -259,13 +262,17 @@ def _plus(s, t):
 
 @dataclass
 class MetricInstance:
-    """Compiled metric: generic evaluator plus chart metadata."""
+    """Compiled metric: its formula as a tape (``expr.compile_tape``), its
+    domain gate and its chart.  ``unit_ball`` is funk's gate: F raises
+    OutOfChart unless |x| < 1.  With a drift the chart is smaller, and float
+    F stays defined in between."""
 
     spec: MetricSpec
     n: int
     chart: Chart
     label: str
-    _fn: object = field(repr=False)
+    tape: expr.Tape = field(repr=False)
+    unit_ball: bool = False
 
     def F(self, x, y):
         """Metric value at (x, y); components are all floats or all jets.
@@ -273,14 +280,44 @@ class MetricInstance:
         error rules too.  An overflow in the evaluator is a DomainError."""
         if not isinstance(y[0], Jet):
             x, y = tuple(map(float, x)), tuple(map(float, y))
+        self._gate(x)
         try:
-            return self._fn(x, y)
+            return expr.evaluate(self.tape, x, y)
         except OverflowError as e:
-            raise DomainError(f"F overflows at x = {tuple(map(_val, x))}: {e}") from e
+            raise _overflow(x, e) from e
+
+    def F_seeded(self, program, x, y):
+        """F's coefficients at the seeds of the float point (x, y), as F on
+        those seed jets would give them, gates and errors included: y's
+        length and a zero y (``jets.seed_block``), the domain gate, then
+        ``program``, the tape's seed program of some algebra
+        (``expr.seed_program``), run on the seed block (``expr.run``).  The
+        formula's float where it is a constant."""
+        rows = seed_block(program.alg, x, y)
+        self._gate(x)
+        try:
+            return expr.run(self.tape, program, rows)
+        except OverflowError as e:
+            raise _overflow(x, e) from e
+
+    def _gate(self, x):
+        """The domain gate, on the values of x.  0.0 + v * v is exact, so
+        xx is the left fold abs2(x) runs."""
+        if self.unit_ball:
+            xx = 0.0
+            for v in x:
+                v = _val(v)
+                xx += v * v
+            if xx >= 1.0:
+                raise OutOfChart(f"|x| = {math.sqrt(xx):.4f} >= 1")
 
     def F2(self, x, y):
         f = self.F(x, y)
         return f * f
+
+
+def _overflow(x, e):
+    return DomainError(f"F overflows at x = {tuple(map(_val, x))}: {e}")
 
 
 #: the unit-ball metric, F = (sqrt(|y|^2 - (|x|^2 |y|^2 - <x,y>^2)) + <x,y> + <a,y>) / (1 - |x|^2)
@@ -328,9 +365,7 @@ def build_metric(spec: MetricSpec) -> MetricInstance:
             raise SpecError(f"family {spec.family!r} needs a nonzero matrix a")
         beta = [expr.Bin("*", bi, yi) for bi, yi in zip(b, y) if not _zero(bi)]
         tree = reduce(_plus, beta, expr.Call("sqrt", (reduce(_plus, alpha2),)))
-        tape = expr.compile_tape(tree, n)
-        return MetricInstance(spec, n, chart, spec.label or spec.family,
-                              lambda x, y: expr.evaluate(tape, x, y))
+        return MetricInstance(spec, n, chart, spec.label or spec.family, expr.compile_tape(tree, n))
 
     if spec.family == "funk":
         drift = np.asarray(spec.drift if spec.drift is not None else np.zeros(n), dtype=float)
@@ -344,27 +379,13 @@ def build_metric(spec: MetricSpec) -> MetricInstance:
             radius = min(radius, spec.chart_radius)
         ast = expr.parse(_FUNK.format(" + dot(a,y)" if any(c != 0.0 for c in drift) else ""))
         tape = expr.compile_tape(ast, n, {"a": drift})
-
-        def fn(x, y):
-            # the domain |x| < 1, on the seeds' values: with a drift the chart
-            # is smaller, and float F stays defined in between.  0.0 + v * v
-            # is exact, so xx is the left fold abs2(x) runs.
-            xx = 0.0
-            for v in x:
-                v = v.value if isinstance(v, Jet) else v
-                xx += v * v
-            if xx >= 1.0:
-                raise OutOfChart(f"|x| = {math.sqrt(xx):.4f} >= 1")
-            return expr.evaluate(tape, x, y)
-
-        return MetricInstance(spec, n, Chart("ball", radius), spec.label or "funk", fn)
+        return MetricInstance(spec, n, Chart("ball", radius), spec.label or "funk", tape, unit_ball=True)
 
     # custom
     if not spec.expression:
         raise SpecError("family 'custom' needs an expression")
     tape = expr.compile_tape(_expression(spec.expression, n, constants, "expression"), n)
-    return MetricInstance(spec, n, chart, spec.label or "custom",
-                          lambda x, y: expr.evaluate(tape, x, y))
+    return MetricInstance(spec, n, chart, spec.label or "custom", tape)
 
 
 # --- validation ---

@@ -220,6 +220,14 @@ def _vectors(n, *groups):
     return [v for _, v in out]
 
 
+def _tolerance(tol):
+    """An integrator tolerance as a float; BadConfig unless it is finite and > 0."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise BadConfig(f"tol must be finite and > 0, got {tol!r}")
+    return tol
+
+
 def _F_drift(metric, F0, x, y):
     """Largest relative deviation of F(x_i, y_i) from F0 over the rows of x and y."""
     Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
@@ -295,9 +303,10 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
 
     ``t_span`` is a duration T (may be negative: the same orbit is
     traced backwards) or a pair (t0, t1).  ``tol`` sets the relative
-    step-error target; F-constancy is enforced as an additional
-    accept/reject gate at 5e-8 relative.
+    step-error target, finite and > 0; F-constancy is enforced as an
+    additional accept/reject gate at 5e-8 relative.
     """
+    tol = _tolerance(tol)
     n = metric.n
     x0, y0 = _vectors(n, ("x0 and y0", x0, y0))
     if not np.any(y0):
@@ -471,8 +480,10 @@ def parallelogram_holonomy(
     ``support0`` seeds the probe channel's support vector; it defaults
     to u + v and must not be parallel to w0 (a support equal to the
     probe makes the linear and nonlinear transports coincide by
-    homogeneity, which empties the probe channel).
+    homogeneity, which empties the probe channel).  ``tol``, the relative
+    step-error target of each leg, must be finite and > 0.
     """
+    tol = _tolerance(tol)
     n = metric.n
     x0, u, v, w0 = _vectors(n, ("x0", x0), ("u", u), ("v", v), ("w0", w0))
     if np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < 1e-14:
@@ -585,6 +596,8 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
             raise BadConfig(
                 f"unknown flow quantity {q!r}; known: {_FLOW_QUANTITIES}"
             )
+    if samples < 1:
+        raise BadConfig(f"samples must be >= 1, got {samples}")
     from . import analysis
 
     ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)

@@ -5,7 +5,10 @@ internals: central finite differences, textbook closed forms, and plain
 ODE integration.  Tests compare engine output against these.  The
 expression language keeps its recursive tree walk here, the reference the
 compiled tape must match bit for bit, and its printer, which only the
-round-trip tests read.
+round-trip tests read.  Metric variants (F at -y, in changed coordinates,
+scaled, constant) are built as tapes from a metric's own formula, rebuilt
+from its tape, and the float spray keeps its ``Jet`` route here, which
+``spray_values`` must match bit for bit, errors included.
 
 The last section keeps the straightforward jet-by-jet forms of the kernel
 steps and field builders that the library runs in truncated or batched
@@ -19,15 +22,31 @@ builds with array operations; the tables must be equal.  ``truncated`` and
 ``count_through_order`` are jet helpers only the tests use.
 """
 
+import dataclasses
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from finslerlab.curvature import SEED_CAP
-from finslerlab.errors import DivisionByZero, DomainError, UnboundVariable
-from finslerlab.expr import Bin, Call, Name, Neg, Num, Pow, Var, VecRef
-from finslerlab.jets import Jet, _algebra, _seeds, smooth
+from finslerlab import expr
+from finslerlab.curvature import (
+    _SPRAY_PARTIALS,
+    SEED_CAP,
+    _clears_gate,
+    _require_positive_definite,
+)
+from finslerlab.errors import (
+    BadConfig,
+    DivisionByZero,
+    DomainError,
+    OutOfChart,
+    ShapeMismatch,
+    SingularMetric,
+    UnboundVariable,
+)
+from finslerlab.expr import Bin, Call, Name, Neg, Num, Op, Pow, Var, VecRef
+from finslerlab.jets import Jet, _algebra, seed_block, smooth
 
 
 def fd_partial(f, point, alpha, h=1e-4):
@@ -131,6 +150,106 @@ def funk_value(a, x, y):
     yy = float(y @ y)
     xy = float(x @ y)
     return (math.sqrt(yy - (xx * yy - xy * xy)) + xy + float(a @ y)) / (1.0 - xx)
+
+
+# --------------------------------------------------------------------------
+# metric variants as tapes, and the float spray by the Jet route
+
+
+def formula(tape, x, y):
+    """The folded formula ``tape`` was compiled from, rebuilt op by op on
+    the input trees x and y (``Var`` nodes give the formula itself): one
+    ``Op`` per tape op, a unary one with its operand twice, constants as
+    ``Num``."""
+    vals = [*x, *y, *(None if c is None else Num(c) for c in tape.init)]
+    for f, i, j, k in tape.ops:
+        vals[k] = Op(f, vals[i], vals[j])
+    return vals[tape.out]
+
+
+def rewritten(metric, x=None, y=None, outer=None, label=None):
+    """``metric`` with F~(x, y) = outer(F(x', y')), compiled to a tape:
+    ``x`` and ``y`` map the lists of input ``Var`` nodes to trees of the
+    inputs (x' and y'), ``outer`` maps the formula's tree to the new one.
+    Each builds its trees from expression nodes; they are folded here.  The
+    chart and the domain gate stay the metric's."""
+    n = metric.n
+    xs, ys = ([Var(g, i + 1) for i in range(n)] for g in "xy")
+    xs, ys = ([expr.fold(v, n, {}) for v in vs] for vs in (x(xs) if x else xs, y(ys) if y else ys))
+    tree = formula(metric.tape, xs, ys)
+    if outer is not None:
+        tree = expr.fold(outer(tree), n, {})
+    return dataclasses.replace(metric, tape=expr.compile_tape(tree, n), label=label or metric.label)
+
+
+def linear_change(A):
+    """For :func:`rewritten`: the inputs v mapped to A v, each component
+    the left fold A[i, 0] v0 + A[i, 1] v1 + ..."""
+    def apply(v):
+        return [functools.reduce(lambda s, j: Bin("+", s, Bin("*", Num(float(A[i, j])), v[j])),
+                                 range(1, len(v)), Bin("*", Num(float(A[i, 0])), v[0]))
+                for i in range(len(v))]
+    return apply
+
+
+def seed_jets(alg, x0, y0):
+    """The seed jets of the point (x0, y0) in ``alg``, x-degree cap
+    included, as lists (x_jets, y_jets): the rows of ``jets.seed_block``."""
+    rows = seed_block(alg, [float(v) for v in x0], [float(v) for v in y0])
+    seeds = [Jet(alg, row, min(1, alg.order)) for row in rows]
+    n = alg.n_vars // 2
+    return seeds[:n], seeds[n:]
+
+
+def spray_jets(metric, x, y, depth=0):
+    """``curvature.spray_values`` by the Jet route: seed ``Jet``s, F on
+    them through ``metric.F``, F^2 as the whole product F * F and each
+    partial read at its multi-index, then the same float linear algebra.
+    The gates come in the same order, with the same messages."""
+    x, y = tuple(map(float, x)), tuple(map(float, y))
+    if not all(map(math.isfinite, x + y)):
+        raise DomainError(f"point is not finite: x = {x}, y = {y}")
+    if len(x) != metric.n:
+        raise ShapeMismatch(f"point has dimension {len(x)}, metric has {metric.n}")
+    if not metric.chart.contains(x):
+        raise OutOfChart(f"x = {x} outside metric chart")
+    n = metric.n
+    alg = _algebra(2 * n, 2 + depth, 1)
+    f = metric.F(*seed_jets(alg, x, y))
+    if not isinstance(f, Jet):
+        raise BadConfig("metric evaluator did not propagate jets")
+    if not 0.0 < f.value < math.inf:
+        raise SingularMetric(f"F(x, y) = {f.value:.6g} is not positive and finite")
+    F2 = f * f
+    P = {}
+    for pattern in _SPRAY_PARTIALS[: 3 + 2 * depth]:
+        block = np.empty((n,) * len(pattern))
+        for combo in np.ndindex(block.shape):
+            exps = [0] * (2 * n)
+            for kind, i in zip(pattern, combo):
+                exps[i if kind == "x" else n + i] += 1
+            scale = float(math.prod(math.factorial(e) for e in exps))
+            block[combo] = F2.coef[alg.index[tuple(exps)]] * scale
+        P[pattern] = block
+    g = 0.5 * P["yy"]
+    if not _clears_gate(g):
+        _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)
+    ginv = np.linalg.inv(g)
+    yv = np.asarray(y)
+    u = ginv @ (P["yx"] @ yv - P["x"])
+    out = [g, 0.25 * u]
+    if depth >= 1:
+        A1 = 0.5 * P["yyy"]
+        b1 = P["yx"] - P["yx"].T + P["yyx"] @ yv
+        u1 = ginv @ (b1 - A1 @ u)
+        out.append(0.25 * u1)
+    if depth >= 2:
+        Fyyx = P["yyx"]
+        b2 = Fyyx + Fyyx.transpose(0, 2, 1) + P["yyyx"] @ yv - Fyyx.transpose(2, 0, 1)
+        T = A1 @ u1
+        rhs = b2 - 0.5 * P["yyyy"] @ u - T - T.transpose(0, 2, 1)
+        out.append(0.25 * (ginv @ rhs.reshape(n, -1)).reshape(n, n, n))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +552,7 @@ def vderiv_loop(scope, T):
 
 def y_seeds(scope):
     """The y seed jets at ``scope``'s point, seed order and x-degree cap."""
-    return _seeds(scope._at(scope.order, SEED_CAP), scope.point.x, scope.point.y)[1]
+    return seed_jets(scope._at(scope.order, SEED_CAP), scope.point.x, scope.point.y)[1]
 
 
 def contract_loop(scope, H):

@@ -543,6 +543,23 @@ def test_samples_below_one_exit_2(funk2_spec, capsys, command, samples):
     _assert_rejected(capsys)
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "-1e-10", "inf", "-inf"])
+def test_geodesic_tolerance_must_be_finite_and_positive(funk2_spec, capsys, tol):
+    argv = ["geodesic", funk2_spec, "--x0", "0.1,0", "--y0", "0.5,0.3", "--samples", "2"]
+    assert main([*argv, f"--tol={tol}"]) == 2
+    assert capsys.readouterr() == ("", f"error: --tol must be finite and > 0, got {float(tol)!r}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1e-10", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["report", "--tol"], ["verify", "--suite", "identities", "--tol"],
+    ["verify", "--suite", "constant-flag", "--spread-tol"],
+], ids=lambda c: "-".join(c[::2]))
+def test_check_tolerance_must_not_be_nan_or_negative(funk2_spec, capsys, command, value):
+    assert main([command[0], funk2_spec, *command[1:-1], f"{command[-1]}={value}", "--samples", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {command[-1]} must be >= 0, got {float(value)!r}\n")
+
+
 @pytest.mark.parametrize("suite,field,check", [
     ("identities", "L_C", "landsberg_routes"),
     ("identities", "J_I", "mean_landsberg_routes"),

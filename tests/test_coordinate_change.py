@@ -18,15 +18,13 @@ changes (such as 2 G^j Gamma^i_jk in R^i_k), or one scaled by a constant,
 transforms like the rest; the closed-form and acceptance tests guard those.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from finslerlab import analysis, metrics
 from finslerlab.curvature import PointState, curvature_bundle, flag_curvature
 
-from oracles import rel_err
+from oracles import linear_change, rel_err, rewritten
 
 BALL_CHARTS = ("funk2", "funk3", "funk2-drift")
 TOL = 1e-10
@@ -43,14 +41,9 @@ def change_matrix(name, n):
 
 
 def changed(metric, A):
-    """The metric in the chart x = A x~; floats and jets alike."""
-    def apply(v):
-        return [sum((float(A[i, j]) * v[j] for j in range(1, len(v))), float(A[i, 0]) * v[0])
-                for i in range(len(v))]
-
-    return dataclasses.replace(
-        metric, _fn=lambda x, y: metric.F(apply(x), apply(y)), label=metric.label + "~"
-    )
+    """The metric in the chart x = A x~, as a tape."""
+    apply = linear_change(A)
+    return rewritten(metric, x=apply, y=apply, label=metric.label + "~")
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,6 @@ Oracles used here:
 * homogeneity degrees under y -> s y, which every block must satisfy.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +39,9 @@ from finslerlab.errors import (
     SingularMetric,
     ZeroVector,
 )
+from finslerlab.expr import Bin, Neg, Num
 
-from oracles import christoffel_fd, rel_err, sphere_chart_matrix
+from oracles import christoffel_fd, rel_err, rewritten, sphere_chart_matrix
 
 #: fields whose horizontal and vertical derivatives are checked below
 DERIV_FIELDS = ("F", "F2", "g", "C", "I", "L_C", "J_I", "E", "Sigma")
@@ -272,7 +271,7 @@ def test_reversed_metric_tensors(corpus, name):
     formula if the term has a consistent parity: it is dropped on both sides.
     """
     m = corpus[name]
-    rev = dataclasses.replace(m, _fn=lambda x, y, fn=m._fn: fn(x, [-v for v in y]))
+    rev = rewritten(m, y=lambda y: [Neg(v) for v in y])
     rng = np.random.default_rng(29)
     for p in analysis.sample_states(m, 2, seed=23):
         q = PointState(p.x, tuple(-v for v in p.y))
@@ -518,7 +517,7 @@ def test_non_finite_metric_values_raise(x1, error):
 
 
 def test_infinite_F_is_singular(funk2):
-    huge = dataclasses.replace(funk2, _fn=lambda x, y: 1e300 * 1e10 * funk2.F(x, y))
+    huge = rewritten(funk2, outer=lambda F: Bin("*", Num(1e300 * 1e10), F))
     with np.errstate(invalid="ignore"):
         with pytest.raises(SingularMetric):
             point_scope(huge, PointState((0.1, 0.0), (1.0, 0.0)), 3).values("F")
@@ -537,10 +536,10 @@ def test_direct_spray_point_guards(funk2):
         spray_values(funk2, (0.1, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(ZeroVector):
         spray_values(funk2, (0.1, 0.0), (0.0, 0.0), 1)
-    floats_only = dataclasses.replace(funk2, _fn=lambda x, y: 1.0)
+    floats_only = rewritten(funk2, outer=lambda F: Num(1.0))
     with pytest.raises(BadConfig):
         spray_values(floats_only, (0.1, 0.0), (1.0, 0.0))
-    negative = dataclasses.replace(funk2, _fn=lambda x, y: -1.0 * funk2.F(x, y))
+    negative = rewritten(funk2, outer=lambda F: Bin("*", Num(-1.0), F))
     with pytest.raises(SingularMetric):
         spray_values(negative, (0.1, 0.0), (1.0, 0.0))
 

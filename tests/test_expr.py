@@ -19,10 +19,10 @@ from finslerlab.errors import (
     UnboundVariable,
 )
 from finslerlab.expr import Bin, Call, Name, Neg, Num, Pow, Var, VecRef, parse, tokenize
-from finslerlab.jets import Jet, JetConfig, _algebra, _seeds, seed_variables
+from finslerlab.jets import Jet, JetConfig, _algebra, seed_variables
 from finslerlab.metrics import BUILTIN_NAMES, MetricSpec, build_metric, builtin
 
-from oracles import funk_value, jet_partial, pretty, tape_walk, walk
+from oracles import funk_value, jet_partial, pretty, seed_jets, tape_walk, walk
 
 
 FUNK_EXPR = (
@@ -314,7 +314,7 @@ def jet_inputs(kind, alg, x, y, rng):
     """Jets of ``alg`` at (x, y): the seeds, linear maps of them (degree 1,
     x among x and y among y, as the coordinate change tests build them) or
     products of two seeds (degree 2)."""
-    xj, yj = _seeds(alg, x, y)
+    xj, yj = seed_jets(alg, x, y)
     if kind == "linear":
         def apply(v):
             A = rng.uniform(-1.2, 1.2, (len(v), len(v)))
@@ -354,7 +354,7 @@ def test_tape_matches_recursive_walk(bits, n, order, cap, kind):
 def test_tape_keeps_signed_zero_constants_apart(text):
     """0 and -0 compare equal, so a constant slot keyed by value alone would
     merge them and flip the sign of zero coefficients."""
-    xj, yj = _seeds(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
+    xj, yj = seed_jets(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
     assert_tape_matches_walk(parse(text), [(xj, yj), ((0.3, -0.2), (0.8, 0.6))], {})
 
 
@@ -369,7 +369,7 @@ def test_tape_keeps_signed_zero_constants_apart(text):
     ("exp(1000*y1)", OverflowError),
 ])
 def test_jet_program_raises_the_walks_errors(text, error):
-    xj, yj = _seeds(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
+    xj, yj = seed_jets(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
     with pytest.raises(error):
         walk(parse(text), xj, yj)
     with pytest.raises(error):
@@ -387,7 +387,7 @@ def test_jet_program_keeps_nan_signs_and_infinities(text):
     program matches the walk bit for bit, NaN signs included, so it keeps
     the order of every operand and each scalar's effect on the degree."""
     alg = _algebra(4, 3, 1)
-    x, y = _seeds(alg, (0.3, -0.0), (0.8, 0.6))
+    x, y = seed_jets(alg, (0.3, -0.0), (0.8, 0.6))
     for var, (v, slope) in enumerate(zip(x + y, (-np.nan, np.inf, np.nan, -np.inf))):
         v.coef[1 + var] = slope  # the first-order coefficients follow the value
     with np.errstate(all="ignore"):
@@ -398,7 +398,7 @@ def test_jet_program_keeps_nan_signs_and_infinities(text):
 def test_jet_overflow_is_a_domain_error():
     m = build_metric(MetricSpec.custom(2, "sqrt(abs2(y)) + exp(1000*y1)"))
     with pytest.raises(DomainError, match="^F overflows"):
-        m.F(*_seeds(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6)))
+        m.F(*seed_jets(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6)))
 
 
 def metric_tape(metric):
@@ -416,7 +416,7 @@ def test_shared_subtree_is_evaluated_once():
     4/(1 + abs2(x))^2: the F program compiled from its tape holds one power."""
     m = build_metric(builtin("sphere3"))
     tape = metric_tape(m)
-    m.F(*_seeds(_algebra(6, 3, 1), (0.1, 0.2, -0.3), (1.0, 0.5, 0.2)))
+    m.F(*seed_jets(_algebra(6, 3, 1), (0.1, 0.2, -0.3), (1.0, 0.5, 0.2)))
     (program,) = tape.programs.values()
     powers = [f for f, *_ in program.steps if getattr(f, "func", None) is expr._int_power]
     assert len(powers) == 1
@@ -438,5 +438,5 @@ def test_builtin_programs_match_tape_walk(name, order, cap):
     m = build_metric(builtin(name))
     tape = metric_tape(m)
     for point in sample_states(m, 2, seed=5):
-        xj, yj = _seeds(_algebra(2 * m.n, order, cap), point.x, point.y)
+        xj, yj = seed_jets(_algebra(2 * m.n, order, cap), point.x, point.y)
         assert same_bits(m.F(xj, yj), tape_walk(tape, xj, yj)), (name, point)

@@ -342,7 +342,22 @@ def test_non_finite_dynamics_inputs_raise(slot):
         parallel_transport(m, g, bad)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), math.inf, -math.inf])
+def test_integrator_tolerance_must_be_finite_and_positive(funk2, tol):
+    with pytest.raises(BadConfig, match="tol must be finite and > 0"):
+        integrate_geodesic(funk2, (0.1, 0.0), (0.5, 0.3), 0.5, tol=tol)
+    with pytest.raises(BadConfig, match="tol must be finite and > 0"):
+        parallelogram_holonomy(funk2, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), EPS, tol=tol)
+
+
 # --- scalar flows ---
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_scalar_flows_need_a_sample(funk2, samples):
+    g = integrate_geodesic(funk2, (0.1, 0.0), (0.5, 0.3), 0.2)
+    with pytest.raises(BadConfig, match="samples must be >= 1"):
+        scalar_flows(funk2, g, samples=samples)
 
 
 def test_scalar_flows_riemannian_torsion_free(sphere2):
