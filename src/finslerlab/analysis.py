@@ -31,11 +31,13 @@ from .curvature import (
     DEPTH,
     FieldScope,
     PointState,
+    _ensure_scope,
     point_scope,
     rel_residual,
     require_stretch_design,
 )
 from .errors import (
+    BadConfig,
     CrossCheckFailure,
     DimensionError,
     NotConstantCurvature,
@@ -226,11 +228,19 @@ def sample_states(metric, count, seed=0, r_range=(0.15, 0.85)):
 
 
 def _as_states(metric, points, count, seed):
+    """The states a driver reads: ``points``, a PointState or a sequence of
+    them, or, where it is None, ``count`` seeded samples.  None at all
+    raises BadConfig: a verdict or a fit over no point means nothing."""
     if points is None:
-        return sample_states(metric, count, seed)
-    if isinstance(points, PointState):
-        return [points]
-    return list(points)
+        states = sample_states(metric, count, seed)
+    elif isinstance(points, PointState):
+        states = [points]
+    else:
+        states = list(points)
+    if not states:
+        got = f"{count} samples" if points is None else "no points"
+        raise BadConfig(f"need at least one point, got {got}")
+    return states
 
 
 def _point_reads(metric, states, order, names):
@@ -347,7 +357,7 @@ def fit_semi_c_reducible(metric, point, scope=None):
         raise DimensionError(
             f"torsion-shape fit needs n >= 3, got n = {metric.n}"
         )
-    sc = scope if scope is not None else point_scope(metric, point, order=3)
+    sc = _ensure_scope(metric, point, scope, order=3)
     p, residual, cnorm, i2 = _semi_c_weights(
         metric.n,
         sc.values("g_inv"),
@@ -390,7 +400,7 @@ def berwald_frame(metric, point, scope=None, with_mu=False):
     """
     if metric.n != 2:
         raise DimensionError(f"frame needs n = 2, got n = {metric.n}")
-    sc = scope if scope is not None else point_scope(metric, point, order=5)
+    sc = _ensure_scope(metric, point, scope, order=5)
     dI = sc.vderiv("I2")
     ell, m = sc.values("frame2")
     g = sc.values("g")
@@ -667,7 +677,7 @@ def classify(metric, samples=12, seed=0, thresholds=None):
     """
     thr = dict(DEFAULT_CLASS_THRESHOLDS)
     thr.update(thresholds or {})
-    states = sample_states(metric, samples, seed)
+    states = _as_states(metric, None, samples, seed)
     norms = {name: 0.0 for name in CLASS_FLAGS}
     for st, read in _point_reads(metric, states, _CLASSIFY_ORDER, tuple(_FLAG_FIELDS.values())):
         for name in CLASS_FLAGS:

@@ -33,8 +33,10 @@ slice or, to a lower cap, a gather (``_Algebra.cut``), a derivative is
 equal to it.  Contractions add their terms one slice at a time in the
 order of the entry-by-entry jet loops they replace (``tests/oracles.py``),
 from the first term, so every coefficient equals those loops' bit for bit.
-``Jet`` remains where a closed-form series is composed on a scalar field,
-one point at a time: recF, recF2, the norm of frame2, mu2, cratio.
+A closed-form series of a scalar field (recF, recF2, the norm of frame2,
+mu2, cratio) is composed one point at a time by ``jets.compose``, the
+kernel ``Jet.reciprocal`` and ``Jet.__pow__`` run; no field builds a
+``Jet``.
 
 The point axis sits between the slots and the coefficients, so slot code
 (positional indexing, folds over a leading slot, slots broadcast against
@@ -100,7 +102,16 @@ from .errors import (
     ZeroVector,
 )
 from .expr import seed_program
-from .jets import Jet, _algebra, deriv_rows, mul_rows, mul_seeds, product_algebra
+from .jets import (
+    _algebra,
+    compose,
+    deriv_rows,
+    mul_rows,
+    mul_seeds,
+    power_series,
+    product_algebra,
+    reciprocal_series,
+)
 
 BUNDLE_ORDER = 7
 
@@ -376,9 +387,10 @@ def _deriv(alg, T, variables):
     return deriv_rows(alg, T, variables).swapaxes(-2, -3)
 
 
-def _compose_rows(alg, A, fn):
-    """The closed-form jet function ``fn`` of a scalar field A, one point at a time."""
-    return np.stack([fn(Jet(alg, a)).coef for a in A])
+def _compose_rows(alg, A, series_of):
+    """The closed-form function of a scalar field A whose series builder is
+    ``series_of`` (``jets.compose``), one point at a time."""
+    return np.stack([compose(alg, a, series_of(a.item(0), alg.order)) for a in A])
 
 
 class FieldScope:
@@ -556,10 +568,10 @@ class FieldScope:
         return mul_rows(alg, F, F)
 
     def _build_recF(self, alg, F):
-        return _compose_rows(alg, F, Jet.reciprocal)
+        return _compose_rows(alg, F, reciprocal_series)
 
     def _build_recF2(self, alg, F2):
-        return _compose_rows(alg, F2, Jet.reciprocal)
+        return _compose_rows(alg, F2, reciprocal_series)
 
     def _build_g(self, alg, F2):
         return _symmetric(self._vd(F2, self._deeper(alg, 2), 2)) * 0.5
@@ -703,7 +715,7 @@ class FieldScope:
         mt = mul_rows(alg, -1.0 * glu, ell)
         mt[..., 0] += np.eye(2)[k0].T
         nrm2 = _fold(mul_rows(alg, mul_rows(alg, g, mt[:, None]), mt).reshape((4,) + mt.shape[1:]))
-        m = mul_rows(alg, mt, _compose_rows(alg, nrm2, lambda j: j ** (-0.5)))
+        m = mul_rows(alg, mt, _compose_rows(alg, nrm2, functools.partial(power_series, -0.5)))
         flip = ell[0, :, 0] * m[1, :, 0] - ell[1, :, 0] * m[0, :, 0] < 0
         return np.stack([ell, np.where(flip[:, None], -1.0 * m, m)])
 
@@ -721,7 +733,7 @@ class FieldScope:
                 raise RiemannianPoint(f"principal scalar {value:.3e} is numerically zero")
         aI = self._deeper(alg, 1, 1)
         num = mul_rows(alg, self._contract_y(self._hderiv(alg, I2, N), alg), recF)
-        return mul_rows(alg, num, aI.cut(_compose_rows(aI, I2, Jet.reciprocal), alg))
+        return mul_rows(alg, num, aI.cut(_compose_rows(aI, I2, reciprocal_series), alg))
 
     def _build_cratio(self, alg, Sigma, D, F):
         """Pointwise stretch ratio c with Sigma = c F (C_{ijk|l} - C_{ijl|k})."""
@@ -730,7 +742,7 @@ class FieldScope:
         den = _fold(mul_rows(alg, FD, FD).reshape((-1,) + FD.shape[-2:]))
         for a, b in zip(num[:, 0], den[:, 0]):
             require_stretch_design(float(a), float(b))
-        return mul_rows(alg, num, _compose_rows(alg, den, Jet.reciprocal))
+        return mul_rows(alg, num, _compose_rows(alg, den, reciprocal_series))
 
 
 # --- public API: scopes, the bundle, the flag curvature and the spray ---
@@ -740,13 +752,20 @@ def point_scope(metric, point, order=BUNDLE_ORDER) -> FieldScope:
     return FieldScope(metric, point, order)
 
 
-def _ensure_scope(metric, point, scope, op, order=None):
-    """``scope``, or a new one at ``order`` (by default the least ``op``
-    needs); raises OrderExceeded below ``MIN_ORDER[op]``."""
-    need = MIN_ORDER[op]
-    order = scope.order if scope is not None else need if order is None else order
-    if order < need:
-        raise OrderExceeded(f"{op} needs seed order >= {need}, got {order}")
+def _ensure_scope(metric, point, scope, op=None, order=None):
+    """``scope``, or a new single-point one at ``order`` (by default the
+    least ``op`` needs).  A given scope must be a single-point one, or
+    BadConfig: a scope made for a list of points gives values with a point
+    axis.  With an ``op``, raises OrderExceeded below ``MIN_ORDER[op]``."""
+    if scope is not None:
+        if scope.point is None:
+            raise BadConfig(f"a single-point call needs a single-point scope, got one of "
+                            f"{len(scope.points)} point(s)")
+        order = scope.order
+    elif order is None:
+        order = MIN_ORDER[op]
+    if op is not None and order < MIN_ORDER[op]:
+        raise OrderExceeded(f"{op} needs seed order >= {MIN_ORDER[op]}, got {order}")
     return scope if scope is not None else point_scope(metric, point, order)
 
 

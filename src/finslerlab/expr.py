@@ -20,21 +20,15 @@ Grammar (EBNF, also in docs/expression_grammar.md):
 A parsed tree is folded (names bound, ``abs2``/``dot`` unrolled, constant
 subtrees evaluated) and compiled once into a straight-line tape that
 evaluates every distinct subtree once per call (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 2).  The tape is generic:
-plug floats in and you get a float, plug jets in and you get a jet carrying
-all mixed partials of the formula.  Floats run the tape op by op.  Jets of
-one algebra run a jet program, the tape lowered once per algebra and input
-degrees to kernels on raw coefficient arrays, with each product's algebra
-and each function's series resolved when it is compiled.  It runs the ops
-in the tape's order and returns the jet, or raises the error, that the same
-ops on ``Jet`` objects would, bit for bit; a numpy warning keeps its message
-but may cite a line here rather than in ``jets``.
-
-:func:`run` is the one coefficient-level entry: it runs a jet program on
-input coefficient rows, x then y, with no ``Jet`` object.  ``evaluate``
-passes it the rows of its jets; the curvature layer's spray and scopes pass
-it a point's seed block (``jets.seed_block``) and the seed program of its
-algebra (:func:`seed_program`).
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 2).  On floats it runs
+op by op (:func:`evaluate`) and gives F's value.  F's jets have one entry,
+the seed program (:func:`seed_program`): the tape lowered once per jet
+algebra, for the seeds' degrees, by ``jets.step``, to the kernels on
+coefficient arrays that ``Jet``'s operators run too, with each product's
+algebra and each function's series resolved when it is compiled.
+:func:`run` runs it on a point's seed block (``jets.seed_block``), x then
+y, with no ``Jet`` object, and returns the jet's coefficients, or raises
+the error, that the same ops on seed ``Jet`` objects would, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,9 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
-
-import numpy as np
+from functools import reduce
 
 from .errors import (
     ArityError,
@@ -55,17 +47,7 @@ from .errors import (
     ShapeMismatch,
     UnboundVariable,
 )
-from .jets import (
-    SERIES,
-    Jet,
-    _convolve,
-    compose,
-    power_chain,
-    power_series,
-    product_algebra,
-    reciprocal_series,
-    smooth,
-)
+from .jets import step
 
 _OPS = set("+-*/^")
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "abs2": 1, "dot": 2}
@@ -374,8 +356,6 @@ def _divide(a, b):
 
 
 def _power(base, exponent):
-    if isinstance(base, Jet):
-        return base**exponent
     if base < 0 and not float(exponent).is_integer():
         raise DomainError(f"negative base {base:.6g} with non-integer power")
     if base == 0 and exponent < 0:
@@ -383,10 +363,25 @@ def _power(base, exponent):
     return float(base) ** exponent
 
 
-# every op is f(a, b); a unary one is given its operand twice
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
-_UNARY = {fn: (lambda a, _, fn=fn: smooth(a, fn)) for fn in ("sqrt", "exp", "log", "sin", "cos")}
-_UNARY["-"] = lambda a, _: -a
+def _function(name):
+    """The tape op of the function ``name``: sqrt and log need a positive
+    argument."""
+    f = getattr(math, name)
+
+    def apply(a, _):
+        v = float(a)
+        if name in ("sqrt", "log") and v <= 0.0:
+            raise DomainError(f"{name} of {v:.6g}")
+        return f(v)
+
+    return apply
+
+
+# every op is f(a, b); a unary one is given its operand twice.  The keys are
+# the operations' names in ``jets.step``.
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
+_UNARY = {fn: _function(fn) for fn in ("sqrt", "exp", "log", "sin", "cos")}
+_UNARY["neg"] = lambda a, _: -a
 
 
 def _vector(ident, n, constants):
@@ -428,18 +423,18 @@ def fold(node, n, constants):
     if isinstance(node, Bin):
         f, a, b = _BINARY[node.op], fold(node.left, n, constants), fold(node.right, n, constants)
     elif isinstance(node, Pow):
-        f, a, b = _power, fold(node.base, n, constants), Num(node.exponent)
+        f, a, b = _BINARY["^"], fold(node.base, n, constants), Num(node.exponent)
     else:
-        f, arg = (_UNARY["-"], node.child) if isinstance(node, Neg) else (_UNARY[node.fn], node.args[0])
+        f, arg = (_UNARY["neg"], node.child) if isinstance(node, Neg) else (_UNARY[node.fn], node.args[0])
         a = b = fold(arg, n, constants)
     return Num(f(a.value, b.value)) if isinstance(a, Num) and isinstance(b, Num) else Op(f, a, b)
 
 
 class Tape:
-    """A compiled formula (:func:`compile_tape`), the jet programs built
-    from it so far, keyed by input algebra and degrees (:func:`jet_program`),
-    and the plans callers build on it, keyed by the caller's own key (the
-    spray plan of ``curvature.spray_values``, by depth)."""
+    """A compiled formula (:func:`compile_tape`), the seed programs built
+    from it so far, keyed by algebra (:func:`seed_program`), and the plans
+    callers build on it, keyed by the caller's own key (the spray plan of
+    ``curvature.spray_values``, by depth)."""
 
     __slots__ = ("n", "init", "ops", "out", "programs", "plans")
 
@@ -491,46 +486,35 @@ def compile_tape(node, n, constants=None):
 
 
 def evaluate(tape, x, y):
-    """Run a tape on x and y, sequences of floats or of jets: floats give a
-    float, jets a jet carrying every mixed partial of the formula.  Jets of
-    one algebra run the tape's jet program for their degrees
-    (:func:`jet_program`) on their coefficients (:func:`run`); anything else
-    runs op by op."""
+    """Run a tape op by op on x and y, sequences of floats: F's value.  Its
+    jets come from :func:`seed_program` and :func:`run`."""
     n = tape.n
     if len(x) != n or len(y) != n:
         raise ShapeMismatch(f"need {n} components, got x:{len(x)} y:{len(y)}")
-    inputs = (*x, *y)
-    alg = getattr(inputs[0], "alg", None)
-    degs = tuple(v.deg if isinstance(v, Jet) and v.alg is alg else None for v in inputs)
-    if alg is not None and None not in degs:  # jets, all in one algebra
-        program = jet_program(tape, alg, degs)
-        out = run(tape, program, [v.coef for v in inputs])
-        return out if program.deg is None else Jet(alg, out, program.deg)
-    vals = [*inputs, *tape.init]
+    vals = [*x, *y, *tape.init]
     for f, i, j, k in tape.ops:
         vals[k] = f(vals[i], vals[j])
     return vals[tape.out]
 
 
 def run(tape, program, rows):
-    """Run ``program``, a jet program of ``tape``, on the inputs'
+    """Run ``program``, a seed program of ``tape``, on the inputs'
     coefficient rows, x then y: for F at a point, its seed block
-    (``jets.seed_block``) and :func:`seed_program`.  Returns the result's
-    coefficients, or the formula's float where it is a constant
-    (``program.deg`` is None)."""
+    (``jets.seed_block``).  Returns the result's coefficients, or the
+    formula's float where it is a constant (``program.deg`` is None)."""
     vals = [*rows, *tape.init]
     for f, i, j, k in program.steps:
         vals[k] = f(vals[i], vals[j])
     return vals[tape.out]
 
 
-# --- jet programs ---
+# --- seed programs ---
 
 class JetProgram:
-    """A tape lowered for jet inputs of the algebra ``alg`` and given degrees.
+    """A tape lowered for the seeds of the algebra ``alg``.
 
-    The slots are the tape's, with the inputs' coefficient arrays in place
-    of the jets; constants are bound into the kernels that read them.  Step
+    The slots are the tape's, with the seeds' coefficient arrays in place of
+    x and y; constants are bound into the kernels that read them.  Step
     ``(kernel, i, j, k)`` writes kernel(slot i, slot j) to slot k, as the
     tape op it lowers does, and no kernel writes into an array it reads.
     ``deg`` is the result's degree, None where the formula is a constant.
@@ -542,145 +526,41 @@ class JetProgram:
         self.alg, self.steps, self.deg = alg, steps, deg
 
 
-def jet_program(tape, alg, degs):
-    """The jet program of ``tape`` for inputs in ``alg`` of degrees
-    ``degs``, x then y: compiled on first use (:func:`_jet_program`) and kept
-    on the tape."""
-    key = (alg, *degs)
-    program = tape.programs.get(key)
-    if program is None:
-        program = tape.programs[key] = _jet_program(tape, alg, degs)
-    return program
+#: the name in ``jets.step`` of the operation a tape function stands for
+_KIND = {f: kind for kind, f in (*_BINARY.items(), *_UNARY.items())}
+
+#: a constant left operand: c - jet and c / jet
+_REFLECTED = {"-": "r-", "/": "r/"}
 
 
 def seed_program(tape, alg):
-    """The jet program of ``tape`` for seeds of ``alg``: every input of
-    degree ``min(1, alg.order)``, as in a seed block."""
-    return jet_program(tape, alg, (min(1, alg.order),) * (2 * tape.n))
+    """The jet program of ``tape`` for the seeds of ``alg``, every input of
+    degree ``min(1, alg.order)`` as in a seed block, compiled on first use
+    and kept on the tape.
 
-
-#: the op a tape function stands for, which a jet program lowers
-_KIND = {**{f: op for op, f in _BINARY.items()}, _power: "^", _UNARY["-"]: "neg",
-         **{f: fn for fn, f in _UNARY.items() if fn != "-"}}
-
-
-def _jet_program(tape, alg, degs):
-    """Lower ``tape`` for jets in ``alg`` of degrees ``degs``, x then y.
-
-    Every slot's degree is fixed by the input degrees (``jets`` module
-    docstring), so each step's kernel is resolved here: a product's
-    degree-aware algebra, a power's chain of products, a function's series.
-    Each step does what the ``Jet`` operator its tape op calls would, in the
-    tape's order, and raises the same errors at run time.
+    Every slot's degree follows from the seeds' (``jets`` module docstring),
+    so each tape op is lowered here, by ``jets.step``, to the kernel that
+    runs it: a product's degree-aware algebra, a power's chain of products,
+    a function's series.  The steps run in the tape's order and raise, at
+    run time, what the same operations on ``Jet`` objects raise.
     """
+    program = tape.programs.get(alg)
+    if program is not None:
+        return program
     n2 = 2 * tape.n
-    deg = [*degs, *[None] * len(tape.init)]  # None: a constant
+    deg = [min(1, alg.order)] * n2 + [None] * len(tape.init)  # None: a constant
     steps = []
     for f, i, j, k in tape.ops:
         kind = _KIND[f]
-        if deg[i] is None or deg[j] is None:  # a jet and a scalar
-            s, c = (j, tape.init[i - n2]) if deg[i] is None else (i, tape.init[j - n2])
-            kernel, d = _scalar_step(alg, kind, deg[s], float(c), s == i)
-            i = j = s
-        elif kind == "neg":
-            kernel, d = _negate, deg[i]
-        elif kind in SERIES:
-            kernel, d = partial(_series, alg, SERIES[kind]), alg.order
-        elif kind == "*":
-            product, d = product_algebra(alg, deg[i] + deg[j])
-            kernel = partial(_convolve, product, alg.size)
-        elif kind == "/":  # times the reciprocal, of degree K: a full-order product
-            kernel, d = partial(_quotient, alg), alg.order
-        else:  # + or -
-            kernel, d = np.add if kind == "+" else _subtract, min(max(deg[i], deg[j]), alg.order)
+        if deg[i] is None:  # a constant and a jet
+            kernel, d = step(_REFLECTED.get(kind, kind), alg, deg[j], float(tape.init[i - n2]))
+            i = j
+        elif deg[j] is None:  # a jet and a constant
+            kernel, d = step(kind, alg, deg[i], float(tape.init[j - n2]))
+            j = i
+        else:
+            kernel, d = step(kind, alg, deg[i], None if kind in _UNARY else deg[j])
         steps.append((kernel, i, j, k))
         deg[k] = d
-    return JetProgram(alg, tuple(steps), deg[tape.out])
-
-
-def _scalar_step(alg, kind, d, s, jet_left):
-    """Kernel and degree of ``jet kind s`` (or ``s kind jet``) for a jet of
-    degree d and a float s."""
-    K = alg.order
-    if kind == "+":
-        return partial(_shift, s), d
-    if kind == "-":
-        return (partial(_shift, -s), d) if jet_left else (partial(_shift_negated, s), d)
-    if kind == "*":
-        return partial(_scale, s), d if math.isfinite(s) else K
-    if kind == "/" and not jet_left:
-        return partial(_scale_reciprocal, alg, s), K
-    if kind == "/":
-        try:
-            r = 1.0 / s
-        except ZeroDivisionError as e:
-            return partial(_fail, DivisionByZero, str(e)), d
-        return partial(_scale, r), d if math.isfinite(r) else K
-    # kind == "^": Jet.__pow__ with the constant exponent s
-    if not s.is_integer():
-        return partial(_series, alg, partial(power_series, s)), K
-    m = int(s)
-    if m == 0:
-        return partial(_one, alg.size), 0
-    degs, products = [d if m > 0 else K], []
-    for a, b in power_chain(abs(m)):
-        product, e = product_algebra(alg, degs[a] + degs[b])
-        products.append((a, b, partial(_convolve, product, alg.size)))
-        degs.append(e)
-    invert = partial(_series, alg, reciprocal_series) if m < 0 else None
-    return partial(_int_power, invert, tuple(products)), degs[-1]
-
-
-# kernels: each takes two coefficient arrays, and a unary one ignores the second
-
-def _subtract(a, b):
-    return a + -b  # Jet.__sub__ adds the negation: a NaN's sign follows it
-
-
-def _negate(a, _):
-    return -a
-
-
-def _shift(s, a, _):
-    out = a.copy()
-    out[0] += s
-    return out
-
-
-def _shift_negated(s, a, _):
-    out = -a
-    out[0] += s
-    return out
-
-
-def _scale(s, a, _):
-    return a * s
-
-
-def _one(size, a, _):
-    out = np.zeros(size)
-    out[0] = 1.0
-    return out
-
-
-def _fail(error, message, a, _):
-    raise error(message)
-
-
-def _series(alg, series_of, a, _):
-    return compose(alg, a, series_of(a.item(0), alg.order))
-
-
-def _scale_reciprocal(alg, s, a, _):
-    return _series(alg, reciprocal_series, a, a) * s
-
-
-def _quotient(alg, a, b):
-    return _convolve(alg, alg.size, a, _series(alg, reciprocal_series, b, b))
-
-
-def _int_power(invert, products, a, _):
-    regs = [a if invert is None else invert(a, a)]
-    for i, j, product in products:
-        regs.append(product(regs[i], regs[j]))
-    return regs[-1]
+    program = tape.programs[alg] = JetProgram(alg, tuple(steps), deg[tape.out])
+    return program

@@ -35,6 +35,16 @@ evaluates all mixed partials of the composite expression at once, exactly
 up to round-off.  ``Jet.coefficient`` reads one of them, divided by the
 factorials of its multi-index.
 
+Every operation on jets is defined once, as a kernel on coefficient arrays:
+:func:`step` lowers an operation, given the algebra and the operands'
+degrees (or a constant operand), to its kernel and the result's degree.
+``Jet`` is the public handle over those kernels: each operator lowers
+through ``step`` and runs the kernel.  The compiled seed programs of
+``expr``, the only route by which the package evaluates a metric on jets,
+lower each tape op through the same ``step`` once per algebra, so the two
+agree bit for bit, errors included.  No computation of the package builds
+a ``Jet``.
+
 Closed-form functions compose a univariate series with u = a - a(0) by
 Horner's rule.  They run it in growing order: u has no constant term, so
 the coefficients of order <= d of a product p * u read only those of p of
@@ -42,12 +52,10 @@ order < d, and the Horner value after adding series[k] is needed only
 through order K - k.  Each step runs in that algebra, with the jet's cap.
 A product's coefficient sums the same pairs in the same order in every
 algebra that holds it, so the result equals the full-order evaluation bit
-for bit.  The series builders and the Horner evaluation (``compose``) work
-on coefficient arrays, so the compiled jet programs of ``expr`` run them
-without ``Jet`` objects; so does the binary powering of integer powers
-(``power_chain``).  ``mul_rows`` and ``deriv_rows`` apply the product and derivative
-tables to stacked coefficient arrays, one row per jet, with the same
-summation order.
+for bit.  Integer powers run the products of binary powering
+(``power_chain``).  ``mul_rows`` and ``deriv_rows`` apply the product and
+derivative tables to stacked coefficient arrays, one row per jet, with the
+same summation order.
 
 A product with a y seed, a value y0 plus one unit slope in a y variable v,
 needs no table (``mul_seeds``): its table sum adds, from +0.0, the product
@@ -70,7 +78,7 @@ sum of the two; negation and finite scalars keep it, a derivative lowers it
 by one, and compositions and jets built without one get the full order.
 Jets of degrees p and q with d = p + q < K multiply in the order-d algebra
 of the same cap, zero-padded (``product_algebra``, the one place this rule
-lives for ``Jet``, the jet programs and ``spray_values``): a coefficient of
+lives for ``step`` and ``spray_values``): a coefficient of
 order <= d sums the same pairs in the same order there (the basis is a
 prefix), and each pair of higher order has a +-0 factor, so its full-table
 sum is the +0.0 the padding gives.  That holds for finite coefficients;
@@ -89,6 +97,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -261,10 +270,16 @@ class _Algebra:
 
     @property
     def seed_rows(self):
-        """Every variable's seed at value 0, as rows: row v is
-        ``Jet.variable(self, v, 0.0).coef``."""
+        """Every variable's seed at value 0, as rows: row v holds the unit
+        slope of variable v, dropped where the algebra holds no such monomial
+        (order 0, or an x variable at cap 0)."""
         if self._seed_rows is None:
-            self._seed_rows = np.stack([Jet.variable(self, v, 0.0).coef for v in range(self.n_vars)])
+            rows = np.zeros((self.n_vars, self.size))
+            if self.order >= 1:
+                # first-order monomials sit right after the constant; cap 0 keeps the y ones
+                slopes = range(self.n_vars) if self.cap else range(self.n_x, self.n_vars)
+                rows[slopes, range(1, 1 + len(slopes))] = 1.0
+            self._seed_rows = rows
         return self._seed_rows
 
     @property
@@ -299,7 +314,7 @@ class _Algebra:
 
 def _convolve(alg, size, a, b):
     """Coefficients through ``alg.order`` of the product of ``a`` and ``b``,
-    zero-padded to ``size``.  The operands come last, so a jet program binds
+    zero-padded to ``size``.  The operands come last, so :func:`step` binds
     the algebra and size positionally (``functools.partial``).
 
     Each coefficient adds its pairs in ``alg.mul_table`` order, starting
@@ -358,7 +373,12 @@ class JetConfig:
 
 
 class Jet:
-    """One truncated Taylor expansion; supports arithmetic and composition."""
+    """One truncated Taylor expansion; supports arithmetic and composition.
+
+    Every operator lowers through :func:`step`, to the kernels the seed
+    programs of ``expr`` run too, and applies the kernel to the coefficient
+    arrays; a second jet is first cut to the algebra both hold.
+    """
 
     __slots__ = ("alg", "coef", "deg")
 
@@ -379,13 +399,9 @@ class Jet:
 
     @staticmethod
     def variable(alg, var, value):
-        """The coordinate ``var`` at ``value``; its slope is dropped where the
-        algebra holds no such monomial (order 0, or an x variable at cap 0)."""
-        c = np.zeros(alg.size)
+        """The coordinate ``var`` at ``value``: row ``var`` of ``alg.seed_rows``."""
+        c = alg.seed_rows[var].copy()
         c[0] = float(value)
-        if alg.order >= 1 and (alg.cap >= 1 or var >= alg.n_x):
-            # first-order monomials sit right after the constant; cap 0 keeps the y ones
-            c[1 + var - (0 if alg.cap else alg.n_x)] = 1.0
         return Jet(alg, c, min(1, alg.order))
 
     # --- basic queries ---
@@ -405,104 +421,72 @@ class Jet:
     def __repr__(self):
         return f"Jet(n_vars={self.n_vars}, order={self.order}, value={self.value:.6g})"
 
-    # --- alignment ---
+    # --- operations, each one lowering ---
 
-    def _with(self, other):
-        """Coerce operands to a common algebra (the smaller order and cap)."""
+    def _apply(self, kind, other=None):
+        """``self kind other`` by the kernel :func:`step` gives: ``other`` is
+        None for a unary operation, a jet, cut with ``self`` to the smaller
+        order and cap, or a number."""
+        alg, a = self.alg, self.coef
         if isinstance(other, Jet):
-            if other.alg is self.alg:
-                return self.alg, self.coef, other.coef
-            if other.alg.n_vars != self.alg.n_vars:
-                raise ShapeMismatch(
-                    f"jets in {self.alg.n_vars} and {other.alg.n_vars} variables"
-                )
-            alg = _algebra(self.alg.n_vars, min(self.alg.order, other.alg.order),
-                           min(self.alg.cap, other.alg.cap))
-            return alg, self.alg.cut(self.coef, alg), other.alg.cut(other.coef, alg)
-        return self.alg, self.coef, None
-
-    # --- ring operations ---
+            b = other.coef
+            if other.alg is not alg:
+                if other.alg.n_vars != alg.n_vars:
+                    raise ShapeMismatch(f"jets in {alg.n_vars} and {other.alg.n_vars} variables")
+                alg = _algebra(alg.n_vars, min(alg.order, other.alg.order),
+                               min(alg.cap, other.alg.cap))
+                a, b = self.alg.cut(a, alg), other.alg.cut(b, alg)
+            kernel, deg = step(kind, alg, self.deg, other.deg)
+        else:
+            b = a
+            kernel, deg = step(kind, alg, self.deg, None if other is None else float(other))
+        return Jet(alg, kernel(a, b), deg)
 
     def __add__(self, other):
-        alg, a, b = self._with(other)
-        if b is None:
-            c = a.copy()
-            c[0] += float(other)
-            return Jet(alg, c, self.deg)
-        deg = self.deg if self.deg > other.deg else other.deg
-        return Jet(alg, a + b, deg if deg < alg.order else alg.order)
+        return self._apply("+", other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.alg, -self.coef, self.deg)
+        return self._apply("neg")
 
     def __sub__(self, other):
-        return self.__add__(-other if isinstance(other, Jet) else -float(other))
+        return self._apply("-", other)
 
     def __rsub__(self, other):
-        return (-self).__add__(float(other))
+        return self._apply("r-", other)
 
     def __mul__(self, other):
-        """Product; a scalar keeps the degree unless it is inf or NaN.
-
-        Two jets multiply in the algebra :func:`product_algebra` picks for
-        their degrees.
-        """
-        alg, a, b = self._with(other)
-        if b is None:
-            s = float(other)
-            return Jet(alg, a * s, self.deg if math.isfinite(s) else alg.order)
-        product, d = product_algebra(alg, self.deg + other.deg)
-        return Jet(alg, _convolve(product, alg.size, a, b), d)
+        return self._apply("*", other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self.__mul__(other.reciprocal())
-        return self.__mul__(1.0 / float(other))
+        return self._apply("/", other)
 
     def __rtruediv__(self, other):
-        return self.reciprocal().__mul__(float(other))
+        return self._apply("r/", other)
 
     def __pow__(self, exponent):
-        p = float(exponent)
-        if p.is_integer():
-            return self._int_pow(int(p))
-        return self._compose(power_series(p, self.value, self.alg.order))
-
-    def _int_pow(self, p):
-        if p == 0:
-            return Jet.constant(self.alg, 1.0)
-        regs = [self if p > 0 else self.reciprocal()]
-        for a, b in power_chain(abs(p)):
-            regs.append(regs[a] * regs[b])
-        return regs[-1]
-
-    # --- composition with univariate series ---
-
-    def _compose(self, series):
-        """sum series[k] * u^k with u the nilpotent part (:func:`compose`)."""
-        return Jet(self.alg, compose(self.alg, self.coef, series))
+        return self._apply("^", exponent)
 
     def reciprocal(self):
-        return self._compose(reciprocal_series(self.value, self.alg.order))
+        return self._apply("reciprocal")
 
     def sqrt(self):
-        return self._compose(sqrt_series(self.value, self.alg.order))
+        return self._apply("sqrt")
 
     def exp(self):
-        return self._compose(exp_series(self.value, self.alg.order))
+        return self._apply("exp")
 
     def log(self):
-        return self._compose(log_series(self.value, self.alg.order))
+        return self._apply("log")
 
     def sin(self):
-        return self._compose(sin_series(self.value, self.alg.order))
+        return self._apply("sin")
 
     def cos(self):
-        return self._compose(cos_series(self.value, self.alg.order))
+        return self._apply("cos")
 
     # --- differentiation and coefficient access ---
 
@@ -531,8 +515,7 @@ class Jet:
 # A series builder takes the value a0 of the argument and the order K and
 # returns the function's Taylor coefficients at a0 through order K, raising
 # where a0 is outside its domain; :func:`compose` applies them to a coefficient
-# array.  ``Jet`` methods and the compiled jet programs of ``expr`` both run
-# through these.
+# array.
 
 def reciprocal_series(a0, K):
     if a0 == 0.0:
@@ -597,17 +580,16 @@ def cos_series(a0, K):
     return _trig_series(math.cos(a0), -math.sin(a0), K)
 
 
-#: the series builders of the named functions :func:`smooth` applies
-SERIES = {"sqrt": sqrt_series, "exp": exp_series, "log": log_series,
-          "sin": sin_series, "cos": cos_series}
+#: the series builders of the unary operations :func:`step` composes
+SERIES = {"reciprocal": reciprocal_series, "sqrt": sqrt_series, "exp": exp_series,
+          "log": log_series, "sin": sin_series, "cos": cos_series}
 
 
 def power_chain(m):
     """The products that raise a base to the power m >= 1 by binary
     powering, as register pairs: register 0 holds the base, product t of
     the pair (a, b) goes to register t + 1, and the last register holds the
-    power.  :meth:`Jet.__pow__` and the compiled jet programs of ``expr``
-    both run it."""
+    power."""
     pairs, out, acc = [], None, 0
     while m:
         if m & 1:
@@ -630,7 +612,7 @@ def compose(alg, coef, series):
     The value after the step that adds series[k] is needed only through
     order K - k, so that step runs in the order-(K - k) algebra of
     ``alg.horner`` (module docstring): ``out``, zero-padded into it, times u
-    plus series[k], as :meth:`Jet.__mul__` and :meth:`Jet.__add__` compute
+    plus series[k], as the jet product and the shift by a constant compute
     them.  Each step leaves its result zero-padded to the next step's size.
     The first step, a constant times u, is a scalar multiply; ``+ 0.0`` turns
     -0.0 into 0.0 as a product's bincount does.
@@ -652,6 +634,124 @@ def compose(alg, coef, series):
         out = _convolve(horner[K - k - 1], horner[K - k].size if k else alg.size, out, u)
         out[0] += series[k]
     return out
+
+
+# --- the one lowering of every jet operation ---
+
+def step(kind, alg, d, other=None):
+    """Kernel and degree of the operation ``kind`` on a jet of ``alg`` of
+    degree d and ``other``.
+
+    ``other`` is None for a unary operation ("neg", or a function of
+    ``SERIES``), the degree (an int) of a second jet of ``alg`` for "+",
+    "-", "*" and "/", or a float constant: the right operand of "+", "-",
+    "*", "/" and of "^", the left one of "r-" and "r/".  The kernel maps
+    the coefficient arrays of the two operands (a unary one or a constant's
+    ignores its second) to new ones.  ``Jet``'s operators and the seed
+    programs of ``expr`` both run these kernels, so they agree bit for
+    bit, errors included: a series raises where its value is outside the
+    domain when the kernel runs, and so does a division by the constant 0.
+    """
+    K = alg.order
+    if other is None:
+        return (_negate, d) if kind == "neg" else (partial(_series, alg, SERIES[kind]), K)
+    if isinstance(other, float):
+        return _scalar_step(kind, alg, d, other)
+    if kind == "*":
+        product, e = product_algebra(alg, d + other)
+        return partial(_convolve, product, alg.size), e
+    if kind == "/":  # times the reciprocal, of degree K: a full-order product
+        return partial(_quotient, alg), K
+    return np.add if kind == "+" else _subtract, min(max(d, other), K)
+
+
+def _scalar_step(kind, alg, d, s):
+    """:func:`step` for a jet of degree d and the float constant s."""
+    K = alg.order
+    if kind == "+":
+        return partial(_shift, s), d
+    if kind == "-":
+        return partial(_shift, -s), d
+    if kind == "r-":
+        return partial(_shift_negated, s), d
+    if kind == "*":
+        return partial(_scale, s), d if math.isfinite(s) else K
+    if kind == "r/":
+        return partial(_scale_reciprocal, alg, s), K
+    if kind == "/":
+        try:
+            r = 1.0 / s
+        except ZeroDivisionError as e:
+            return partial(_fail, DivisionByZero, str(e)), d
+        return partial(_scale, r), d if math.isfinite(r) else K
+    # kind == "^": the power s, by a series unless s is an integer
+    if not s.is_integer():
+        return partial(_series, alg, partial(power_series, s)), K
+    m = int(s)
+    if m == 0:
+        return partial(_one, alg.size), 0
+    degs, products = [d if m > 0 else K], []
+    for a, b in power_chain(abs(m)):
+        product, e = product_algebra(alg, degs[a] + degs[b])
+        products.append((a, b, partial(_convolve, product, alg.size)))
+        degs.append(e)
+    invert = partial(_series, alg, reciprocal_series) if m < 0 else None
+    return partial(_int_power, invert, tuple(products)), degs[-1]
+
+
+# kernels: each takes two coefficient arrays, and a unary one ignores the second
+
+def _subtract(a, b):
+    return a + -b  # a minus b adds the negation: a NaN's sign follows it
+
+
+def _negate(a, _):
+    return -a
+
+
+def _shift(s, a, _):
+    out = a.copy()
+    out[0] += s
+    return out
+
+
+def _shift_negated(s, a, _):
+    out = -a
+    out[0] += s
+    return out
+
+
+def _scale(s, a, _):
+    return a * s
+
+
+def _one(size, a, _):
+    out = np.zeros(size)
+    out[0] = 1.0
+    return out
+
+
+def _fail(error, message, a, _):
+    raise error(message)
+
+
+def _series(alg, series_of, a, _):
+    return compose(alg, a, series_of(a.item(0), alg.order))
+
+
+def _scale_reciprocal(alg, s, a, _):
+    return _series(alg, reciprocal_series, a, a) * s
+
+
+def _quotient(alg, a, b):
+    return _convolve(alg, alg.size, a, _series(alg, reciprocal_series, b, b))
+
+
+def _int_power(invert, products, a, _):
+    regs = [a if invert is None else invert(a, a)]
+    for i, j, product in products:
+        regs.append(product(regs[i], regs[j]))
+    return regs[-1]
 
 
 # --- row-wise kernels on stacked coefficient arrays ---
@@ -776,14 +876,3 @@ def seed_block(alg, x0, y0):
     rows[:, 0] = (*x0, *y0)
     return rows
 
-
-def smooth(value, name):
-    """Apply a named function to a float or a jet uniformly."""
-    if name not in SERIES:
-        raise BadConfig(f"unknown function {name!r}")
-    if isinstance(value, Jet):
-        return getattr(value, name)()
-    v = float(value)
-    if name in ("sqrt", "log") and v <= 0.0:
-        raise DomainError(f"{name} of {v:.6g}")
-    return getattr(math, name)(v)

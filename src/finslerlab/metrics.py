@@ -5,8 +5,8 @@ with coordinate-dependent entries given in the expression language).
 :func:`build_metric` turns every family into one expression tree and
 compiles it once to a tape (:func:`expr.compile_tape`).  A
 :class:`MetricInstance` holds that tape and its domain gate as data: ``F(x,
-y)``, on floats or jets, is the gate plus ``expr.evaluate``, and
-``F_seeded`` is the gate plus the tape's seed program on a point's seed
+y)`` on floats is the gate plus ``expr.evaluate``, and ``F_seeded``, F's
+one jet entry, is the gate plus the tape's seed program on a point's seed
 block, the route the curvature layer reads.  A malformed expression (an
 undeclared name, a vector constant in scalar position, ``dot`` of vectors
 of different lengths, a constant subtree outside its domain) raises
@@ -37,13 +37,9 @@ import numpy as np
 
 from . import expr
 from .errors import DomainError, FinslerError, OutOfChart, SingularMetric, SpecError
-from .jets import Jet, seed_block
+from .jets import seed_block
 
 _FAMILIES = ("riemannian", "randers", "funk", "custom")
-
-
-def _val(v):
-    return v.value if isinstance(v, Jet) else float(v)
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class Chart:
     def contains(self, x) -> bool:
         if self.kind == "all":
             return True
-        r2 = sum(_val(v) ** 2 for v in x)
+        r2 = sum(float(v) ** 2 for v in x)
         return r2 < self.radius**2
 
     @property
@@ -275,11 +271,11 @@ class MetricInstance:
     unit_ball: bool = False
 
     def F(self, x, y):
-        """Metric value at (x, y); components are all floats or all jets.
-        Floats are taken as Python floats, so numpy scalars follow Python's
-        error rules too.  An overflow in the evaluator is a DomainError."""
-        if not isinstance(y[0], Jet):
-            x, y = tuple(map(float, x)), tuple(map(float, y))
+        """Metric value at the float point (x, y).  Components are taken as
+        Python floats, so numpy scalars follow Python's error rules too.  An
+        overflow in the evaluator is a DomainError.  F's jets come from
+        :meth:`F_seeded`."""
+        x, y = tuple(map(float, x)), tuple(map(float, y))
         self._gate(x)
         try:
             return expr.evaluate(self.tape, x, y)
@@ -301,23 +297,19 @@ class MetricInstance:
             raise _overflow(x, e) from e
 
     def _gate(self, x):
-        """The domain gate, on the values of x.  0.0 + v * v is exact, so
-        xx is the left fold abs2(x) runs."""
+        """The domain gate on x.  0.0 + v * v is exact, so xx is the left fold
+        abs2(x) runs."""
         if self.unit_ball:
             xx = 0.0
             for v in x:
-                v = _val(v)
+                v = float(v)
                 xx += v * v
             if xx >= 1.0:
                 raise OutOfChart(f"|x| = {math.sqrt(xx):.4f} >= 1")
 
-    def F2(self, x, y):
-        f = self.F(x, y)
-        return f * f
-
 
 def _overflow(x, e):
-    return DomainError(f"F overflows at x = {tuple(map(_val, x))}: {e}")
+    return DomainError(f"F overflows at x = {tuple(map(float, x))}: {e}")
 
 
 #: the unit-ball metric, F = (sqrt(|y|^2 - (|x|^2 |y|^2 - <x,y>^2)) + <x,y> + <a,y>) / (1 - |x|^2)

@@ -4,8 +4,10 @@ Most of this is deliberately dumb and derivative-free of the library
 internals: central finite differences, textbook closed forms, and plain
 ODE integration.  Tests compare engine output against these.  The
 expression language keeps its recursive tree walk here, the reference the
-compiled tape must match bit for bit, and its printer, which only the
-round-trip tests read.  Metric variants (F at -y, in changed coordinates,
+compiled tape must match bit for bit, a walk of the tape itself
+(``tape_walk``), both on floats or on ``Jet`` objects through ``Jet``'s
+operators, where the tape's own functions take floats only, and its
+printer, which only the round-trip tests read.  Metric variants (F at -y, in changed coordinates,
 scaled, constant) are built as tapes from a metric's own formula, rebuilt
 from its tape, and the float spray keeps its ``Jet`` route here, which
 ``spray_values`` must match bit for bit, errors included.
@@ -26,6 +28,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from finslerlab.errors import (
     UnboundVariable,
 )
 from finslerlab.expr import Bin, Call, Name, Neg, Num, Op, Pow, Var, VecRef
-from finslerlab.jets import Jet, _algebra, seed_block, smooth
+from finslerlab.jets import Jet, _algebra, seed_block
 
 
 def fd_partial(f, point, alpha, h=1e-4):
@@ -203,8 +206,10 @@ def seed_jets(alg, x0, y0):
 
 def spray_jets(metric, x, y, depth=0):
     """``curvature.spray_values`` by the Jet route: seed ``Jet``s, F on
-    them through ``metric.F``, F^2 as the whole product F * F and each
-    partial read at its multi-index, then the same float linear algebra.
+    them by :func:`tape_walk` behind the metric's domain gate (an overflow
+    is a DomainError, as in ``metric.F``), F^2 as the whole product F * F
+    and each partial read at its multi-index, then the same float linear
+    algebra.
     The gates come in the same order, with the same messages."""
     x, y = tuple(map(float, x)), tuple(map(float, y))
     if not all(map(math.isfinite, x + y)):
@@ -215,7 +220,12 @@ def spray_jets(metric, x, y, depth=0):
         raise OutOfChart(f"x = {x} outside metric chart")
     n = metric.n
     alg = _algebra(2 * n, 2 + depth, 1)
-    f = metric.F(*seed_jets(alg, x, y))
+    xj, yj = seed_jets(alg, x, y)
+    metric._gate(x)
+    try:
+        f = tape_walk(metric.tape, xj, yj)
+    except OverflowError as e:
+        raise DomainError(f"F overflows at x = {x}: {e}") from e
     if not isinstance(f, Jet):
         raise BadConfig("metric evaluator did not propagate jets")
     if not 0.0 < f.value < math.inf:
@@ -290,26 +300,9 @@ def walk(node, x, y, constants=None):
         if isinstance(node, Neg):
             return -ev(node.child)
         if isinstance(node, Bin):
-            a, b = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            try:
-                return a / b
-            except ZeroDivisionError as e:
-                raise DivisionByZero(str(e)) from e
+            return _OPS[node.op](ev(node.left), ev(node.right))
         if isinstance(node, Pow):
-            base = ev(node.base)
-            if isinstance(base, Jet):
-                return base**node.exponent
-            if base < 0 and not float(node.exponent).is_integer():
-                raise DomainError(f"negative base {base:.6g} with non-integer power")
-            if base == 0 and node.exponent < 0:
-                raise DivisionByZero("zero base with negative power")
-            return float(base) ** node.exponent
+            return _power(ev(node.base), node.exponent)
         if node.fn in ("abs2", "dot"):
             u, v = vector(node.args[0].ident), vector(node.args[-1].ident)
             if len(u) != len(v):
@@ -323,12 +316,51 @@ def walk(node, x, y, constants=None):
     return ev(node)
 
 
+FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
+
+
+def smooth(value, name):
+    """The function ``name`` of a float or a jet."""
+    if name not in FUNCTIONS:
+        raise BadConfig(f"unknown function {name!r}")
+    if isinstance(value, Jet):
+        return getattr(value, name)()
+    v = float(value)
+    if name in ("sqrt", "log") and v <= 0.0:
+        raise DomainError(f"{name} of {v:.6g}")
+    return getattr(math, name)(v)
+
+
+def _divide(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError as e:
+        raise DivisionByZero(str(e)) from e
+
+
+def _power(base, exponent):
+    if isinstance(base, Jet):
+        return base**exponent
+    if base < 0 and not float(exponent).is_integer():
+        raise DomainError(f"negative base {base:.6g} with non-integer power")
+    if base == 0 and exponent < 0:
+        raise DivisionByZero("zero base with negative power")
+    return float(base) ** exponent
+
+
+#: every operation of a tape by its name in ``jets.step``, on floats or on
+#: ``Jet`` objects, whose operators a seed program's kernels must match
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power,
+        "neg": lambda a, _: -a, **{fn: (lambda a, _, fn=fn: smooth(a, fn)) for fn in FUNCTIONS}}
+
+
 def tape_walk(tape, x, y):
-    """Run a compiled tape op by op on its inputs, floats or ``Jet`` objects:
-    each op is the ``Jet`` operator itself, which a jet program lowers."""
+    """Run a compiled tape op by op on its inputs, floats or ``Jet`` objects,
+    each op mapped to its operation on either (``_OPS``): on jets, the
+    ``Jet`` operators themselves."""
     vals = [*x, *y, *tape.init]
     for f, i, j, k in tape.ops:
-        vals[k] = f(vals[i], vals[j])
+        vals[k] = _OPS[expr._KIND[f]](vals[i], vals[j])
     return vals[tape.out]
 
 
@@ -390,18 +422,22 @@ def pretty(node) -> str:
 # full-order reference forms of truncated / batched kernel steps
 
 
-def compose_full(jet, series):
-    """Horner evaluation of sum series[k] * u^k, every step at the jet's order.
+def series_full(alg, series_of, a, _):
+    """Horner evaluation of sum series[k] * u^k, every step at the order of
+    ``alg``, with u the jet ``a`` less its value and ``series`` what
+    ``series_of`` builds at that value.
 
-    Same signature as ``Jet._compose``, so a test can patch it in and run
-    the library's own series constructors (sqrt, exp, powers, ...).
+    Same signature as the series kernel ``jets._series``, so a test can
+    patch it in and run the library's own series constructors (sqrt, exp,
+    powers, ...).
     """
-    u = Jet(jet.alg, jet.coef.copy())
+    series = series_of(a.item(0), alg.order)
+    u = Jet(alg, a.copy())
     u.coef[0] = 0.0
-    out = Jet.constant(jet.alg, series[-1])
+    out = Jet.constant(alg, series[-1])
     for k in range(len(series) - 2, -1, -1):
         out = out * u + series[k]
-    return out
+    return out.coef
 
 
 def truncated(jet, order):

@@ -21,8 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab import analysis as an
-from finslerlab.curvature import LEDGER, FieldScope, PointState, point_scope
+from finslerlab.curvature import (
+    LEDGER,
+    FieldScope,
+    PointState,
+    curvature_bundle,
+    flag_curvature,
+    point_scope,
+)
 from finslerlab.errors import (
+    BadConfig,
     CrossCheckFailure,
     DimensionError,
     FinslerError,
@@ -524,6 +532,46 @@ def test_batched_classify_raises_at_the_first_nan_point(funk2, nan_field):
     first = an.sample_states(funk2, 3, seed=1)[0]
     assert _raised(lambda: an.classify(funk2, samples=3, seed=1)) == (
         CrossCheckFailure, f"Sigma norm is nan at x = {first.x}, y = {first.y}")
+
+
+#: driver calls over no point at all
+EMPTY_POINT_SETS = {
+    "classify-0": lambda m: an.classify(m, samples=0),
+    "classify-negative": lambda m: an.classify(m, samples=-3),
+    "stretch-points-empty": lambda m: an.fit_relative_stretch(m, points=[]),
+    "stretch-count-0": lambda m: an.fit_relative_stretch(m, count=0),
+    "chain-0": lambda m: an.check_constant_flag_chain(m, samples=0),
+    "chain-points-empty": lambda m: an.check_constant_flag_chain(m, points=()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_POINT_SETS))
+def test_drivers_refuse_an_empty_point_set(funk3, case):
+    # classify once flagged Funk Riemannian over no sample, the fit averaged
+    # an empty list and the chain took the max of one
+    with pytest.raises(BadConfig, match="need at least one point"):
+        EMPTY_POINT_SETS[case](funk3)
+
+
+#: single-point calls, each given a scope and the metric it was made for
+SINGLE_POINT_CALLS = {
+    "bundle": ("funk3", 7, lambda m, sc: curvature_bundle(m, None, scope=sc)),
+    "flag": ("funk3", 7, lambda m, sc: flag_curvature(m, None, (0.0, 1.0, 0.0), scope=sc)),
+    "semi_c": ("funk3", 3, lambda m, sc: an.fit_semi_c_reducible(m, None, sc)),
+    "frame": ("funk2", 5, lambda m, sc: an.berwald_frame(m, None, sc, with_mu=True)),
+}
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("call", sorted(SINGLE_POINT_CALLS))
+def test_single_point_calls_refuse_a_multi_point_scope(corpus, call, count):
+    # a scope made for a list of points carries a point axis, even for one
+    name, order, run = SINGLE_POINT_CALLS[call]
+    m = corpus[name]
+    scope = FieldScope(m, an.sample_states(m, count, seed=6), order)
+    with pytest.raises(BadConfig, match="single-point scope"):
+        run(m, scope)
+    run(m, point_scope(m, scope.points[0], order))
 
 
 # --- plumbing ---

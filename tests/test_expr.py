@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab import expr
+from finslerlab import expr, jets
 from finslerlab.analysis import sample_states
 from finslerlab.curvature import SEED_CAP, _plan
 from finslerlab.errors import (
@@ -19,7 +19,7 @@ from finslerlab.errors import (
     UnboundVariable,
 )
 from finslerlab.expr import Bin, Call, Name, Neg, Num, Pow, Var, VecRef, parse, tokenize
-from finslerlab.jets import Jet, JetConfig, _algebra, seed_variables
+from finslerlab.jets import Jet, _algebra, seed_block
 from finslerlab.metrics import BUILTIN_NAMES, MetricSpec, build_metric, builtin
 
 from oracles import funk_value, jet_partial, pretty, seed_jets, tape_walk, walk
@@ -127,6 +127,22 @@ def run(source, x, y, **consts):
     return expr.evaluate(expr.compile_tape(ast, n, consts), x, y)
 
 
+def program_jet(tape, alg, rows):
+    """The seed program of ``tape`` in ``alg`` run on ``rows``, coefficient
+    rows of degree 1 (x then y), as a Jet; the formula's float where it is
+    a constant."""
+    program = expr.seed_program(tape, alg)
+    out = expr.run(tape, program, rows)
+    return out if program.deg is None else Jet(alg, out, program.deg)
+
+
+def seeded(source, alg, x, y, **consts):
+    """F's jet at the seeds of (x, y) in ``alg``: the seed program on the
+    point's seed block."""
+    ast = parse(source) if isinstance(source, str) else source
+    return program_jet(expr.compile_tape(ast, len(x), consts), alg, seed_block(alg, x, y))
+
+
 def test_eval_norm():
     got = run("sqrt(y1^2 + y2^2)", (0, 0), (3.0, 4.0))
     assert got == pytest.approx(5.0, abs=1e-14)
@@ -180,8 +196,7 @@ def test_jet_scalar_consistency():
     ast = parse("exp(0.1*dot(x,y)) + log(1 + abs2(y)) - y2^3 / (2 + y1)")
     xs, ys = (0.3, -0.7), (1.2, 0.8)
     scalar = run(ast, xs, ys)
-    xj, yj = seed_variables(xs, ys, JetConfig(n=2, order=4))
-    jet = run(ast, xj, yj)
+    jet = seeded(ast, _algebra(4, 4), xs, ys)
     assert scalar == pytest.approx(jet.value, rel=1e-14)
 
 
@@ -189,8 +204,7 @@ def test_jet_evaluation_gradient():
     ast = parse(FUNK_EXPR)
     x, y = (0.2, 0.1), (0.7, -0.4)
     a = np.array([0.0, 0.0])
-    xj, yj = seed_variables(x, y, JetConfig(n=2, order=3))
-    jet = run(ast, xj, yj, a=a)
+    jet = seeded(ast, _algebra(4, 3), x, y, a=a)
     h = 1e-6
     for k in range(2):
         yp = list(y)
@@ -292,59 +306,44 @@ def outcome(f, *args):
         return type(e)
 
 
-def assert_tape_matches_walk(ast, points, consts):
-    """On every point the tape gives the walk's value bit for bit or raises
-    the walk's error type; a tree that fails to fold fails the walk at every
-    point, since a constant subtree is evaluated on every call."""
+def assert_tape_matches_walk(ast, points, consts, alg):
+    """On every float point (x, y) the tape gives the walk's value bit for
+    bit or raises the walk's error type, and so does the seed program of
+    ``alg`` against the walk on the point's seed ``Jet``s; a tree that fails
+    to fold fails the walk at every point, since a constant subtree is
+    evaluated on every call."""
+    legs = [((x, y), (x, y)) for x, y in points] + [(seed_jets(alg, x, y), (x, y)) for x, y in points]
     try:
         tape = expr.compile_tape(ast, len(points[0][0]), consts)
     except Exception:  # noqa: BLE001
-        for x, y in points:
-            assert isinstance(outcome(walk, ast, x, y, consts), type), pretty(ast)
+        for inputs, _ in legs:
+            assert isinstance(outcome(walk, ast, *inputs, consts), type), pretty(ast)
         return
-    for x, y in points:
-        want, got = outcome(walk, ast, x, y, consts), outcome(expr.evaluate, tape, x, y)
+    for inputs, (x, y) in legs:
+        want = outcome(walk, ast, *inputs, consts)
+        if isinstance(inputs[0][0], Jet):
+            got = outcome(program_jet, tape, alg, seed_block(alg, x, y))
+        else:
+            got = outcome(expr.evaluate, tape, x, y)
         if isinstance(want, type):
             assert got is want, (pretty(ast), x, y)
         else:
             assert same_bits(got, want), (pretty(ast), x, y)
 
 
-def jet_inputs(kind, alg, x, y, rng):
-    """Jets of ``alg`` at (x, y): the seeds, linear maps of them (degree 1,
-    x among x and y among y, as the coordinate change tests build them) or
-    products of two seeds (degree 2)."""
-    xj, yj = seed_jets(alg, x, y)
-    if kind == "linear":
-        def apply(v):
-            A = rng.uniform(-1.2, 1.2, (len(v), len(v)))
-            return [sum((float(A[i, j]) * v[j] for j in range(1, len(v))), float(A[i, 0]) * v[0])
-                    for i in range(len(v))]
-        return apply(xj), apply(yj)
-    if kind == "quadratic":
-        s = [*xj, *yj]
-        s = [a * b for a, b in zip(s, s[1:] + s[:1])]
-        return s[: len(xj)], s[len(xj):]
-    return xj, yj
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 24), st.sampled_from((2, 3)), st.integers(2, 7),
-       st.sampled_from((0, 1, 3, None)), st.sampled_from(("seeds", "linear", "quadratic")))
-def test_tape_matches_recursive_walk(bits, n, order, cap, kind):
-    """Random trees over n dimensions, on floats and on jets of one (order,
-    cap) algebra: the jet program gives the walk's jet, algebra and degree
-    included, or raises its error."""
+       st.sampled_from((0, 1, 3, None)))
+def test_tape_matches_recursive_walk(bits, n, order, cap):
+    """Random trees over n dimensions, on floats and on the seeds of one
+    (order, cap) algebra: the seed program gives the walk's jet, algebra
+    and degree included, or raises its error."""
     rng = np.random.default_rng(bits)
     ast = random_ast(rng, n=n)
     consts = {"k": (0.75, -0.0, 2.0)[rng.integers(0, 3)],
               "a": np.array([(0.0, -0.0, 0.3, -1.5)[i] for i in rng.integers(0, 4, n)])}
-    alg = _algebra(2 * n, order, cap)
-    points = []
-    for _ in range(2):
-        x, y = tuple(rng.uniform(-0.9, 0.9, n)), tuple(rng.uniform(-1.5, 1.5, n))
-        points += [(x, y), jet_inputs(kind, alg, x, y, rng)]
-    assert_tape_matches_walk(ast, points, consts)
+    points = [(tuple(rng.uniform(-0.9, 0.9, n)), tuple(rng.uniform(-1.5, 1.5, n))) for _ in range(2)]
+    assert_tape_matches_walk(ast, points, consts, _algebra(2 * n, order, cap))
 
 
 @pytest.mark.parametrize("text", [
@@ -354,8 +353,7 @@ def test_tape_matches_recursive_walk(bits, n, order, cap, kind):
 def test_tape_keeps_signed_zero_constants_apart(text):
     """0 and -0 compare equal, so a constant slot keyed by value alone would
     merge them and flip the sign of zero coefficients."""
-    xj, yj = seed_jets(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
-    assert_tape_matches_walk(parse(text), [(xj, yj), ((0.3, -0.2), (0.8, 0.6))], {})
+    assert_tape_matches_walk(parse(text), [((0.3, -0.2), (0.8, 0.6))], {}, _algebra(4, 3, 1))
 
 
 @pytest.mark.parametrize("text,error", [
@@ -369,11 +367,11 @@ def test_tape_keeps_signed_zero_constants_apart(text):
     ("exp(1000*y1)", OverflowError),
 ])
 def test_jet_program_raises_the_walks_errors(text, error):
-    xj, yj = seed_jets(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6))
+    alg, x, y = _algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6)
     with pytest.raises(error):
-        walk(parse(text), xj, yj)
+        walk(parse(text), *seed_jets(alg, x, y))
     with pytest.raises(error):
-        expr.evaluate(expr.compile_tape(parse(text), 2), xj, yj)
+        seeded(text, alg, x, y)
 
 
 @pytest.mark.parametrize("text", [
@@ -391,34 +389,24 @@ def test_jet_program_keeps_nan_signs_and_infinities(text):
     for var, (v, slope) in enumerate(zip(x + y, (-np.nan, np.inf, np.nan, -np.inf))):
         v.coef[1 + var] = slope  # the first-order coefficients follow the value
     with np.errstate(all="ignore"):
-        want, got = walk(parse(text), x, y), expr.evaluate(expr.compile_tape(parse(text), 2), x, y)
+        want = walk(parse(text), x, y)
+        got = program_jet(expr.compile_tape(parse(text), 2), alg, [v.coef for v in x + y])
     assert same_bits(got, want), text
 
 
 def test_jet_overflow_is_a_domain_error():
     m = build_metric(MetricSpec.custom(2, "sqrt(abs2(y)) + exp(1000*y1)"))
     with pytest.raises(DomainError, match="^F overflows"):
-        m.F(*seed_jets(_algebra(4, 3, 1), (0.3, -0.2), (0.8, 0.6)))
-
-
-def metric_tape(metric):
-    """The tape behind ``metric.F``, caught from one float call."""
-    tapes = []
-    run_tape = expr.evaluate
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expr, "evaluate", lambda tape, x, y: tapes.append(tape) or run_tape(tape, x, y))
-        metric.F((0.1,) * metric.n, (1.0,) * metric.n)
-    return tapes[0]
+        m.F_seeded(expr.seed_program(m.tape, _algebra(4, 3, 1)), (0.3, -0.2), (0.8, 0.6))
 
 
 def test_shared_subtree_is_evaluated_once():
     """sphere3's three diagonal entries are one conformal factor
     4/(1 + abs2(x))^2: the F program compiled from its tape holds one power."""
     m = build_metric(builtin("sphere3"))
-    tape = metric_tape(m)
-    m.F(*seed_jets(_algebra(6, 3, 1), (0.1, 0.2, -0.3), (1.0, 0.5, 0.2)))
-    (program,) = tape.programs.values()
-    powers = [f for f, *_ in program.steps if getattr(f, "func", None) is expr._int_power]
+    program = expr.seed_program(m.tape, _algebra(6, 3, 1))
+    assert list(m.tape.programs) == [program.alg]
+    powers = [f for f, *_ in program.steps if getattr(f, "func", None) is jets._int_power]
     assert len(powers) == 1
 
 
@@ -433,10 +421,10 @@ ALGEBRAS_IN_USE = sorted(
 @pytest.mark.parametrize("order,cap", ALGEBRAS_IN_USE)
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_programs_match_tape_walk(name, order, cap):
-    """Each built-in's F jet through its jet program equals its tape run op
-    by op on ``Jet`` objects, at two sample states."""
+    """Each built-in's F jet through its seed program equals its tape run op
+    by op on seed ``Jet`` objects, at two sample states."""
     m = build_metric(builtin(name))
-    tape = metric_tape(m)
+    alg = _algebra(2 * m.n, order, cap)
     for point in sample_states(m, 2, seed=5):
-        xj, yj = seed_jets(_algebra(2 * m.n, order, cap), point.x, point.y)
-        assert same_bits(m.F(xj, yj), tape_walk(tape, xj, yj)), (name, point)
+        got = program_jet(m.tape, alg, seed_block(alg, point.x, point.y))
+        assert same_bits(got, tape_walk(m.tape, *seed_jets(alg, point.x, point.y))), (name, point)

@@ -19,7 +19,8 @@ from oracles import fd_partial, funk_value, rel_err
 def test_euclidean_values():
     m = build_metric(MetricSpec.euclidean(2))
     assert m.F((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
-    assert m.F2((1.0, -2.0), (3.0, 4.0)) == pytest.approx(25.0)
+    f = m.F((1.0, -2.0), (3.0, 4.0))
+    assert f * f == pytest.approx(25.0)
 
 
 def test_funk_hand_values():
@@ -207,7 +208,8 @@ def test_fundamental_from_finite_differences():
     y0 = (0.9, 0.4, -0.3)
 
     def f2(yv):
-        return m.F2(x, tuple(yv))
+        f = m.F(x, tuple(yv))
+        return f * f
 
     sc = point_scope(m, PointState(x, y0), 2)
     g, g_inv, h, F = (sc.values(k) for k in ("g0", "ginv0", "h", "F"))
