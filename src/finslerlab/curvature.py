@@ -38,6 +38,10 @@ mu2, cratio) is composed one point at a time by ``jets.compose``, the
 kernel ``Jet.reciprocal`` and ``Jet.__pow__`` run; no field builds a
 ``Jet``.
 
+G is solved, not read off an inverse: u = 4G solves g u = b order by order
+(``_build_G``), n^2 row products per order where a Neumann step of g^{-1}
+costs n^3, so g_inv is built only to the order I, J_L and phi read.
+
 The point axis sits between the slots and the coefficients, so slot code
 (positional indexing, folds over a leading slot, slots broadcast against
 each other) reads the same for every P, and every kernel works row by row:
@@ -148,7 +152,7 @@ LEDGER = {
     "h": (("g", 0, 0), ("ylow", 0, 0), ("recF2", 0, 0)),
     "C": (("F2", 3, 0),),
     "I": (("g_inv", 0, 0), ("C", 0, 0)),
-    "G": (("F2", 2, 1), ("g_inv", 0, 0)),
+    "G": (("F2", 2, 1), ("g", 0, 0), ("ginv0", 0, 0)),
     "N": (("G", 1, 0),),
     "Gamma": (("N", 1, 0),),
     "B": (("Gamma", 1, 0),),
@@ -620,12 +624,34 @@ class FieldScope:
         products = mul_rows(alg, g_inv[:, :, None], C)  # [i, j, k]
         return _fold(products.reshape((self.n**2,) + products.shape[2:]))
 
-    def _build_G(self, alg, F2, g_inv):
+    def _build_G(self, alg, F2, g, ginv0):
+        """Spray G = u / 4, where g u = b and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l.
+
+        u_0 = g0^{-1} b_0, and u_t = g0^{-1} (b - dev u_{t-1}) in the
+        order-t algebra, with dev = g - g0 and u_{t-1} zero-padded.  dev has
+        no constant term, so the coefficients of order <= t of dev u_{t-1}
+        read only those of u_{t-1} of order < t: u_t is exact through order
+        t.  A coefficient of order s < t sums the same pairs in the same
+        order at step t as at step s; the pairs through dev's constant term
+        add +-0 to it.  So the steps leave the lower coefficients as they
+        were, and G at any order is a prefix of G at a higher one.  One
+        buffer holds u; no g^{-1} jet is formed.
+        """
         a2 = self._deeper(alg, 2, 1)
         dx = _deriv(a2, F2, self._xs)  # [k] = dF^2/dx^k
         yterms = mul_seeds(alg, self._vd(dx, a2.lowered(0)), self._y0, axis=0)  # [k, l]
-        brk = _fold(yterms) - dx[..., : alg.size]
-        return _fold(np.swapaxes(mul_rows(alg, g_inv, brk), 0, 1)) * 0.25
+        brk = _fold(yterms) - dx[..., : alg.size]  # [l] = b_l
+        dev = g.copy()
+        dev[..., 0] = 0.0
+        u = np.zeros(brk.shape)
+        for t in range(alg.order + 1):
+            at = self._at(t, alg.cap)
+            rhs = brk[..., : at.size]
+            if t:
+                products = mul_rows(at, dev, u[None])  # [i, l] = dev_il u_l
+                rhs = rhs - _fold(np.swapaxes(products, 0, 1))
+            u[..., : at.size] = _fold(ginv0[:, l, :, None] * rhs[l] for l in range(self.n))
+        return u * 0.25
 
     def _build_N(self, alg, G):
         return self._vd(G, self._deeper(alg, 1))
@@ -894,6 +920,8 @@ def flag_curvature(metric, point, u, scope=None):
     u = np.asarray(u, dtype=float)
     if u.shape != (n,):
         raise ShapeMismatch(f"flag vector needs {n} components")
+    if not np.all(np.isfinite(u)):
+        raise BadConfig(f"flag vector must be finite, got {u.tolist()}")
     g0 = scope.values("g0")
     R1 = scope.values("R1")
     y = np.asarray(scope.point.y)
@@ -901,7 +929,7 @@ def flag_curvature(metric, point, u, scope=None):
     guu = float(u @ g0 @ u)
     gyu = float(y @ g0 @ u)
     denom = gyy * guu - gyu * gyu
-    if denom <= 1e-10 * max(gyy * guu, 1e-30):
+    if not denom > 1e-10 * max(gyy * guu, 1e-30):  # a NaN determinant fails too
         raise DegenerateFlag(
             f"flag span(y, u) is degenerate: Gram determinant ratio "
             f"{denom / max(gyy * guu, 1e-30):.3e}"

@@ -14,7 +14,9 @@ from its tape, and the float spray keeps its ``Jet`` route here, which
 
 The last section keeps the straightforward jet-by-jet forms of the kernel
 steps and field builders that the library runs in truncated or batched
-form: the full-order Horner composition, the full-order Neumann inverse,
+form: the full-order Horner composition, the full-order Neumann inverse
+(and, on arrays, the spray by that inverse, the route G took before it
+was solved order by order),
 the entry-by-entry horizontal and vertical derivatives, and one loop per
 ``FieldScope`` builder, each filling an object array of ``Jet`` one entry at
 a time.  They use the same jet arithmetic, so tests require the library's
@@ -37,6 +39,8 @@ from finslerlab.curvature import (
     _SPRAY_PARTIALS,
     SEED_CAP,
     _clears_gate,
+    _deriv,
+    _fold,
     _require_positive_definite,
 )
 from finslerlab.errors import (
@@ -49,7 +53,7 @@ from finslerlab.errors import (
     UnboundVariable,
 )
 from finslerlab.expr import Bin, Call, Name, Neg, Num, Op, Pow, Var, VecRef
-from finslerlab.jets import Jet, _algebra, seed_block
+from finslerlab.jets import Jet, _algebra, mul_rows, mul_seeds, seed_block
 
 
 def fd_partial(f, point, alpha, h=1e-4):
@@ -537,6 +541,25 @@ def g_inv_full(scope):
     return X
 
 
+def neumann_G(scope, alg, F2, g, ginv0):
+    """``FieldScope._build_G`` by the Neumann route: g^{-1} as the series of
+    ``g_inv_full``, every iteration at G's order, on the arrays of P points,
+    contracted with the bracket b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l."""
+    a2 = scope._deeper(alg, 2, 1)
+    dx = _deriv(a2, F2, scope._xs)
+    yterms = mul_seeds(alg, scope._vd(dx, a2.lowered(0)), scope._y0, axis=0)
+    brk = _fold(yterms) - dx[..., : alg.size]
+    dev = g.copy()
+    dev[..., 0] = 0.0
+    M = _fold(-ginv0[:, k, None, :, None] * dev[k] for k in range(scope.n))  # [i, j]
+    base = np.zeros(g.shape)
+    base[..., 0] = ginv0
+    X = base
+    for _ in range(alg.order):
+        X = base + _fold(np.swapaxes(mul_rows(alg, M[:, :, None], X), 0, 1))
+    return _fold(np.swapaxes(mul_rows(alg, X, brk), 0, 1)) * 0.25
+
+
 def hderiv_loop(scope, T, valence=(), N=None, Gamma=None):
     """Berwald horizontal derivative of jets T, one jet product at a time;
     N and Gamma default to the scope's fields at full order."""
@@ -696,7 +719,7 @@ def _loop_I(sc, g_inv, C):
     return out
 
 
-def _loop_G(sc, F2, g_inv):
+def _loop_G(sc, F2, g, ginv0):
     n = sc.n
     yj = y_seeds(sc)
     dx = [F2.deriv(k) for k in range(n)]
@@ -707,13 +730,27 @@ def _loop_G(sc, F2, g_inv):
             term = dx[k].deriv(n + l) * yj[k]
             acc = term if acc is None else acc + term
         brk.append(acc - dx[l])
-    out = np.empty((n,), dtype=object)
-    for i in range(n):
-        acc = g_inv[i, 0] * brk[0]
-        for l in range(1, n):
-            acc = acc + g_inv[i, l] * brk[l]
-        out[i] = acc * 0.25
-    return out
+    alg = brk[0].alg
+    dev = [[g[i, l] - g[i, l].value for l in range(n)] for i in range(n)]
+    u = [None] * n
+    for t in range(alg.order + 1):
+        alg_t = _algebra(alg.n_vars, t, alg.cap)
+        rhs = []
+        for l in range(n):
+            acc = truncated(brk[l], t)
+            if t:
+                prod = None
+                for m in range(n):
+                    term = truncated(dev[l][m], t) * _padded(u[m], alg_t)
+                    prod = term if prod is None else prod + term
+                acc = acc - prod
+            rhs.append(acc)
+        for i in range(n):
+            acc = ginv0[i, 0] * rhs[0]
+            for l in range(1, n):
+                acc = acc + ginv0[i, l] * rhs[l]
+            u[i] = acc
+    return np.array([ui * 0.25 for ui in u], dtype=object)
 
 
 def _loop_N(sc, G):

@@ -150,9 +150,9 @@ def test_ledger_plan_at_seed_order_7():
         "L_B": (2, 0), "J_L": (2, 0), "ylow": (5, 0), "h": (5, 0), "recF2": (7, 0),
         "Fh": (4, 0), "recF": (7, 1), "gv": (4, 0), "gh": (3, 0), "Bh": (1, 0),
         "D": (3, 0), "phi": (3, 0), "frame2": (5, 1), "I2": (4, 1), "mu2": (3, 0),
-        "cratio": (2, 0),
+        "cratio": (2, 0), "g_inv": (5, 1),
     }
-    for name in ("F", "F2", "g", "g_inv", "G", "N", "Gamma", "R1", "Rhh", "RhhV"):
+    for name in ("F", "F2", "g", "G", "N", "Gamma", "R1", "Rhh", "RhhV"):
         assert orders[name] == full[name], name
     # x-degree caps: the values need none; R1 <- G <- F2 and Lh <- L_C <- Ch <- C
     # each take two x-derivatives, and Bh and mu2 one
