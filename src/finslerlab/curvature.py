@@ -934,8 +934,11 @@ def flag_curvature(metric, point, u, scope=None):
             f"flag span(y, u) is degenerate: Gram determinant ratio "
             f"{denom / max(gyy * guu, 1e-30):.3e}"
         )
-    num = float(u @ g0 @ (R1 @ u))
-    return num / denom
+    # K reads only the plane: pair R with the part w of u g-orthogonal to y
+    # (R^i_k y^k = 0), so a flag near y loses eps/sin(angle), not eps/sin^2.
+    w = u - (gyu / gyy) * y
+    num = float(w @ g0 @ (R1 @ w))
+    return num / (gyy * float(w @ g0 @ w))
 
 
 @dataclass

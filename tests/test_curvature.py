@@ -131,6 +131,16 @@ def test_sphere_constant_flag_curvature():
         assert flag_curvature(m, p, tuple(u)) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_flag_curvature_near_the_pole_keeps_its_digits():
+    """A flag 2e-4 rad off y still reads K = 1 on the sphere: the error grows
+    like eps/sin(angle), not eps/sin^2 as from the raw Gram determinant."""
+    m = metrics.build_metric(metrics.builtin("sphere2"))
+    p = PointState((-0.54, 0.23), (0.55, -0.55))
+    for t in (2e-4, -1e-3):
+        u = (-0.715, 0.715 * (1.0 + t))
+        assert flag_curvature(m, p, u) == pytest.approx(1.0, abs=1e-11)
+
+
 def test_sphere_riemann_closed_form():
     """Constant curvature: R^i_k = F^2 d^i_k - y^i y_k and the hh-form."""
     m = metrics.build_metric(metrics.builtin("sphere2"))
