@@ -80,7 +80,8 @@ F is read off the metric's tape: a scope's F field, and ``spray_values``,
 run the tape's seed program on each point's seed block (``expr.run``).
 ``spray_values`` builds no scope at all; its F has x-degree cap 1, since
 every partial of F^2 it reads holds at most one x, and it sums only the
-pairs of F * F that land on those partials, by a plan kept on the tape.
+pairs of F * F that land on those partials with both factors in F's
+support, by a plan kept on the tape.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ from .jets import (
     mul_rows,
     mul_seeds,
     power_series,
-    product_algebra,
     reciprocal_series,
 )
 
@@ -311,7 +311,7 @@ def _F_coef(metric, program, x, y):
     (``MetricInstance.F_seeded``); F must propagate jets and be positive
     and finite."""
     f = metric.F_seeded(program, x, y)
-    if program.deg is None:  # the formula is a constant
+    if program.support is None:  # the formula is a constant
         raise BadConfig("metric evaluator did not propagate jets")
     value = f.item(0)
     if not 0.0 < value < math.inf:
@@ -807,14 +807,17 @@ class _SprayPlan:
     the order-(2 + depth), x-degree-cap-1 algebra) and where the partials
     of ``_SPRAY_PARTIALS`` it holds sit in F^2 = F * F.
 
-    Those are the pairs (mi, mj) of the product table of F * F that land on
-    a coefficient read, in table order, with that coefficient's place among
+    Those are the pairs (mi, mj) of the product table of F * F with both
+    factors in F's support (``jets`` module docstring) that land on a
+    coefficient read, in table order, with that coefficient's place among
     those read (``bins``, ``count`` of them), each partial's coefficient as
     such a place (``where``), its factorial ``scale``, and {pattern:
     (slice, shape)} to split the partials into blocks.  A bincount over
     these pairs adds each coefficient read from the same pairs in the same
-    order as the whole product does.  A constant formula has no pairs:
-    :func:`_F_coef` rejects it first.
+    order as the product of two F jets does, so on finite coefficients it
+    equals the whole table's sum bit for bit, and where one is inf or NaN
+    it is the exact product of the two polynomials.  A constant formula has
+    no pairs: :func:`_F_coef` rejects it first.
     """
 
     __slots__ = ("program", "mi", "mj", "bins", "count", "where", "scale", "split")
@@ -822,9 +825,9 @@ class _SprayPlan:
     def __init__(self, tape, depth):
         alg = _algebra(2 * tape.n, 2 + depth, 1)
         self.program = seed_program(tape, alg)
-        if self.program.deg is None:
+        support = self.program.support
+        if support is None:
             return
-        product, _ = product_algebra(alg, 2 * self.program.deg)  # the algebra F * F runs in
         n = tape.n
         idx, scale, self.split = [], [], {}
         for pattern in _SPRAY_PARTIALS:
@@ -841,8 +844,8 @@ class _SprayPlan:
         read, self.where = np.unique(idx, return_inverse=True)
         place = np.full(alg.size, -1)
         place[read] = np.arange(read.size)
-        mi, mj, mo = product.mul_table
-        keep = place[mo] >= 0
+        mi, mj, mo = alg.mul_table
+        keep = support[mi] & support[mj] & (place[mo] >= 0)
         self.mi, self.mj, self.bins, self.count = mi[keep], mj[keep], place[mo[keep]], read.size
         self.scale = np.array(scale, dtype=float)
 

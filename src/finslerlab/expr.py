@@ -23,9 +23,10 @@ evaluates every distinct subtree once per call (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 2).  On floats it runs
 op by op (:func:`evaluate`) and gives F's value.  F's jets have one entry,
 the seed program (:func:`seed_program`): the tape lowered once per jet
-algebra, for the seeds' degrees, by ``jets.step``, to the kernels on
+algebra, for the seeds' supports, by ``jets.step``, to the kernels on
 coefficient arrays that ``Jet``'s operators run too, with each product's
-algebra and each function's series resolved when it is compiled.
+filtered table and each function's series and Horner steps resolved when
+it is compiled.
 :func:`run` runs it on a point's seed block (``jets.seed_block``), x then
 y, with no ``Jet`` object, and returns the jet's coefficients, or raises
 the error, that the same ops on seed ``Jet`` objects would, bit for bit.
@@ -501,7 +502,7 @@ def run(tape, program, rows):
     """Run ``program``, a seed program of ``tape``, on the inputs'
     coefficient rows, x then y: for F at a point, its seed block
     (``jets.seed_block``).  Returns the result's coefficients, or the
-    formula's float where it is a constant (``program.deg`` is None)."""
+    formula's float where it is a constant (``program.support`` is None)."""
     vals = [*rows, *tape.init]
     for f, i, j, k in program.steps:
         vals[k] = f(vals[i], vals[j])
@@ -517,13 +518,20 @@ class JetProgram:
     x and y; constants are bound into the kernels that read them.  Step
     ``(kernel, i, j, k)`` writes kernel(slot i, slot j) to slot k, as the
     tape op it lowers does, and no kernel writes into an array it reads.
-    ``deg`` is the result's degree, None where the formula is a constant.
+    ``support`` is the result's support, None where the formula is a
+    constant, and ``pairs`` the product pairs one run sums: its products',
+    power chains' and Horner steps'.
     """
 
-    __slots__ = ("alg", "steps", "deg")
+    __slots__ = ("alg", "steps", "support", "pairs")
 
-    def __init__(self, alg, steps, deg):
-        self.alg, self.steps, self.deg = alg, steps, deg
+    def __init__(self, alg, steps, support, pairs):
+        self.alg, self.steps, self.support, self.pairs = alg, steps, support, pairs
+
+    @property
+    def deg(self):
+        """The largest order in the result's support, None for a constant."""
+        return None if self.support is None else self.alg.degree(self.support)
 
 
 #: the name in ``jets.step`` of the operation a tape function stands for
@@ -534,33 +542,36 @@ _REFLECTED = {"-": "r-", "/": "r/"}
 
 
 def seed_program(tape, alg):
-    """The jet program of ``tape`` for the seeds of ``alg``, every input of
-    degree ``min(1, alg.order)`` as in a seed block, compiled on first use
-    and kept on the tape.
+    """The jet program of ``tape`` for the seeds of ``alg``, each input of
+    the support of its seed (``alg.seed_supports``) as in a seed block,
+    compiled on first use and kept on the tape.
 
-    Every slot's degree follows from the seeds' (``jets`` module docstring),
-    so each tape op is lowered here, by ``jets.step``, to the kernel that
-    runs it: a product's degree-aware algebra, a power's chain of products,
-    a function's series.  The steps run in the tape's order and raise, at
-    run time, what the same operations on ``Jet`` objects raise.
+    Every slot's support follows from the seeds' (``jets`` module
+    docstring), so each tape op is lowered here, by ``jets.step``, to the
+    kernel that runs it: a product's table filtered to the pairs inside
+    both supports, a power's chain of such products, a function's series
+    and Horner steps.  The steps run in the tape's order and raise, at run
+    time, what the same operations on ``Jet`` objects raise.
     """
     program = tape.programs.get(alg)
     if program is not None:
         return program
     n2 = 2 * tape.n
-    deg = [min(1, alg.order)] * n2 + [None] * len(tape.init)  # None: a constant
-    steps = []
+    support = [*alg.seed_supports] + [None] * len(tape.init)  # None: a constant
+    steps, pairs = [], 0
     for f, i, j, k in tape.ops:
         kind = _KIND[f]
-        if deg[i] is None:  # a constant and a jet
-            kernel, d = step(_REFLECTED.get(kind, kind), alg, deg[j], float(tape.init[i - n2]))
+        if support[i] is None:  # a constant and a jet
+            c = float(tape.init[i - n2])
+            kernel, s, p = step(_REFLECTED.get(kind, kind), alg, support[j], c)
             i = j
-        elif deg[j] is None:  # a jet and a constant
-            kernel, d = step(kind, alg, deg[i], float(tape.init[j - n2]))
+        elif support[j] is None:  # a jet and a constant
+            kernel, s, p = step(kind, alg, support[i], float(tape.init[j - n2]))
             j = i
         else:
-            kernel, d = step(kind, alg, deg[i], None if kind in _UNARY else deg[j])
+            kernel, s, p = step(kind, alg, support[i], None if kind in _UNARY else support[j])
         steps.append((kernel, i, j, k))
-        deg[k] = d
-    program = tape.programs[alg] = JetProgram(alg, tuple(steps), deg[tape.out])
+        support[k] = s
+        pairs += p
+    program = tape.programs[alg] = JetProgram(alg, tuple(steps), support[tape.out], pairs)
     return program

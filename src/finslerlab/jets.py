@@ -37,7 +37,8 @@ factorials of its multi-index.
 
 Every operation on jets is defined once, as a kernel on coefficient arrays:
 :func:`step` lowers an operation, given the algebra and the operands'
-degrees (or a constant operand), to its kernel and the result's degree.
+supports (or a constant operand), to its kernel, the result's support and
+the product pairs one run of the kernel sums.
 ``Jet`` is the public handle over those kernels: each operator lowers
 through ``step`` and runs the kernel.  The compiled seed programs of
 ``expr``, the only route by which the package evaluates a metric on jets,
@@ -49,13 +50,14 @@ Closed-form functions compose a univariate series with u = a - a(0) by
 Horner's rule.  They run it in growing order: u has no constant term, so
 the coefficients of order <= d of a product p * u read only those of p of
 order < d, and the Horner value after adding series[k] is needed only
-through order K - k.  Each step runs in that algebra, with the jet's cap.
-A product's coefficient sums the same pairs in the same order in every
-algebra that holds it, so the result equals the full-order evaluation bit
-for bit.  Integer powers run the products of binary powering
-(``power_chain``).  ``mul_rows`` and ``deriv_rows`` apply the product and
-derivative tables to stacked coefficient arrays, one row per jet, with the
-same summation order.
+through order K - k.  So Horner step k is the product of the support rule
+below with its pairs further filtered to those that land on order <= K - k,
+each coefficient's pairs in table order (``_Algebra.horner``, where all
+steps share one table): every coefficient it drops is one no later step
+reads, and the result equals the full-order evaluation bit for bit.
+Integer powers run the products of binary powering (``power_chain``).
+``mul_rows`` and ``deriv_rows`` apply the product and derivative tables to
+stacked coefficient arrays, one row per jet, with the same summation order.
 
 A product with a y seed, a value y0 plus one unit slope in a y variable v,
 needs no table (``mul_seeds``): its table sum adds, from +0.0, the product
@@ -69,22 +71,34 @@ The tables are built with array operations.  The basis index of an exponent
 is a sum of binomial coefficients of its suffix sums (``_Algebra._ranks``);
 suffix sums add like exponents, so the row sums of two exponents index their
 sum, the entry a pair-by-pair lookup finds.  A capped algebra maps those
-uncapped indices to its own through ``pos``.
+uncapped indices to its own through ``pos``.  A filtered table is built the
+same way from its own rows and columns (``_Algebra._table``), so no product
+of two supports needs the whole table first.
 
-Each jet carries ``deg``, an upper bound on the degree of the polynomial its
-coefficients hold: every coefficient of higher order is +-0.  Seeds have
-degree 1 and constants 0.  A sum takes the larger degree and a product the
-sum of the two; negation and finite scalars keep it, a derivative lowers it
-by one, and compositions and jets built without one get the full order.
-Jets of degrees p and q with d = p + q < K multiply in the order-d algebra
-of the same cap, zero-padded (``product_algebra``, the one place this rule
-lives for ``step`` and ``spray_values``): a coefficient of
-order <= d sums the same pairs in the same order there (the basis is a
-prefix), and each pair of higher order has a +-0 factor, so its full-table
-sum is the +0.0 the padding gives.  That holds for finite coefficients;
-where one is inf or NaN, the full table would put 0 * inf = NaN above order
-d and the padding keeps +0.0 there, the exact product of the two
-polynomials.
+Each jet carries its support, the mask of basis monomials its coefficients
+can be nonzero on: every other coefficient is +-0.  A seed's support is its
+value and its own slope (``_Algebra.seed_supports``, read off ``seed_rows``,
+never off the point's values) and a constant's its value.  A sum takes the
+union of the two, negation and a finite scale keep the mask and a
+non-finite scale makes it full, since it turns a +-0 coefficient into NaN;
+a shift adds the constant, and a derivative maps the mask through its
+table.  A product sums only the pairs (i, j) of the algebra's product table
+with i in one support and j in the other, in table order
+(``_Algebra.product``, cached by the two supports, so equal structures
+share one table), and its support is where those pairs land; powers,
+quotients and Horner steps are products.  An int d stands for the support
+{orders <= d}, the degree bound jets carried before supports, and
+``Jet.deg`` reads the largest order in a support back.
+
+On finite coefficients a product over the filtered pairs equals the whole
+table's bit for bit, sign of zero included: each dropped pair has a +-0
+factor, so its term is +-0; a bincount sum starts at +0.0, and a sum of two
+floats is -0.0 only when both are, so the running sum is never -0.0 and
+adding a +-0 term leaves it as it was.  Where a factor is inf or NaN, the
+whole table would put 0 * inf = NaN on a dropped pair; the filtered one
+keeps there the exact product of the two polynomials.  ``Jet`` and the seed
+programs run the same kernels on the same supports, so they agree bit for
+bit on any data, NaN signs included.
 
 Products of more than ``_BLOCK`` pairs run ``_BLOCK`` pairs at a time through
 ``np.add.at``, which adds in the order of one ``np.bincount``.  No
@@ -162,24 +176,32 @@ class _Algebra:
         self._stacked = {}
         self._cuts = {}
         self._row_slots = np.empty(0, dtype=np.int64)
+        self._rank_tables = None
         self._seed_rows = None
-        self._horner = None
+        self._seed_supports = None
+        self._through = {}
+        self._products = {}
+        self._horners = {}
 
     def _ranks(self):
-        """Exponents, their suffix sums and the binomial tables that rank them.
+        """Suffix sums of the exponents, row c holding T_c, and the binomial
+        tables that rank them, built once.
 
         With T_c = e_c + ... + e_{n-1}, the index of e in the uncapped basis
         is the sum over c of ``binom[c][T_c]`` = C(T_c + n - c - 1, n - c):
         the c = 0 term counts the monomials of lower order, each later one
         those that share e's first c - 1 entries and have a larger entry at
-        c - 1.  Suffix sums add like exponents, so T(e) + T(f) ranks e + f.
+        c - 1.  Suffix sums add like exponents, so T(e) + T(f) ranks e + f;
+        they are at most K, so they are kept as int8.
         """
-        n = self.n_vars
-        exps = np.array(self.exponents, dtype=np.int64).reshape(self.size, n)
-        suffix = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
-        binom = [np.array([math.comb(t + n - c - 1, n - c) for t in range(self.order + 1)])
-                 for c in range(n)]
-        return exps, suffix, binom
+        if self._rank_tables is None:
+            n = self.n_vars
+            exps = np.array(self.exponents, dtype=np.int8).reshape(self.size, n)
+            suffix = np.ascontiguousarray(np.cumsum(exps[:, ::-1], axis=1, dtype=np.int8)[:, ::-1].T)
+            binom = np.array([[math.comb(t + n - c - 1, n - c) for t in range(self.order + 1)]
+                              for c in range(n)])
+            self._rank_tables = (suffix, binom)
+        return self._rank_tables
 
     def lowered(self, var):
         """Algebra of a derivative in ``var``: one order lower, and for an x
@@ -203,21 +225,31 @@ class _Algebra:
         leaves the basis masked out, in its own order.
         """
         if self._mul_table is None:
-            _, suffix, binom = self._ranks()
-            keys = (self.order - self.orders) * (self.cap + 1) + self.cap - self.xdeg
-            cols = {k: np.flatnonzero((self.orders <= k // (self.cap + 1))
-                                      & (self.xdeg <= k % (self.cap + 1)))
-                    for k in set(keys.tolist())}
-            rows = [cols[k] for k in keys.tolist()]
-            mi = np.repeat(np.arange(self.size), [r.size for r in rows])
-            mj = np.concatenate(rows)
-            mo = np.zeros(mi.size, dtype=np.int64)
-            for c in range(self.n_vars):
-                t = suffix[mi, c]
-                t += suffix[mj, c]
-                mo += binom[c][t]
-            self._mul_table = (mi, mj, mo if self.pos is None else self.pos[mo])
+            self._mul_table = self._table(np.arange(self.size), None, self.order)
         return self._mul_table
+
+    def _table(self, rows, sb, top):
+        """The pairs of ``mul_table`` in the rows ``rows`` (ascending) whose
+        column j is in support sb (every monomial for None) and that land on
+        order <= top, in table order: row i pairs with the columns of order
+        <= top - order(i) and x-degree <= cap - xdeg(i), ascending, which
+        are a prefix of those of that x-degree, since the order grows along
+        the basis."""
+        suffix, binom = self._ranks()
+        cols = np.arange(self.size) if sb is None else np.flatnonzero(sb)
+        rows = rows[self.orders[rows] <= top]
+        by_xdeg = [cols[self.xdeg[cols] <= c] for c in range(self.cap + 1)]
+        ends = [np.searchsorted(self.orders[c], np.arange(top + 1), side="right") for c in by_xdeg]
+        parts = [by_xdeg[c][: ends[c][t]] for t, c in zip((top - self.orders[rows]).tolist(),
+                                                           (self.cap - self.xdeg[rows]).tolist())]
+        mi = np.repeat(rows, [p.size for p in parts])
+        mj = np.concatenate(parts) if parts else rows
+        mo = np.zeros(mi.size, dtype=np.int64)
+        for c in range(self.n_vars):
+            t = suffix[c][mi]
+            t += suffix[c][mj]
+            mo += binom[c][t]
+        return mi, mj, mo if self.pos is None else self.pos[mo]
 
     @property
     def deriv_tables(self):
@@ -225,17 +257,19 @@ class _Algebra:
         fac = e_src[v], is coefficient dst of its v-derivative, which lives
         in ``lowered(v)``."""
         if self._deriv_tables is None:
-            exps, suffix, binom = self._ranks()
+            suffix, binom = self._ranks()
+            # row v: the exponents e_v = T_v - T_{v+1}
+            exps = suffix - np.append(suffix[1:], np.zeros((1, self.size), suffix.dtype), axis=0)
             tables = []
             for v in range(self.n_vars):
-                src = np.flatnonzero(exps[:, v])
+                src = np.flatnonzero(exps[v])
                 dst = np.zeros(src.size, dtype=np.int64)
                 for c in range(self.n_vars):
-                    dst += binom[c][suffix[src, c] - (c <= v)]
+                    dst += binom[c][suffix[c][src] - (c <= v)]
                 pos = self.lowered(v).pos if src.size else None
                 if pos is not None:
                     dst = pos[dst]
-                tables.append((src, dst, exps[src, v].astype(np.float64)))
+                tables.append((src, dst, exps[v][src].astype(np.float64)))
             self._deriv_tables = tables
         return self._deriv_tables
 
@@ -283,12 +317,99 @@ class _Algebra:
         return self._seed_rows
 
     @property
-    def horner(self):
-        """The algebras of orders 1 to ``order`` with this cap, in which
-        :func:`compose` runs its Horner steps: entry d - 1 has order d."""
-        if self._horner is None:
-            self._horner = tuple(_algebra(self.n_vars, d, self.cap) for d in range(1, self.order + 1))
-        return self._horner
+    def seed_supports(self):
+        """Row v: the support of variable v's seed, its value and the slope
+        of ``seed_rows`` where the algebra holds one."""
+        if self._seed_supports is None:
+            supports = self.seed_rows != 0
+            supports[:, 0] = True
+            self._seed_supports = _frozen(supports)
+        return self._seed_supports
+
+    def through(self, d):
+        """The support {orders <= d}: every monomial for d >= K."""
+        mask = self._through.get(d)
+        if mask is None:
+            mask = self._through[d] = _frozen(self.orders <= d)
+        return mask
+
+    def degree(self, support):
+        """The largest order in ``support``, 0 for an empty one."""
+        return int(self.orders[support].max(initial=0))
+
+    def product(self, sa, sb):
+        """The product of jets of supports sa and sb as (table, support): the
+        product table filtered, in its own order, to the pairs (i, j) with i
+        in sa and j in sb, and the monomials they land on (module
+        docstring).  Cached by the supports, so equal structures share one
+        table."""
+        key = (_key(sa), _key(sb))
+        hit = self._products.get(key)
+        if hit is None:
+            if sa.all() and sb.all():
+                table = self.mul_table
+            else:
+                table = self._table(np.flatnonzero(sa), sb, self.order)
+            hit = self._products[key] = (table, _frozen(self._landing(table[2])))
+        return hit
+
+    def _landing(self, mo):
+        """The support of a product whose pairs land on ``mo``."""
+        support = np.zeros(self.size, dtype=bool)
+        support[mo] = True
+        return support
+
+    def horner(self, support=None, top=None):
+        """The Horner steps a series composition runs through u^top (top K
+        by default) on an argument of ``support`` (every monomial by
+        default), cached by both: a :class:`_Horner`.
+
+        u is the argument less its value.  The first step, series[top] * u
+        plus series[top - 1], reads u's coefficients of order <= K - top + 1
+        (``head``, with the value, where u is 0.0); step k, for k = top - 2
+        down to 0, is the product of the value so far and u through order
+        K - k, plus series[k] (module docstring).  Those products share one
+        table, the last step's, stably sorted by the order each pair lands
+        on: step k sums its prefix of pairs landing on order <= K - k, each
+        coefficient's pairs still in table order.  For top = K that prefix
+        is exactly the pairs with both factors in support: u has no constant
+        term, so the value entering step k holds just the monomials of order
+        <= K - k - 1 of the one entering the last step.  For a shorter
+        series the prefix may also hold pairs on a +-0 value coefficient.
+        The supports of the values come from one table of every pair a step
+        can sum, filtered step by step, so no step's table is built only to
+        learn where its pairs land.
+        """
+        K = self.order
+        top = K if top is None else top
+        key = (None if support is None else _key(support), top)
+        plan = self._horners.get(key)
+        if plan is None:
+            u = (self.through(K) if support is None else support).copy()
+            u[0] = False
+            value = u & (self.orders <= K - top + 1)
+            value[0] = True
+            head = _indexer(value)
+            # every pair a step can sum: a row of order < K, a column in u
+            rows = np.flatnonzero(self.orders < K) if top > 1 else np.empty(0, dtype=np.int64)
+            mi, mj, mo = self._table(rows, u, K)
+            for k in range(top - 2, 0, -1):  # the value entering the last step
+                value = self._landing(mo[value[mi] & (self.orders[mo] <= K - k)])
+                value[0] = True
+            keep = value[mi]
+            mi, mj, mo = mi[keep], mj[keep], mo[keep]
+            order = np.argsort(self.orders[mo], kind="stable")
+            mi, mj, mo = mi[order], mj[order], mo[order]
+            ends = np.searchsorted(self.orders[mo], range(K - top + 2, K + 1), side="right")
+            if top > 1:
+                value = self._landing(mo)
+                value[0] = True
+            elif top == 0:
+                value = self.through(0)
+            plan = self._horners[key] = _Horner(
+                self, top, head, tuple((mi[:e], mj[:e], mo[:e]) for e in ends),
+                _frozen(value), int(ends.sum()))
+        return plan
 
     def cut(self, coef, sub):
         """The coefficients of the algebra ``sub`` (no larger order or cap)
@@ -312,32 +433,56 @@ class _Algebra:
         return coef[..., idx]
 
 
-def _convolve(alg, size, a, b):
-    """Coefficients through ``alg.order`` of the product of ``a`` and ``b``,
-    zero-padded to ``size``.  The operands come last, so :func:`step` binds
-    the algebra and size positionally (``functools.partial``).
+def _frozen(mask):
+    """``mask`` made read-only: supports are shared between jets and tables."""
+    mask.flags.writeable = False
+    return mask
 
-    Each coefficient adds its pairs in ``alg.mul_table`` order, starting
-    from +0.0: in one ``np.bincount`` for up to ``_BLOCK`` pairs, else
-    ``_BLOCK`` pairs at a time through ``np.add.at`` (module docstring).
+
+def _key(mask):
+    """A support as a dictionary key: its bits, packed."""
+    return np.packbits(mask).tobytes()
+
+
+def _indexer(mask):
+    """The entries of ``mask`` as an index: a slice where they are a prefix."""
+    idx = np.flatnonzero(mask)
+    return slice(0, idx.size) if idx.size == 0 or idx[-1] == idx.size - 1 else idx
+
+
+@dataclass(frozen=True, eq=False)
+class _Horner:
+    """The Horner steps of a series composition on arguments of one support
+    (``_Algebra.horner``): the indices ``head`` the first step scales, one
+    product table per later step (prefixes of one table), the support of
+    the result and the pairs the steps sum."""
+
+    alg: _Algebra
+    top: int
+    head: object
+    tables: tuple
+    support: np.ndarray
+    pairs: int
+
+
+def _convolve(table, size, a, b):
+    """The product of ``a`` and ``b`` over the pairs (mi, mj, mo) of
+    ``table``, a product table or a filtered one (``_Algebra.product``),
+    into ``size`` coefficients.  The operands come last, so :func:`step`
+    binds the table and size positionally (``functools.partial``).
+
+    Each coefficient adds its pairs in table order, starting from +0.0: in
+    one ``np.bincount`` for up to ``_BLOCK`` pairs, else ``_BLOCK`` pairs at
+    a time through ``np.add.at`` (module docstring).  No pairs give +0.0.
     """
-    mi, mj, mo = alg.mul_table
+    mi, mj, mo = table
     if mi.size <= _BLOCK:
-        return np.bincount(mo, a[mi] * b[mj], size)
+        # bincount of no pairs would give integer zeros
+        return np.bincount(mo, a[mi] * b[mj], size) if mi.size else np.zeros(size)
     out = np.zeros(size)
     for s in range(0, mi.size, _BLOCK):
         np.add.at(out, mo[s : s + _BLOCK], a[mi[s : s + _BLOCK]] * b[mj[s : s + _BLOCK]])
     return out
-
-
-def product_algebra(alg, d):
-    """Algebra and degree of the product, in ``alg``, of jets whose degrees
-    sum to d: the order-d algebra of the same cap while d < K, whose
-    products are zero-padded to ``alg.size`` (module docstring), else
-    ``alg`` itself and degree K."""
-    if d < alg.order:
-        return _algebra(alg.n_vars, d, alg.cap), d
-    return alg, alg.order
 
 
 def _algebra(n_vars, order, cap=None):
@@ -380,14 +525,16 @@ class Jet:
     arrays; a second jet is first cut to the algebra both hold.
     """
 
-    __slots__ = ("alg", "coef", "deg")
+    __slots__ = ("alg", "coef", "support")
 
-    def __init__(self, alg, coef, deg=None):
+    def __init__(self, alg, coef, support=None):
         self.alg = alg
         self.coef = coef
-        # upper bound on the degree of the polynomial the coefficients hold:
-        # every coefficient of higher order is +-0 (module docstring)
-        self.deg = alg.order if deg is None else deg
+        # the monomials the coefficients can be nonzero on (module docstring):
+        # a mask, or an int d for every monomial of order <= d; all by default
+        if support is None:
+            support = alg.order
+        self.support = support if isinstance(support, np.ndarray) else alg.through(support)
 
     # --- constructors ---
 
@@ -402,13 +549,19 @@ class Jet:
         """The coordinate ``var`` at ``value``: row ``var`` of ``alg.seed_rows``."""
         c = alg.seed_rows[var].copy()
         c[0] = float(value)
-        return Jet(alg, c, min(1, alg.order))
+        return Jet(alg, c, alg.seed_supports[var])
 
     # --- basic queries ---
 
     @property
     def value(self):
         return self.coef.item(0)
+
+    @property
+    def deg(self):
+        """The largest order in the support: every coefficient of higher
+        order is +-0."""
+        return self.alg.degree(self.support)
 
     @property
     def order(self):
@@ -427,20 +580,21 @@ class Jet:
         """``self kind other`` by the kernel :func:`step` gives: ``other`` is
         None for a unary operation, a jet, cut with ``self`` to the smaller
         order and cap, or a number."""
-        alg, a = self.alg, self.coef
+        alg, a, sa = self.alg, self.coef, self.support
         if isinstance(other, Jet):
-            b = other.coef
+            b, sb = other.coef, other.support
             if other.alg is not alg:
                 if other.alg.n_vars != alg.n_vars:
                     raise ShapeMismatch(f"jets in {alg.n_vars} and {other.alg.n_vars} variables")
                 alg = _algebra(alg.n_vars, min(alg.order, other.alg.order),
                                min(alg.cap, other.alg.cap))
                 a, b = self.alg.cut(a, alg), other.alg.cut(b, alg)
-            kernel, deg = step(kind, alg, self.deg, other.deg)
+                sa, sb = self.alg.cut(sa, alg), other.alg.cut(sb, alg)
+            kernel, support, _ = step(kind, alg, sa, sb)
         else:
             b = a
-            kernel, deg = step(kind, alg, self.deg, None if other is None else float(other))
-        return Jet(alg, kernel(a, b), deg)
+            kernel, support, _ = step(kind, alg, sa, None if other is None else float(other))
+        return Jet(alg, kernel(a, b), support)
 
     def __add__(self, other):
         return self._apply("+", other)
@@ -499,7 +653,9 @@ class Jet:
         src, dst, fac = self.alg.deriv_tables[var]
         out = np.zeros(lower.size)
         out[dst] = self.coef[src] * fac
-        return Jet(lower, out, min(max(self.deg - 1, 0), lower.order))
+        support = np.zeros(lower.size, dtype=bool)
+        support[dst] = self.support[src]
+        return Jet(lower, out, support)
 
     def coefficient(self, exponents):
         idx = self.alg.index.get(tuple(exponents))
@@ -607,96 +763,104 @@ def power_chain(m):
 
 def compose(alg, coef, series):
     """Coefficients, in ``alg``, of sum series[k] * u^k, with u the jet
-    ``coef`` less its value, by Horner's rule.
+    ``coef`` less its value, by Horner's rule: the steps of ``alg.horner``
+    on every monomial (module docstring)."""
+    top = min(len(series) - 1, alg.order)  # u^k vanishes for k > K
+    return _run_horner(alg.horner(None, top), coef, series)
 
-    The value after the step that adds series[k] is needed only through
-    order K - k, so that step runs in the order-(K - k) algebra of
-    ``alg.horner`` (module docstring): ``out``, zero-padded into it, times u
-    plus series[k], as the jet product and the shift by a constant compute
-    them.  Each step leaves its result zero-padded to the next step's size.
-    The first step, a constant times u, is a scalar multiply; ``+ 0.0`` turns
-    -0.0 into 0.0 as a product's bincount does.
-    """
-    K = alg.order
-    top = min(len(series) - 1, K)  # u^k vanishes for k > K
+
+def _run_horner(horner, coef, series):
+    """Sum series[k] * u^k by the steps of ``horner`` (``_Algebra.horner``),
+    each as the jet product and the shift by a constant compute it.  The
+    first, a constant times u, is a scalar multiply; ``+ 0.0`` turns -0.0
+    into 0.0 as a product's bincount does."""
+    top, size = horner.top, horner.alg.size
+    out = np.zeros(size)
     if top == 0:
-        out = np.zeros(alg.size)
         out[0] = float(series[0])
         return out
     u = coef.copy()
     u[0] = 0.0
-    horner = alg.horner
-    size = horner[K - top].size
-    out = np.zeros(horner[K - top + 1].size if top > 1 else size)
-    out[:size] = u[:size] * series[top] + 0.0
+    out[horner.head] = u[horner.head] * series[top] + 0.0
     out[0] += series[top - 1]
-    for k in range(top - 2, -1, -1):
-        out = _convolve(horner[K - k - 1], horner[K - k].size if k else alg.size, out, u)
+    for k, table in zip(range(top - 2, -1, -1), horner.tables):
+        out = _convolve(table, size, out, u)
         out[0] += series[k]
     return out
 
 
 # --- the one lowering of every jet operation ---
 
-def step(kind, alg, d, other=None):
-    """Kernel and degree of the operation ``kind`` on a jet of ``alg`` of
-    degree d and ``other``.
+def step(kind, alg, sa, other=None):
+    """Kernel, support and pair count of the operation ``kind`` on a jet of
+    ``alg`` of support sa and ``other``.
 
     ``other`` is None for a unary operation ("neg", or a function of
-    ``SERIES``), the degree (an int) of a second jet of ``alg`` for "+",
-    "-", "*" and "/", or a float constant: the right operand of "+", "-",
-    "*", "/" and of "^", the left one of "r-" and "r/".  The kernel maps
-    the coefficient arrays of the two operands (a unary one or a constant's
-    ignores its second) to new ones.  ``Jet``'s operators and the seed
-    programs of ``expr`` both run these kernels, so they agree bit for
-    bit, errors included: a series raises where its value is outside the
-    domain when the kernel runs, and so does a division by the constant 0.
+    ``SERIES``), the support of a second jet of ``alg`` for "+", "-", "*"
+    and "/", or a float constant: the right operand of "+", "-", "*", "/"
+    and of "^", the left one of "r-" and "r/".  The kernel maps the
+    coefficient arrays of the two operands (a unary one or a constant's
+    ignores its second) to new ones, and one run of it sums the pairs
+    counted: its products', power chain's and Horner steps'.  ``Jet``'s
+    operators and the seed programs of ``expr`` both run these kernels, so
+    they agree bit for bit, errors included: a series raises where its
+    value is outside the domain when the kernel runs, and so does a
+    division by the constant 0.
     """
-    K = alg.order
     if other is None:
-        return (_negate, d) if kind == "neg" else (partial(_series, alg, SERIES[kind]), K)
+        return (_negate, sa, 0) if kind == "neg" else _series_step(alg, SERIES[kind], sa)
     if isinstance(other, float):
-        return _scalar_step(kind, alg, d, other)
+        return _scalar_step(kind, alg, sa, other)
     if kind == "*":
-        product, e = product_algebra(alg, d + other)
-        return partial(_convolve, product, alg.size), e
-    if kind == "/":  # times the reciprocal, of degree K: a full-order product
-        return partial(_quotient, alg), K
-    return np.add if kind == "+" else _subtract, min(max(d, other), K)
+        table, support = alg.product(sa, other)
+        return partial(_convolve, table, alg.size), support, table[0].size
+    if kind == "/":  # times the reciprocal
+        horner = alg.horner(other)
+        table, support = alg.product(sa, horner.support)
+        return partial(_quotient, table, horner), support, table[0].size + horner.pairs
+    return np.add if kind == "+" else _subtract, sa | other, 0
 
 
-def _scalar_step(kind, alg, d, s):
-    """:func:`step` for a jet of degree d and the float constant s."""
-    K = alg.order
-    if kind == "+":
-        return partial(_shift, s), d
-    if kind == "-":
-        return partial(_shift, -s), d
+def _series_step(alg, series_of, sa):
+    """:func:`step` for the series ``series_of`` of a jet of support sa."""
+    horner = alg.horner(sa)
+    return partial(_series, horner, series_of), horner.support, horner.pairs
+
+
+def _scalar_step(kind, alg, sa, s):
+    """:func:`step` for a jet of support sa and the float constant s."""
+    if kind in ("+", "-"):
+        return partial(_shift, s if kind == "+" else -s), sa | alg.through(0), 0
     if kind == "r-":
-        return partial(_shift_negated, s), d
-    if kind == "*":
-        return partial(_scale, s), d if math.isfinite(s) else K
-    if kind == "r/":
-        return partial(_scale_reciprocal, alg, s), K
+        return partial(_shift_negated, s), sa | alg.through(0), 0
     if kind == "/":
         try:
-            r = 1.0 / s
+            s = 1.0 / s
         except ZeroDivisionError as e:
-            return partial(_fail, DivisionByZero, str(e)), d
-        return partial(_scale, r), d if math.isfinite(r) else K
+            return partial(_fail, DivisionByZero, str(e)), sa, 0
+        kind = "*"
+    if kind == "*":
+        return partial(_scale, s), sa if math.isfinite(s) else alg.through(alg.order), 0
+    if kind == "r/":
+        horner = alg.horner(sa)
+        support = horner.support if math.isfinite(s) else alg.through(alg.order)
+        return partial(_scale_reciprocal, horner, s), support, horner.pairs
     # kind == "^": the power s, by a series unless s is an integer
     if not s.is_integer():
-        return partial(_series, alg, partial(power_series, s)), K
+        return _series_step(alg, partial(power_series, s), sa)
     m = int(s)
     if m == 0:
-        return partial(_one, alg.size), 0
-    degs, products = [d if m > 0 else K], []
+        return partial(_one, alg.size), alg.through(0), 0
+    invert, pairs = None, 0
+    if m < 0:
+        invert, sa, pairs = _series_step(alg, reciprocal_series, sa)
+    supports, products = [sa], []
     for a, b in power_chain(abs(m)):
-        product, e = product_algebra(alg, degs[a] + degs[b])
-        products.append((a, b, partial(_convolve, product, alg.size)))
-        degs.append(e)
-    invert = partial(_series, alg, reciprocal_series) if m < 0 else None
-    return partial(_int_power, invert, tuple(products)), degs[-1]
+        table, support = alg.product(supports[a], supports[b])
+        products.append((a, b, partial(_convolve, table, alg.size)))
+        supports.append(support)
+        pairs += table[0].size
+    return partial(_int_power, invert, tuple(products)), supports[-1], pairs
 
 
 # kernels: each takes two coefficient arrays, and a unary one ignores the second
@@ -735,16 +899,16 @@ def _fail(error, message, a, _):
     raise error(message)
 
 
-def _series(alg, series_of, a, _):
-    return compose(alg, a, series_of(a.item(0), alg.order))
+def _series(horner, series_of, a, _):
+    return _run_horner(horner, a, series_of(a.item(0), horner.alg.order))
 
 
-def _scale_reciprocal(alg, s, a, _):
-    return _series(alg, reciprocal_series, a, a) * s
+def _scale_reciprocal(horner, s, a, _):
+    return _series(horner, reciprocal_series, a, a) * s
 
 
-def _quotient(alg, a, b):
-    return _convolve(alg, alg.size, a, _series(alg, reciprocal_series, b, b))
+def _quotient(table, horner, a, b):
+    return _convolve(table, horner.alg.size, a, _series(horner, reciprocal_series, b, b))
 
 
 def _int_power(invert, products, a, _):
@@ -777,13 +941,13 @@ def mul_rows(alg, a, b):
     rows = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     count = math.prod(rows)
     if count == 1:
-        return _convolve(alg, size, a.reshape(-1), b.reshape(-1)).reshape(rows + (size,))
+        return _convolve(alg.mul_table, size, a.reshape(-1), b.reshape(-1)).reshape(rows + (size,))
     step = _BLOCK // mi.size
     if step <= 1:
         a, b = (np.broadcast_to(x[..., :size], rows + (size,)) for x in (a, b))
         out = np.empty(rows + (size,))
         for r in np.ndindex(rows):
-            out[r] = _convolve(alg, size, a[r], b[r])
+            out[r] = _convolve(alg.mul_table, size, a[r], b[r])
         return out
     if count <= step:
         w = np.multiply(np.take(a, mi, axis=-1), np.take(b, mj, axis=-1), order="C")
@@ -856,7 +1020,7 @@ def seed_variables(x0, y0, cfg: JetConfig):
     """
     alg = _algebra(2 * cfg.n, cfg.order)
     rows = seed_block(alg, [float(v) for v in x0], [float(v) for v in y0])
-    seeds = [Jet(alg, row, 1) for row in rows]  # cfg.order >= 1
+    seeds = [Jet(alg, row, support) for row, support in zip(rows, alg.seed_supports)]
     return seeds[: cfg.n], seeds[cfg.n :]
 
 
@@ -864,7 +1028,7 @@ def seed_block(alg, x0, y0):
     """The seeds of the point (x0, y0) in the jet algebra ``alg``, x-degree
     cap included, as one (n_vars, size) array: ``alg.seed_rows`` with the
     point in column 0.  Row v is the coefficients of the seed of variable
-    v, of degree ``min(1, alg.order)``.  x0 and y0 need n_vars / 2
+    v, of support ``alg.seed_supports[v]``.  x0 and y0 need n_vars / 2
     components each, or ShapeMismatch, and y0 must be nonzero, or
     ZeroVector."""
     n = alg.n_vars // 2

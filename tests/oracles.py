@@ -23,7 +23,10 @@ a time.  They use the same jet arithmetic, so tests require the library's
 coefficient arrays to match them bit for bit.  It also keeps the
 pair-by-pair build of the product and derivative tables, which the library
 builds with array operations; the tables must be equal.  ``truncated`` and
-``count_through_order`` are jet helpers only the tests use.
+``count_through_order`` are jet helpers only the tests use.  Last comes the
+degree-aware lowering of seed programs (``dense_program``) that
+support-aware products replaced: the programs must match it bit for bit on
+finite data, and their pair counts are measured against its.
 """
 
 import dataclasses
@@ -34,7 +37,7 @@ import operator
 
 import numpy as np
 
-from finslerlab import expr
+from finslerlab import expr, jets
 from finslerlab.curvature import (
     _SPRAY_PARTIALS,
     SEED_CAP,
@@ -201,9 +204,10 @@ def linear_change(A):
 
 def seed_jets(alg, x0, y0):
     """The seed jets of the point (x0, y0) in ``alg``, x-degree cap
-    included, as lists (x_jets, y_jets): the rows of ``jets.seed_block``."""
+    included, as lists (x_jets, y_jets): the rows of ``jets.seed_block``,
+    each with its seed's support."""
     rows = seed_block(alg, [float(v) for v in x0], [float(v) for v in y0])
-    seeds = [Jet(alg, row, min(1, alg.order)) for row in rows]
+    seeds = [Jet(alg, row, support) for row, support in zip(rows, alg.seed_supports)]
     n = alg.n_vars // 2
     return seeds[:n], seeds[n:]
 
@@ -426,15 +430,16 @@ def pretty(node) -> str:
 # full-order reference forms of truncated / batched kernel steps
 
 
-def series_full(alg, series_of, a, _):
+def series_full(horner, series_of, a, _):
     """Horner evaluation of sum series[k] * u^k, every step at the order of
-    ``alg``, with u the jet ``a`` less its value and ``series`` what
-    ``series_of`` builds at that value.
+    the algebra of ``horner`` and on every monomial, with u the jet ``a``
+    less its value and ``series`` what ``series_of`` builds at that value.
 
     Same signature as the series kernel ``jets._series``, so a test can
     patch it in and run the library's own series constructors (sqrt, exp,
     powers, ...).
     """
+    alg = horner.alg
     series = series_of(a.item(0), alg.order)
     u = Jet(alg, a.copy())
     u.coef[0] = 0.0
@@ -987,3 +992,159 @@ def deriv_tables_loop(alg):
         tables.append((np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
                        np.array(fac, dtype=np.float64)))
     return tables
+
+
+# --------------------------------------------------------------------------
+# the degree-aware lowering of seed programs that support-aware products
+# replaced: every slot carries a degree, and a product of degrees p and q
+# sums the whole product table of the order-(p + q) algebra of the same cap,
+# zero-padded; Horner step k runs in the order-(K - k) algebra
+
+
+def _dense_algebra(alg, d):
+    """Algebra and degree of a product of jets of ``alg`` whose degrees sum
+    to d: the order-d algebra of the same cap while d < K, else ``alg``."""
+    if d < alg.order:
+        return _algebra(alg.n_vars, d, alg.cap), d
+    return alg, alg.order
+
+
+def _dense_convolve(product, size, a, b):
+    mi, mj, mo = product.mul_table
+    return np.bincount(mo, a[mi] * b[mj], size)
+
+
+def _dense_horner(alg):
+    """The Horner algebras of orders 1 .. K and the pairs their steps sum:
+    the steps run in those of orders 2 .. K."""
+    algebras = [_algebra(alg.n_vars, d, alg.cap) for d in range(1, alg.order + 1)]
+    return algebras, sum(a.mul_table[0].size for a in algebras[1:])
+
+
+def _dense_series(alg, series_of, a, _):
+    series = series_of(a.item(0), alg.order)
+    K = alg.order
+    top = min(len(series) - 1, K)
+    if top == 0:
+        out = np.zeros(alg.size)
+        out[0] = float(series[0])
+        return out
+    u = a.copy()
+    u[0] = 0.0
+    horner = _dense_horner(alg)[0]
+    size = horner[K - top].size
+    out = np.zeros(horner[K - top + 1].size if top > 1 else size)
+    out[:size] = u[:size] * series[top] + 0.0
+    out[0] += series[top - 1]
+    for k in range(top - 2, -1, -1):
+        out = _dense_convolve(horner[K - k - 1], horner[K - k].size if k else alg.size, out, u)
+        out[0] += series[k]
+    return out
+
+
+def _dense_step(kind, alg, d, other):
+    """(kernel, degree, pairs) of one tape op, as ``jets.step`` lowered it
+    by degrees."""
+    K, size = alg.order, alg.size
+    recip = functools.partial(_dense_series, alg, jets.reciprocal_series)
+    horner_pairs = _dense_horner(alg)[1]
+    if other is None:
+        if kind == "neg":
+            return (lambda a, _: -a), d, 0
+        return functools.partial(_dense_series, alg, jets.SERIES[kind]), K, horner_pairs
+    if not isinstance(other, float):
+        if kind == "*":
+            product, e = _dense_algebra(alg, d + other)
+            return functools.partial(_dense_convolve, product, size), e, product.mul_table[0].size
+        if kind == "/":
+            return (lambda a, b: _dense_convolve(alg, size, a, recip(b, b))), K, \
+                alg.mul_table[0].size + horner_pairs
+        f = operator.add if kind == "+" else (lambda a, b: a + -b)
+        return f, min(max(d, other), K), 0
+    s = other
+    if kind in ("+", "-", "r-"):
+        shift, sign = (s, 1.0) if kind == "+" else (-s, 1.0) if kind == "-" else (s, -1.0)
+
+        def shifted(a, _):
+            out = a.copy() if sign > 0 else -a
+            out[0] += shift
+            return out
+
+        return shifted, d, 0
+    if kind in ("*", "/"):
+        if kind == "/":
+            try:
+                s = 1.0 / s
+            except ZeroDivisionError as e:
+                def fail(a, _, message=str(e)):
+                    raise DivisionByZero(message)
+                return fail, d, 0
+        return (lambda a, _: a * s), d if math.isfinite(s) else K, 0
+    if kind == "r/":
+        return (lambda a, _: recip(a, a) * s), K, horner_pairs
+    if not s.is_integer():  # "^"
+        return (functools.partial(_dense_series, alg, functools.partial(jets.power_series, s)),
+                K, horner_pairs)
+    m = int(s)
+    if m == 0:
+        def one(a, _):
+            out = np.zeros(size)
+            out[0] = 1.0
+            return out
+        return one, 0, 0
+    degs, products, pairs = [d if m > 0 else K], [], horner_pairs if m < 0 else 0
+    for i, j in jets.power_chain(abs(m)):
+        product, e = _dense_algebra(alg, degs[i] + degs[j])
+        products.append((i, j, functools.partial(_dense_convolve, product, size)))
+        pairs += product.mul_table[0].size
+        degs.append(e)
+
+    def power(a, _):
+        regs = [a if m > 0 else recip(a, a)]
+        for i, j, product in products:
+            regs.append(product(regs[i], regs[j]))
+        return regs[-1]
+
+    return power, degs[-1], pairs
+
+
+@dataclasses.dataclass(frozen=True)
+class DenseProgram:
+    """A tape lowered by degrees: steps as in ``expr.JetProgram``, the
+    result's degree (None for a constant formula) and the pairs one run sums."""
+
+    steps: tuple
+    deg: object
+    pairs: int
+
+
+def dense_program(tape, alg):
+    """The seed program of ``tape`` in ``alg`` by the degree rule, every input
+    of degree ``min(1, alg.order)``."""
+    n2 = 2 * tape.n
+    deg = [min(1, alg.order)] * n2 + [None] * len(tape.init)
+    steps, pairs = [], 0
+    for f, i, j, k in tape.ops:
+        kind = expr._KIND[f]
+        if deg[i] is None:
+            kernel, d, p = _dense_step({"-": "r-", "/": "r/"}.get(kind, kind), alg, deg[j],
+                                       float(tape.init[i - n2]))
+            i = j
+        elif deg[j] is None:
+            kernel, d, p = _dense_step(kind, alg, deg[i], float(tape.init[j - n2]))
+            j = i
+        else:
+            kernel, d, p = _dense_step(kind, alg, deg[i], None if kind in FUNCTIONS + ("neg",)
+                                       else deg[j])
+        steps.append((kernel, i, j, k))
+        deg[k] = d
+        pairs += p
+    return DenseProgram(tuple(steps), deg[tape.out], pairs)
+
+
+def dense_run(tape, program, rows):
+    """Run a :func:`dense_program` on the inputs' coefficient rows."""
+    vals = [*rows, *tape.init]
+    for f, i, j, k in program.steps:
+        vals[k] = f(vals[i], vals[j])
+    return vals[tape.out]
