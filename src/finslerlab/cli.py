@@ -16,7 +16,9 @@ Commands (see ``finslerlab <command> --help`` for flags):
 Exit codes: 0 success / all checks pass; 1 a verification check failed (or a
 computation was inapplicable); 2 malformed spec, expression or option value
 (points file, --t, --thresholds, --samples < 1, a NaN or negative --tol or
---spread-tol, a geodesic --tol that is not finite and > 0), or a spec whose
+--spread-tol, a geodesic --tol that is not finite and > 0, a geodesic or
+loop vector of the wrong length, a zero --y0 or w0, dependent loop vectors u
+and v, a loop scale <= 0), or a spec whose
 F fails the positive-homogeneity or strong-convexity probe at seeded chart points
 (message on stderr, no partial output); 3 chart violation (point outside the
 chart, or a trajectory leaving it; the exit time is reported when known).
@@ -61,7 +63,13 @@ from .errors import (
     ZeroVector,
 )
 from .metrics import MetricSpec, build_metric, validate
-from .transport import integrate_geodesic, parallelogram_holonomy, scalar_flows
+from .transport import (
+    geodesic_start,
+    integrate_geodesic,
+    loop_inputs,
+    parallelogram_holonomy,
+    scalar_flows,
+)
 
 _IDENTITY_TOL = 1e-6
 _SPREAD_TOL = 1e-4
@@ -452,6 +460,31 @@ def cmd_classify(args):
 # geodesic
 
 
+def _checked(option, check, *inputs):
+    """``check(*inputs)``, with an input it rejects (a wrong length, a zero
+    vector, dependent vectors, a scale <= 0) a SpecError naming ``option``."""
+    try:
+        check(*inputs)
+    except (BadConfig, ShapeMismatch, ZeroVector) as e:
+        raise SpecError(f"{option}: {e}") from e
+
+
+def _parse_loop(text, metric, x0):
+    """(u, v, w0, eps) of ``--parallelogram 'u;v;w0;eps,...'``, checked as
+    the loop checks them, so a bad loop is rejected before any integration."""
+    parts = text.split(";")
+    if len(parts) != 4:
+        raise SpecError(
+            "--parallelogram wants 'u;v;w0;eps,eps,...' with comma-separated numbers"
+        )
+    u = _parse_vector(parts[0], "--parallelogram u")
+    v = _parse_vector(parts[1], "--parallelogram v")
+    w0 = _parse_vector(parts[2], "--parallelogram w0")
+    eps = _parse_vector(parts[3], "--parallelogram eps-list")
+    _checked("--parallelogram", loop_inputs, metric, x0, u, v, w0, eps)
+    return u, v, w0, eps
+
+
 def cmd_geodesic(args):
     _check_options(args)
     spec, metric = _load_metric(args.spec)
@@ -463,6 +496,8 @@ def cmd_geodesic(args):
         span = np.nan
     if not np.all(np.isfinite(span)):
         raise SpecError(f"--t: expected a finite duration T or range t0:t1, got {args.t!r}")
+    _checked("--x0, --y0", geodesic_start, metric, x0, y0)
+    loop = _parse_loop(args.parallelogram, metric, x0) if args.parallelogram else None
     geod = integrate_geodesic(
         metric, x0, y0, span, tol=args.tol, unit_speed=args.unit_speed
     )
@@ -506,17 +541,8 @@ def cmd_geodesic(args):
         "flow_status": flow.status,
         "c_used": args.c,
     }
-    if args.parallelogram:
-        parts = args.parallelogram.split(";")
-        if len(parts) != 4:
-            raise SpecError(
-                "--parallelogram wants 'u;v;w0;eps,eps,...' with comma-separated numbers"
-            )
-        u = _parse_vector(parts[0], "--parallelogram u")
-        v = _parse_vector(parts[1], "--parallelogram v")
-        w0 = _parse_vector(parts[2], "--parallelogram w0")
-        eps = _parse_vector(parts[3], "--parallelogram eps-list")
-        exp = parallelogram_holonomy(metric, x0, u, v, w0, eps)
+    if loop:
+        exp = parallelogram_holonomy(metric, x0, *loop)
         summary["parallelogram"] = {
             "eps": list(exp.eps),
             "length_defect": list(exp.delta),

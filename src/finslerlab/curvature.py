@@ -92,6 +92,7 @@ import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     BadConfig,
@@ -876,7 +877,10 @@ def spray_values(metric, x, y, depth=0):
     are a scope's: finite x and y, dimension, chart, y's length, a zero y,
     the metric's domain, jet propagation, F > 0 and positive definiteness
     of g, for which eigvalsh runs only where Gershgorin's discs do not clear
-    g (:func:`_clears_gate`).
+    g (:func:`_clears_gate`).  g is inverted once, after that gate, by the
+    gufunc ``np.linalg.inv`` wraps, called directly: the gate rules out the
+    singular and overflowing g's the wrapper's error-state context is for,
+    and the bits are the same.
     """
     if type(depth) is not int or not 0 <= depth <= 2:
         raise BadConfig(f"spray depth must be 0, 1 or 2, got {depth!r}")
@@ -891,7 +895,11 @@ def spray_values(metric, x, y, depth=0):
     g = 0.5 * P["yy"]
     if not _clears_gate(g):
         _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)
-    ginv = np.linalg.inv(g)
+    # np.linalg.inv(g) without its errstate context, which costs more than the
+    # inverse: the gate above leaves g finite with least eigenvalue
+    # > 1e-12 * max(1, max|g|), so |g^-1| < 1e12 and no invalid, divide or
+    # overflow flag, the ones that context handles, can rise.  Same bits.
+    ginv = _umath_linalg.inv(g, signature="d->d")
     yv = np.asarray(y)
     u = ginv @ (P["yx"] @ yv - P["x"])
     out = [g, 0.25 * u]

@@ -27,8 +27,11 @@ resolves the stretch tensor.  See the probe description on
 Every float spray read here is one call of
 :func:`finslerlab.curvature.spray_values`, looked up on that module at call
 time: G for a geodesic right-hand side at depth 0, N for a transport at
-depth 1, N and Gamma for the parallelogram's probe at depth 2, and g for a
-length column at depth 0.
+depth 1, N and Gamma for the parallelogram's probe at depth 2, and g for the
+probe's lengths at depth 0.  A transport's length column makes no call of
+its own: every node is the last stage of its step, so the right-hand side
+already computed g there, at (x, y) in linear mode and at (x, V) in
+nonlinear mode, and g is the same at every depth.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ from .errors import (
     ZeroVector,
 )
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau: stage s reads row s of _A, zero from column s
+# on; _E weighs the stages into the embedded error estimate
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
+_A = np.array([row + [0.0] * (7 - len(row)) for row in [
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -61,11 +65,12 @@ _A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+]])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_E = _B5 - _B4
 
 _RECOVERABLE = (DomainError, OutOfChart, SingularMetric, ZeroVector, FloatingPointError)
 
@@ -126,12 +131,28 @@ def _chart_exit(ts, zs, fs, t_exit):
     return exc
 
 
-def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=None):
-    """Adaptive RK step loop; returns a _Path over t in [0, span] (span > 0)."""
+def _fold(w, k):
+    """sum_j w[j] k[j] over the rows of k, one left fold from +0.0 as the
+    generator ``sum`` over (w[j] * k[j]) gives it, bit for bit, so never a
+    -0.0 entry."""
+    return np.add.reduce(w[:, None] * k, axis=0, initial=0.0)
+
+
+def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=None,
+               accepted=None):
+    """Adaptive RK step loop; returns a _Path over t in [0, span] (span > 0).
+
+    ``accepted``, if given, is called with no arguments once per accepted
+    node, the first included, right after the rhs call at that node (the
+    last stage of its step), so an rhs can keep what it computed there.
+    """
     z = np.asarray(z0, dtype=float)
     t = 0.0
     f = rhs(t, z)
+    if accepted is not None:
+        accepted()
     ts, zs, fs = [0.0], [z.copy()], [np.asarray(f, dtype=float)]
+    k = np.empty((7, z.size))  # the stages of the step at hand
     h = span / 64.0
     hmin = span * 1e-13
     rejected_in_a_row = 0
@@ -139,11 +160,11 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
         if t >= span:
             return _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs))
         h = min(h, span - t)
-        k = [fs[-1]]
+        k[0] = fs[-1]
         try:
             for stage in range(1, 7):
-                zi = z + h * sum(a * ki for a, ki in zip(_A[stage], k))
-                k.append(np.asarray(rhs(t + _C[stage] * h, zi), dtype=float))
+                zi = z + h * _fold(_A[stage, :stage], k[:stage])
+                k[stage] = rhs(t + _C[stage] * h, zi)
         except _RECOVERABLE:
             # A chart boundary dead ahead starves the step loop (stages keep
             # raising); detect it with a first-order probe and walk onto it.
@@ -162,7 +183,7 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
                 ) from None
             continue
         z5 = zi  # the last stage sits at (t + h, z5): _A[6] is _B5[:6], _C[6] is 1
-        err = h * sum((b5 - b4) * ki for b5, b4, ki in zip(_B5, _B4, k))
+        err = h * _fold(_E, k)
         scale = atol + rtol * np.maximum(np.abs(z), np.abs(z5))
         enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
         ok = enorm <= 1.0
@@ -186,7 +207,7 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
                 )
             continue
         rejected_in_a_row = 0
-        f5 = k[6]  # first same as last: the next step's first stage
+        f5 = k[6].copy()  # first same as last: the next step's first stage
         if inside is not None and not inside(z5):
             # exit happened inside this step: bisect the Hermite interpolant
             piece = _Path(np.array([t, t + h]), np.stack([z, z5]), np.stack([fs[-1], f5]))
@@ -197,6 +218,8 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
         ts.append(t)
         zs.append(z.copy())
         fs.append(f5)
+        if accepted is not None:
+            accepted()
         h *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
     raise StepFailure(f"step budget exhausted after {_MAX_STEPS} steps at t = {t:.6g}")
 
@@ -234,7 +257,7 @@ def _F_drift(metric, F0, x, y):
     return float(np.max(np.abs(Fs - F0)) / F0)
 
 
-def _along_spray(metric, rhs, z0, span, tol, F0):
+def _along_spray(metric, rhs, z0, span, tol, F0, accepted=None):
     """:func:`_integrate` a state that starts (x, xdot, ...), with F(x, xdot)
     held to F0 as an accept/reject gate and x to the chart."""
     n = metric.n
@@ -244,15 +267,20 @@ def _along_spray(metric, rhs, z0, span, tol, F0):
         span,
         rtol=tol,
         atol=tol * 1e-2,
-        invariant=lambda z: _F_drift(metric, F0, [z[:n]], [z[n : 2 * n]]),
+        invariant=lambda z: abs(float(metric.F(z[:n], z[n : 2 * n])) - F0) / F0,
         inside=lambda z: metric.chart.contains(z[:n]),
+        accepted=accepted,
     )
+
+
+def _length(g, w):
+    """Length of w in the fundamental tensor g."""
+    return math.sqrt(max(float(w @ g @ w), 0.0))
 
 
 def _g_length(metric, x, ref, w):
     """Length of w in the fundamental tensor at (x, ref)."""
-    g = curvature.spray_values(metric, x, ref)[0]
-    return math.sqrt(max(float(w @ g @ w), 0.0))
+    return _length(curvature.spray_values(metric, x, ref)[0], w)
 
 
 # --- geodesics ---
@@ -298,6 +326,16 @@ class GeodesicSolution:
         return np.asarray(xs), np.asarray(ys)
 
 
+def geodesic_start(metric, x0, y0):
+    """x0 and y0 as float arrays, checked as :func:`integrate_geodesic` checks
+    them before the chart: n components each (ShapeMismatch), finite
+    (BadConfig) and a nonzero y0 (ZeroVector)."""
+    x0, y0 = _vectors(metric.n, ("x0 and y0", x0, y0))
+    if not np.any(y0):
+        raise ZeroVector("geodesic needs a nonzero initial velocity")
+    return x0, y0
+
+
 def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     """Integrate xddot + 2 G(x, xdot) = 0 from (x0, y0).
 
@@ -308,9 +346,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     """
     tol = _tolerance(tol)
     n = metric.n
-    x0, y0 = _vectors(n, ("x0 and y0", x0, y0))
-    if not np.any(y0):
-        raise ZeroVector("geodesic needs a nonzero initial velocity")
+    x0, y0 = geodesic_start(metric, x0, y0)
     if not metric.chart.contains(x0):
         raise OutOfChart(f"x0 = {x0.tolist()} outside metric chart")
     if np.ndim(t_span) == 0:
@@ -393,28 +429,34 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
     sign = geodesic._sign
     span = abs(geodesic.t_final - float(geodesic.t[0]))
 
+    gs = []        # g at each accepted node, as the rhs computed it there
+    g_last = None  # the g of the latest rhs call
+
     def rhs(_t, z):
+        nonlocal g_last
         x, y, V = z[:n], z[n : 2 * n], z[2 * n :]
         if mode == "nonlinear" and np.linalg.norm(V) < 1e-10 * vscale:
             raise VanishingVector(
                 "transported vector collapsed; nonlinear mode undefined"
             )
         if mode == "linear":
-            _, G, N = curvature.spray_values(metric, x, y, 1)
+            g, G, N = curvature.spray_values(metric, x, y, 1)
             dV = -N @ V
         else:
             G = curvature.spray_values(metric, x, y)[1]
-            Nv = curvature.spray_values(metric, x, V, 1)[2]
+            g, _, Nv = curvature.spray_values(metric, x, V, 1)
             dV = -Nv @ y
+        g_last = g
         return np.concatenate([sign * y, -2.0 * sign * G, sign * dV])
 
     z0 = np.concatenate([x0, y0, V0])
-    path = _along_spray(metric, rhs, z0, span, _TRANSPORT_TOL, F0)
+    path = _along_spray(
+        metric, rhs, z0, span, _TRANSPORT_TOL, F0, accepted=lambda: gs.append(g_last)
+    )
     x = path.z[:, :n]
     y = path.z[:, n : 2 * n]
     V = path.z[:, 2 * n :]
-    refs = y if mode == "linear" else V
-    lengths = np.array([_g_length(metric, xi, ri, vi) for xi, ri, vi in zip(x, refs, V)])
+    lengths = np.array([_length(g, v) for g, v in zip(gs, V)])
     scale = max(float(np.max(lengths)), 1e-300)
     return TransportResult(
         mode=mode,
@@ -472,6 +514,29 @@ def _fit_exponent(eps, delta, noise=1e-12):
     return float(slope)
 
 
+def loop_inputs(metric, x0, u, v, w0, eps_list, support0=None):
+    """The inputs of :func:`parallelogram_holonomy` as float arrays (x0, u,
+    v, w0, support0, sorted eps), checked as it checks them before the
+    chart: n components each (ShapeMismatch), finite, u and v linearly
+    independent and positive scales (BadConfig), a nonzero w0 and support0
+    (ZeroVector)."""
+    n = metric.n
+    x0, u, v, w0 = _vectors(n, ("x0", x0), ("u", u), ("v", v), ("w0", w0))
+    if not np.any(w0):
+        raise ZeroVector("w0 must be nonzero")
+    if np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < 1e-14:
+        raise BadConfig("u and v must be linearly independent")
+    (support0,) = _vectors(n, ("support0", u + v if support0 is None else support0))
+    if np.linalg.norm(support0) < 1e-14:
+        raise ZeroVector("support0 must be nonzero")
+    eps_arr = np.asarray(sorted(float(e) for e in eps_list))
+    if not np.all(np.isfinite(eps_arr)):
+        raise BadConfig(f"eps_list must hold finite scales, got {eps_arr.tolist()}")
+    if eps_arr.size == 0 or eps_arr[0] <= 0:
+        raise BadConfig("eps_list must contain positive scales")
+    return x0, u, v, w0, support0, eps_arr
+
+
 def parallelogram_holonomy(
     metric, x0, u, v, w0, eps_list, support0=None, tol=1e-11
 ):
@@ -485,17 +550,7 @@ def parallelogram_holonomy(
     """
     tol = _tolerance(tol)
     n = metric.n
-    x0, u, v, w0 = _vectors(n, ("x0", x0), ("u", u), ("v", v), ("w0", w0))
-    if np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < 1e-14:
-        raise BadConfig("u and v must be linearly independent")
-    (support0,) = _vectors(n, ("support0", u + v if support0 is None else support0))
-    if np.linalg.norm(support0) < 1e-14:
-        raise ZeroVector("support0 must be nonzero")
-    eps_arr = np.asarray(sorted(float(e) for e in eps_list))
-    if not np.all(np.isfinite(eps_arr)):
-        raise BadConfig(f"eps_list must hold finite scales, got {eps_arr.tolist()}")
-    if eps_arr.size == 0 or eps_arr[0] <= 0:
-        raise BadConfig("eps_list must contain positive scales")
+    x0, u, v, w0, support0, eps_arr = loop_inputs(metric, x0, u, v, w0, eps_list, support0)
 
     corners = [x0, x0 + u, x0 + u + v, x0 + v]
     emax = eps_arr[-1]

@@ -26,7 +26,10 @@ builds with array operations; the tables must be equal.  ``truncated`` and
 ``count_through_order`` are jet helpers only the tests use.  Last comes the
 degree-aware lowering of seed programs (``dense_program``) that
 support-aware products replaced: the programs must match it bit for bit on
-finite data, and their pair counts are measured against its.
+finite data, and their pair counts are measured against its.  The
+integrator's stage and error sums keep their generator folds over the
+ragged Dormand-Prince tableau (``dopri_stage_fold``, ``dopri_error_fold``),
+which its one-array reductions must match bit for bit.
 """
 
 import dataclasses
@@ -1148,3 +1151,27 @@ def dense_run(tape, program, rows):
     for f, i, j, k in program.steps:
         vals[k] = f(vals[i], vals[j])
     return vals[tape.out]
+
+
+# --- the Dormand-Prince sums as generator folds ---
+
+#: the tableau's stage rows as the step loop once held them, ragged
+DOPRI_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+
+
+def dopri_stage_fold(stage, k):
+    """sum_j a_sj k_j of stage ``stage`` over the stage vectors ``k``."""
+    return sum(a * ki for a, ki in zip(DOPRI_A[stage], k))
+
+
+def dopri_error_fold(b5, b4, k):
+    """sum_j (b5_j - b4_j) k_j, the unscaled embedded error estimate."""
+    return sum((x5 - x4) * ki for x5, x4, ki in zip(b5, b4, k))

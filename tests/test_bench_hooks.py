@@ -58,11 +58,12 @@ def test_dynamics_and_validate_read_the_traced_spray(spray_depths):
     m = build_metric(builtin("funk2"))
     geodesic = transport.integrate_geodesic(m, (0.1, -0.2), (0.5, 0.3), 0.3)
     assert set(spray_depths) == {0}
-    for mode in ("linear", "nonlinear"):
+    for mode, depths in (("linear", {1}), ("nonlinear", {0, 1})):
         spray_depths.clear()
         transport.parallel_transport(m, geodesic, (0.2, 1.0), mode=mode)
-        # depth 1 for N; depth 0 for G (nonlinear) and the length column
-        assert set(spray_depths) == {0, 1}, mode
+        # depth 1 for g and N, depth 0 for G in nonlinear mode; the length
+        # column reads the g of those calls and makes none of its own
+        assert set(spray_depths) == depths, mode
     spray_depths.clear()
     transport.parallelogram_holonomy(m, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), [0.05])
     # N of the transported vector, N and Gamma at the support, probe lengths

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 import jsonschema
 
+from finslerlab import cli
 from finslerlab.cli import main
 from finslerlab.metrics import builtin, MetricSpec, BUILTIN_NAMES
 
@@ -518,8 +519,22 @@ def test_malformed_time_span_exits_2(funk2_spec, capsys, span):
     ["--x0", "0.1,0", "--y0", "inf,0.3"],
     ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;nan"],
     ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;0.01,inf"],
+    # wrong lengths, zero vectors, dependent loop vectors and loop scales <= 0
+    ["--x0", "0.1,0,0", "--y0", "0.3,0.2"],
+    ["--x0", "0.1,0", "--y0", "0.3"],
+    ["--x0", "0.1,0", "--y0", "0,0"],
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5;0.04"],
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0,0;0.04"],
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;2,0;0.5,0.5;0.04"],
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;0,0.04"],
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;-0.04"],
 ])
-def test_non_finite_vectors_exit_2(funk2_spec, capsys, vectors):
+def test_non_finite_vectors_exit_2(funk2_spec, capsys, monkeypatch, vectors):
+    # every vector is rejected before the geodesic is integrated
+    def integrate(*_):
+        raise AssertionError("integrated a geodesic from rejected inputs")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", integrate)
     assert main(["geodesic", funk2_spec, "--t", "0.5", "--samples", "2", *vectors]) == 2
     _assert_rejected(capsys)
 

@@ -13,24 +13,39 @@ Oracles used here:
   * Riemannian transport is metric, so both parallelogram channels sit
     at integrator noise; the probe channel of a genuinely stretching
     metric scales like eps^2.
+  * The step loop's stage and error sums match the generator folds kept
+    in ``oracles``, a transport's length column matches a spray call of
+    its own at each node, and the spray's inverse matches np.linalg.inv,
+    all bit for bit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+from finslerlab import analysis, curvature, transport
 from finslerlab.errors import (
     BadConfig,
     ChartExit,
     OutOfChart,
     ShapeMismatch,
+    SingularMetric,
     StepFailure,
     ZeroVector,
 )
 from finslerlab.metrics import MetricSpec, build_metric, builtin
 from finslerlab.curvature import spray_values
+from oracles import dopri_error_fold, dopri_stage_fold
 from finslerlab.transport import (
+    _A,
+    _B4,
+    _B5,
+    _E,
+    _fold,
+    _g_length,
     _integrate,
     integrate_geodesic,
     parallel_transport,
@@ -248,6 +263,109 @@ def test_transport_guards(funk2, funk2_geodesic):
         parallel_transport(funk2, funk2_geodesic, (1.0, 0.0, 0.0))
 
 
+# --- what one step and one transport compute ---
+
+#: the built-ins whose geodesics and transports the benchmark's dynamics runs
+DYNAMICS_BUILTINS = ("funk2", "funk2-drift", "funk3", "randers3x", "sphere2")
+
+
+def test_stage_and_error_folds_match_the_generator_sums():
+    # one reduction down the stage axis is the generator's left fold from
+    # +0.0: the same bits, the sign of every zero included
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, 2.5, -3.0])
+    for trial in range(300):
+        dim = int(rng.integers(1, 10))
+        k = rng.normal(size=(7, dim)) * 10.0 ** rng.integers(-8, 8, size=(7, dim))
+        mask = rng.random((7, dim)) < 0.4
+        k[mask] = rng.choice(pool, size=int(mask.sum()))
+        if trial % 3 == 0:
+            k[:, 0] = -0.0
+        for stage in range(1, 7):
+            expected = dopri_stage_fold(stage, k[:stage])
+            assert _fold(_A[stage, :stage], k[:stage]).tobytes() == expected.tobytes()
+        assert _fold(_E, k).tobytes() == dopri_error_fold(_B5, _B4, k).tobytes()
+
+
+@pytest.mark.parametrize("name", DYNAMICS_BUILTINS)
+def test_transport_lengths_are_g_lengths_at_the_nodes(monkeypatch, name):
+    # the length column reads the g of the rhs call at each node; a spray
+    # call of its own there gives the same bits
+    m = build_metric(builtin(name))
+    st = analysis.sample_states(m, 1, seed=3)[0]
+    geodesic = integrate_geodesic(m, st.x, st.y, 0.2, unit_speed=True)
+    paths, integrate = [], transport._integrate
+
+    def integrate_kept(*args, **kwargs):
+        paths.append(integrate(*args, **kwargs))
+        return paths[-1]
+
+    monkeypatch.setattr(transport, "_integrate", integrate_kept)
+    n = m.n
+    for mode in ("linear", "nonlinear"):
+        r = parallel_transport(m, geodesic, np.linspace(1.0, -0.5, n), mode=mode)
+        z = paths[-1].z
+        x, y, V = z[:, :n], z[:, n : 2 * n], z[:, 2 * n :]
+        refs = y if mode == "linear" else V
+        expected = [_g_length(m, *node) for node in zip(x, refs, V)]
+        assert len(expected) > 2
+        assert r.length.tobytes() == np.array(expected).tobytes(), mode
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_spray_inverse_is_np_linalg_inv_near_the_gate(monkeypatch, scale):
+    # a = scale [[1, 1 - d], [1 - d, 1]] has least eigenvalue scale * d; ratio
+    # r = scale * d / (1e-12 max(1, scale)) straddles the positive-definite gate
+    ratios = []
+
+    def inv(g, signature):
+        with np.errstate(all="raise"):
+            out = _umath_linalg.inv(g, signature=signature)
+        assert out.tobytes() == np.linalg.inv(g).tobytes()
+        ratios.append(np.linalg.eigvalsh(g)[0] / (1e-12 * max(1.0, np.max(np.abs(g)))))
+        return out
+
+    monkeypatch.setattr(curvature, "_umath_linalg", SimpleNamespace(inv=inv))
+    bar = 1e-12 * max(1.0, scale) / scale
+    for r in (0.5, 0.9, 1.1, 1.5, 3.0, 10.0, 1e3, 1e6):
+        d = r * bar
+        a = [[scale, scale * (1.0 - d)], [scale * (1.0 - d), scale]]
+        m = build_metric(MetricSpec(n=2, family="riemannian", a=a))
+        for y in ((1.0, -1.0), (0.3, 0.7)):
+            try:
+                for depth in (0, 1, 2):
+                    spray_values(m, (0.1, -0.2), y, depth)
+            except SingularMetric:
+                assert r < 1.0
+            else:
+                assert r > 1.0
+    assert 1.0 < min(ratios) < 2.0
+
+
+@pytest.mark.parametrize("mode, per_rhs", [("linear", 1), ("nonlinear", 2)])
+def test_transport_spray_calls_per_rhs_call(monkeypatch, funk2, funk2_geodesic, mode, per_rhs):
+    # every spray call is the rhs's: none is left for the length column
+    calls = {"spray": 0, "rhs": 0}
+    counted, integrate = curvature.spray_values, transport._integrate
+
+    def spray(*args):
+        calls["spray"] += 1
+        return counted(*args)
+
+    def integrate_counted(rhs, *args, **kwargs):
+        def rhs_counted(*a):
+            calls["rhs"] += 1
+            return rhs(*a)
+
+        return integrate(rhs_counted, *args, **kwargs)
+
+    monkeypatch.setattr(curvature, "spray_values", spray)
+    monkeypatch.setattr(transport, "_integrate", integrate_counted)
+    parallel_transport(funk2, funk2_geodesic, (0.2, 1.0), mode=mode)
+    assert calls["rhs"] > 0
+    assert calls["spray"] == per_rhs * calls["rhs"]
+
+
 # --- parallelogram loops ---
 
 EPS = [0.04, 0.08, 0.16]
@@ -310,6 +428,8 @@ def test_parallelogram_guards(funk2):
             EPS,
             support0=(0.0, 0.0),
         )
+    with pytest.raises(ZeroVector):
+        parallelogram_holonomy(funk2, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), EPS)
     with pytest.raises(ChartExit):
         parallelogram_holonomy(
             funk2, (0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), [0.9]
