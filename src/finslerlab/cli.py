@@ -15,11 +15,11 @@ Commands (see ``finslerlab <command> --help`` for flags):
 
 Exit codes: 0 success / all checks pass; 1 a verification check failed (or a
 computation was inapplicable); 2 malformed spec, expression or option value
-(points file, --t, --thresholds, --samples < 1, a NaN or negative --tol or
---spread-tol, a geodesic --tol that is not finite and > 0, a geodesic or
-loop vector of the wrong length, a zero --y0 or w0, dependent loop vectors u
-and v, a loop scale <= 0), or a spec whose
-F fails the positive-homogeneity or strong-convexity probe at seeded chart points
+(points file, an empty or infinite --t, --thresholds, --samples < 1, a NaN
+or negative --tol or --spread-tol, a geodesic --tol that is not finite and
+> 0, a geodesic or loop vector of the wrong length, a zero --y0 or w0,
+dependent loop vectors u and v, a loop scale <= 0), or a spec whose F fails
+the positive-homogeneity or strong-convexity probe at seeded chart points
 (message on stderr, no partial output); 3 chart violation (point outside the
 chart, or a trajectory leaving it; the exit time is reported when known).
 
@@ -64,6 +64,7 @@ from .errors import (
 )
 from .metrics import MetricSpec, build_metric, validate
 from .transport import (
+    geodesic_span,
     geodesic_start,
     integrate_geodesic,
     loop_inputs,
@@ -493,9 +494,8 @@ def cmd_geodesic(args):
     try:
         span = tuple(map(float, args.t.split(":", 1))) if ":" in args.t else float(args.t)
     except ValueError:
-        span = np.nan
-    if not np.all(np.isfinite(span)):
-        raise SpecError(f"--t: expected a finite duration T or range t0:t1, got {args.t!r}")
+        raise SpecError(f"--t: expected a duration T or range t0:t1, got {args.t!r}") from None
+    _checked("--t", geodesic_span, span)
     _checked("--x0, --y0", geodesic_start, metric, x0, y0)
     loop = _parse_loop(args.parallelogram, metric, x0) if args.parallelogram else None
     geod = integrate_geodesic(

@@ -38,9 +38,10 @@ mu2, cratio) is composed one point at a time by ``jets.compose``, the
 kernel ``Jet.reciprocal`` and ``Jet.__pow__`` run; no field builds a
 ``Jet``.
 
-G is solved, not read off an inverse: u = 4G solves g u = b order by order
-(``_build_G``), n^2 row products per order where a Neumann step of g^{-1}
-costs n^3, so g_inv is built only to the order I, J_L and phi read.
+g_inv and G come from one order-by-order solve of g X = b
+(``FieldScope._solve``): g_inv with b the identity jet, and u = 4G with b
+the spray's bracket, n^2 row products per order and column of b.  G reads
+no g^{-1} jet, so g_inv is built only to the order I, J_L and phi read.
 
 The point axis sits between the slots and the coefficients, so slot code
 (positional indexing, folds over a leading slot, slots broadcast against
@@ -62,9 +63,7 @@ which can round differently.  The sign bits follow the loops too:
 
 * antisymmetric fills write -1.0 * val into the k > l half.  Sigma and D
   also write it on the k = l diagonal, where val = +0.0, so it holds -0.0;
-* the k = l diagonals of Rhh hold val * 0.0 for the first val computed;
-* a Neumann step adds ginv0 as a constant jet, a full row of zeros with
-  ginv0 in front, to the products' sum.
+* the k = l diagonals of Rhh hold val * 0.0 for the first val computed.
 
 A scope builds each field only to the deepest order, and the deepest
 x-degree, a reader in the executable ledger ``LEDGER`` asks of it
@@ -591,25 +590,37 @@ class FieldScope:
     def _build_ginv0(self, alg, g0):
         return np.moveaxis(np.linalg.inv(np.moveaxis(g0, -1, 0)), 0, -1)
 
-    def _build_g_inv(self, alg, g, ginv0):
-        """Inverse metric: the Neumann series X_t = g0^{-1} + M X_{t-1} with
-        M = -g0^{-1}(g - g0).  M has no constant term, so X_t is exact through
-        order t: iteration t runs in the order-t algebra, X_{t-1} zero-padded."""
+    def _solve(self, alg, g, ginv0, b):
+        """X with g X = b through ``alg``'s order, for b with slots (l, ...).
+
+        X_0 = g0^{-1} b_0, and X_t = g0^{-1} (b - dev X_{t-1}) in the
+        order-t algebra, with dev = g - g0 and X_{t-1} zero-padded.  dev has
+        no constant term, so the coefficients of order <= t of dev X_{t-1}
+        read only those of X_{t-1} of order < t: X_t is exact through order
+        t.  A coefficient of order s < t sums the same pairs in the same
+        order at step t as at step s; the pairs through dev's constant term
+        add +-0 to it.  So the steps leave the lower coefficients as they
+        were, and X at any order is a prefix of X at a higher one.  One
+        buffer holds X; each step is n^2 row products per slot of b past l.
+        """
+        lead = (slice(None),) * 2 + (None,) * (b.ndim - 3)  # dev_il and ginv0_il against X_l...
         dev = g.copy()
-        dev[..., 0] -= g[..., 0]
-        M = _fold(-ginv0[:, k, None, :, None] * dev[k] for k in range(self.n))  # [i, j]
-        del dev
-        X = ginv0[..., None]
-        for t in range(1, alg.order + 1):
+        dev[..., 0] = 0.0
+        dev, inv = dev[lead], ginv0[lead][..., None]
+        X = np.zeros(b.shape)
+        for t in range(alg.order + 1):
             at = self._at(t, alg.cap)
-            Xt = np.zeros(X.shape[:-1] + (at.size,))
-            Xt[..., : X.shape[-1]] = X
-            products = mul_rows(at, M[:, :, None], Xt)  # [i, k, j] = M_ik X_kj
-            # ginv0 as a constant jet plus the sum: the other coefficients gain + 0.0
-            X = _fold(np.swapaxes(products, 0, 1))
-            X[..., 0] += ginv0
-            X[..., 1:] += 0.0
+            rhs = b[..., : at.size]
+            if t:
+                products = mul_rows(at, dev, X[None])  # [i, l, ...] = dev_il X_l...
+                rhs = rhs - _fold(np.swapaxes(products, 0, 1))
+            X[..., : at.size] = _fold(inv[:, l] * rhs[l] for l in range(self.n))
         return X
+
+    def _build_g_inv(self, alg, g, ginv0):
+        eye = np.zeros(g.shape)
+        eye[..., 0] = np.eye(self.n)[..., None]
+        return self._solve(alg, g, ginv0, eye)
 
     def _build_ylow(self, alg, g):
         return self._contract_y(g, alg)
@@ -626,33 +637,13 @@ class FieldScope:
         return _fold(products.reshape((self.n**2,) + products.shape[2:]))
 
     def _build_G(self, alg, F2, g, ginv0):
-        """Spray G = u / 4, where g u = b and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l.
-
-        u_0 = g0^{-1} b_0, and u_t = g0^{-1} (b - dev u_{t-1}) in the
-        order-t algebra, with dev = g - g0 and u_{t-1} zero-padded.  dev has
-        no constant term, so the coefficients of order <= t of dev u_{t-1}
-        read only those of u_{t-1} of order < t: u_t is exact through order
-        t.  A coefficient of order s < t sums the same pairs in the same
-        order at step t as at step s; the pairs through dev's constant term
-        add +-0 to it.  So the steps leave the lower coefficients as they
-        were, and G at any order is a prefix of G at a higher one.  One
-        buffer holds u; no g^{-1} jet is formed.
-        """
+        """Spray G = u / 4, where g u = b and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l
+        (:meth:`_solve`); no g^{-1} jet is formed."""
         a2 = self._deeper(alg, 2, 1)
         dx = _deriv(a2, F2, self._xs)  # [k] = dF^2/dx^k
         yterms = mul_seeds(alg, self._vd(dx, a2.lowered(0)), self._y0, axis=0)  # [k, l]
         brk = _fold(yterms) - dx[..., : alg.size]  # [l] = b_l
-        dev = g.copy()
-        dev[..., 0] = 0.0
-        u = np.zeros(brk.shape)
-        for t in range(alg.order + 1):
-            at = self._at(t, alg.cap)
-            rhs = brk[..., : at.size]
-            if t:
-                products = mul_rows(at, dev, u[None])  # [i, l] = dev_il u_l
-                rhs = rhs - _fold(np.swapaxes(products, 0, 1))
-            u[..., : at.size] = _fold(ginv0[:, l, :, None] * rhs[l] for l in range(self.n))
-        return u * 0.25
+        return self._solve(alg, g, ginv0, brk) * 0.25
 
     def _build_N(self, alg, G):
         return self._vd(G, self._deeper(alg, 1))

@@ -4,9 +4,11 @@ The integrator is an explicit adaptive Dormand-Prince 5(4) pair with two
 extra acceptance gates beyond the embedded error estimate:
 
 * a user-supplied invariant (for geodesics, relative drift of F, which
-  is a first integral of the spray ODE) rejects steps that degrade it;
-* the chart predicate; when an accepted step lands outside, the exit
-  time is bracketed by bisection on the dense output and reported via
+  is a first integral of the spray ODE) rejects steps that degrade it; its
+  largest value over the nodes is the run's ``F_drift``;
+* the chart, which the right-hand side gates at every stage, the last one
+  at the step's end point; where stages fail, a first-order probe brackets
+  the exit time by bisection and reports it via
   :class:`~finslerlab.errors.ChartExit` (carrying the partial solution).
 
 Transport comes in two modes, differing in where the connection is
@@ -83,11 +85,13 @@ _TRANSPORT_TOL = 1e-10
 
 @dataclass
 class _Path:
-    """Accepted nodes with derivatives; cubic-Hermite dense output."""
+    """Accepted nodes with derivatives, cubic-Hermite dense output, and the
+    invariant's largest value over the nodes (None without one)."""
 
     t: np.ndarray
     z: np.ndarray
     f: np.ndarray
+    drift: float = None
 
     def state(self, t):
         ts = self.t
@@ -124,13 +128,6 @@ def _bisect(inside, at, lo, hi, width):
     return lo, hi
 
 
-def _chart_exit(ts, zs, fs, t_exit):
-    """ChartExit at ``t_exit``, carrying the accepted nodes as ``partial``."""
-    exc = ChartExit(f"trajectory leaves the chart at t = {t_exit:.9g}", t_exit=t_exit)
-    exc.partial = _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs))
-    return exc
-
-
 def _fold(w, k):
     """sum_j w[j] k[j] over the rows of k, one left fold from +0.0 as the
     generator ``sum`` over (w[j] * k[j]) gives it, bit for bit, so never a
@@ -142,15 +139,20 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
                accepted=None):
     """Adaptive RK step loop; returns a _Path over t in [0, span] (span > 0).
 
-    ``accepted``, if given, is called with no arguments once per accepted
-    node, the first included, right after the rhs call at that node (the
-    last stage of its step), so an rhs can keep what it computed there.
+    ``invariant(z)`` is a defect each node must hold to ``_F_TOL``, and the
+    path's ``drift`` its largest value.  rhs must raise OutOfChart wherever
+    the chart predicate ``inside`` fails, so a step ends inside, its last
+    stage being its end point.  ``accepted`` is called with no arguments
+    once per accepted node, the first included, right after the rhs call at
+    that node (the last stage of its step), so an rhs can keep what it
+    computed there.
     """
     z = np.asarray(z0, dtype=float)
     t = 0.0
     f = rhs(t, z)
     if accepted is not None:
         accepted()
+    drift = None if invariant is None else invariant(z)
     ts, zs, fs = [0.0], [z.copy()], [np.asarray(f, dtype=float)]
     k = np.empty((7, z.size))  # the stages of the step at hand
     h = span / 64.0
@@ -158,7 +160,7 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
     rejected_in_a_row = 0
     for _ in range(_MAX_STEPS):
         if t >= span:
-            return _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs))
+            return _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs), drift)
         h = min(h, span - t)
         k[0] = fs[-1]
         try:
@@ -171,7 +173,9 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
             if inside is not None and not inside(z + h * fs[-1]):
                 lo, hi = _bisect(inside, lambda s: z + s * fs[-1], 0.0, h, 1e-15 * max(span, 1.0))
                 if hi <= max(8 * hmin, 1e-12 * span):
-                    raise _chart_exit(ts, zs, fs, t + hi) from None
+                    exc = ChartExit(f"trajectory leaves the chart at t = {t + hi:.9g}", t_exit=t + hi)
+                    exc.partial = _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs), drift)
+                    raise exc from None
                 h = max(0.9 * lo, 4 * hmin)  # step to just inside the boundary
                 continue
             h *= 0.5
@@ -194,7 +198,7 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
                 defect = invariant(z5)
             except _RECOVERABLE:
                 defect = math.inf
-            if defect > _F_TOL:
+            if not defect <= _F_TOL:  # a NaN defect fails too
                 ok = False
                 enorm = max(enorm, 4.0)  # force a real shrink
         if not ok:
@@ -207,17 +211,13 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
                 )
             continue
         rejected_in_a_row = 0
-        f5 = k[6].copy()  # first same as last: the next step's first stage
-        if inside is not None and not inside(z5):
-            # exit happened inside this step: bisect the Hermite interpolant
-            piece = _Path(np.array([t, t + h]), np.stack([z, z5]), np.stack([fs[-1], f5]))
-            _, hi = _bisect(inside, piece.state, t, t + h, 1e-14 * max(1.0, abs(span)))
-            raise _chart_exit(ts, zs, fs, hi)
+        if invariant is not None:
+            drift = max(drift, defect)
         t += h
         z = z5
         ts.append(t)
         zs.append(z.copy())
-        fs.append(f5)
+        fs.append(k[6].copy())  # first same as last: the next step's first stage
         if accepted is not None:
             accepted()
         h *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
@@ -251,15 +251,10 @@ def _tolerance(tol):
     return tol
 
 
-def _F_drift(metric, F0, x, y):
-    """Largest relative deviation of F(x_i, y_i) from F0 over the rows of x and y."""
-    Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
-    return float(np.max(np.abs(Fs - F0)) / F0)
-
-
 def _along_spray(metric, rhs, z0, span, tol, F0, accepted=None):
     """:func:`_integrate` a state that starts (x, xdot, ...), with F(x, xdot)
-    held to F0 as an accept/reject gate and x to the chart."""
+    held to F0 as an accept/reject gate (the path's ``drift``) and x to the
+    chart, which rhs gates through ``spray_values``."""
     n = metric.n
     return _integrate(
         rhs,
@@ -336,6 +331,21 @@ def geodesic_start(metric, x0, y0):
     return x0, y0
 
 
+def geodesic_span(t_span):
+    """(t0, t1) of a duration T, which is (0, T), or of a pair (t0, t1),
+    checked as :func:`integrate_geodesic` checks it: finite, and t1 != t0
+    (BadConfig)."""
+    if np.ndim(t_span) == 0:
+        t0, t1 = 0.0, float(t_span)
+    else:
+        t0, t1 = (float(v) for v in t_span)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise BadConfig(f"integration span must be finite, got {t_span!r}")
+    if t1 == t0:
+        raise BadConfig("empty integration span")
+    return t0, t1
+
+
 def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     """Integrate xddot + 2 G(x, xdot) = 0 from (x0, y0).
 
@@ -349,14 +359,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     x0, y0 = geodesic_start(metric, x0, y0)
     if not metric.chart.contains(x0):
         raise OutOfChart(f"x0 = {x0.tolist()} outside metric chart")
-    if np.ndim(t_span) == 0:
-        t0, t1 = 0.0, float(t_span)
-    else:
-        t0, t1 = (float(v) for v in t_span)
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise BadConfig(f"integration span must be finite, got {t_span!r}")
-    if t1 == t0:
-        raise BadConfig("empty integration span")
+    t0, t1 = geodesic_span(t_span)
     F0 = float(metric.F(tuple(x0), tuple(y0)))
     if unit_speed:
         y0 = y0 / F0
@@ -374,9 +377,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     except ChartExit as exc:
         exc.t_exit = t0 + sign * exc.t_exit
         if getattr(exc, "partial", None) is not None:
-            exc.partial = _wrap_geodesic(
-                metric, exc.partial, t0, sign, F0, unit_speed
-            )
+            exc.partial = _wrap_geodesic(metric, exc.partial, t0, sign, F0, unit_speed)
         raise
     return _wrap_geodesic(metric, path, t0, sign, F0, unit_speed)
 
@@ -392,7 +393,7 @@ def _wrap_geodesic(metric, path, t0, sign, F0, unit_speed):
         x=x,
         y=y,
         F0=F0,
-        F_drift=_F_drift(metric, F0, x, y),
+        F_drift=path.drift,
         unit_speed=unit_speed,
         _path=path,
         _sign=sign,
@@ -453,8 +454,6 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
     path = _along_spray(
         metric, rhs, z0, span, _TRANSPORT_TOL, F0, accepted=lambda: gs.append(g_last)
     )
-    x = path.z[:, :n]
-    y = path.z[:, n : 2 * n]
     V = path.z[:, 2 * n :]
     lengths = np.array([_length(g, v) for g, v in zip(gs, V)])
     scale = max(float(np.max(lengths)), 1e-300)
@@ -463,7 +462,7 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
         t=geodesic.t[0] + sign * path.t,
         V=V,
         length=lengths,
-        F_drift=_F_drift(metric, F0, x, y),
+        F_drift=path.drift,
         length_drift=float((np.max(lengths) - np.min(lengths)) / scale),
     )
 

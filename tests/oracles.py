@@ -14,10 +14,11 @@ from its tape, and the float spray keeps its ``Jet`` route here, which
 
 The last section keeps the straightforward jet-by-jet forms of the kernel
 steps and field builders that the library runs in truncated or batched
-form: the full-order Horner composition, the full-order Neumann inverse
-(and, on arrays, the spray by that inverse, the route G took before it
-was solved order by order),
-the entry-by-entry horizontal and vertical derivatives, and one loop per
+form: the full-order Horner composition, the full-order solve of g X = 1
+for g^{-1}, the Neumann series the library once used for g^{-1} (on
+arrays, growing-order for g_inv and full-order for the spray by that
+inverse, the routes before both were solved order by order), the
+entry-by-entry horizontal and vertical derivatives, and one loop per
 ``FieldScope`` builder, each filling an object array of ``Jet`` one entry at
 a time.  They use the same jet arithmetic, so tests require the library's
 coefficient arrays to match them bit for bit.  It also keeps the
@@ -29,7 +30,9 @@ support-aware products replaced: the programs must match it bit for bit on
 finite data, and their pair counts are measured against its.  The
 integrator's stage and error sums keep their generator folds over the
 ragged Dormand-Prince tableau (``dopri_stage_fold``, ``dopri_error_fold``),
-which its one-array reductions must match bit for bit.
+which its one-array reductions must match bit for bit, and a geodesic's
+F_drift its recomputation at every node (``F_drift_nodes``), which the
+maximum of the step gate's values must match bit for bit.
 """
 
 import dataclasses
@@ -500,19 +503,6 @@ def as_coefs(T):
     return np.array([j.coef for j in T.flat]).reshape(T.shape + (1, -1))
 
 
-def _matmul_jets(A, B):
-    rows, inner = A.shape
-    cols = B.shape[1]
-    out = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            acc = A[i, 0] * B[0, j]
-            for k in range(1, inner):
-                acc = acc + A[i, k] * B[k, j]
-            out[i, j] = acc
-    return out
-
-
 def _padded(jet, alg):
     """The coefficients of ``jet`` zero-padded into the higher-order algebra
     ``alg`` of the same cap; not a Taylor extension."""
@@ -521,31 +511,64 @@ def _padded(jet, alg):
     return Jet(alg, c, jet.deg)
 
 
+def _identity_jets(alg, n):
+    """The n x n identity matrix as jets of ``alg``, each of full support."""
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            c = np.zeros(alg.size)
+            c[0] = float(i == j)
+            out[i, j] = Jet(alg, c)
+    return out
+
+
 def g_inv_full(scope):
-    """Neumann-series inverse of the scope's g, every iteration at g's order."""
+    """The scope's g^{-1} by the solve of ``FieldScope._solve``, every step
+    at g's order: X = ginv0 (1 - dev X), order + 1 times from X = 0."""
     n = scope.n
     g = field_jets(scope, "g")
     inv0 = scope.field("ginv0")[..., 0]
     alg = g[0, 0].alg
-    base = np.empty((n, n), dtype=object)
-    M = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            base[i, j] = Jet.constant(alg, inv0[i, j])
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                dev = g[k, j] - g[k, j].value
-                term = (-inv0[i, k]) * dev
-                acc = term if acc is None else acc + term
-            M[i, j] = acc
-    X = base
-    for _ in range(alg.order):
-        X = _matmul_jets(M, X)
+    eye = _identity_jets(alg, n)
+    dev = [[g[i, l] - g[i, l].value for l in range(n)] for i in range(n)]
+    X = None
+    for t in range(alg.order + 1):
+        rhs = eye.copy()
+        if t:
+            for l in range(n):
+                for j in range(n):
+                    prod = None
+                    for m in range(n):
+                        term = dev[l][m] * X[m, j]
+                        prod = term if prod is None else prod + term
+                    rhs[l, j] = eye[l, j] - prod
+        X = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(n):
-                X[i, j] = base[i, j] + X[i, j]
+                acc = inv0[i, 0] * rhs[0, j]
+                for l in range(1, n):
+                    acc = acc + inv0[i, l] * rhs[l, j]
+                X[i, j] = acc
+    return X
+
+
+def neumann_g_inv(scope, alg, g, ginv0):
+    """``FieldScope._build_g_inv`` by the Neumann series, the route g_inv
+    took before it shared G's solve: X_t = g0^{-1} + M X_{t-1} with
+    M = -g0^{-1}(g - g0), iteration t in the order-t algebra, X_{t-1}
+    zero-padded, on the arrays of P points."""
+    dev = g.copy()
+    dev[..., 0] -= g[..., 0]
+    M = _fold(-ginv0[:, k, None, :, None] * dev[k] for k in range(scope.n))  # [i, j]
+    X = ginv0[..., None]
+    for t in range(1, alg.order + 1):
+        at = scope._at(t, alg.cap)
+        Xt = np.zeros(X.shape[:-1] + (at.size,))
+        Xt[..., : X.shape[-1]] = X
+        products = mul_rows(at, M[:, :, None], Xt)  # [i, k, j] = M_ik X_kj
+        X = _fold(np.swapaxes(products, 0, 1))
+        X[..., 0] += ginv0
+        X[..., 1:] += 0.0
     return X
 
 
@@ -659,34 +682,44 @@ def _loop_g(sc, F2):
     return g
 
 
-def _loop_g_inv(sc, g, ginv0):
-    n = sc.n
-    alg = g[0, 0].alg
-    M = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = (-ginv0[i, k]) * (g[k, j] - g[k, j].value)
-                acc = term if acc is None else acc + term
-            M[i, j] = acc
-    X = np.empty((n, n), dtype=object)
-    alg0 = _algebra(alg.n_vars, 0, alg.cap)
-    for i in range(n):
-        for j in range(n):
-            X[i, j] = Jet.constant(alg0, ginv0[i, j])
-    for t in range(1, alg.order + 1):
+def _loop_solve(g, ginv0, b):
+    """``FieldScope._solve`` jet by jet: X with g X = b, where b[l] lists
+    the jets of row l, one per column, by X_t = ginv0 (b - dev X_{t-1}) in
+    the order-t algebra, X_{t-1} zero-padded; X[i][c] is a jet."""
+    n = len(b)
+    cols = range(len(b[0]))
+    alg = b[0][0].alg
+    dev = [[g[i, l] - g[i, l].value for l in range(n)] for i in range(n)]
+    X = None
+    for t in range(alg.order + 1):
         alg_t = _algebra(alg.n_vars, t, alg.cap)
-        Mt = np.empty((n, n), dtype=object)
+        rhs = []
+        for l in range(n):
+            row = []
+            for c in cols:
+                acc = truncated(b[l][c], t)
+                if t:
+                    prod = None
+                    for m in range(n):
+                        term = truncated(dev[l][m], t) * _padded(X[m][c], alg_t)
+                        prod = term if prod is None else prod + term
+                    acc = acc - prod
+                row.append(acc)
+            rhs.append(row)
+        X = []
         for i in range(n):
-            for j in range(n):
-                Mt[i, j] = truncated(M[i, j], t)
-                X[i, j] = _padded(X[i, j], alg_t)
-        X = _matmul_jets(Mt, X)
-        for i in range(n):
-            for j in range(n):
-                X[i, j] = Jet.constant(alg_t, ginv0[i, j]) + X[i, j]
+            row = []
+            for c in cols:
+                acc = ginv0[i, 0] * rhs[0][c]
+                for l in range(1, n):
+                    acc = acc + ginv0[i, l] * rhs[l][c]
+                row.append(acc)
+            X.append(row)
     return X
+
+
+def _loop_g_inv(sc, g, ginv0):
+    return np.array(_loop_solve(g, ginv0, _identity_jets(g[0, 0].alg, sc.n).tolist()), dtype=object)
 
 
 def _loop_ylow(sc, g):
@@ -738,27 +771,8 @@ def _loop_G(sc, F2, g, ginv0):
             term = dx[k].deriv(n + l) * yj[k]
             acc = term if acc is None else acc + term
         brk.append(acc - dx[l])
-    alg = brk[0].alg
-    dev = [[g[i, l] - g[i, l].value for l in range(n)] for i in range(n)]
-    u = [None] * n
-    for t in range(alg.order + 1):
-        alg_t = _algebra(alg.n_vars, t, alg.cap)
-        rhs = []
-        for l in range(n):
-            acc = truncated(brk[l], t)
-            if t:
-                prod = None
-                for m in range(n):
-                    term = truncated(dev[l][m], t) * _padded(u[m], alg_t)
-                    prod = term if prod is None else prod + term
-                acc = acc - prod
-            rhs.append(acc)
-        for i in range(n):
-            acc = ginv0[i, 0] * rhs[0]
-            for l in range(1, n):
-                acc = acc + ginv0[i, l] * rhs[l]
-            u[i] = acc
-    return np.array([ui * 0.25 for ui in u], dtype=object)
+    u = _loop_solve(g, ginv0, [[b] for b in brk])
+    return np.array([ui[0] * 0.25 for ui in u], dtype=object)
 
 
 def _loop_N(sc, G):
@@ -1175,3 +1189,10 @@ def dopri_stage_fold(stage, k):
 def dopri_error_fold(b5, b4, k):
     """sum_j (b5_j - b4_j) k_j, the unscaled embedded error estimate."""
     return sum((x5 - x4) * ki for x5, x4, ki in zip(b5, b4, k))
+
+
+def F_drift_nodes(metric, F0, x, y):
+    """Largest relative deviation of F(x_i, y_i) from F0 over the rows of x
+    and y, F evaluated again at every node."""
+    Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
+    return float(np.max(np.abs(Fs - F0)) / F0)

@@ -507,8 +507,13 @@ def test_malformed_points_file_exits_2(funk2_spec, tmp_path, capsys, points):
     _assert_rejected(capsys)
 
 
-@pytest.mark.parametrize("span", ["a:b", "0:x", "abc", "nan", "0:inf"])
-def test_malformed_time_span_exits_2(funk2_spec, capsys, span):
+@pytest.mark.parametrize("span", ["a:b", "0:x", "abc", "nan", "0:inf", "0", "1:1"])
+def test_malformed_time_span_exits_2(funk2_spec, capsys, monkeypatch, span):
+    # a span that is not finite or holds no time is rejected before any integration
+    def integrate(*_):
+        raise AssertionError("integrated a geodesic over a rejected span")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", integrate)
     argv = ["geodesic", funk2_spec, "--x0", "0.1,0.0", "--y0", "0.3,0.2", "--t", span]
     assert main(argv) == 2
     _assert_rejected(capsys)

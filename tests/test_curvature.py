@@ -41,8 +41,11 @@ from finslerlab.errors import (
     ZeroVector,
 )
 from finslerlab.expr import Bin, Neg, Num
+from finslerlab.jets import mul_rows
 
-from oracles import christoffel_fd, neumann_G, rel_err, rewritten, sphere_chart_matrix
+from oracles import (
+    christoffel_fd, neumann_G, neumann_g_inv, rel_err, rewritten, sphere_chart_matrix,
+)
 
 #: fields whose horizontal and vertical derivatives are checked below
 DERIV_FIELDS = ("F", "F2", "g", "C", "I", "L_C", "J_I", "E", "Sigma")
@@ -310,32 +313,59 @@ def test_reversed_metric_tensors(corpus, name, seed, u):
 
 # --- cross-route identities on a non-trivial metric ---
 
-#: the fields that read G, through N and Gamma too
+#: the fields that read G, through N and Gamma too, and those that read g_inv
 SPRAY_READERS = ("G", "N", "Gamma", "B", "E", "R1", "Rhh", "RhhV", *HDERIVS)
+INVERSE_READERS = ("g_inv", "I", "J_L", "J_I", "phi")
 
 
 @pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
 def test_spray_solve_matches_the_neumann_route(corpus, monkeypatch, name):
-    """G solved order by order against G = 1/4 g^{-1} b with g^{-1} from the
-    full-order Neumann series (``oracles.neumann_G``), at seed orders 2-7,
-    in single-point scopes and in one 4-point scope; Fh and gh vanish
-    identically, so the floor of 1 holds them to absolute round-off."""
+    """G and g_inv solved order by order against the Neumann routes they
+    replaced: G = 1/4 g^{-1} b with g^{-1} from the full-order series
+    (``oracles.neumann_G``), and g_inv from the growing-order series
+    (``oracles.neumann_g_inv``), at seed orders 2-7, in single-point scopes
+    and in one 4-point scope, with the derivative of phi along y; Fh and gh
+    vanish identically, so the floor of 1 holds them to absolute round-off."""
     m = corpus[name]
     states = analysis.sample_states(m, 4, seed=31)
 
     def read(order, points):
         sc = FieldScope(m, points, order)
-        return {f: sc.values(f) for f in SPRAY_READERS if DEPTH[f] <= order}
+        out = {f: sc.values(f) for f in SPRAY_READERS + INVERSE_READERS if DEPTH[f] <= order}
+        if DEPTH["phi"] < order:
+            out["phi'"] = sc.directional("phi")
+        return out
 
     for order in range(2, 8):
         for points in (*states[:2], states):
             got = read(order, points)
             with monkeypatch.context() as patch:
                 patch.setattr(FieldScope, "_build_G", neumann_G)
+                patch.setattr(FieldScope, "_build_g_inv", neumann_g_inv)
                 want = read(order, points)
+            assert got.keys() == want.keys()
             for f, a in got.items():
                 floor = max(1.0, float(np.max(np.abs(a))))
                 assert rel_residual(a, want[f], floor=floor) <= 1e-13, (f, order)
+
+
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_g_times_g_inv_is_the_identity_jet(corpus, name):
+    """g g_inv, folded over the inner slot, is the identity jet through the
+    full order, at seed orders 2-7 in one 3-point scope: a check of g^{-1}
+    that reads neither the solve's recurrence nor the Neumann series.  The
+    floor scales round-off by the largest coefficients of the two factors."""
+    m = corpus[name]
+    states = analysis.sample_states(m, 3, seed=7)
+    for order in range(2, 8):
+        sc = FieldScope(m, states, order)
+        g, g_inv = sc.field("g"), sc.field("g_inv")
+        assert sc._built["g"] == sc._built["g_inv"]
+        product = mul_rows(sc._at(*sc._built["g"]), g[:, :, None], g_inv[None]).sum(axis=1)
+        eye = np.zeros(product.shape)
+        eye[..., 0] = np.eye(sc.n)[..., None]
+        floor = max(1.0, float(np.max(np.abs(g)) * np.max(np.abs(g_inv))))
+        assert rel_residual(product, eye, floor=floor) <= 1e-13, order
 
 
 @pytest.mark.parametrize("name", ["randers3x", "funk2", "funk2-drift", "abq3"])

@@ -1,7 +1,7 @@
 """Truncated and batched kernel steps against their full-order references.
 
-Horner composition, the Neumann inverse of g and the horizontal derivative
-run in growing-order or row-batched form inside the library, and every
+Horner composition, the solve of g X = b for g^{-1} and the horizontal
+derivative run in growing-order or row-batched form inside the library, and every
 field builder works on coefficient arrays.  Each product
 is summed like ``Jet.__mul__`` and each sum runs in the reference order, so
 the coefficients must match the jet-by-jet forms in ``oracles`` exactly:
@@ -284,6 +284,9 @@ def test_growing_order_horner_matches_full_order(monkeypatch, n_vars, order):
 @pytest.mark.parametrize("name", ("funk2", "funk2-drift", "quartic2", "funk3", "randers3x", "abq3"))
 @pytest.mark.parametrize("order", range(2, 8))
 def test_growing_order_neumann_matches_full_order(name, order):
+    # g_inv by the growing-order solve against the solve with every step at
+    # g's order (``oracles.g_inv_full``); the name is from the Neumann series
+    # the solve replaced
     m = build_metric(builtin(name))
     sc = point_scope(m, analysis.sample_states(m, 1, seed=9)[0], order)
     assert_same_coefs(sc.field("g_inv"), g_inv_full(sc))

@@ -15,8 +15,9 @@ Oracles used here:
     metric scales like eps^2.
   * The step loop's stage and error sums match the generator folds kept
     in ``oracles``, a transport's length column matches a spray call of
-    its own at each node, and the spray's inverse matches np.linalg.inv,
-    all bit for bit.
+    its own at each node, the spray's inverse matches np.linalg.inv, and
+    F_drift, the step gate's maximum, matches F evaluated again at every
+    node, all bit for bit.
 """
 
 import math
@@ -36,9 +37,9 @@ from finslerlab.errors import (
     StepFailure,
     ZeroVector,
 )
-from finslerlab.metrics import MetricSpec, build_metric, builtin
+from finslerlab.metrics import MetricInstance, MetricSpec, build_metric, builtin
 from finslerlab.curvature import spray_values
-from oracles import dopri_error_fold, dopri_stage_fold
+from oracles import F_drift_nodes, dopri_error_fold, dopri_stage_fold
 from finslerlab.transport import (
     _A,
     _B4,
@@ -310,6 +311,69 @@ def test_transport_lengths_are_g_lengths_at_the_nodes(monkeypatch, name):
         expected = [_g_length(m, *node) for node in zip(x, refs, V)]
         assert len(expected) > 2
         assert r.length.tobytes() == np.array(expected).tobytes(), mode
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.fixture()
+def F_counts(monkeypatch):
+    """(F calls, path) of every ``_integrate`` run, a ChartExit's partial
+    path for one that leaves the chart, counting float F calls."""
+    calls, runs = [0], []
+    F, integrate = MetricInstance.F, transport._integrate
+
+    def counted_F(self, x, y):
+        calls[0] += 1
+        return F(self, x, y)
+
+    def integrate_counted(*args, **kwargs):
+        before = calls[0]
+        try:
+            path = integrate(*args, **kwargs)
+        except ChartExit as exc:
+            runs.append((calls[0] - before, exc.partial))
+            raise
+        runs.append((calls[0] - before, path))
+        return path
+
+    monkeypatch.setattr(MetricInstance, "F", counted_F)
+    monkeypatch.setattr(transport, "_integrate", integrate_counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["funk2", "randers3x", "funk2-drift"])
+def test_F_drift_is_the_gate_maximum(F_counts, name):
+    # F_drift is the largest F-gate value over the accepted nodes, node 0
+    # included: F evaluated again at every node gives the same bits, and
+    # the integration evaluates F once per node, no more
+    m = build_metric(builtin(name))
+    st = analysis.sample_states(m, 1, seed=3)[0]
+    n = m.n
+    for unit_speed in (False, True):
+        g = integrate_geodesic(m, st.x, st.y, 0.3, unit_speed=unit_speed)
+        assert F_counts[-1][0] == len(g.t) > 2
+        assert _same_float(g.F_drift, F_drift_nodes(m, g.F0, g.x, g.y))
+        for mode in ("linear", "nonlinear"):
+            r = parallel_transport(m, g, np.linspace(1.0, -0.5, n), mode=mode)
+            count, path = F_counts[-1]
+            assert count == len(r.t) > 2
+            z = path.z
+            assert _same_float(r.F_drift, F_drift_nodes(m, g.F0, z[:, :n], z[:, n : 2 * n]))
+
+
+def test_chart_exit_partial_carries_the_gate_maximum(F_counts):
+    # funk2-drift's chart is smaller than its unit ball, so this geodesic
+    # leaves it with F still defined; the partial's F_drift is its nodes'
+    m = build_metric(builtin("funk2-drift"))
+    for unit_speed in (False, True):
+        with pytest.raises(ChartExit) as info:
+            integrate_geodesic(m, (0.0, 0.0), (1.0, 0.3), 50.0, unit_speed=unit_speed)
+        partial = info.value.partial
+        assert F_counts[-1][0] == len(partial.t) > 2
+        assert partial.F_drift > 0.0
+        assert _same_float(partial.F_drift, F_drift_nodes(m, partial.F0, partial.x, partial.y))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
