@@ -243,30 +243,46 @@ def _as_states(metric, points, count, seed):
     return states
 
 
-def _point_reads(metric, states, order, names):
-    """Yield, per state in sample order, (state, read): ``read(name)`` gives
-    the float values of field ``name`` there, as a single-point scope gives
-    them.
+def _geodesic_states(geodesic, samples, least=1):
+    """The times linspace(t0, t_final, samples) of a geodesic and its states
+    there; BadConfig for fewer than ``least`` samples."""
+    if samples < least:
+        raise BadConfig(f"samples must be >= {least}, got {samples}")
+    ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
+    return ts, [PointState(*geodesic.state(t)) for t in ts]
 
-    One scope holds every state and builds ``names`` up front; each point's
+
+def _read(scope, key):
+    """``scope.values(key)``, or ``scope.directional(name)`` for a key ("directional", name)."""
+    if isinstance(key, tuple):
+        return scope.directional(key[1])
+    return scope.values(key)
+
+
+def _point_reads(metric, states, order, keys):
+    """Yield, per state in sample order, (state, read): ``read(key)`` gives
+    the float values of ``key`` (see :func:`_read`) there, as a single-point
+    scope gives them.
+
+    One scope holds every state and reads ``keys`` up front; each point's
     values equal its single-point scope's bit for bit.  If that raises, each
     state gets its own scope instead, made when the caller reaches it, so
     the caller raises what a loop over single-point scopes raises: the
-    error of the first failing state.
+    error of the first failing state, or of the first failing read there.
     """
     try:
         scope = FieldScope(metric, states, order)
-        table = {name: scope.values(name) for name in names}
+        table = {key: _read(scope, key) for key in keys}
     except Exception:  # noqa: BLE001 - rerun point by point for that point's own error
         for st in states:
-            yield st, point_scope(metric, st, order).values
+            yield st, functools.partial(_read, point_scope(metric, st, order))
         return
     for p, st in enumerate(states):
         yield st, functools.partial(_at_point, table, p)
 
 
-def _at_point(table, p, name):
-    values = table[name][p]
+def _at_point(table, p, key):
+    values = table[key][p]
     return float(values) if values.ndim == 0 else values
 
 
@@ -323,6 +339,10 @@ def fit_relative_stretch(metric, points=None, count=20, seed=0):
 # torsion shape (semi-C-reducibility)
 
 
+#: the fields the torsion-shape weights read at a point
+_SEMI_C_FIELDS = ("g_inv", "h", "C", "I")
+
+
 def _semi_c_weights(n, g_inv, h, C, I):
     cnorm = float(np.max(np.abs(C)))
     if cnorm < 1e-10:
@@ -351,32 +371,28 @@ def _semi_c_weights(n, g_inv, h, C, I):
     return p, residual, cnorm, i2
 
 
+def _semi_c_fit(n, read):
+    """SemiCFit of an n-dimensional metric at the point whose field values
+    ``read`` gives; DimensionError below n = 3, before any read."""
+    if n < 3:
+        raise DimensionError(f"torsion-shape fit needs n >= 3, got n = {n}")
+    p, residual, cnorm, i2 = _semi_c_weights(n, *map(read, _SEMI_C_FIELDS))
+    return SemiCFit(p=p, q=1.0 - p, residual=residual, cartan_norm=cnorm, mean_norm2=i2)
+
+
 def fit_semi_c_reducible(metric, point, scope=None):
     """Weights (p, q), p + q = 1, of the reduced torsion shape at one point."""
-    if metric.n < 3:
-        raise DimensionError(
-            f"torsion-shape fit needs n >= 3, got n = {metric.n}"
-        )
-    sc = _ensure_scope(metric, point, scope, order=3)
-    p, residual, cnorm, i2 = _semi_c_weights(
-        metric.n,
-        sc.values("g_inv"),
-        sc.values("h"),
-        sc.values("C"),
-        sc.values("I"),
-    )
-    return SemiCFit(p=p, q=1.0 - p, residual=residual, cartan_norm=cnorm, mean_norm2=i2)
+    read = None if metric.n < 3 else _ensure_scope(metric, point, scope, order=3).values
+    return _semi_c_fit(metric.n, read)
 
 
 def check_characteristic_constancy(metric, geodesic, samples=15, tolerance=1e-6):
     """Sample the weight p along a geodesic and test that it stays constant."""
-    ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
-    ps = []
-    for t in ts:
-        x, y = geodesic.state(t)
-        sc = point_scope(metric, PointState(x=x, y=y), order=3)
-        ps.append(fit_semi_c_reducible(metric, None, sc).p)
-    ps = np.asarray(ps)
+    ts, states = _geodesic_states(geodesic, samples, least=2)  # np.gradient needs 2
+    ps = np.asarray([
+        _semi_c_fit(metric.n, read).p
+        for _, read in _point_reads(metric, states, 3, _SEMI_C_FIELDS)
+    ])
     variation = float(np.max(np.abs(ps - ps[0])))
     pprime = np.gradient(ps, ts)
     return IdentityCheckResult(
@@ -425,14 +441,13 @@ def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolera
     When ``c`` is None the pointwise stretch ratio is fitted at each sample.
     Riemannian samples make the relation vacuous (it multiplies C).
     """
-    ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
+    ts, states = _geodesic_states(geodesic, samples)
+    keys = (("directional", "mu2"),) + (("cratio",) if c is None else ()) + ("mu2", "F")
     mus, mups, Qs, cs, Fs = [], [], [], [], []
-    for t in ts:
-        x, y = geodesic.state(t)
-        sc = point_scope(metric, PointState(x=x, y=y), order=5)
+    for t, (_, read) in zip(ts, _point_reads(metric, states, 5, keys)):
         try:
-            mup = sc.directional("mu2")
-            cval = c if c is not None else sc.values("cratio")
+            mup = read(("directional", "mu2"))
+            cval = c if c is not None else read("cratio")
         except (RiemannianPoint, UndefinedFit) as err:
             return IdentityCheckResult(
                 check="principal-scalar-relation",
@@ -441,8 +456,8 @@ def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolera
                 tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
-        mu = sc.values("mu2")
-        F = sc.values("F")
+        mu = read("mu2")
+        F = read("F")
         mus.append(mu)
         mups.append(mup)
         cs.append(cval)
@@ -619,14 +634,13 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
     exponential branches); the bracket residual decides pass/fail.  c' is
     the directional derivative of the fitted ratio field along the flow.
     """
-    ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
+    ts, states = _geodesic_states(geodesic, samples)
+    keys = (("directional", "cratio"), "cratio", "F", "R1", "ylow")
     rows = {"c": [], "c_prime": [], "lambda": [], "W": [], "bracket": []}
     resids = []
-    for t in ts:
-        x, y = geodesic.state(t)
-        sc = point_scope(metric, PointState(x=x, y=y), order=6)
+    for t, (st, read) in zip(ts, _point_reads(metric, states, 6, keys)):
         try:
-            cp = sc.directional("cratio")
+            cp = read(("directional", "cratio"))
         except UndefinedFit as err:
             return IdentityCheckResult(
                 check="stretch-dichotomy",
@@ -635,11 +649,10 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
                 tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
-        cv = sc.values("cratio")
-        F = sc.values("F")
+        cv = read("cratio")
+        F = read("F")
         lam, _ = _isotropic_lambda(
-            sc.values("R1"), F, np.asarray(y, dtype=float),
-            sc.values("ylow"), spread_tolerance,
+            read("R1"), F, np.asarray(st.y, dtype=float), read("ylow"), spread_tolerance
         )
         A = 2.0 * lam * F / cv
         bracket = -lam * F * F - A * (cp + A)

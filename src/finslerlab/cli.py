@@ -43,7 +43,6 @@ from .curvature import (
     PointState,
     curvature_bundle,
     flag_curvature,
-    point_scope,
     rel_residual,
 )
 from .errors import (
@@ -225,7 +224,8 @@ def cmd_report(args):
         fits["relative_stretch"] = {"error": f"{type(e).__name__}: {e}"}
     if metric.n >= 3:
         try:
-            rows = [analysis.fit_semi_c_reducible(metric, st) for st in states]
+            reads = analysis._point_reads(metric, states, 3, analysis._SEMI_C_FIELDS)
+            rows = [analysis._semi_c_fit(metric.n, read) for _, read in reads]
             fits["semi_c"] = {
                 "p_values": [r.p for r in rows],
                 "residual_max": max(r.residual for r in rows),
@@ -234,13 +234,9 @@ def cmd_report(args):
             fits["semi_c"] = {"error": f"{type(e).__name__}: {e}"}
     else:
         try:
-            frames = [
-                analysis.berwald_frame(metric, st, with_mu=True) for st in states
-            ]
-            fits["principal_scalar"] = {
-                "I_values": [f.I_scalar for f in frames],
-                "mu_values": [f.mu for f in frames],
-            }
+            reads = analysis._point_reads(metric, states, 5, ("mu2", "I2"))
+            mus, Is = zip(*[(read("mu2"), read("I2")) for _, read in reads])  # berwald_frame's order
+            fits["principal_scalar"] = {"I_values": list(Is), "mu_values": list(mus)}
         except (RiemannianPoint, DimensionError) as e:
             fits["principal_scalar"] = {"error": f"{type(e).__name__}: {e}"}
 
@@ -278,44 +274,34 @@ def _suite_bianchi(metric, args):
     against the antisymmetrized horizontal derivative of the Berwald tensor,
     and the stretch tensor against y contracted into that vertical derivative."""
     rows = []
-    for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
-        sc = point_scope(metric, st, 7)
-        RhhV = sc.values("RhhV")
-        Bh = sc.values("Bh")
+    states = analysis.sample_states(metric, args.samples, args.seed)
+    reads = analysis._point_reads(metric, states, 7, ("RhhV", "Bh", "ylow", "Sigma"))
+    for idx, (_, read) in enumerate(reads):
+        RhhV = read("RhhV")
+        Bh = read("Bh")
         rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
         rows.append(("curvature-derivative", idx, rel_residual(RhhV, rhs, floor=1.0), args.tol))
-        ylow = sc.values("ylow")
-        pred = np.einsum("i,ijklm->jmkl", ylow, RhhV)
+        pred = np.einsum("i,ijklm->jmkl", read("ylow"), RhhV)
         rows.append(
-            ("stretch-from-curvature", idx, rel_residual(sc.values("Sigma"), pred, floor=1.0), args.tol)
+            ("stretch-from-curvature", idx, rel_residual(read("Sigma"), pred, floor=1.0), args.tol)
         )
     return rows
 
 
 def _suite_landsberg_routes(metric, args):
     rows = []
-    for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
-        # seed order 5, the least L_B and J_L need: values do not depend on it
-        sc = point_scope(metric, st, 5)
-        floor = 1.0  # route agreement is meaningful in absolute terms too
-        rows.append(
-            ("landsberg-two-routes", idx,
-             rel_residual(sc.values("L_C"), sc.values("L_B"), floor=floor), args.tol)
+    states = analysis.sample_states(metric, args.samples, args.seed)
+    # seed order 5, the least L_B and J_L need: values do not depend on it
+    reads = analysis._point_reads(metric, states, 5, ("L_C", "L_B", "J_I", "J_L", "gh", "gv", "C"))
+    for idx, (_, read) in enumerate(reads):
+        pairs = (
+            ("landsberg-two-routes", read("L_C"), read("L_B")),
+            ("mean-landsberg-two-routes", read("J_I"), read("J_L")),
+            ("metric-h-derivative", read("gh"), -2.0 * read("L_C")),
+            ("metric-v-derivative", read("gv"), 2.0 * read("C")),
         )
-        rows.append(
-            ("mean-landsberg-two-routes", idx,
-             rel_residual(sc.values("J_I"), sc.values("J_L"), floor=floor), args.tol)
-        )
-        ghv = sc.values("gh")
-        rows.append(
-            ("metric-h-derivative", idx,
-             rel_residual(ghv, -2.0 * sc.values("L_C"), floor=floor), args.tol)
-        )
-        gv = sc.values("gv")
-        rows.append(
-            ("metric-v-derivative", idx,
-             rel_residual(gv, 2.0 * sc.values("C"), floor=floor), args.tol)
-        )
+        # floor 1: route agreement is meaningful in absolute terms too
+        rows += [(check, idx, rel_residual(a, b, floor=1.0), args.tol) for check, a, b in pairs]
     return rows
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curvature
+from . import analysis, curvature
 from .errors import (
     BadConfig,
     ChartExit,
@@ -191,6 +191,7 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
         scale = atol + rtol * np.maximum(np.abs(z), np.abs(z5))
         enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
         ok = enorm <= 1.0
+        gated = False  # the invariant gate rejected the step
         if ok and invariant is not None and not np.all(np.isfinite(z5)):
             ok = False
         if ok and invariant is not None:
@@ -199,16 +200,15 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
             except _RECOVERABLE:
                 defect = math.inf
             if not defect <= _F_TOL:  # a NaN defect fails too
-                ok = False
+                ok, gated = False, True
                 enorm = max(enorm, 4.0)  # force a real shrink
         if not ok:
             h *= max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2)
             rejected_in_a_row += 1
             if h < hmin or rejected_in_a_row > 60:
-                raise StepFailure(
-                    f"cannot satisfy tolerances at t = {t:.6g} "
-                    f"(error norm {enorm:.3g})"
-                )
+                cause = (f"relative F drift {defect:.6g} above the gate's {_F_TOL:g}" if gated
+                         else f"error norm {enorm:.3g}")
+                raise StepFailure(f"cannot satisfy tolerances at t = {t:.6g} ({cause})")
             continue
         rejected_in_a_row = 0
         if invariant is not None:
@@ -619,7 +619,17 @@ def parallelogram_holonomy(
 
 # --- scalar quantities along a geodesic ---
 
-_FLOW_QUANTITIES = ("phi", "phidot", "L_norm", "mu", "p", "c")
+#: per flow quantity, the keys of ``analysis._point_reads`` it reads and its
+#: value from them at one point of an n-dimensional metric
+_FLOWS = {
+    "phi": (("phi",), lambda n, read: read("phi")),
+    "phidot": ((("directional", "phi"),), lambda n, read: read(("directional", "phi"))),
+    "L_norm": (("phi",), lambda n, read: math.sqrt(max(read("phi"), 0.0))),
+    "mu": (("mu2",), lambda n, read: read("mu2")),
+    "p": (analysis._SEMI_C_FIELDS, lambda n, read: analysis._semi_c_fit(n, read).p),
+    "c": (("cratio",), lambda n, read: read("cratio")),
+}
+_FLOW_QUANTITIES = tuple(_FLOWS)
 
 
 @dataclass
@@ -646,48 +656,26 @@ class ScalarFlow:
 
 def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"), c=None, samples=25):
     for q in quantities:
-        if q not in _FLOW_QUANTITIES:
-            raise BadConfig(
-                f"unknown flow quantity {q!r}; known: {_FLOW_QUANTITIES}"
-            )
-    if samples < 1:
-        raise BadConfig(f"samples must be >= 1, got {samples}")
-    from . import analysis
-
-    ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
+        if q not in _FLOWS:
+            raise BadConfig(f"unknown flow quantity {q!r}; known: {_FLOW_QUANTITIES}")
+    ts, states = analysis._geodesic_states(geodesic, samples)
     names = list(quantities)
     if c is not None:
         if "phi" not in names:
             names.append("phi")
         if "phidot" not in names:
             names.append("phidot")
+    keys = tuple(dict.fromkeys(["F", *(key for name in names for key in _FLOWS[name][0])]))
     cols = {name: np.full(samples, np.nan) for name in names}
     cols["F"] = np.full(samples, np.nan)
     status = {name: "ok" for name in names}
-    xs = np.empty((samples, metric.n))
-    ys = np.empty((samples, metric.n))
-    for row, t in enumerate(ts):
-        x, y = geodesic.state(float(t))
-        xs[row] = x
-        ys[row] = y
-        scope = curvature.point_scope(metric, curvature.PointState(tuple(x), tuple(y)), 5)
-        cols["F"][row] = scope.values("F")
+    for row, (_, read) in enumerate(analysis._point_reads(metric, states, 5, keys)):
+        cols["F"][row] = read("F")
         for name in names:
             if status[name] != "ok":
                 continue
             try:
-                if name == "phi":
-                    cols[name][row] = scope.values("phi")
-                elif name == "phidot":
-                    cols[name][row] = scope.directional("phi")
-                elif name == "L_norm":
-                    cols[name][row] = math.sqrt(max(scope.values("phi"), 0.0))
-                elif name == "p":
-                    cols[name][row] = analysis.fit_semi_c_reducible(metric, None, scope).p
-                elif name == "c":
-                    cols[name][row] = scope.values("cratio")
-                else:
-                    cols[name][row] = scope.values("mu2")
+                cols[name][row] = _FLOWS[name][1](metric.n, read)
             except Exception as e:  # noqa: BLE001 - per-quantity isolation
                 status[name] = f"{type(e).__name__}: {e}"
     if c is not None and status.get("phi") == "ok" and status.get("phidot") == "ok":
@@ -699,8 +687,8 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
     return ScalarFlow(
         label=getattr(metric, "label", ""),
         t=ts,
-        x=xs,
-        y=ys,
+        x=np.array([st.x for st in states]),
+        y=np.array([st.y for st in states]),
         columns=cols,
         status=status,
         c_used=c,

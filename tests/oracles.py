@@ -32,7 +32,11 @@ integrator's stage and error sums keep their generator folds over the
 ragged Dormand-Prince tableau (``dopri_stage_fold``, ``dopri_error_fold``),
 which its one-array reductions must match bit for bit, and a geodesic's
 F_drift its recomputation at every node (``F_drift_nodes``), which the
-maximum of the step gate's values must match bit for bit.
+maximum of the step gate's values must match bit for bit.  The multi-point
+drivers (the along-geodesic checks, ``scalar_flows`` and the CLI's bianchi,
+landsberg-routes and report fits) keep their loops over one single-point
+scope per sample, which their batched reads must match bit for bit, errors
+and vacuous verdicts included.
 """
 
 import dataclasses
@@ -43,26 +47,33 @@ import operator
 
 import numpy as np
 
-from finslerlab import expr, jets
+from finslerlab import analysis, expr, jets
 from finslerlab.curvature import (
     _SPRAY_PARTIALS,
     SEED_CAP,
+    PointState,
     _clears_gate,
     _deriv,
     _fold,
     _require_positive_definite,
+    point_scope,
+    rel_residual,
 )
 from finslerlab.errors import (
     BadConfig,
+    DimensionError,
     DivisionByZero,
     DomainError,
     OutOfChart,
+    RiemannianPoint,
     ShapeMismatch,
     SingularMetric,
     UnboundVariable,
+    UndefinedFit,
 )
 from finslerlab.expr import Bin, Call, Name, Neg, Num, Op, Pow, Var, VecRef
 from finslerlab.jets import Jet, _algebra, mul_rows, mul_seeds, seed_block
+from finslerlab.transport import ScalarFlow
 
 
 def fd_partial(f, point, alpha, h=1e-4):
@@ -1196,3 +1207,217 @@ def F_drift_nodes(metric, F0, x, y):
     and y, F evaluated again at every node."""
     Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
     return float(np.max(np.abs(Fs - F0)) / F0)
+
+
+# --------------------------------------------------------------------------
+# per-sample scope loops: the along-geodesic drivers, scalar_flows and the
+# CLI's bianchi, landsberg-routes and report fits before they read their
+# samples through one batched scope (analysis._point_reads)
+
+
+def _geodesic_points(geodesic, samples):
+    ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
+    return ts, [geodesic.state(t) for t in ts]
+
+
+def characteristic_constancy_loop(metric, geodesic, samples=15, tolerance=1e-6):
+    ts, points = _geodesic_points(geodesic, samples)
+    ps = []
+    for x, y in points:
+        sc = point_scope(metric, PointState(x=x, y=y), order=3)
+        ps.append(analysis.fit_semi_c_reducible(metric, None, sc).p)
+    ps = np.asarray(ps)
+    variation = float(np.max(np.abs(ps - ps[0])))
+    pprime = np.gradient(ps, ts)
+    return analysis.IdentityCheckResult(
+        check="characteristic-constancy",
+        verdict="pass" if variation <= tolerance else "fail",
+        residuals={"variation": variation, "pprime_max": float(np.max(np.abs(pprime)))},
+        tolerance=tolerance,
+        data={"t": ts, "p": ps, "pprime": pprime},
+    )
+
+
+def principal_scalar_loop(metric, geodesic, c=None, samples=15, tolerance=1e-5):
+    ts, points = _geodesic_points(geodesic, samples)
+    mus, mups, Qs, cs, Fs = [], [], [], [], []
+    for t, (x, y) in zip(ts, points):
+        sc = point_scope(metric, PointState(x=x, y=y), order=5)
+        try:
+            mup = sc.directional("mu2")
+            cval = c if c is not None else sc.values("cratio")
+        except (RiemannianPoint, UndefinedFit) as err:
+            return analysis.IdentityCheckResult(
+                check="principal-scalar-relation",
+                verdict="vacuous",
+                residuals={},
+                tolerance=tolerance,
+                data={"reason": str(err), "t_failed": float(t)},
+            )
+        mu = sc.values("mu2")
+        F = sc.values("F")
+        mus.append(mu)
+        mups.append(mup)
+        cs.append(cval)
+        Fs.append(F)
+        Qs.append(2.0 * mup + 2.0 * mu * mu * F - cval * mu * F)
+    scale = max(
+        max(abs(2.0 * m_ * m_ * f) for m_, f in zip(mus, Fs)),
+        max(abs(2.0 * m_) for m_ in mups),
+        max(abs(cv * m_ * f) for cv, m_, f in zip(cs, mus, Fs)),
+        analysis._FLOOR,
+    )
+    residual = float(np.max(np.abs(Qs)) / scale)
+    return analysis.IdentityCheckResult(
+        check="principal-scalar-relation",
+        verdict="pass" if residual <= tolerance else "fail",
+        residuals={"relation": residual},
+        tolerance=tolerance,
+        data={
+            "t": ts,
+            "mu": np.asarray(mus),
+            "mu_prime": np.asarray(mups),
+            "Q": np.asarray(Qs),
+            "c": np.asarray(cs),
+            "F": np.asarray(Fs),
+        },
+    )
+
+
+def stretch_dichotomy_loop(metric, geodesic, samples=15, tolerance=1e-5, spread_tolerance=1e-4):
+    ts, points = _geodesic_points(geodesic, samples)
+    rows = {"c": [], "c_prime": [], "lambda": [], "W": [], "bracket": []}
+    resids = []
+    for t, (x, y) in zip(ts, points):
+        sc = point_scope(metric, PointState(x=x, y=y), order=6)
+        try:
+            cp = sc.directional("cratio")
+        except UndefinedFit as err:
+            return analysis.IdentityCheckResult(
+                check="stretch-dichotomy",
+                verdict="vacuous",
+                residuals={},
+                tolerance=tolerance,
+                data={"reason": str(err), "t_failed": float(t)},
+            )
+        cv = sc.values("cratio")
+        F = sc.values("F")
+        lam, _ = analysis._isotropic_lambda(
+            sc.values("R1"), F, np.asarray(y, dtype=float), sc.values("ylow"), spread_tolerance
+        )
+        A = 2.0 * lam * F / cv
+        bracket = -lam * F * F - A * (cp + A)
+        W = 2.0 * cv * cp + cv * cv * F + 4.0 * lam * F
+        scale = max(abs(lam) * F * F, abs(A * cp), A * A, analysis._FLOOR)
+        resids.append(abs(bracket) / scale)
+        rows["c"].append(cv)
+        rows["c_prime"].append(cp)
+        rows["lambda"].append(lam)
+        rows["W"].append(W)
+        rows["bracket"].append(bracket)
+    residual = float(np.max(resids))
+    return analysis.IdentityCheckResult(
+        check="stretch-dichotomy",
+        verdict="pass" if residual <= tolerance else "fail",
+        residuals={"bracket": residual},
+        tolerance=tolerance,
+        data={"t": ts, **{k: np.asarray(v) for k, v in rows.items()}},
+    )
+
+
+def scalar_flows_loop(metric, geodesic, quantities=("phi", "L_norm"), c=None, samples=25):
+    ts = np.linspace(float(geodesic.t[0]), geodesic.t_final, samples)
+    names = list(quantities)
+    if c is not None:
+        names += [q for q in ("phi", "phidot") if q not in names]
+    cols = {name: np.full(samples, np.nan) for name in names}
+    cols["F"] = np.full(samples, np.nan)
+    status = {name: "ok" for name in names}
+    xs = np.empty((samples, metric.n))
+    ys = np.empty((samples, metric.n))
+    for row, t in enumerate(ts):
+        x, y = geodesic.state(float(t))
+        xs[row] = x
+        ys[row] = y
+        scope = point_scope(metric, PointState(tuple(x), tuple(y)), 5)
+        cols["F"][row] = scope.values("F")
+        for name in names:
+            if status[name] != "ok":
+                continue
+            try:
+                if name == "phi":
+                    cols[name][row] = scope.values("phi")
+                elif name == "phidot":
+                    cols[name][row] = scope.directional("phi")
+                elif name == "L_norm":
+                    cols[name][row] = math.sqrt(max(scope.values("phi"), 0.0))
+                elif name == "p":
+                    cols[name][row] = analysis.fit_semi_c_reducible(metric, None, scope).p
+                elif name == "c":
+                    cols[name][row] = scope.values("cratio")
+                else:
+                    cols[name][row] = scope.values("mu2")
+            except Exception as e:  # noqa: BLE001 - per-quantity isolation
+                status[name] = f"{type(e).__name__}: {e}"
+    if c is not None and status.get("phi") == "ok" and status.get("phidot") == "ok":
+        cF = c * cols["F"]
+        cols["flow_resid"] = cols["phidot"] - cF * cols["phi"]
+        cols["flow_resid_doubled"] = cols["phidot"] - 2.0 * cF * cols["phi"]
+        status["flow_resid"] = "ok"
+        status["flow_resid_doubled"] = "ok"
+    return ScalarFlow(label=getattr(metric, "label", ""), t=ts, x=xs, y=ys,
+                      columns=cols, status=status, c_used=c)
+
+
+def bianchi_rows_loop(metric, args):
+    rows = []
+    for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
+        sc = point_scope(metric, st, 7)
+        RhhV = sc.values("RhhV")
+        Bh = sc.values("Bh")
+        rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
+        rows.append(("curvature-derivative", idx, rel_residual(RhhV, rhs, floor=1.0), args.tol))
+        pred = np.einsum("i,ijklm->jmkl", sc.values("ylow"), RhhV)
+        rows.append(
+            ("stretch-from-curvature", idx, rel_residual(sc.values("Sigma"), pred, floor=1.0), args.tol)
+        )
+    return rows
+
+
+def landsberg_rows_loop(metric, args):
+    rows = []
+    for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
+        sc = point_scope(metric, st, 5)
+        rows += [
+            ("landsberg-two-routes", idx,
+             rel_residual(sc.values("L_C"), sc.values("L_B"), floor=1.0), args.tol),
+            ("mean-landsberg-two-routes", idx,
+             rel_residual(sc.values("J_I"), sc.values("J_L"), floor=1.0), args.tol),
+            ("metric-h-derivative", idx,
+             rel_residual(sc.values("gh"), -2.0 * sc.values("L_C"), floor=1.0), args.tol),
+            ("metric-v-derivative", idx,
+             rel_residual(sc.values("gv"), 2.0 * sc.values("C"), floor=1.0), args.tol),
+        ]
+    return rows
+
+
+def report_torsion_fit_loop(metric, states):
+    """(key, entry) of a report's torsion fit: "semi_c" for n >= 3, else
+    "principal_scalar", one scope per state through the single-point calls."""
+    if metric.n >= 3:
+        try:
+            rows = [analysis.fit_semi_c_reducible(metric, st) for st in states]
+            return "semi_c", {
+                "p_values": [r.p for r in rows],
+                "residual_max": max(r.residual for r in rows),
+            }
+        except (RiemannianPoint, UndefinedFit) as e:
+            return "semi_c", {"error": f"{type(e).__name__}: {e}"}
+    try:
+        frames = [analysis.berwald_frame(metric, st, with_mu=True) for st in states]
+        return "principal_scalar", {
+            "I_values": [f.I_scalar for f in frames],
+            "mu_values": [f.mu for f in frames],
+        }
+    except (RiemannianPoint, DimensionError) as e:
+        return "principal_scalar", {"error": f"{type(e).__name__}: {e}"}

@@ -305,7 +305,7 @@ def test_no_field_is_built_twice(funk2, funk2_geodesic, rebuilds, caller):
 def test_flows_rebuild_only_phi_listed_before_phidot(funk2, funk2_geodesic, rebuilds):
     phi_first = ("phi", "phidot", "L_norm", "mu", "p", "c")
     flow = scalar_flows(funk2, funk2_geodesic, quantities=phi_first, samples=3)
-    assert rebuilds == [("phi", 1, 1)] * 3
+    assert rebuilds == [("phi", 1, 1)]  # once, in the one scope of all 3 samples
     ref = scalar_flows(funk2, funk2_geodesic, quantities=FLOWS, samples=3)
     for q in FLOWS:
         assert np.array_equal(flow.columns[q], ref.columns[q], equal_nan=True), q

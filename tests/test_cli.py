@@ -474,6 +474,17 @@ def test_geodesic_chart_exit_is_3(ball_spec, tmp_path, capsys):
     assert "t = 0.8" in err             # straight line hits the rim at 0.8
 
 
+def test_f_gate_step_failure_is_1_and_names_the_f_drift(funk2_spec, capsys):
+    # toward the rim of the ball the F-invariant gate rejects every step
+    rc = main(["geodesic", funk2_spec, "--x0", "0,0", "--y0", "1,0.3", "--t", "50"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: StepFailure: cannot satisfy tolerances at t = 21.9452 "
+                                   "(relative F drift ")
+    assert "error norm" not in captured.err
+
+
 def test_out_of_chart_point_is_3(funk2_spec, tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps([{"x": [1.5, 0.0], "y": [1.0, 0.0]}]))

@@ -20,6 +20,7 @@ Oracles used here:
     node, all bit for bit.
 """
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -191,6 +192,18 @@ def test_step_failure_on_degenerate_ring():
     m = build_metric(spec)
     with pytest.raises(StepFailure):
         integrate_geodesic(m, (0.0, 0.0), (1.0, 0.0), 3.0, tol=1e-9)
+
+
+def test_step_failure_names_its_cause():
+    # the degenerate ring's F gate rejects every step: the failure names the
+    # F drift, not the error norm the gate forces
+    m = build_metric(MetricSpec.custom(2, "sqrt(abs2(y)) * (0.5 - abs2(x))", label="ring"))
+    with pytest.raises(StepFailure, match=r"\(relative F drift [0-9.e+-]+ above the gate's 5e-08\)"):
+        integrate_geodesic(m, (0.0, 0.0), (1.0, 0.0), 3.0, tol=1e-9)
+    # an rhs whose stages disagree by 1e6 at every step size fails the error estimate
+    calls = itertools.count()
+    with pytest.raises(StepFailure, match=r"at t = 0 \(error norm [0-9.e+-]+\)$"):
+        _integrate(lambda t, z: np.array([1e6 * (-1.0) ** next(calls)]), np.array([0.0]), 1.0)
 
 
 def test_geodesic_guards(funk2):
