@@ -82,24 +82,6 @@ class SemiCFit:
 
 
 @dataclass(frozen=True)
-class BerwaldFrame2D:
-    """Orthonormal frame (ell, m) at a point of a 2-D metric.
-
-    ell = y/F is the unit flagpole, m the g-unit vector orthogonal to it
-    with det[ell m] > 0.  The Cartan tensor collapses onto the frame:
-    C_ijk = F^-1 I m_i m_j m_k with m_i the g-lowered components, so the
-    scalars I and mu = I_{|s} y^s / (F I) capture all of the torsion.
-    """
-
-    ell: np.ndarray
-    m: np.ndarray
-    m_low: np.ndarray
-    I_scalar: float
-    I_vert: float            # F I_{.i} m^i, vertical variation of I across the fibre
-    mu: float = None         # filled only when requested (undefined at Riemannian points)
-
-
-@dataclass(frozen=True)
 class IdentityCheckResult:
     """Outcome of one identity check: residuals, verdict, sampled series."""
 
@@ -401,35 +383,6 @@ def check_characteristic_constancy(metric, geodesic, samples=15, tolerance=1e-6)
         residuals={"variation": variation, "pprime_max": float(np.max(np.abs(pprime)))},
         tolerance=tolerance,
         data={"t": ts, "p": ps, "pprime": pprime},
-    )
-
-
-# --------------------------------------------------------------------------
-# two-dimensional frame and principal scalar
-
-
-def berwald_frame(metric, point, scope=None, with_mu=False):
-    """Orthonormal frame and principal-scalar data at a point of a 2-D metric.
-
-    The frame and I are defined for every metric; mu is only computed when
-    ``with_mu`` is set and raises RiemannianPoint where I vanishes.
-    """
-    if metric.n != 2:
-        raise DimensionError(f"frame needs n = 2, got n = {metric.n}")
-    sc = _ensure_scope(metric, point, scope, order=5)
-    dI = sc.vderiv("I2")
-    ell, m = sc.values("frame2")
-    g = sc.values("g")
-    F = sc.values("F")
-    I_vert = F * sum(dI[i] * m[i] for i in range(2))
-    mu = sc.values("mu2") if with_mu else None
-    return BerwaldFrame2D(
-        ell=ell,
-        m=m,
-        m_low=g @ m,
-        I_scalar=sc.values("I2"),
-        I_vert=float(I_vert),
-        mu=mu,
     )
 
 

@@ -235,7 +235,8 @@ def cmd_report(args):
     else:
         try:
             reads = analysis._point_reads(metric, states, 5, ("mu2", "I2"))
-            mus, Is = zip(*[(read("mu2"), read("I2")) for _, read in reads])  # berwald_frame's order
+            # mu2 first: where both reads raise, the report records mu2's error
+            mus, Is = zip(*[(read("mu2"), read("I2")) for _, read in reads])
             fits["principal_scalar"] = {"I_values": list(Is), "mu_values": list(mus)}
         except (RiemannianPoint, DimensionError) as e:
             fits["principal_scalar"] = {"error": f"{type(e).__name__}: {e}"}

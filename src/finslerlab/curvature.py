@@ -799,9 +799,9 @@ class _SprayPlan:
     the order-(2 + depth), x-degree-cap-1 algebra) and where the partials
     of ``_SPRAY_PARTIALS`` it holds sit in F^2 = F * F.
 
-    Those are the pairs (mi, mj) of the product table of F * F with both
-    factors in F's support (``jets`` module docstring) that land on a
-    coefficient read, in table order, with that coefficient's place among
+    Those are the pairs (mi, mj) of the product F * F (``alg.product`` on
+    F's support, ``jets`` module docstring) that land on a coefficient
+    read, in table order, with that coefficient's place among
     those read (``bins``, ``count`` of them), each partial's coefficient as
     such a place (``where``), its factorial ``scale``, and {pattern:
     (slice, shape)} to split the partials into blocks.  A bincount over
@@ -836,8 +836,8 @@ class _SprayPlan:
         read, self.where = np.unique(idx, return_inverse=True)
         place = np.full(alg.size, -1)
         place[read] = np.arange(read.size)
-        mi, mj, mo = alg.mul_table
-        keep = support[mi] & support[mj] & (place[mo] >= 0)
+        (mi, mj, mo), _ = alg.product(support, support)
+        keep = place[mo] >= 0
         self.mi, self.mj, self.bins, self.count = mi[keep], mj[keep], place[mo[keep]], read.size
         self.scale = np.array(scale, dtype=float)
 

@@ -49,12 +49,13 @@ a ``Jet``.
 Closed-form functions compose a univariate series with u = a - a(0) by
 Horner's rule.  They run it in growing order: u has no constant term, so
 the coefficients of order <= d of a product p * u read only those of p of
-order < d, and the Horner value after adding series[k] is needed only
-through order K - k.  So Horner step k is the product of the support rule
-below with its pairs further filtered to those that land on order <= K - k,
-each coefficient's pairs in table order (``_Algebra.horner``, where all
-steps share one table): every coefficient it drops is one no later step
-reads, and the result equals the full-order evaluation bit for bit.
+order < d, and the Horner value after adding series[K - d] is needed only
+through order d.  So Horner step d is a product in the order-d algebra of
+the same cap (``_Algebra.horner``): for a fixed cap its basis is a prefix
+of the order-K one, and its product table holds exactly the order-K pairs
+that land on order <= d, in the same order.  Every coefficient a step
+keeps sums the pairs the full-order step sums, in the same order, so the
+result equals the full-order evaluation bit for bit.
 Integer powers run the products of binary powering (``power_chain``).
 ``mul_rows`` and ``deriv_rows`` apply the product and derivative tables to
 stacked coefficient arrays, one row per jet, with the same summation order.
@@ -225,22 +226,20 @@ class _Algebra:
         leaves the basis masked out, in its own order.
         """
         if self._mul_table is None:
-            self._mul_table = self._table(np.arange(self.size), None, self.order)
+            self._mul_table = self._table(np.arange(self.size), None)
         return self._mul_table
 
-    def _table(self, rows, sb, top):
+    def _table(self, rows, sb):
         """The pairs of ``mul_table`` in the rows ``rows`` (ascending) whose
-        column j is in support sb (every monomial for None) and that land on
-        order <= top, in table order: row i pairs with the columns of order
-        <= top - order(i) and x-degree <= cap - xdeg(i), ascending, which
-        are a prefix of those of that x-degree, since the order grows along
-        the basis."""
+        column j is in support sb (every monomial for None), in table order:
+        row i pairs with the columns of order <= K - order(i) and x-degree
+        <= cap - xdeg(i), ascending, which are a prefix of those of that
+        x-degree, since the order grows along the basis."""
         suffix, binom = self._ranks()
         cols = np.arange(self.size) if sb is None else np.flatnonzero(sb)
-        rows = rows[self.orders[rows] <= top]
         by_xdeg = [cols[self.xdeg[cols] <= c] for c in range(self.cap + 1)]
-        ends = [np.searchsorted(self.orders[c], np.arange(top + 1), side="right") for c in by_xdeg]
-        parts = [by_xdeg[c][: ends[c][t]] for t, c in zip((top - self.orders[rows]).tolist(),
+        ends = [np.searchsorted(self.orders[c], np.arange(self.order + 1), side="right") for c in by_xdeg]
+        parts = [by_xdeg[c][: ends[c][t]] for t, c in zip((self.order - self.orders[rows]).tolist(),
                                                            (self.cap - self.xdeg[rows]).tolist())]
         mi = np.repeat(rows, [p.size for p in parts])
         mj = np.concatenate(parts) if parts else rows
@@ -349,66 +348,39 @@ class _Algebra:
             if sa.all() and sb.all():
                 table = self.mul_table
             else:
-                table = self._table(np.flatnonzero(sa), sb, self.order)
-            hit = self._products[key] = (table, _frozen(self._landing(table[2])))
+                table = self._table(np.flatnonzero(sa), sb)
+            support = np.zeros(self.size, dtype=bool)
+            support[table[2]] = True
+            hit = self._products[key] = (table, _frozen(support))
         return hit
 
-    def _landing(self, mo):
-        """The support of a product whose pairs land on ``mo``."""
-        support = np.zeros(self.size, dtype=bool)
-        support[mo] = True
-        return support
+    def horner(self, support):
+        """The Horner steps of a series composition on an argument of
+        ``support``, cached by it: a :class:`_Horner`.
 
-    def horner(self, support=None, top=None):
-        """The Horner steps a series composition runs through u^top (top K
-        by default) on an argument of ``support`` (every monomial by
-        default), cached by both: a :class:`_Horner`.
-
-        u is the argument less its value.  The first step, series[top] * u
-        plus series[top - 1], reads u's coefficients of order <= K - top + 1
-        (``head``, with the value, where u is 0.0); step k, for k = top - 2
-        down to 0, is the product of the value so far and u through order
-        K - k, plus series[k] (module docstring).  Those products share one
-        table, the last step's, stably sorted by the order each pair lands
-        on: step k sums its prefix of pairs landing on order <= K - k, each
-        coefficient's pairs still in table order.  For top = K that prefix
-        is exactly the pairs with both factors in support: u has no constant
-        term, so the value entering step k holds just the monomials of order
-        <= K - k - 1 of the one entering the last step.  For a shorter
-        series the prefix may also hold pairs on a +-0 value coefficient.
-        The supports of the values come from one table of every pair a step
-        can sum, filtered step by step, so no step's table is built only to
-        learn where its pairs land.
+        u is the argument less its value, of support ``support`` without the
+        constant.  Step d, for d = 1 .. K, is the product of the value so far
+        and u in the order-d algebra of this cap, plus series[K - d] (module
+        docstring): ``_algebra(n_vars, d, cap).product`` on the supports cut
+        to that algebra's basis, a prefix of this one's.  The value entering
+        step d holds only monomials of order < d, so its coefficients are a
+        prefix too.  The steps are those products' (table, support), shared
+        with every other product of those algebras, a lower order's Horner
+        steps included.
         """
-        K = self.order
-        top = K if top is None else top
-        key = (None if support is None else _key(support), top)
+        key = _key(support)
         plan = self._horners.get(key)
         if plan is None:
-            u = (self.through(K) if support is None else support).copy()
-            u[0] = False
-            value = u & (self.orders <= K - top + 1)
-            value[0] = True
-            head = _indexer(value)
-            # every pair a step can sum: a row of order < K, a column in u
-            rows = np.flatnonzero(self.orders < K) if top > 1 else np.empty(0, dtype=np.int64)
-            mi, mj, mo = self._table(rows, u, K)
-            for k in range(top - 2, 0, -1):  # the value entering the last step
-                value = self._landing(mo[value[mi] & (self.orders[mo] <= K - k)])
-                value[0] = True
-            keep = value[mi]
-            mi, mj, mo = mi[keep], mj[keep], mo[keep]
-            order = np.argsort(self.orders[mo], kind="stable")
-            mi, mj, mo = mi[order], mj[order], mo[order]
-            ends = np.searchsorted(self.orders[mo], range(K - top + 2, K + 1), side="right")
-            if top > 1:
-                value = self._landing(mo)
-                value[0] = True
-            elif top == 0:
-                value = self.through(0)
+            value = self.through(0).copy()  # series[K]
+            u = support & ~value
+            tables = []
+            for d in range(1, self.order + 1):
+                alg = _algebra(self.n_vars, d, self.cap)
+                tables.append(alg.product(value[: alg.size], u[: alg.size]))
+                value[: alg.size] = tables[-1][1]
+                value[0] = True  # plus series[K - d]
             plan = self._horners[key] = _Horner(
-                self, top, head, tuple((mi[:e], mj[:e], mo[:e]) for e in ends),
-                _frozen(value), int(ends.sum()))
+                self, tuple(tables), _frozen(value), sum(t[0].size for t, _ in tables[1:]))
         return plan
 
     def cut(self, coef, sub):
@@ -444,22 +416,14 @@ def _key(mask):
     return np.packbits(mask).tobytes()
 
 
-def _indexer(mask):
-    """The entries of ``mask`` as an index: a slice where they are a prefix."""
-    idx = np.flatnonzero(mask)
-    return slice(0, idx.size) if idx.size == 0 or idx[-1] == idx.size - 1 else idx
-
-
 @dataclass(frozen=True, eq=False)
 class _Horner:
     """The Horner steps of a series composition on arguments of one support
-    (``_Algebra.horner``): the indices ``head`` the first step scales, one
-    product table per later step (prefixes of one table), the support of
-    the result and the pairs the steps sum."""
+    (``_Algebra.horner``): step d's product as (table, support) in the
+    order-d algebra, the support of the result and the pairs the steps sum,
+    step 1, a constant times u, not counted."""
 
     alg: _Algebra
-    top: int
-    head: object
     tables: tuple
     support: np.ndarray
     pairs: int
@@ -762,30 +726,22 @@ def power_chain(m):
 
 
 def compose(alg, coef, series):
-    """Coefficients, in ``alg``, of sum series[k] * u^k, with u the jet
-    ``coef`` less its value, by Horner's rule: the steps of ``alg.horner``
-    on every monomial (module docstring)."""
-    top = min(len(series) - 1, alg.order)  # u^k vanishes for k > K
-    return _run_horner(alg.horner(None, top), coef, series)
+    """Coefficients, in ``alg``, of sum series[k] * u^k (k <= K), with u the
+    jet ``coef`` less its value, by Horner's rule: the steps of
+    ``alg.horner`` on every monomial (module docstring)."""
+    return _run_horner(alg.horner(alg.through(alg.order)), coef, series)
 
 
 def _run_horner(horner, coef, series):
-    """Sum series[k] * u^k by the steps of ``horner`` (``_Algebra.horner``),
-    each as the jet product and the shift by a constant compute it.  The
-    first, a constant times u, is a scalar multiply; ``+ 0.0`` turns -0.0
-    into 0.0 as a product's bincount does."""
-    top, size = horner.top, horner.alg.size
-    out = np.zeros(size)
-    if top == 0:
-        out[0] = float(series[0])
-        return out
-    u = coef.copy()
-    u[0] = 0.0
-    out[horner.head] = u[horner.head] * series[top] + 0.0
-    out[0] += series[top - 1]
-    for k, table in zip(range(top - 2, -1, -1), horner.tables):
-        out = _convolve(table, size, out, u)
-        out[0] += series[k]
+    """Sum series[k] * u^k, k <= K, by the steps of ``horner``
+    (``_Algebra.horner``), each as the jet product and the shift by a
+    constant compute it.  The steps' tables never read coefficient 0 of
+    ``coef``, so u is ``coef`` itself."""
+    K = horner.alg.order
+    out = np.array([float(series[K])])
+    for d, (table, support) in enumerate(horner.tables, 1):
+        out = _convolve(table, support.size, out, coef)
+        out[0] += series[K - d]
     return out
 
 

@@ -421,7 +421,8 @@ def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
 
 
 def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> ValidationReport:
-    """Positive homogeneity and strong convexity over random chart samples."""
+    """Positive homogeneity and strong convexity over random chart samples,
+    and for a randers metric F > 0 in every direction at each sample's x."""
     from . import curvature  # deferred: layering
 
     rng = np.random.default_rng(seed)
@@ -455,6 +456,8 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
             failures.append({"x": list(x), "y": list(y), "problem": f"singular g: {e}"})
         except Exception as e:  # noqa: BLE001
             failures.append({"x": list(x), "y": list(y), "problem": f"g evaluation: {e}"})
+        if m.spec.family == "randers":
+            failures.extend(_randers_failures(m, x, y))
     return ValidationReport(
         label=m.label,
         n=m.n,
@@ -466,6 +469,32 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
         failures=failures,
         passed=not failures,
     )
+
+
+def _randers_failures(m, x, y):
+    """The failures of the randers metric ``m`` at the sample (x, y): none
+    where F(x, .) is positive in every direction.
+
+    F(x, y) F(x, -y) = y^T a y - (b . y)^2 = y^T (a - b b^T) y, so F is
+    positive on every y exactly when a - b b^T is positive definite (then so
+    is a, and b^T a^-1 b < 1).  The form is polarized from that product on
+    e_i + e_j (on 2 e_i for i = j, 4 times the diagonal entry); its least
+    eigenvalue must clear 1e-12 times the largest F^2 read, the scale of the
+    rounding in those products.  A failure names the eigenvector of that
+    eigenvalue as its y, along which F(x, y) F(x, -y) equals it.
+    """
+    e = np.eye(m.n)
+    try:
+        Fs = np.array([[[m.F(x, s * (ei + ej)) for s in (1.0, -1.0)] for ej in e] for ei in e])
+    except Exception as err:  # noqa: BLE001 - report, do not crash
+        return [{"x": list(x), "y": list(y), "problem": f"evaluation: {err}"}]
+    P = Fs[..., 0] * Fs[..., 1]
+    d = np.diag(P) / 4.0
+    w, v = np.linalg.eigh(0.5 * (P - d[:, None] - d))
+    if w[0] > 1e-12 * np.max(Fs * Fs):
+        return []
+    return [{"x": list(x), "y": list(v[:, 0]),
+             "problem": f"F(x, y) F(x, -y) = {w[0]:.6g}: a - b b^T is not positive definite"}]
 
 
 # --- built-in corpus used by tests and example scripts ---

@@ -36,7 +36,8 @@ maximum of the step gate's values must match bit for bit.  The multi-point
 drivers (the along-geodesic checks, ``scalar_flows`` and the CLI's bianchi,
 landsberg-routes and report fits) keep their loops over one single-point
 scope per sample, which their batched reads must match bit for bit, errors
-and vacuous verdicts included.
+and vacuous verdicts included; the report's principal-scalar loop reads the
+2-D Berwald frame (``berwald_frame``), which the frame tests check too.
 """
 
 import dataclasses
@@ -54,6 +55,7 @@ from finslerlab.curvature import (
     PointState,
     _clears_gate,
     _deriv,
+    _ensure_scope,
     _fold,
     _require_positive_definite,
     point_scope,
@@ -1401,6 +1403,50 @@ def landsberg_rows_loop(metric, args):
     return rows
 
 
+@dataclasses.dataclass(frozen=True)
+class BerwaldFrame2D:
+    """Orthonormal frame (ell, m) at a point of a 2-D metric.
+
+    ell = y/F is the unit flagpole, m the g-unit vector orthogonal to it
+    with det[ell m] > 0.  The Cartan tensor collapses onto the frame:
+    C_ijk = F^-1 I m_i m_j m_k with m_i the g-lowered components, so the
+    scalars I and mu = I_{|s} y^s / (F I) capture all of the torsion.
+    """
+
+    ell: np.ndarray
+    m: np.ndarray
+    m_low: np.ndarray
+    I_scalar: float
+    I_vert: float            # F I_{.i} m^i, vertical variation of I across the fibre
+    mu: float = None         # filled only when requested (undefined at Riemannian points)
+
+
+def berwald_frame(metric, point, scope=None, with_mu=False):
+    """Orthonormal frame and principal-scalar data at a point of a 2-D metric,
+    one single-point scope's reads (or ``scope``'s).
+
+    The frame and I are defined for every metric; mu is only computed when
+    ``with_mu`` is set and raises RiemannianPoint where I vanishes.
+    """
+    if metric.n != 2:
+        raise DimensionError(f"frame needs n = 2, got n = {metric.n}")
+    sc = _ensure_scope(metric, point, scope, order=5)
+    dI = sc.vderiv("I2")
+    ell, m = sc.values("frame2")
+    g = sc.values("g")
+    F = sc.values("F")
+    I_vert = F * sum(dI[i] * m[i] for i in range(2))
+    mu = sc.values("mu2") if with_mu else None
+    return BerwaldFrame2D(
+        ell=ell,
+        m=m,
+        m_low=g @ m,
+        I_scalar=sc.values("I2"),
+        I_vert=float(I_vert),
+        mu=mu,
+    )
+
+
 def report_torsion_fit_loop(metric, states):
     """(key, entry) of a report's torsion fit: "semi_c" for n >= 3, else
     "principal_scalar", one scope per state through the single-point calls."""
@@ -1414,7 +1460,7 @@ def report_torsion_fit_loop(metric, states):
         except (RiemannianPoint, UndefinedFit) as e:
             return "semi_c", {"error": f"{type(e).__name__}: {e}"}
     try:
-        frames = [analysis.berwald_frame(metric, st, with_mu=True) for st in states]
+        frames = [berwald_frame(metric, st, with_mu=True) for st in states]
         return "principal_scalar", {
             "I_values": [f.I_scalar for f in frames],
             "mu_values": [f.mu for f in frames],

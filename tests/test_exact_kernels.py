@@ -22,6 +22,7 @@ must equal one bincount over the loop-built table, sign bits included.
 import functools
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from finslerlab.curvature import (
     point_scope,
 )
 from finslerlab.errors import DimensionError, RiemannianPoint, UndefinedFit
-from finslerlab.jets import Jet, _algebra, mul_rows
+from finslerlab.jets import Jet, _algebra, compose, mul_rows, sqrt_series
 from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
 
 from oracles import (
@@ -279,6 +280,43 @@ def test_growing_order_horner_matches_full_order(monkeypatch, n_vars, order):
     for name, f in COMPOSITIONS.items():
         for j, out in zip(jets, got[name]):
             assert_same_coefs(out, f(j))
+
+
+def test_horner_steps_are_the_prefix_algebras_products():
+    # step d of a composition is the product the order-d algebra of the same
+    # cap caches for the value's and u's supports, so a lower order's
+    # composition runs the very tables of a higher order's first steps
+    alg = _algebra(6, 7, 2)
+    horner = alg.horner(alg.through(7))
+    assert len(horner.tables) == 7
+    value = alg.through(0).copy()
+    u = ~value
+    for d, step in enumerate(horner.tables, 1):
+        prefix = _algebra(6, d, 2)
+        assert step is prefix.product(value[: prefix.size], u[: prefix.size])
+        value[: prefix.size] = step[1]
+        value[0] = True
+    assert np.array_equal(value, horner.support)
+    low = _algebra(6, 6, 2)
+    assert all(a is b for a, b in zip(low.horner(low.through(6)).tables, horner.tables[:6], strict=True))
+
+
+@pytest.mark.parametrize("n_vars,order,cap", [(2, 4, 4), (4, 5, 2), (6, 7, 2)])
+def test_infinite_last_series_coefficient_moves_only_top_order(n_vars, order, cap):
+    # series[K] multiplies u^K, which has no coefficient below order K: the
+    # coefficients of lower order keep their bits, and no 0 * inf is formed
+    # (a RuntimeWarning, an error under this suite's warning filter)
+    rng = np.random.default_rng(n_vars + order)
+    alg = _algebra(n_vars, order, cap)
+    coef = 0.1 + rng.random(alg.size)
+    series = sqrt_series(coef[0], order)
+    ref = compose(alg, coef, series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compose(alg, coef, series[:-1] + [math.inf])
+    top = alg.orders == order
+    assert_same_coefs(got[~top], ref[~top])
+    assert np.all(np.isposinf(got[top]))
 
 
 @pytest.mark.parametrize("name", ("funk2", "funk2-drift", "quartic2", "funk3", "randers3x", "abq3"))

