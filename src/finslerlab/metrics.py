@@ -422,7 +422,8 @@ def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
 
 def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> ValidationReport:
     """Positive homogeneity and strong convexity over random chart samples,
-    and for a randers metric F > 0 in every direction at each sample's x."""
+    and F > 0 at each sample's x in every direction for a randers metric,
+    along -y and every +-e_i for the others."""
     from . import curvature  # deferred: layering
 
     rng = np.random.default_rng(seed)
@@ -456,8 +457,9 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
             failures.append({"x": list(x), "y": list(y), "problem": f"singular g: {e}"})
         except Exception as e:  # noqa: BLE001
             failures.append({"x": list(x), "y": list(y), "problem": f"g evaluation: {e}"})
-        if m.spec.family == "randers":
-            failures.extend(_randers_failures(m, x, y))
+        # F > 0 at x in every direction for randers, exactly; along -y and +-e_i otherwise
+        direction_check = _randers_failures if m.spec.family == "randers" else _direction_failures
+        failures.extend(direction_check(m, x, y))
     return ValidationReport(
         label=m.label,
         n=m.n,
@@ -469,6 +471,24 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
         failures=failures,
         passed=not failures,
     )
+
+
+def _direction_failures(m, x, y):
+    """The failures of F > 0 at x along -y and along every +-e_i, each
+    naming its direction as its y."""
+    named = [("-y", -y)]
+    for i, ei in enumerate(np.eye(m.n)):
+        named += [(f"+e_{i + 1}", ei), (f"-e_{i + 1}", 0.0 - ei)]
+    out = []
+    for label, d in named:
+        try:
+            f = float(m.F(tuple(x), tuple(d)))
+        except Exception as err:  # noqa: BLE001 - report, do not crash
+            out.append({"x": list(x), "y": list(d), "problem": f"evaluation along {label}: {err}"})
+            continue
+        if not f > 0.0:
+            out.append({"x": list(x), "y": list(d), "problem": f"F = {f:.6g} <= 0 along {label}"})
+    return out
 
 
 def _randers_failures(m, x, y):

@@ -26,14 +26,19 @@ for every metric; the support/probe channel below is the one that
 resolves the stretch tensor.  See the probe description on
 :func:`parallelogram_holonomy`.
 
+A transport integrates V alone, on the geodesic's own accepted steps: the
+geodesic run keeps each step's seven stage states with N at each, and g at
+each node.  So it is as accurate as the geodesic it rides, and V's error
+takes no part in the step control.
+
 Every float spray read here is one call of
 :func:`finslerlab.curvature.spray_values`, looked up on that module at call
-time: G for a geodesic right-hand side at depth 0, N for a transport at
-depth 1, N and Gamma for the parallelogram's probe at depth 2, and g for the
-probe's lengths at depth 0.  A transport's length column makes no call of
-its own: every node is the last stage of its step, so the right-hand side
-already computed g there, at (x, y) in linear mode and at (x, V) in
-nonlinear mode, and g is the same at every depth.
+time: g, G and N for a geodesic right-hand side at depth 1 (its G is depth
+0's bit for bit), N at (x, V) for a nonlinear transport stage at depth 1,
+N and Gamma for the parallelogram's probe at depth 2, and g for the probe's
+lengths at depth 0.  A linear transport makes no call: its slopes read the
+geodesic's N, and its lengths the geodesic's g at the nodes.  A nonlinear
+transport's lengths read the g of its own call at each node.
 """
 
 from __future__ import annotations
@@ -77,10 +82,9 @@ _E = _B5 - _B4
 _RECOVERABLE = (DomainError, OutOfChart, SingularMetric, ZeroVector, FloatingPointError)
 
 #: relative drift of F, a first integral of the spray, that an accepted step
-#: may leave; the step budget of one integration; the transport tolerance
+#: may leave; the step budget of one integration
 _F_TOL = 5e-8
 _MAX_STEPS = 100000
-_TRANSPORT_TOL = 1e-10
 
 
 @dataclass
@@ -251,23 +255,6 @@ def _tolerance(tol):
     return tol
 
 
-def _along_spray(metric, rhs, z0, span, tol, F0, accepted=None):
-    """:func:`_integrate` a state that starts (x, xdot, ...), with F(x, xdot)
-    held to F0 as an accept/reject gate (the path's ``drift``) and x to the
-    chart, which rhs gates through ``spray_values``."""
-    n = metric.n
-    return _integrate(
-        rhs,
-        z0,
-        span,
-        rtol=tol,
-        atol=tol * 1e-2,
-        invariant=lambda z: abs(float(metric.F(z[:n], z[n : 2 * n])) - F0) / F0,
-        inside=lambda z: metric.chart.contains(z[:n]),
-        accepted=accepted,
-    )
-
-
 def _length(g, w):
     """Length of w in the fundamental tensor g."""
     return math.sqrt(max(float(w @ g @ w), 0.0))
@@ -287,7 +274,10 @@ class GeodesicSolution:
     ``t`` carries the caller's time labels (monotone); internally the
     trajectory is parameterized by elapsed time.  ``F_drift`` is the
     largest relative deviation of F(x, xdot) from its initial value over
-    the accepted nodes -- the first-integral quality of the run.
+    the accepted nodes -- the first-integral quality of the run.  Per
+    accepted step the run keeps its seven stage states (x, y), stage 0 the
+    step's start node, and N there, and g at each node, for
+    :func:`parallel_transport`.
     """
 
     label: str
@@ -300,6 +290,9 @@ class GeodesicSolution:
     unit_speed: bool
     _path: _Path = field(repr=False, default=None)
     _sign: float = field(repr=False, default=1.0)
+    _stage_z: np.ndarray = field(repr=False, default=None)  # (steps, 7, 2n)
+    _stage_N: np.ndarray = field(repr=False, default=None)  # (steps, 7, n, n)
+    _node_g: np.ndarray = field(repr=False, default=None)   # (nodes, n, n)
 
     @property
     def t_final(self):
@@ -367,37 +360,44 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     sign = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
 
+    calls, nodes = [], []  # (z, g, N) of each rhs call since the last node, and of each node
+    stage_z, stage_N = [], []  # per accepted step, its 7 stages' z and N
+
     def rhs(_t, z):
         x, y = z[:n], z[n:]
-        G = curvature.spray_values(metric, x, y)[1]
+        g, G, N = curvature.spray_values(metric, x, y, 1)
+        calls.append((z, g, N))
         return np.concatenate([sign * y, -2.0 * sign * G])
 
+    def accepted():
+        if nodes:  # a step's stages: the node it starts from, then its last six rhs calls
+            stages = [nodes[-1], *calls[-6:]]
+            stage_z.append(np.array([z for z, _, _ in stages]))
+            stage_N.append(np.array([N for _, _, N in stages]))
+        nodes.append(calls[-1])
+        calls.clear()
+
+    def wrap(path):
+        return GeodesicSolution(
+            label=getattr(metric, "label", ""), n=n, t=t0 + sign * path.t, x=path.z[:, :n],
+            y=path.z[:, n:], F0=F0, F_drift=path.drift, unit_speed=unit_speed, _path=path,
+            _sign=sign, _stage_z=np.array(stage_z).reshape(-1, 7, 2 * n),
+            _stage_N=np.array(stage_N).reshape(-1, 7, n, n),
+            _node_g=np.array([g for _, g, _ in nodes]),
+        )
+
     try:
-        path = _along_spray(metric, rhs, np.concatenate([x0, y0]), span, tol, F0)
+        path = _integrate(
+            rhs, np.concatenate([x0, y0]), span, rtol=tol, atol=tol * 1e-2,
+            invariant=lambda z: abs(float(metric.F(z[:n], z[n:])) - F0) / F0,
+            inside=lambda z: metric.chart.contains(z[:n]), accepted=accepted,
+        )
     except ChartExit as exc:
         exc.t_exit = t0 + sign * exc.t_exit
         if getattr(exc, "partial", None) is not None:
-            exc.partial = _wrap_geodesic(metric, exc.partial, t0, sign, F0, unit_speed)
+            exc.partial = wrap(exc.partial)
         raise
-    return _wrap_geodesic(metric, path, t0, sign, F0, unit_speed)
-
-
-def _wrap_geodesic(metric, path, t0, sign, F0, unit_speed):
-    n = metric.n
-    x = path.z[:, :n]
-    y = path.z[:, n:]
-    return GeodesicSolution(
-        label=getattr(metric, "label", ""),
-        n=n,
-        t=t0 + sign * path.t,
-        x=x,
-        y=y,
-        F0=F0,
-        F_drift=path.drift,
-        unit_speed=unit_speed,
-        _path=path,
-        _sign=sign,
-    )
+    return wrap(path)
 
 
 # --- parallel transport ---
@@ -408,15 +408,24 @@ class TransportResult:
     t: np.ndarray
     V: np.ndarray
     length: np.ndarray      # g-length of V with g at the mode's reference vector
-    F_drift: float          # geodesic first-integral drift of the joint run
+    F_drift: float          # first-integral drift of the geodesic it rides
     length_drift: float     # relative drift of the length column
 
 
 def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
     """Transport V0 along a geodesic in the selected mode.
 
-    The joint system (x, y, V) is re-integrated from the geodesic's own
-    initial data, so no interpolation error enters the transport.
+    V is integrated on the geodesic's own accepted steps, with its
+    Dormand-Prince tableau and stage sums: stage s of a step sits at the
+    geodesic's stage state (x_s, y_s), where V's slope is -N(x_s, y_s) V_s
+    from the N the geodesic kept (linear mode, no spray call) or
+    -N(x_s, V_s) y_s from one depth-1 call (nonlinear mode); a step's first
+    stage is the last one's last.  No interpolation enters, and the
+    transport is as accurate as the geodesic it rides: V's own embedded
+    error estimate takes no part in the step control.  Where V's slope
+    varies faster than the geodesic's, as in nonlinear mode near the edge
+    of a Funk ball, digits are lost; ``length_drift``, the drift of an
+    invariant of both modes, shows it.
     """
     if mode not in ("linear", "nonlinear"):
         raise BadConfig(f"transport mode must be linear or nonlinear, got {mode!r}")
@@ -425,44 +434,40 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
     vscale = float(np.linalg.norm(V0))
     if vscale == 0.0:
         raise ZeroVector("V0 must be nonzero")
-    x0, y0 = geodesic.x[0], geodesic.y[0]
-    F0 = geodesic.F0
-    sign = geodesic._sign
-    span = abs(geodesic.t_final - float(geodesic.t[0]))
+    sign, zs, Ns = geodesic._sign, geodesic._stage_z, geodesic._stage_N
 
-    gs = []        # g at each accepted node, as the rhs computed it there
-    g_last = None  # the g of the latest rhs call
-
-    def rhs(_t, z):
-        nonlocal g_last
-        x, y, V = z[:n], z[n : 2 * n], z[2 * n :]
-        if mode == "nonlinear" and np.linalg.norm(V) < 1e-10 * vscale:
-            raise VanishingVector(
-                "transported vector collapsed; nonlinear mode undefined"
-            )
+    def slope(step, s, V):
+        """dV/dt at stage s of the step; in nonlinear mode also g at (x_s, V)."""
         if mode == "linear":
-            g, G, N = curvature.spray_values(metric, x, y, 1)
-            dV = -N @ V
-        else:
-            G = curvature.spray_values(metric, x, y)[1]
-            g, _, Nv = curvature.spray_values(metric, x, V, 1)
-            dV = -Nv @ y
-        g_last = g
-        return np.concatenate([sign * y, -2.0 * sign * G, sign * dV])
+            return sign * -(Ns[step, s] @ V), None
+        if np.linalg.norm(V) < 1e-10 * vscale:
+            raise VanishingVector("transported vector collapsed; nonlinear mode undefined")
+        g, _, N = curvature.spray_values(metric, zs[step, s, :n], V, 1)
+        return sign * -(N @ zs[step, s, n:]), g
 
-    z0 = np.concatenate([x0, y0, V0])
-    path = _along_spray(
-        metric, rhs, z0, span, _TRANSPORT_TOL, F0, accepted=lambda: gs.append(g_last)
-    )
-    V = path.z[:, 2 * n :]
-    lengths = np.array([_length(g, v) for g, v in zip(gs, V)])
+    k = np.empty((7, n))  # V's slopes at the stages of the step at hand
+    Vs, gs = [V0], [None]
+    if len(zs):
+        k[6], gs[0] = slope(0, 0, V0)
+    for step, h in enumerate(np.diff(geodesic._path.t)):
+        k[0] = k[6]
+        for s in range(1, 7):
+            V = Vs[-1] + h * _fold(_A[s, :s], k[:s])
+            k[s], g = slope(step, s, V)
+        Vs.append(V)  # the last stage sits at the step's end: _A[6] is _B5[:6]
+        gs.append(g)
+    if mode == "linear":
+        gs = geodesic._node_g
+    elif gs[0] is None:  # a ChartExit's partial geodesic of node 0 alone
+        gs[0] = curvature.spray_values(metric, geodesic.x[0], V0)[0]
+    lengths = np.array([_length(g, v) for g, v in zip(gs, Vs)])
     scale = max(float(np.max(lengths)), 1e-300)
     return TransportResult(
         mode=mode,
-        t=geodesic.t[0] + sign * path.t,
-        V=V,
+        t=geodesic.t,
+        V=np.array(Vs),
         length=lengths,
-        F_drift=path.drift,
+        F_drift=geodesic.F_drift,
         length_drift=float((np.max(lengths) - np.min(lengths)) / scale),
     )
 

@@ -32,7 +32,11 @@ integrator's stage and error sums keep their generator folds over the
 ragged Dormand-Prince tableau (``dopri_stage_fold``, ``dopri_error_fold``),
 which its one-array reductions must match bit for bit, and a geodesic's
 F_drift its recomputation at every node (``F_drift_nodes``), which the
-maximum of the step gate's values must match bit for bit.  The multi-point
+maximum of the step gate's values must match bit for bit.  Transport keeps
+its joint re-integration of (x, y, V) with V in the step control
+(``joint_transport``), the accuracy reference for transports that ride the
+geodesic's own steps; without a vector it is the geodesic at spray depth 0,
+whose bytes the depth-1 run must give.  The multi-point
 drivers (the along-geodesic checks, ``scalar_flows`` and the CLI's bianchi,
 landsberg-routes and report fits) keep their loops over one single-point
 scope per sample, which their batched reads must match bit for bit, errors
@@ -48,7 +52,7 @@ import operator
 
 import numpy as np
 
-from finslerlab import analysis, expr, jets
+from finslerlab import analysis, curvature, expr, jets, transport
 from finslerlab.curvature import (
     _SPRAY_PARTIALS,
     SEED_CAP,
@@ -1209,6 +1213,38 @@ def F_drift_nodes(metric, F0, x, y):
     and y, F evaluated again at every node."""
     Fs = np.array([float(metric.F(tuple(xi), tuple(yi))) for xi, yi in zip(x, y)])
     return float(np.max(np.abs(Fs - F0)) / F0)
+
+
+def joint_transport(metric, geodesic, V0=None, mode="linear", tol=1e-10, node=-1):
+    """The joint (x, y, V) system re-integrated from ``geodesic``'s initial
+    data up to its node ``node``, with G read at depth 0 and V's error in
+    the step control, as transports once ran; without V0 the geodesic
+    alone, whose right-hand side is then the depth-0 one.  Returns the step
+    loop's path.
+    """
+    n, sign, F0 = metric.n, geodesic._sign, geodesic.F0
+    V0 = np.zeros(0) if V0 is None else np.asarray(V0, dtype=float)
+
+    def rhs(_t, z):
+        x, y, V = z[:n], z[n : 2 * n], z[2 * n :]
+        G = curvature.spray_values(metric, x, y)[1]
+        if not V.size:
+            dV = V
+        elif mode == "linear":
+            dV = -curvature.spray_values(metric, x, y, 1)[2] @ V
+        else:
+            dV = -curvature.spray_values(metric, x, V, 1)[2] @ y
+        return np.concatenate([sign * y, -2.0 * sign * G, sign * dV])
+
+    return transport._integrate(
+        rhs,
+        np.concatenate([geodesic.x[0], geodesic.y[0], V0]),
+        abs(float(geodesic.t[node]) - float(geodesic.t[0])),
+        rtol=tol,
+        atol=tol * 1e-2,
+        invariant=lambda z: abs(float(metric.F(z[:n], z[n : 2 * n])) - F0) / F0,
+        inside=lambda z: metric.chart.contains(z[:n]),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -57,12 +57,13 @@ def spray_depths(monkeypatch):
 def test_dynamics_and_validate_read_the_traced_spray(spray_depths):
     m = build_metric(builtin("funk2"))
     geodesic = transport.integrate_geodesic(m, (0.1, -0.2), (0.5, 0.3), 0.3)
-    assert set(spray_depths) == {0}
-    for mode, depths in (("linear", {1}), ("nonlinear", {0, 1})):
+    # depth 1: g, G and N at every stage, kept for transports
+    assert set(spray_depths) == {1}
+    for mode, depths in (("linear", set()), ("nonlinear", {1})):
         spray_depths.clear()
         transport.parallel_transport(m, geodesic, (0.2, 1.0), mode=mode)
-        # depth 1 for g and N, depth 0 for G in nonlinear mode; the length
-        # column reads the g of those calls and makes none of its own
+        # linear mode reads the geodesic's N, nonlinear mode N at (x, V);
+        # the length column reads g from those and makes no call of its own
         assert set(spray_depths) == depths, mode
     spray_depths.clear()
     transport.parallelogram_holonomy(m, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), [0.05])

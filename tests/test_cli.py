@@ -373,10 +373,19 @@ NON_FINSLER_ARGS = {
 }
 
 
+#: per expression, the problem the CLI's probe names
+NON_FINSLER_PROBLEMS = {
+    "abs2(y)": "homogeneity residual",
+    "sqrt(abs2(y)) + x1": "homogeneity residual",
+    "sqrt(abs2(y)) + 1.5*y1": "F = -0.5 <= 0 along -e_1",
+}
+
+
 @pytest.mark.parametrize("command", list(NON_FINSLER_ARGS))
-@pytest.mark.parametrize("expression", ["abs2(y)", "sqrt(abs2(y)) + x1"])
+@pytest.mark.parametrize("expression", list(NON_FINSLER_PROBLEMS))
 def test_non_finsler_spec_exits_2(command, expression, tmp_path, capsys):
-    # abs2(y) is 2-homogeneous and |y| + x1 is not homogeneous at all
+    # abs2(y) is 2-homogeneous, |y| + x1 is not homogeneous at all, and
+    # |y| + 1.5 y1 is negative where y1 < 0 dominates
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"dimension": 2, "family": "custom", "expression": expression}))
     out = tmp_path / "never.out"
@@ -385,7 +394,7 @@ def test_non_finsler_spec_exits_2(command, expression, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert "not a Finsler metric: homogeneity residual" in captured.err
+    assert f"not a Finsler metric: {NON_FINSLER_PROBLEMS[expression]}" in captured.err
 
 
 #: passes the CLI probe, but F^2 overflows at x1 = 1.1 and F itself at x1 = 1.7

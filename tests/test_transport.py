@@ -18,6 +18,10 @@ Oracles used here:
     its own at each node, the spray's inverse matches np.linalg.inv, and
     F_drift, the step gate's maximum, matches F evaluated again at every
     node, all bit for bit.
+  * Transports ride the geodesic's steps: each spray depth returns the
+    lower depths' fields bit for bit, the depth-1 geodesic is the depth-0
+    run of ``oracles.joint_transport`` bit for bit, and a transport ends
+    within 1e-9 of that joint (x, y, V) re-integration at tol 1e-13.
 """
 
 import itertools
@@ -38,9 +42,10 @@ from finslerlab.errors import (
     StepFailure,
     ZeroVector,
 )
-from finslerlab.metrics import MetricInstance, MetricSpec, build_metric, builtin
+from finslerlab.metrics import BUILTIN_NAMES, MetricInstance, MetricSpec, build_metric, builtin
 from finslerlab.curvature import spray_values
-from oracles import F_drift_nodes, dopri_error_fold, dopri_stage_fold
+from oracles import F_drift_nodes, dopri_error_fold, dopri_stage_fold, joint_transport, pretty
+from test_expr import random_ast
 from finslerlab.transport import (
     _A,
     _B4,
@@ -302,26 +307,19 @@ def test_stage_and_error_folds_match_the_generator_sums():
 
 
 @pytest.mark.parametrize("name", DYNAMICS_BUILTINS)
-def test_transport_lengths_are_g_lengths_at_the_nodes(monkeypatch, name):
-    # the length column reads the g of the rhs call at each node; a spray
-    # call of its own there gives the same bits
+def test_transport_lengths_are_g_lengths_at_the_nodes(name):
+    # the length column reads the g the geodesic kept at each node (linear
+    # mode) or that of the transport's own call there (nonlinear mode); a
+    # spray call of its own at the node gives the same bits
     m = build_metric(builtin(name))
     st = analysis.sample_states(m, 1, seed=3)[0]
     geodesic = integrate_geodesic(m, st.x, st.y, 0.2, unit_speed=True)
-    paths, integrate = [], transport._integrate
-
-    def integrate_kept(*args, **kwargs):
-        paths.append(integrate(*args, **kwargs))
-        return paths[-1]
-
-    monkeypatch.setattr(transport, "_integrate", integrate_kept)
     n = m.n
     for mode in ("linear", "nonlinear"):
         r = parallel_transport(m, geodesic, np.linspace(1.0, -0.5, n), mode=mode)
-        z = paths[-1].z
-        x, y, V = z[:, :n], z[:, n : 2 * n], z[:, 2 * n :]
-        refs = y if mode == "linear" else V
-        expected = [_g_length(m, *node) for node in zip(x, refs, V)]
+        assert np.array_equal(r.t, geodesic.t)
+        refs = geodesic.y if mode == "linear" else r.V
+        expected = [_g_length(m, *node) for node in zip(geodesic.x, refs, r.V)]
         assert len(expected) > 2
         assert r.length.tobytes() == np.array(expected).tobytes(), mode
 
@@ -419,28 +417,144 @@ def test_spray_inverse_is_np_linalg_inv_near_the_gate(monkeypatch, scale):
     assert 1.0 < min(ratios) < 2.0
 
 
-@pytest.mark.parametrize("mode, per_rhs", [("linear", 1), ("nonlinear", 2)])
-def test_transport_spray_calls_per_rhs_call(monkeypatch, funk2, funk2_geodesic, mode, per_rhs):
-    # every spray call is the rhs's: none is left for the length column
-    calls = {"spray": 0, "rhs": 0}
-    counted, integrate = curvature.spray_values, transport._integrate
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_transport_spray_calls_per_rhs_call(monkeypatch, funk2, funk2_geodesic, mode):
+    # linear mode reads the N the geodesic kept; nonlinear mode makes one
+    # call per stage, the first stage of a step being the last one's last;
+    # the length column makes none
+    calls = [0]
+    counted = curvature.spray_values
 
     def spray(*args):
-        calls["spray"] += 1
+        calls[0] += 1
         return counted(*args)
 
-    def integrate_counted(rhs, *args, **kwargs):
-        def rhs_counted(*a):
-            calls["rhs"] += 1
-            return rhs(*a)
-
-        return integrate(rhs_counted, *args, **kwargs)
-
     monkeypatch.setattr(curvature, "spray_values", spray)
-    monkeypatch.setattr(transport, "_integrate", integrate_counted)
-    parallel_transport(funk2, funk2_geodesic, (0.2, 1.0), mode=mode)
-    assert calls["rhs"] > 0
-    assert calls["spray"] == per_rhs * calls["rhs"]
+    r = parallel_transport(funk2, funk2_geodesic, (0.2, 1.0), mode=mode)
+    steps = len(r.t) - 1
+    assert steps > 2
+    assert calls[0] == (0 if mode == "linear" else 1 + 6 * steps)
+
+
+# --- transports ride the geodesic's steps ---
+
+
+def _random_custom_metrics(count):
+    """``count`` custom metrics |y| + T/20, T a random tree of test_expr's
+    builder, on 2 or 3 dimensions; the perturbation keeps most draws
+    positive definite, and a draw that cannot be built is skipped."""
+    out, seed = [], 0
+    while len(out) < count:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 4))
+        text = f"sqrt(abs2(y)) + ({pretty(random_ast(rng, n=n))})/20"
+        seed += 1
+        try:
+            out.append(build_metric(MetricSpec.custom(
+                n, text, constants={"k": 0.75, "a": [0.3, -1.5, 0.2][:n]}, label=text)))
+        except Exception:  # noqa: BLE001 - skip a tree that does not compile
+            continue
+    return out
+
+
+def _same_arrays(a, b):
+    return len(a) == len(b) and all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+def test_spray_depths_agree_bit_for_bit():
+    # the geodesic reads G at depth 1 and linear transport its N: every
+    # field a lower depth returns, a higher one returns with the same bits
+    compared, tapes = 0, 0
+    metrics = [build_metric(builtin(name)) for name in BUILTIN_NAMES]
+    with np.errstate(all="ignore"):
+        for i, m in enumerate(metrics + _random_custom_metrics(24)):
+            seen = 0
+            for st in analysis.sample_states(m, 4, seed=i):
+                try:
+                    d0, d1, d2 = (spray_values(m, st.x, st.y, d) for d in (0, 1, 2))
+                except Exception:  # noqa: BLE001 - skip a state that raises
+                    continue
+                assert _same_arrays(d1[:2], d0), (m.label, st)
+                assert _same_arrays(d2[:3], d1), (m.label, st)
+                seen += 1
+            compared += seen
+            tapes += i >= len(metrics) and seen > 0
+    assert tapes >= 20
+    assert compared >= 4 * len(metrics) + 40
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_geodesic_is_the_depth_0_run(name):
+    # a right-hand side at depth 1 gives the depth-0 run's nodes and F_drift
+    m = build_metric(builtin(name))
+    st = analysis.sample_states(m, 1, seed=3)[0]
+    g = integrate_geodesic(m, st.x, st.y, 0.3, unit_speed=True)
+    path = joint_transport(m, g)
+    n = m.n
+    assert _same_arrays(
+        [g.t, g.x, g.y, np.float64(g.F_drift)],
+        [g.t[0] + path.t, path.z[:, :n], path.z[:, n:], np.float64(path.drift)],
+    )
+
+
+def _rides_as_the_joint_run(m, geodesic, V0, margin=0.0):
+    """Both modes keep their g-length to 1e-6 and reach the last node at
+    least ``margin`` before the end within 1e-9 relative of the joint
+    re-integration at tol 1e-13.  A ChartExit's partial walks onto the
+    boundary in ever shorter steps, which a run at another tolerance may
+    cross first, so it is compared a margin before its end."""
+    n, elapsed = m.n, geodesic._path.t
+    node = int(np.searchsorted(elapsed, elapsed[-1] - margin, side="right")) - 1
+    assert node >= len(elapsed) // 2
+    for mode in ("linear", "nonlinear"):
+        r = parallel_transport(m, geodesic, V0, mode=mode)
+        ref = joint_transport(m, geodesic, V0, mode, tol=1e-13, node=node).z[-1, 2 * n :]
+        assert np.max(np.abs(r.V[node] - ref)) <= 1e-9 * np.max(np.abs(ref)), mode
+        assert r.length_drift <= 1e-6, mode
+
+
+@pytest.mark.parametrize("name", DYNAMICS_BUILTINS)
+def test_transport_matches_the_joint_run(name):
+    # unit speed over span 1, as the benchmark's dynamics runs them; a
+    # geodesic that leaves the chart first is transported up to its exit
+    m = build_metric(builtin(name))
+    for st in analysis.sample_states(m, 2, seed=3):
+        margin = 0.0
+        try:
+            geodesic = integrate_geodesic(m, st.x, st.y, 1.0, unit_speed=True)
+        except ChartExit as exc:
+            geodesic, margin = exc.partial, 1e-6
+        _rides_as_the_joint_run(m, geodesic, np.linspace(1.0, -0.5, m.n), margin)
+
+
+def test_transport_matches_the_joint_run_backwards(funk2, funk2_geodesic):
+    # back along funk2_geodesic from its end
+    geodesic = integrate_geodesic(funk2, funk2_geodesic.x[-1], funk2_geodesic.y[-1], -1.2)
+    assert geodesic._sign == -1.0
+    _rides_as_the_joint_run(funk2, geodesic, (0.3, 0.7))
+
+
+def test_transport_matches_the_joint_run_on_a_chart_exit_partial():
+    m = build_metric(builtin("funk2-drift"))
+    with pytest.raises(ChartExit) as info:
+        integrate_geodesic(m, (0.0, 0.0), (1.0, 0.3), 50.0)
+    partial = info.value.partial
+    assert len(partial.t) > 2
+    _rides_as_the_joint_run(m, partial, (0.3, 0.7), margin=1e-6)
+
+
+def test_transport_on_a_partial_of_node_0_alone():
+    # a start 1e-13 inside the chart's edge, heading out: the partial has no
+    # step, and a transport along it is V0 with V0's length at node 0
+    m = build_metric(MetricSpec.custom(2, "sqrt(abs2(y))", chart_radius=1.0, label="ball"))
+    with pytest.raises(ChartExit) as info:
+        integrate_geodesic(m, (1.0 - 1e-13, 0.0), (1.0, 0.0), 2.0)
+    partial = info.value.partial
+    assert len(partial.t) == 1
+    for mode in ("linear", "nonlinear"):
+        r = parallel_transport(m, partial, (0.3, 0.4), mode=mode)
+        assert r.V.tolist() == [[0.3, 0.4]]
+        assert r.length.tolist() == [0.5] and r.length_drift == 0.0
 
 
 # --- parallelogram loops ---
