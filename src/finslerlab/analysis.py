@@ -28,10 +28,10 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .curvature import (
-    DEPTH,
     FieldScope,
     PointState,
     _ensure_scope,
+    least_order,
     point_scope,
     rel_residual,
     require_stretch_design,
@@ -104,20 +104,8 @@ class IdentityCheckResult:
         }
 
 
-#: order in which classification flags are computed and reported
-CLASS_FLAGS = (
-    "riemannian",
-    "berwald",
-    "landsberg",
-    "weak_landsberg",
-    "weak_berwald",
-    "stretch",
-    "r_quadratic",
-)
-
-DEFAULT_CLASS_THRESHOLDS = {name: 1e-6 for name in CLASS_FLAGS}
-
-#: which tensor's max-abs norm decides each flag
+#: which tensor's max-abs norm decides each flag, in the order in which the
+#: flags are computed and reported
 _FLAG_FIELDS = {
     "riemannian": "C",
     "berwald": "B",
@@ -127,11 +115,9 @@ _FLAG_FIELDS = {
     "stretch": "Sigma",
     "r_quadratic": "RhhV",
 }
+CLASS_FLAGS = tuple(_FLAG_FIELDS)
 
-#: least seed orders at which the fields classify and the stretch fit read
-#: have values, derived like ``curvature.MIN_ORDER``
-_CLASSIFY_ORDER = max(2, *(DEPTH[f] for f in _FLAG_FIELDS.values()))
-_STRETCH_ORDER = max(2, *(DEPTH[f] for f in ("Sigma", "D", "F")))
+DEFAULT_CLASS_THRESHOLDS = {name: 1e-6 for name in CLASS_FLAGS}
 
 #: a true flag forces these other flags true
 _IMPLICATIONS = {
@@ -241,17 +227,20 @@ def _read(scope, key):
     return scope.values(key)
 
 
-def _point_reads(metric, states, order, keys):
+def _point_reads(metric, states, keys):
     """Yield, per state in sample order, (state, read): ``read(key)`` gives
     the float values of ``key`` (see :func:`_read`) there, as a single-point
     scope gives them.
 
-    One scope holds every state and reads ``keys`` up front; each point's
+    Every scope is made at the least seed order that holds ``keys``
+    (``curvature.least_order``); values do not depend on it.  One scope
+    holds every state and reads ``keys`` up front; each point's
     values equal its single-point scope's bit for bit.  If that raises, each
     state gets its own scope instead, made when the caller reaches it, so
     the caller raises what a loop over single-point scopes raises: the
     error of the first failing state, or of the first failing read there.
     """
+    order = least_order(keys)
     try:
         scope = FieldScope(metric, states, order)
         table = {key: _read(scope, key) for key in keys}
@@ -294,7 +283,7 @@ def fit_relative_stretch(metric, points=None, count=20, seed=0):
     """
     states = _as_states(metric, points, count, seed)
     cs, resids, norms = [], [], []
-    for _, read in _point_reads(metric, states, _STRETCH_ORDER, ("Sigma", "D", "F")):
+    for _, read in _point_reads(metric, states, ("Sigma", "D", "F")):
         c, r, dn = _stretch_ratio_values(read("Sigma"), read("D"), read("F"))
         cs.append(c)
         resids.append(r)
@@ -364,7 +353,8 @@ def _semi_c_fit(n, read):
 
 def fit_semi_c_reducible(metric, point, scope=None):
     """Weights (p, q), p + q = 1, of the reduced torsion shape at one point."""
-    read = None if metric.n < 3 else _ensure_scope(metric, point, scope, order=3).values
+    read = None if metric.n < 3 else _ensure_scope(
+        metric, point, scope, "torsion-shape fit", _SEMI_C_FIELDS).values
     return _semi_c_fit(metric.n, read)
 
 
@@ -373,7 +363,7 @@ def check_characteristic_constancy(metric, geodesic, samples=15, tolerance=1e-6)
     ts, states = _geodesic_states(geodesic, samples, least=2)  # np.gradient needs 2
     ps = np.asarray([
         _semi_c_fit(metric.n, read).p
-        for _, read in _point_reads(metric, states, 3, _SEMI_C_FIELDS)
+        for _, read in _point_reads(metric, states, _SEMI_C_FIELDS)
     ])
     variation = float(np.max(np.abs(ps - ps[0])))
     pprime = np.gradient(ps, ts)
@@ -397,7 +387,7 @@ def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolera
     ts, states = _geodesic_states(geodesic, samples)
     keys = (("directional", "mu2"),) + (("cratio",) if c is None else ()) + ("mu2", "F")
     mus, mups, Qs, cs, Fs = [], [], [], [], []
-    for t, (_, read) in zip(ts, _point_reads(metric, states, 5, keys)):
+    for t, (_, read) in zip(ts, _point_reads(metric, states, keys)):
         try:
             mup = read(("directional", "mu2"))
             cval = c if c is not None else read("cratio")
@@ -497,7 +487,7 @@ def check_constant_flag_chain(
     states = _as_states(metric, points, samples, seed)
     lams, iso_resids = [], []
     reads = []
-    for st, read in _point_reads(metric, states, 6, _CHAIN_FIELDS):
+    for st, read in _point_reads(metric, states, _CHAIN_FIELDS):
         lam, misfit = _isotropic_lambda(
             read("R1"),
             float(read("F")),
@@ -591,7 +581,7 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
     keys = (("directional", "cratio"), "cratio", "F", "R1", "ylow")
     rows = {"c": [], "c_prime": [], "lambda": [], "W": [], "bracket": []}
     resids = []
-    for t, (st, read) in zip(ts, _point_reads(metric, states, 6, keys)):
+    for t, (st, read) in zip(ts, _point_reads(metric, states, keys)):
         try:
             cp = read(("directional", "cratio"))
         except UndefinedFit as err:
@@ -645,7 +635,7 @@ def classify(metric, samples=12, seed=0, thresholds=None):
     thr.update(thresholds or {})
     states = _as_states(metric, None, samples, seed)
     norms = {name: 0.0 for name in CLASS_FLAGS}
-    for st, read in _point_reads(metric, states, _CLASSIFY_ORDER, tuple(_FLAG_FIELDS.values())):
+    for st, read in _point_reads(metric, states, tuple(_FLAG_FIELDS.values())):
         for name in CLASS_FLAGS:
             norm = float(np.max(np.abs(read(_FLAG_FIELDS[name]))))
             if not math.isfinite(norm):

@@ -15,7 +15,8 @@ Commands (see ``finslerlab <command> --help`` for flags):
 
 Exit codes: 0 success / all checks pass; 1 a verification check failed (or a
 computation was inapplicable); 2 malformed spec, expression or option value
-(points file, an empty or infinite --t, --thresholds, --samples < 1, a NaN
+(points file, an empty or infinite --t, --thresholds, --samples < 1, a
+report --order < 6, the least seed order of a curvature bundle, a NaN
 or negative --tol or --spread-tol, a geodesic --tol that is not finite and
 > 0, a geodesic or loop vector of the wrong length, a zero --y0 or w0,
 dependent loop vectors u and v, a loop scale <= 0), or a spec whose F fails
@@ -40,9 +41,12 @@ import numpy as np
 
 from . import __version__, analysis
 from .curvature import (
+    BUNDLE_ORDER,
+    BUNDLE_READS,
     PointState,
     curvature_bundle,
     flag_curvature,
+    least_order,
     rel_residual,
 )
 from .errors import (
@@ -75,18 +79,6 @@ _IDENTITY_TOL = 1e-6
 _SPREAD_TOL = 1e-4
 #: seeded chart samples of the homogeneity and convexity probe run on every spec
 _PROBE_SAMPLES = 4
-
-#: verification suites; "theorem3" is a compatibility alias kept stable for
-#: external harnesses and runs the principal-scalar suite
-SUITES = (
-    "identities",
-    "bianchi",
-    "landsberg-routes",
-    "constant-flag",
-    "principal-scalar",
-    "theorem3",
-    "flows",
-)
 
 
 def _load_metric(path):
@@ -121,11 +113,15 @@ def _parse_vector(text, name):
 
 
 def _check_options(args):
-    """Malformed numeric options are a SpecError: --samples below 1, a NaN
-    or negative --tol or --spread-tol, and a geodesic --tol, the
-    integrator's, that is not finite and > 0."""
+    """Malformed numeric options are a SpecError: --samples below 1, a report
+    --order below the bundle's least seed order, a NaN or negative --tol or
+    --spread-tol, and a geodesic --tol, the integrator's, that is not finite
+    and > 0."""
     if args.samples < 1:
         raise SpecError(f"--samples must be >= 1, got {args.samples}")
+    least = least_order(BUNDLE_READS)
+    if args.command == "report" and args.order < least:
+        raise SpecError(f"--order must be >= {least}, the bundle's least seed order, got {args.order}")
     if args.command == "geodesic" and not 0.0 < args.tol < math.inf:
         raise SpecError(f"--tol must be finite and > 0, got {args.tol!r}")
     for flag in ("tol", "spread_tol"):
@@ -224,7 +220,7 @@ def cmd_report(args):
         fits["relative_stretch"] = {"error": f"{type(e).__name__}: {e}"}
     if metric.n >= 3:
         try:
-            reads = analysis._point_reads(metric, states, 3, analysis._SEMI_C_FIELDS)
+            reads = analysis._point_reads(metric, states, analysis._SEMI_C_FIELDS)
             rows = [analysis._semi_c_fit(metric.n, read) for _, read in reads]
             fits["semi_c"] = {
                 "p_values": [r.p for r in rows],
@@ -234,7 +230,7 @@ def cmd_report(args):
             fits["semi_c"] = {"error": f"{type(e).__name__}: {e}"}
     else:
         try:
-            reads = analysis._point_reads(metric, states, 5, ("mu2", "I2"))
+            reads = analysis._point_reads(metric, states, ("mu2", "I2"))
             # mu2 first: where both reads raise, the report records mu2's error
             mus, Is = zip(*[(read("mu2"), read("I2")) for _, read in reads])
             fits["principal_scalar"] = {"I_values": list(Is), "mu_values": list(mus)}
@@ -262,7 +258,7 @@ def cmd_report(args):
 def _suite_identities(metric, args):
     rows = []
     for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
-        bundle = curvature_bundle(metric, st, order=7)
+        bundle = curvature_bundle(metric, st)
         for name, value in bundle.diagnostics.items():
             if value is None:
                 continue
@@ -276,7 +272,7 @@ def _suite_bianchi(metric, args):
     and the stretch tensor against y contracted into that vertical derivative."""
     rows = []
     states = analysis.sample_states(metric, args.samples, args.seed)
-    reads = analysis._point_reads(metric, states, 7, ("RhhV", "Bh", "ylow", "Sigma"))
+    reads = analysis._point_reads(metric, states, ("RhhV", "Bh", "ylow", "Sigma"))
     for idx, (_, read) in enumerate(reads):
         RhhV = read("RhhV")
         Bh = read("Bh")
@@ -292,8 +288,7 @@ def _suite_bianchi(metric, args):
 def _suite_landsberg_routes(metric, args):
     rows = []
     states = analysis.sample_states(metric, args.samples, args.seed)
-    # seed order 5, the least L_B and J_L need: values do not depend on it
-    reads = analysis._point_reads(metric, states, 5, ("L_C", "L_B", "J_I", "J_L", "gh", "gv", "C"))
+    reads = analysis._point_reads(metric, states, ("L_C", "L_B", "J_I", "J_L", "gh", "gv", "C"))
     for idx, (_, read) in enumerate(reads):
         pairs = (
             ("landsberg-two-routes", read("L_C"), read("L_B")),
@@ -358,6 +353,8 @@ def _suite_flows(metric, args):
     ]
 
 
+#: verification suites; "theorem3" is a compatibility alias kept stable for
+#: external harnesses and runs the principal-scalar suite
 _SUITE_FNS = {
     "identities": _suite_identities,
     "bianchi": _suite_bianchi,
@@ -367,6 +364,7 @@ _SUITE_FNS = {
     "theorem3": _suite_principal_scalar,
     "flows": _suite_flows,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def cmd_verify(args):
@@ -568,7 +566,7 @@ def build_parser():
     r.add_argument("--points", help="JSON file with a list of {x, y} points")
     r.add_argument("--samples", type=int, default=5, help="seeded point count")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--order", type=int, default=7, help="jet truncation order")
+    r.add_argument("--order", type=int, default=BUNDLE_ORDER, help="jet truncation order")
     r.add_argument("--tol", type=float, default=_IDENTITY_TOL)
     r.add_argument("--full-tensors", action="store_true",
                    help="include all tensor components, not just norms")

@@ -67,20 +67,21 @@ which can round differently.  The sign bits follow the loops too:
 
 A scope builds each field only to the deepest order, and the deepest
 x-degree, a reader in the executable ledger ``LEDGER`` asks of it
-(``_plan``; ``DEPTH``, ``XDEPTH``, ``SEED_CAP`` and ``MIN_ORDER`` follow
-from the ledger too).  The tower never differentiates F^2 more than twice
-in x, so no field needs x-degree above 2; the seeds carry SEED_CAP = 3, one
-more, which leaves every field room for one horizontal derivative by name
-(it reads the field at order 1 and x-degree 1).  Every coefficient kept is
-summed from the same pairs in the same order (``jets`` module docstring),
-so it equals that coefficient of the full-order, uncapped field bit for
-bit, at any seed order deep enough to hold it.
+(``_plan``; ``DEPTH``, ``XDEPTH``, ``SEED_CAP`` and the least seed order of
+any set of reads, ``least_order``, follow from the ledger too); a read the
+seed order cannot hold raises OrderExceeded before anything is built.  The
+tower never differentiates F^2 more than twice in x, so no field needs
+x-degree above 2; the seeds carry SEED_CAP = 3, one more, which leaves every
+field room for one horizontal derivative by name (it reads the field at
+order 1 and x-degree 1).  Every coefficient kept is summed from the same
+pairs in the same order (``jets`` module docstring), so it equals that
+coefficient of the full-order, uncapped field bit for bit, at any seed
+order deep enough to hold it.
 F is read off the metric's tape: a scope's F field, and ``spray_values``,
 run the tape's seed program on each point's seed block (``expr.run``).
 ``spray_values`` builds no scope at all; its F has x-degree cap 1, since
-every partial of F^2 it reads holds at most one x, and it sums only the
-pairs of F * F that land on those partials with both factors in F's
-support, by a plan kept on the tape.
+every partial of F^2 it reads holds at most one x, and it squares F with
+``jets.step``'s product kernel on F's support, by a plan kept on the tape.
 """
 
 from __future__ import annotations
@@ -115,9 +116,8 @@ from .jets import (
     mul_seeds,
     power_series,
     reciprocal_series,
+    step,
 )
-
-BUNDLE_ORDER = 7
 
 #: Slot kinds of the tensor fields; a horizontal or vertical derivative adds
 #: a lower slot (the ``HDERIVS`` fields join below them).  frame2 is not
@@ -212,13 +212,19 @@ BLOCKS = {
     "J": "J_L", "Sigma": "Sigma",
 }
 
-#: least seed order at which every field an operation reads has values: a
-#: bundle reads its blocks and, for its diagnostics, Fh and y_i (and RhhV at
-#: seed order >= 7); a flag curvature reads g0 and R1
-MIN_ORDER = {
-    op: max(2, *(DEPTH[f] for f in reads))
-    for op, reads in (("bundle", (*BLOCKS.values(), "Fh", "ylow")), ("flag", ("g0", "R1")))
-}
+
+def least_order(keys):
+    """The least seed order of a scope that holds every key: a field name,
+    read at jet order 0, needs its ``DEPTH``; a key (kind, name), a first
+    derivative of the field ``name`` such as ``("directional", name)``, reads
+    the field at order 1 and needs one more.  A scope needs order 2 at least."""
+    return max([2] + [DEPTH[k] if isinstance(k, str) else DEPTH[k[1]] + 1 for k in keys])
+
+
+#: what a bundle reads: its blocks and, for its diagnostics, Fh and y_i.  It
+#: reads RhhV too where the seed order holds it, as it does by default.
+BUNDLE_READS = (*BLOCKS.values(), "Fh", "ylow")
+BUNDLE_ORDER = least_order(BUNDLE_READS + ("RhhV",))
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,10 +441,7 @@ class FieldScope:
         return _algebra(2 * self.n, order, cap)
 
     def _deeper(self, alg, depth, xdepth=0):
-        """The algebra a builder in ``alg`` reads an input of this ledger depth
-        in; ``alg`` is None for a field with no values, whose derivative runs out."""
-        if alg is None:
-            raise OrderExceeded("derivative of an order-0 jet is not determined")
+        """The algebra a builder in ``alg`` reads an input of this ledger depth in."""
         return self._at(alg.order + depth, alg.cap + xdepth)
 
     def field(self, name, order=None, cap=None):
@@ -448,21 +451,25 @@ class FieldScope:
 
         It is built at the larger of the asked, the planned and any order
         and cap already built, at most the full ones, from its ledger inputs
-        cut to that order and cap plus their depths (at least 0: a field with
-        no values raises in the derivative that runs out of order).
+        cut to that order and cap plus their depths.  An order above the
+        full one raises OrderExceeded before anything is built: the seed
+        order holds every input of a field it holds.
         """
         if name not in LEDGER:
             raise BadConfig(f"unknown field {name!r}")
         full, full_cap = self.order - DEPTH[name], SEED_CAP - XDEPTH[name]
         want = full if order is None else order
+        if want > full:
+            raise OrderExceeded(f"{name} through jet order {want} needs seed order >= "
+                                f"{DEPTH[name] + want}, got {self.order}")
         want_cap = full_cap if cap is None else cap
         built, built_cap = self._built.get(name, (-math.inf, -math.inf))
         if built < want or built_cap < min(want_cap, want):
             plan, plan_cap = self._plan[name]
             p = min(max(want, plan, built), full)
-            c = min(max(want_cap, plan_cap, built_cap), full_cap, max(p, 0))
-            alg = self._at(p, c) if p >= 0 else None
-            inputs = [self._cut(src, max(p + d, 0), c + x) for src, d, x in LEDGER[name]]
+            c = min(max(want_cap, plan_cap, built_cap), full_cap, p)
+            alg = self._at(p, c)
+            inputs = [self._cut(src, p + d, c + x) for src, d, x in LEDGER[name]]
             if name in HDERIVS:
                 out = self._hderiv(alg, *inputs, valence=VALENCE[HDERIVS[name]])
             else:
@@ -480,7 +487,7 @@ class FieldScope:
         """Float values of a field, built at its planned order or deeper: one
         array (P, *slots), or at a single point the (*slots) array, a float
         for a scalar field.  A copy, so a caller may keep or change it."""
-        T = self.field(name, *self._plan[name])
+        T = self.field(name, 0, 0)
         return self._values(T if name in _FLOATS else T[..., 0])
 
     def _values(self, V):
@@ -770,20 +777,22 @@ def point_scope(metric, point, order=BUNDLE_ORDER) -> FieldScope:
     return FieldScope(metric, point, order)
 
 
-def _ensure_scope(metric, point, scope, op=None, order=None):
-    """``scope``, or a new single-point one at ``order`` (by default the
-    least ``op`` needs).  A given scope must be a single-point one, or
-    BadConfig: a scope made for a list of points gives values with a point
-    axis.  With an ``op``, raises OrderExceeded below ``MIN_ORDER[op]``."""
+def _ensure_scope(metric, point, scope, op, reads, order=None):
+    """``scope``, or a new single-point one at ``order``, by default the
+    least the keys ``reads`` of the operation ``op`` need (:func:`least_order`).
+    A given scope must be a single-point one, or BadConfig: a scope made for
+    a list of points gives values with a point axis.  Below that least
+    order, raises OrderExceeded naming ``op``."""
+    least = least_order(reads)
     if scope is not None:
         if scope.point is None:
             raise BadConfig(f"a single-point call needs a single-point scope, got one of "
                             f"{len(scope.points)} point(s)")
         order = scope.order
     elif order is None:
-        order = MIN_ORDER[op]
-    if op is not None and order < MIN_ORDER[op]:
-        raise OrderExceeded(f"{op} needs seed order >= {MIN_ORDER[op]}, got {order}")
+        order = least
+    if order < least:
+        raise OrderExceeded(f"{op} needs seed order >= {least}, got {order}")
     return scope if scope is not None else point_scope(metric, point, order)
 
 
@@ -796,23 +805,15 @@ _SPRAY_PARTIALS = ("x", "yy", "yx", "yyy", "yyx", "yyyy", "yyyx")
 class _SprayPlan:
     """What :func:`spray_values` runs at one depth of one tape, resolved
     once and kept in ``tape.plans``: the seed program of F (``program``, in
-    the order-(2 + depth), x-degree-cap-1 algebra) and where the partials
-    of ``_SPRAY_PARTIALS`` it holds sit in F^2 = F * F.
-
-    Those are the pairs (mi, mj) of the product F * F (``alg.product`` on
-    F's support, ``jets`` module docstring) that land on a coefficient
-    read, in table order, with that coefficient's place among
-    those read (``bins``, ``count`` of them), each partial's coefficient as
-    such a place (``where``), its factorial ``scale``, and {pattern:
-    (slice, shape)} to split the partials into blocks.  A bincount over
-    these pairs adds each coefficient read from the same pairs in the same
-    order as the product of two F jets does, so on finite coefficients it
-    equals the whole table's sum bit for bit, and where one is inf or NaN
-    it is the exact product of the two polynomials.  A constant formula has
-    no pairs: :func:`_F_coef` rejects it first.
+    the order-(2 + depth), x-degree-cap-1 algebra), the kernel of F * F on
+    F's support (``square``, ``jets.step``), and the partials of
+    ``_SPRAY_PARTIALS`` that algebra holds: each one's coefficient of F^2
+    (``index``), its factorial ``scale``, and {pattern: (slice, shape)} to
+    split them into blocks.  A constant formula has no support, and no
+    square: :func:`_F_coef` rejects it first.
     """
 
-    __slots__ = ("program", "mi", "mj", "bins", "count", "where", "scale", "split")
+    __slots__ = ("program", "square", "index", "scale", "split")
 
     def __init__(self, tape, depth):
         alg = _algebra(2 * tape.n, 2 + depth, 1)
@@ -820,6 +821,7 @@ class _SprayPlan:
         support = self.program.support
         if support is None:
             return
+        self.square = step("*", alg, support, support)[0]
         n = tape.n
         idx, scale, self.split = [], [], {}
         for pattern in _SPRAY_PARTIALS:
@@ -833,18 +835,13 @@ class _SprayPlan:
                     exps[i if kind == "x" else n + i] += 1
                 idx.append(alg.index[tuple(exps)])
                 scale.append(math.prod(math.factorial(e) for e in exps))
-        read, self.where = np.unique(idx, return_inverse=True)
-        place = np.full(alg.size, -1)
-        place[read] = np.arange(read.size)
-        (mi, mj, mo), _ = alg.product(support, support)
-        keep = place[mo] >= 0
-        self.mi, self.mj, self.bins, self.count = mi[keep], mj[keep], place[mo[keep]], read.size
+        self.index = np.array(idx)
         self.scale = np.array(scale, dtype=float)
 
     def partials(self, f):
         """The partials of F^2 from F's coefficients f, by pattern: each a
         C-contiguous block, so every matmul on it sums in one order."""
-        flat = np.bincount(self.bins, f[self.mi] * f[self.mj], self.count)[self.where] * self.scale
+        flat = self.square(f, f)[self.index] * self.scale
         return {p: flat[part].reshape(shape) for p, (part, shape) in self.split.items()}
 
 
@@ -856,10 +853,10 @@ def spray_values(metric, x, y, depth=0):
     No :class:`FieldScope` and no ``Jet``: the tape's plan for this depth
     (:class:`_SprayPlan`) runs F's seed program on the point's seed block,
     in the order-(2 + depth) algebra with x-degree cap 1, since every
-    pattern in ``_SPRAY_PARTIALS`` holds one x at most.  It sums only the
-    coefficients of F^2 those patterns read, and the rest is float linear
-    algebra.  With A = g and b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l, u = 4G
-    solves A u = b, and differentiating that system in y gives
+    pattern in ``_SPRAY_PARTIALS`` holds one x at most, and squares F; the
+    rest is float linear algebra.  With A = g and
+    b_l = y^k d^2F^2/dx^k dy^l - dF^2/dx^l, u = 4G solves A u = b, and
+    differentiating that system in y gives
 
         u_{,j}  = A^{-1} (b_{,j} - A_{,j} u)                                  = 4 N_j
         u_{,jk} = A^{-1} (b_{,jk} - A_{,jk} u - A_{,j} u_{,k} - A_{,k} u_{,j})  = 4 Gamma_jk
@@ -917,7 +914,7 @@ def _route_residual(scope, name, other):
 
 def flag_curvature(metric, point, u, scope=None):
     """Sectional (flag) curvature of the plane span(y, u) with pole y."""
-    scope = _ensure_scope(metric, point, scope, "flag")
+    scope = _ensure_scope(metric, point, scope, "flag", ("g0", "R1"))
     n = scope.n
     u = np.asarray(u, dtype=float)
     if u.shape != (n,):
@@ -980,11 +977,12 @@ class CurvatureBundle:
 def curvature_bundle(metric, point, order=BUNDLE_ORDER, scope=None) -> CurvatureBundle:
     """Evaluate the full tower at one point, with route cross-checks.
 
-    Needs order >= 6; the stretch-vs-hh-curvature diagnostic additionally
-    needs order >= 7 and reports None below that.  Given a ``scope``, it
-    reads that scope at its point and order.
+    Needs order >= ``least_order(BUNDLE_READS)``, 6; the
+    stretch-vs-hh-curvature diagnostic reads RhhV and needs ``BUNDLE_ORDER``,
+    7: it reports None below that.  Given a ``scope``, it reads that scope
+    at its point and order.
     """
-    scope = _ensure_scope(metric, point, scope, "bundle", order)
+    scope = _ensure_scope(metric, point, scope, "bundle", BUNDLE_READS, order)
     blocks = {name: TensorBlock(name, scope.values(f), VALENCE[f]) for name, f in BLOCKS.items()}
     F = scope.values("F")
     C, L, R1, Rhh, Sigma = (blocks[k] for k in ("C", "L", "R1", "Rhh", "Sigma"))
@@ -1006,7 +1004,7 @@ def curvature_bundle(metric, point, order=BUNDLE_ORDER, scope=None) -> Curvature
         floor=max(R1.norm, 1.0),
     )
     diag["stretch_bianchi"] = None
-    if scope.order >= 7:
+    if scope.order >= BUNDLE_ORDER:
         RhhV = scope.values("RhhV")
         sigma_b = np.einsum("i,ijklm->jmkl", scope.values("ylow"), RhhV)
         diag["stretch_bianchi"] = rel_residual(Sigma.values, sigma_b, floor=max(Sigma.norm, 1.0))

@@ -286,26 +286,17 @@ class _Parser:
 
 
 def _const_value(node, pos):
-    """Exponents must be constant expressions; fold them at parse time."""
+    """Exponents must be constant expressions; fold them at parse time with
+    the tape's own float ops, which raise DomainError and DivisionByZero
+    where evaluation would."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Neg):
-        return -_const_value(node.child, pos)
+        return _UNARY["neg"](_const_value(node.child, pos), None)
     if isinstance(node, Bin):
-        a = _const_value(node.left, pos)
-        b = _const_value(node.right, pos)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0:
-                raise ParseError("division by zero in constant exponent", pos)
-            return a / b
+        return _BINARY[node.op](_const_value(node.left, pos), _const_value(node.right, pos))
     if isinstance(node, Pow):
-        return _const_value(node.base, pos) ** node.exponent
+        return _power(_const_value(node.base, pos), node.exponent)
     raise ParseError("exponent must be a constant expression", pos)
 
 

@@ -62,7 +62,7 @@ from .errors import (
 )
 
 # Dormand-Prince 5(4) tableau: stage s reads row s of _A, zero from column s
-# on; _E weighs the stages into the embedded error estimate
+# on; its last row is the fifth-order weights _B5, _E the error estimate's
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array([row + [0.0] * (7 - len(row)) for row in [
     [],
@@ -73,7 +73,7 @@ _A = np.array([row + [0.0] * (7 - len(row)) for row in [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]])
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B5 = _A[6]
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -674,7 +674,7 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
     cols = {name: np.full(samples, np.nan) for name in names}
     cols["F"] = np.full(samples, np.nan)
     status = {name: "ok" for name in names}
-    for row, (_, read) in enumerate(analysis._point_reads(metric, states, 5, keys)):
+    for row, (_, read) in enumerate(analysis._point_reads(metric, states, keys)):
         cols["F"][row] = read("F")
         for name in names:
             if status[name] != "ok":

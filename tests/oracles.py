@@ -1466,7 +1466,8 @@ def berwald_frame(metric, point, scope=None, with_mu=False):
     """
     if metric.n != 2:
         raise DimensionError(f"frame needs n = 2, got n = {metric.n}")
-    sc = _ensure_scope(metric, point, scope, order=5)
+    reads = ("frame2", "g", "F", "I2", ("vderiv", "I2")) + (("mu2",) if with_mu else ())
+    sc = _ensure_scope(metric, point, scope, "frame", reads)
     dI = sc.vderiv("I2")
     ell, m = sc.values("frame2")
     g = sc.values("g")

@@ -27,6 +27,7 @@ from finslerlab.curvature import (
     PointState,
     curvature_bundle,
     flag_curvature,
+    least_order,
     point_scope,
 )
 from finslerlab.errors import (
@@ -412,11 +413,11 @@ def test_classify_summary_mentions_every_flag(funk2):
 
 # --- point-batched scopes ---
 
-#: the seed order and the fields each batched driver reads
+#: the fields each batched driver reads, at their least seed order
 BATCHED_READS = {
-    "classify": (an._CLASSIFY_ORDER, tuple(an._FLAG_FIELDS.values())),
-    "stretch": (an._STRETCH_ORDER, ("Sigma", "D", "F")),
-    "chain": (6, an._CHAIN_FIELDS),
+    "classify": tuple(an._FLAG_FIELDS.values()),
+    "stretch": ("Sigma", "D", "F"),
+    "chain": an._CHAIN_FIELDS,
 }
 
 
@@ -431,7 +432,8 @@ def assert_bitwise(got, want):
        seed=st.integers(0, 2**16), driver=st.sampled_from(sorted(BATCHED_READS)))
 def test_batched_scope_equals_single_point_scopes(corpus, name, count, seed, driver):
     m = corpus[name]
-    order, names = BATCHED_READS[driver]
+    names = BATCHED_READS[driver]
+    order = least_order(names)
     states = an.sample_states(m, count, seed)
     batched = FieldScope(m, states, order)
     tables = {f: batched.values(f) for f in names}
@@ -492,7 +494,7 @@ def _raised(call):
 
 
 def _first_ratio(m, state):
-    sc = point_scope(m, state, an._STRETCH_ORDER)
+    sc = point_scope(m, state, least_order(BATCHED_READS["stretch"]))
     return an._stretch_ratio_values(sc.values("Sigma"), sc.values("D"), sc.values("F"))
 
 
@@ -507,7 +509,7 @@ def _error_case(case):
         m = build_metric(builtin("funk2"))
         out = PointState((1.2, 0.0), (1.0, 0.0))
         return (lambda: an.fit_relative_stretch(m, points=an.sample_states(m, 2, seed=4) + [out]),
-                lambda: point_scope(m, out, an._STRETCH_ORDER))
+                lambda: point_scope(m, out, least_order(BATCHED_READS["stretch"])))
     # quartic2 is locally Minkowski (R = 0, and D = 0, so the stretch fit is
     # undefined) and g degenerates where y is on an axis: the batched build
     # fails at the last point

@@ -585,6 +585,31 @@ def test_samples_below_one_exit_2(funk2_spec, capsys, command, samples):
     _assert_rejected(capsys)
 
 
+@pytest.mark.parametrize("order", ["5", "1", "-1"])
+def test_report_order_below_the_bundles_least_exits_2(funk2_spec, capsys, order):
+    assert main(["report", funk2_spec, "--samples", "1", "--order", order]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --order must be >= 6, the bundle's least seed order, got {order}\n")
+
+
+def test_report_order_six_reports_no_stretch_bianchi(funk2_spec, capsys):
+    assert main(["report", funk2_spec, "--samples", "1", "--order", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["order"] == 6 and "stretch_bianchi" not in doc["points"][0]["diagnostics"]
+
+
+@pytest.mark.parametrize("command", ["report", "classify"])
+def test_complex_constant_exponent_exits_2(tmp_path, capsys, command):
+    # (-8)^(1/3) has no real value: folded with the tape's own power, it is
+    # the DomainError the expression grammar promises, not a complex exponent
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"dimension": 2, "family": "custom",
+                             "expression": "sqrt(abs2(y))*(y1^2+1)^((-8)^(1/3))"}))
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: expression: negative base -8 with non-integer power\n")
+
+
 @pytest.mark.parametrize("tol", ["0", "nan", "-1e-10", "inf", "-inf"])
 def test_geodesic_tolerance_must_be_finite_and_positive(funk2_spec, capsys, tol):
     argv = ["geodesic", funk2_spec, "--x0", "0.1,0", "--y0", "0.5,0.3", "--samples", "2"]

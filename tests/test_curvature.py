@@ -519,6 +519,24 @@ def test_scope_order_guards(funk2):
         curvature_bundle(funk2, p, order=4)
 
 
+@pytest.mark.parametrize("how,field,jet_order,need", [
+    ("values", "RhhV", 0, 7), ("values", "Bh", 0, 6), ("directional", "cratio", 1, 6),
+    ("hderiv", "Sigma", 1, 6), ("vderiv", "B", 1, 6),
+])
+@pytest.mark.parametrize("points", [1, 3])
+def test_a_read_the_seed_order_cannot_hold_builds_nothing(corpus, how, field, jet_order, need,
+                                                          points):
+    # it raises before building a field, and names the field, the jet order
+    # read and the least seed order that holds it
+    m = corpus["funk3"]
+    states = [PointState((0.1 * p, -0.2, 0.1), (0.8, 0.5, -0.3)) for p in range(points)]
+    sc = FieldScope(m, states[0] if points == 1 else states, 5)
+    message = f"{field} through jet order {jet_order} needs seed order >= {need}, got 5"
+    with pytest.raises(OrderExceeded, match=message):
+        getattr(sc, how)(field)
+    assert sc._cache == {} and sc._built == {}
+
+
 def test_scope_chart_guard(funk2):
     with pytest.raises(OutOfChart):
         point_scope(funk2, PointState((1.2, 0.0), (1.0, 0.0)), 2)

@@ -92,6 +92,24 @@ def test_power_requires_constant_exponent():
         parse("y1^x1")
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("y1^((-8)^(1/3))", DomainError, "negative base -8 with non-integer power"),
+    ("y1^(0^(-1))", DivisionByZero, "zero base with negative power"),
+    ("y1^(1/(2-2))", DivisionByZero, "float division by zero"),
+])
+def test_constant_exponent_folds_with_the_tape_ops(text, error, message):
+    # the exponent's own power and division raise as the tape's would
+    with pytest.raises(error, match=message):
+        parse(text)
+
+
+def test_constant_exponent_folds_to_real_floats():
+    for text, want in (("y1^(1/3)", 1 / 3), ("y1^(-2^2)", -4.0), ("y1^(1-1/4*2)", 0.5),
+                       ("y1^((-8)^(1/3*3))", -8.0), ("y1^(-(8^(1/3)))", -(8.0 ** (1 / 3)))):
+        got = parse(text).exponent
+        assert type(got) is float and got == want
+
+
 def test_arity_error():
     with pytest.raises(ArityError):
         parse("dot(x)")

@@ -14,7 +14,15 @@ import pytest
 
 from finslerlab import analysis as an
 from finslerlab import cli
-from finslerlab.curvature import PointState, point_scope
+from finslerlab.curvature import (
+    BLOCKS,
+    FieldScope,
+    PointState,
+    curvature_bundle,
+    flag_curvature,
+    least_order,
+    point_scope,
+)
 from finslerlab.errors import BadConfig, FinslerError
 from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
 from finslerlab.transport import _FLOW_QUANTITIES, integrate_geodesic, scalar_flows
@@ -134,7 +142,7 @@ def test_point_reads_rerun_raises_the_first_failing_state():
     keys = ("F", ("directional", "phi"), "C")
     seen = []
     with pytest.raises(FinslerError) as err:
-        for st, read in an._point_reads(m, states, 5, keys):
+        for st, read in an._point_reads(m, states, keys):
             sc = point_scope(m, st, 5)
             assert [canon(read(k)) for k in keys] == [canon(an._read(sc, k)) for k in keys]
             seen.append(st)
@@ -187,3 +195,79 @@ def test_too_few_samples_raise_bad_config(geodesics, driver):
         with pytest.raises(BadConfig, match=f"samples must be >= {least}, got {samples}"):
             fn(m, geo, samples=samples)
     fn(m, geo, samples=least)
+
+
+# --- seed orders ---
+
+#: each operation, the built-in it runs on, the keys it reads and their least
+#: seed order; flows on several quantity sets
+_SUITE_ARGS = argparse.Namespace(samples=2, seed=3, tol=1e-6)
+SCOPE_READS = {
+    "classify": (lambda m, g: an.classify(m, samples=2, seed=1), "funk3",
+                 ("C", "B", "L_C", "J_I", "E", "Sigma", "RhhV"), 7),
+    "stretch": (lambda m, g: an.fit_relative_stretch(m, count=2, seed=1), "funk3",
+                ("Sigma", "D", "F"), 5),
+    "chain": (lambda m, g: an.check_constant_flag_chain(m, samples=2, seed=1), "funk3",
+              ("R1", "F", "ylow", "g", "C", "Rhh", "Sigma", "D", "L_C", "J_I", "I"), 6),
+    "constancy": (lambda m, g: an.check_characteristic_constancy(m, g, samples=2), "funk3",
+                  ("g_inv", "h", "C", "I"), 3),
+    "principal-scalar": (lambda m, g: an.check_principal_scalar_relation(m, g, samples=2),
+                         "funk2", (("directional", "mu2"), "cratio", "mu2", "F"), 5),
+    "dichotomy": (lambda m, g: an.check_stretch_dichotomy(m, g, samples=2), "funk2",
+                  (("directional", "cratio"), "cratio", "F", "R1", "ylow"), 6),
+    "flows-F": (lambda m, g: scalar_flows(m, g, quantities=(), samples=2), "funk2", ("F",), 2),
+    "flows-p": (lambda m, g: scalar_flows(m, g, quantities=("p",), samples=2), "funk3",
+                ("F", "g_inv", "h", "C", "I"), 3),
+    "flows-phi": (lambda m, g: scalar_flows(m, g, samples=2), "funk2", ("F", "phi"), 4),
+    "flows-mu": (lambda m, g: scalar_flows(m, g, quantities=("mu", "p"), samples=2), "funk2",
+                 ("F", "mu2", "g_inv", "h", "C", "I"), 4),
+    "flows-c": (lambda m, g: scalar_flows(m, g, quantities=("c", "phi"), samples=2), "funk2",
+                ("F", "cratio", "phi"), 5),
+    "flows-rate": (lambda m, g: scalar_flows(m, g, quantities=("phi",), c=-1.0, samples=2),
+                   "funk2", ("F", "phi", ("directional", "phi")), 5),
+    "bianchi": (lambda m, g: cli._suite_bianchi(m, _SUITE_ARGS), "funk2",
+                ("RhhV", "Bh", "ylow", "Sigma"), 7),
+    "landsberg-routes": (lambda m, g: cli._suite_landsberg_routes(m, _SUITE_ARGS), "funk2",
+                         ("L_C", "L_B", "J_I", "J_L", "gh", "gv", "C"), 5),
+    "bundle": (lambda m, g: curvature_bundle(m, PointState(*g.state(0.2))), "funk2",
+               (*BLOCKS.values(), "Fh", "ylow", "RhhV"), 7),
+    "flag": (lambda m, g: flag_curvature(m, PointState(*g.state(0.2)), (0.3, 1.0)), "funk2",
+             ("g0", "R1"), 4),
+    "semi-c": (lambda m, g: an.fit_semi_c_reducible(m, PointState(*g.state(0.2))), "funk3",
+               ("g_inv", "h", "C", "I"), 3),
+}
+
+
+@pytest.fixture()
+def scope_orders(monkeypatch):
+    """The seed order of every FieldScope made from here on, in order."""
+    orders = []
+    init = FieldScope.__init__
+
+    def recorded(self, metric, point, order):
+        init(self, metric, point, order)
+        orders.append(order)
+
+    monkeypatch.setattr(FieldScope, "__init__", recorded)
+    return orders
+
+
+@pytest.mark.parametrize("op", list(SCOPE_READS))
+def test_every_scope_is_built_at_the_least_order_of_its_reads(geodesics, scope_orders, op):
+    call, name, keys, least = SCOPE_READS[op]
+    call(*geodesics[name])
+    assert least_order(keys) == least
+    assert scope_orders == [least]
+
+
+@pytest.mark.parametrize("name,fit_order", [("funk2", 4), ("funk3", 3)])
+def test_report_scopes_are_built_at_the_least_order_of_their_reads(tmp_path, scope_orders,
+                                                                   name, fit_order):
+    # a bundle (and its flag) per point at the default order 7, then one
+    # scope for the stretch fit and one for the torsion fit: the principal
+    # scalar's mu2 and I2, or the torsion shape's g_inv, h, C and I
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(builtin(name).to_dict()))
+    assert cli.main(["report", str(path), "--samples", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert least_order(("mu2", "I2")) == 4 and least_order(an._SEMI_C_FIELDS) == 3
+    assert scope_orders == [7, 7, 5, fit_order]
