@@ -482,8 +482,10 @@ def check_constant_flag_chain(
     lam is fitted from R^i_k at every point; a poor isotropic fit or a
     spread above ``spread_tolerance`` raises NotConstantCurvature.  At
     points where the stretch ratio is undefined, or lam is numerically
-    zero, (c) and (d) are skipped and noted.
+    zero, (c) and (d) are skipped and noted.  n = 1 has no flag: DimensionError.
     """
+    if metric.n < 2:
+        raise DimensionError(f"constant-flag chain needs n >= 2, got n = {metric.n}")
     states = _as_states(metric, points, samples, seed)
     lams, iso_resids = [], []
     reads = []
@@ -577,6 +579,8 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
     exponential branches); the bracket residual decides pass/fail.  c' is
     the directional derivative of the fitted ratio field along the flow.
     """
+    if metric.n < 2:
+        raise DimensionError(f"stretch dichotomy needs n >= 2, got n = {metric.n}")
     ts, states = _geodesic_states(geodesic, samples)
     keys = (("directional", "cratio"), "cratio", "F", "R1", "ylow")
     rows = {"c": [], "c_prime": [], "lambda": [], "W": [], "bracket": []}

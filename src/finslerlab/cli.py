@@ -31,6 +31,7 @@ from the ``version`` field.  Default tolerances: 1e-6 for identity residuals,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -41,13 +42,14 @@ import numpy as np
 
 from . import __version__, analysis
 from .curvature import (
+    BLOCKS,
+    BUNDLE_IDENTITIES,
     BUNDLE_ORDER,
-    BUNDLE_READS,
+    IDENTITIES,
     PointState,
     curvature_bundle,
     flag_curvature,
     least_order,
-    rel_residual,
 )
 from .errors import (
     BadConfig,
@@ -119,7 +121,7 @@ def _check_options(args):
     and > 0."""
     if args.samples < 1:
         raise SpecError(f"--samples must be >= 1, got {args.samples}")
-    least = least_order(BUNDLE_READS)
+    least = least_order(BLOCKS.values())
     if args.command == "report" and args.order < least:
         raise SpecError(f"--order must be >= {least}, the bundle's least seed order, got {args.order}")
     if args.command == "geodesic" and not 0.0 < args.tol < math.inf:
@@ -255,49 +257,18 @@ def cmd_report(args):
 # verify
 
 
-def _suite_identities(metric, args):
-    rows = []
-    for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
-        bundle = curvature_bundle(metric, st)
-        for name, value in bundle.diagnostics.items():
-            if value is None:
-                continue
-            rows.append((name, idx, float(value), args.tol))
-    return rows
-
-
-def _suite_bianchi(metric, args):
-    """Both curvature identities: the vertical derivative of the hh-curvature
-    against the antisymmetrized horizontal derivative of the Berwald tensor,
-    and the stretch tensor against y contracted into that vertical derivative."""
-    rows = []
+def _identity_rows(checks, metric, args):
+    """A suite of identities: ``checks`` maps each row label to its entry of
+    ``IDENTITIES``, evaluated at every sample, whose fields are read through
+    one ``analysis._point_reads`` of the union of the entries' reads."""
     states = analysis.sample_states(metric, args.samples, args.seed)
-    reads = analysis._point_reads(metric, states, ("RhhV", "Bh", "ylow", "Sigma"))
-    for idx, (_, read) in enumerate(reads):
-        RhhV = read("RhhV")
-        Bh = read("Bh")
-        rhs = np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh)
-        rows.append(("curvature-derivative", idx, rel_residual(RhhV, rhs, floor=1.0), args.tol))
-        pred = np.einsum("i,ijklm->jmkl", read("ylow"), RhhV)
-        rows.append(
-            ("stretch-from-curvature", idx, rel_residual(read("Sigma"), pred, floor=1.0), args.tol)
-        )
-    return rows
-
-
-def _suite_landsberg_routes(metric, args):
+    keys = tuple(dict.fromkeys(key for name in checks.values() for key in IDENTITIES[name][0]))
     rows = []
-    states = analysis.sample_states(metric, args.samples, args.seed)
-    reads = analysis._point_reads(metric, states, ("L_C", "L_B", "J_I", "J_L", "gh", "gv", "C"))
-    for idx, (_, read) in enumerate(reads):
-        pairs = (
-            ("landsberg-two-routes", read("L_C"), read("L_B")),
-            ("mean-landsberg-two-routes", read("J_I"), read("J_L")),
-            ("metric-h-derivative", read("gh"), -2.0 * read("L_C")),
-            ("metric-v-derivative", read("gv"), 2.0 * read("C")),
-        )
-        # floor 1: route agreement is meaningful in absolute terms too
-        rows += [(check, idx, rel_residual(a, b, floor=1.0), args.tol) for check, a, b in pairs]
+    for idx, (st, read) in enumerate(analysis._point_reads(metric, states, keys)):
+        y = np.asarray(st.y)
+        for label, name in checks.items():
+            reads, residual = IDENTITIES[name]
+            rows.append((label, idx, residual(y, *map(read, reads)), args.tol))
     return rows
 
 
@@ -356,9 +327,14 @@ def _suite_flows(metric, args):
 #: verification suites; "theorem3" is a compatibility alias kept stable for
 #: external harnesses and runs the principal-scalar suite
 _SUITE_FNS = {
-    "identities": _suite_identities,
-    "bianchi": _suite_bianchi,
-    "landsberg-routes": _suite_landsberg_routes,
+    "identities": functools.partial(_identity_rows, {k: k for k in BUNDLE_IDENTITIES}),
+    "bianchi": functools.partial(_identity_rows, {"curvature-derivative": "curvature_derivative",
+                                                  "stretch-from-curvature": "stretch_bianchi"}),
+    "landsberg-routes": functools.partial(_identity_rows, {
+        "landsberg-two-routes": "landsberg_routes",
+        "mean-landsberg-two-routes": "mean_landsberg_routes",
+        "metric-h-derivative": "metric_h_derivative", "metric-v-derivative": "metric_v_derivative",
+    }),
     "constant-flag": _suite_constant_flag,
     "principal-scalar": _suite_principal_scalar,
     "theorem3": _suite_principal_scalar,
@@ -370,31 +346,15 @@ SUITES = tuple(_SUITE_FNS)
 def cmd_verify(args):
     _check_options(args)
     _, metric = _load_metric(args.spec)
-    rows = _SUITE_FNS[args.suite](metric, args)
+    fields = ["suite", "check", "point", "value", "tolerance", "verdict"]
     table = []
-    failed = 0
-    for check, point, value, tol in rows:
-        if tol is None:
-            verdict = "info"
-        elif value <= tol:
-            verdict = "pass"
-        else:
-            verdict = "fail"
-            failed += 1
-        table.append(
-            {
-                "suite": args.suite,
-                "check": check,
-                "point": point,
-                "value": value,
-                "tolerance": "" if tol is None else tol,
-                "verdict": verdict,
-            }
-        )
+    for check, point, value, tol in _SUITE_FNS[args.suite](metric, args):
+        verdict = "info" if tol is None else "pass" if value <= tol else "fail"  # NaN fails
+        tolerance = "" if tol is None else tol
+        table.append(dict(zip(fields, (args.suite, check, point, value, tolerance, verdict))))
+    failed = sum(row["verdict"] == "fail" for row in table)
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["suite", "check", "point", "value", "tolerance", "verdict"]
-    )
+    writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
     writer.writerows(table)
     if args.out:

@@ -221,10 +221,43 @@ def least_order(keys):
     return max([2] + [DEPTH[k] if isinstance(k, str) else DEPTH[k[1]] + 1 for k in keys])
 
 
-#: what a bundle reads: its blocks and, for its diagnostics, Fh and y_i.  It
-#: reads RhhV too where the seed order holds it, as it does by default.
-BUNDLE_READS = (*BLOCKS.values(), "Fh", "ylow")
-BUNDLE_ORDER = least_order(BUNDLE_READS + ("RhhV",))
+def _routes(y, a, b):
+    """Residual of two routes to one tensor, floored at 1: they must agree in absolute terms too."""
+    return rel_residual(a, b, floor=1.0)
+
+
+def _y_trace(y, T):
+    """Residual of y contracted into T's first slot, which vanishes, against T's norm or 1."""
+    return rel_residual(np.einsum("i,ijk->jk", y, T), floor=max(float(np.max(np.abs(T))), 1.0))
+
+
+#: Each curvature identity by name: the fields it reads and its residual,
+#: ``residual(y, *values)`` from y and their values at one point.  The first
+#: seven are a bundle's diagnostics (``BUNDLE_IDENTITIES``); the verify
+#: suites run any of them.
+IDENTITIES = {
+    # F is horizontally constant: a strong wiring check on G and N
+    "horizontal_F": (("Fh", "F"), lambda y, Fh, F: float(np.max(np.abs(Fh))) / F),
+    "cartan_y_trace": (("C",), _y_trace),
+    "landsberg_y_trace": (("L_B",), _y_trace),
+    "landsberg_routes": (("L_B", "L_C"), _routes),
+    "mean_landsberg_routes": (("J_L", "J_I"), _routes),
+    # y^j y^l R_j^i_kl recovers R^i_k
+    "riemann_y_trace": (("Rhh", "R1"),
+                        lambda y, Rhh, R1: _routes(y, np.einsum("j,l,ijkl->ik", y, y, Rhh), R1)),
+    # Sigma_jmkl = y_i R_j^i_kl.m, and R_j^i_kl.m = B^i_jml|k - B^i_jmk|l
+    "stretch_bianchi": (("Sigma", "ylow", "RhhV"), lambda y, Sigma, ylow, RhhV: _routes(
+        y, Sigma, np.einsum("i,ijklm->jmkl", ylow, RhhV))),
+    "curvature_derivative": (("RhhV", "Bh"), lambda y, RhhV, Bh: _routes(
+        y, RhhV, np.einsum("ijmlk->ijklm", Bh) - np.einsum("ijmkl->ijklm", Bh))),
+    # g_ij|k = -2 L_ijk and g_ij.k = 2 C_ijk
+    "metric_h_derivative": (("gh", "L_C"), lambda y, gh, L_C: _routes(y, gh, -2.0 * L_C)),
+    "metric_v_derivative": (("gv", "C"), lambda y, gv, C: _routes(y, gv, 2.0 * C)),
+}
+BUNDLE_IDENTITIES = tuple(IDENTITIES)[:7]
+#: the least seed order of each identity's reads, which the default bundle order holds
+_IDENTITY_ORDER = {name: least_order(reads) for name, (reads, _) in IDENTITIES.items()}
+BUNDLE_ORDER = max(least_order(BLOCKS.values()), *map(_IDENTITY_ORDER.get, BUNDLE_IDENTITIES))
 
 
 @functools.lru_cache(maxsize=None)
@@ -906,12 +939,6 @@ def spray_values(metric, x, y, depth=0):
     return out
 
 
-def _route_residual(scope, name, other):
-    """Residual of field ``name`` against the second route ``other``."""
-    a = scope.values(name)
-    return rel_residual(a, scope.values(other), floor=max(1.0, float(np.max(np.abs(a)))))
-
-
 def flag_curvature(metric, point, u, scope=None):
     """Sectional (flag) curvature of the plane span(y, u) with pole y."""
     scope = _ensure_scope(metric, point, scope, "flag", ("g0", "R1"))
@@ -977,43 +1004,25 @@ class CurvatureBundle:
 def curvature_bundle(metric, point, order=BUNDLE_ORDER, scope=None) -> CurvatureBundle:
     """Evaluate the full tower at one point, with route cross-checks.
 
-    Needs order >= ``least_order(BUNDLE_READS)``, 6; the
-    stretch-vs-hh-curvature diagnostic reads RhhV and needs ``BUNDLE_ORDER``,
-    7: it reports None below that.  Given a ``scope``, it reads that scope
-    at its point and order.
+    Needs order >= ``least_order(BLOCKS.values())``, 6.  The diagnostics are
+    the ``BUNDLE_IDENTITIES`` entries of ``IDENTITIES``, each None where the
+    order cannot hold its reads (``_IDENTITY_ORDER``): stretch_bianchi reads
+    RhhV and needs ``BUNDLE_ORDER``, 7.  Given a ``scope``, it reads that
+    scope at its point and order.
     """
-    scope = _ensure_scope(metric, point, scope, "bundle", BUNDLE_READS, order)
+    scope = _ensure_scope(metric, point, scope, "bundle", BLOCKS.values(), order)
     blocks = {name: TensorBlock(name, scope.values(f), VALENCE[f]) for name, f in BLOCKS.items()}
-    F = scope.values("F")
-    C, L, R1, Rhh, Sigma = (blocks[k] for k in ("C", "L", "R1", "Rhh", "Sigma"))
-
     y = np.asarray(scope.point.y)
     diag = {}
-
-    # F is horizontally constant; strong wiring check on G and N.
-    Fh = scope.values("Fh")
-    diag["horizontal_F"] = float(np.max(np.abs(Fh))) / F
-
-    for key, T in (("cartan_y_trace", C), ("landsberg_y_trace", L)):
-        diag[key] = rel_residual(np.einsum("i,ijk->jk", y, T.values), floor=max(T.norm, 1.0))
-    diag["landsberg_routes"] = _route_residual(scope, "L_B", "L_C")
-    diag["mean_landsberg_routes"] = _route_residual(scope, "J_L", "J_I")
-    # y^j y^l R_j^i_kl recovers R^i_k
-    diag["riemann_y_trace"] = rel_residual(
-        np.einsum("j,l,ijkl->ik", y, y, Rhh.values), R1.values,
-        floor=max(R1.norm, 1.0),
-    )
-    diag["stretch_bianchi"] = None
-    if scope.order >= BUNDLE_ORDER:
-        RhhV = scope.values("RhhV")
-        sigma_b = np.einsum("i,ijklm->jmkl", scope.values("ylow"), RhhV)
-        diag["stretch_bianchi"] = rel_residual(Sigma.values, sigma_b, floor=max(Sigma.norm, 1.0))
-
+    for name in BUNDLE_IDENTITIES:
+        reads, residual = IDENTITIES[name]
+        held = _IDENTITY_ORDER[name] <= scope.order
+        diag[name] = residual(y, *map(scope.values, reads)) if held else None
     return CurvatureBundle(
         point=scope.point,
         label=getattr(metric, "label", ""),
         order=scope.order,
-        F=F,
+        F=scope.values("F"),
         blocks=blocks,
         diagnostics=diag,
         scope=scope,

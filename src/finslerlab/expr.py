@@ -237,8 +237,9 @@ class _Parser:
         t = self.peek()
         if t and t.kind == "op" and t.text == "^":
             self.next()
-            exp_node = self.unary()
-            value = _const_value(exp_node, t.pos)
+            value = _const_value(self.unary(), t.pos)
+            if not math.isfinite(value):
+                raise DomainError(f"exponent folds to {value}, not a finite number")
             return Pow(base, value)
         return base
 
@@ -287,16 +288,17 @@ class _Parser:
 
 def _const_value(node, pos):
     """Exponents must be constant expressions; fold them at parse time with
-    the tape's own float ops, which raise DomainError and DivisionByZero
-    where evaluation would."""
+    the tape's own float ops (:func:`_constant`), which raise DomainError
+    and DivisionByZero where evaluation would."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Neg):
         return _UNARY["neg"](_const_value(node.child, pos), None)
     if isinstance(node, Bin):
-        return _BINARY[node.op](_const_value(node.left, pos), _const_value(node.right, pos))
+        return _constant(_BINARY[node.op], _const_value(node.left, pos),
+                         _const_value(node.right, pos))
     if isinstance(node, Pow):
-        return _power(_const_value(node.base, pos), node.exponent)
+        return _constant(_power, _const_value(node.base, pos), node.exponent)
     raise ParseError("exponent must be a constant expression", pos)
 
 
@@ -369,6 +371,16 @@ def _function(name):
     return apply
 
 
+def _constant(f, a, b):
+    """Tape op f on constant operands, for folding; an overflow is a DomainError naming it."""
+    try:
+        return f(a, b)
+    except OverflowError:
+        kind = _KIND[f]
+        raise DomainError(f"{kind}({a:.6g}) overflows" if kind in _UNARY
+                          else f"{a:.6g} {kind} {b:.6g} overflows") from None
+
+
 # every op is f(a, b); a unary one is given its operand twice.  The keys are
 # the operations' names in ``jets.step``.
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
@@ -419,7 +431,9 @@ def fold(node, n, constants):
     else:
         f, arg = (_UNARY["neg"], node.child) if isinstance(node, Neg) else (_UNARY[node.fn], node.args[0])
         a = b = fold(arg, n, constants)
-    return Num(f(a.value, b.value)) if isinstance(a, Num) and isinstance(b, Num) else Op(f, a, b)
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(_constant(f, a.value, b.value))
+    return Op(f, a, b)
 
 
 class Tape:

@@ -36,8 +36,8 @@ maximum of the step gate's values must match bit for bit.  Transport keeps
 its joint re-integration of (x, y, V) with V in the step control
 (``joint_transport``), the accuracy reference for transports that ride the
 geodesic's own steps; without a vector it is the geodesic at spray depth 0,
-whose bytes the depth-1 run must give.  The multi-point
-drivers (the along-geodesic checks, ``scalar_flows`` and the CLI's bianchi,
+whose bytes the depth-1 run must give.  The multi-point drivers (the
+along-geodesic checks, ``scalar_flows`` and the CLI's identities, bianchi,
 landsberg-routes and report fits) keep their loops over one single-point
 scope per sample, which their batched reads must match bit for bit, errors
 and vacuous verdicts included; the report's principal-scalar loop reads the
@@ -1419,6 +1419,35 @@ def bianchi_rows_loop(metric, args):
         rows.append(
             ("stretch-from-curvature", idx, rel_residual(sc.values("Sigma"), pred, floor=1.0), args.tol)
         )
+    return rows
+
+
+def identity_rows_loop(metric, args):
+    """The identities suite as it once ran: a bundle's inline diagnostics,
+    with their own floors, in one order-7 scope per sample."""
+    rows = []
+    for idx, st in enumerate(analysis.sample_states(metric, args.samples, args.seed)):
+        sc = point_scope(metric, st, 7)
+        y = np.asarray(st.y)
+        F = sc.values("F")
+        C, L_B, Rhh, R1, Sigma = (sc.values(k) for k in ("C", "L_B", "Rhh", "R1", "Sigma"))
+
+        def norm(T):
+            return float(np.max(np.abs(T)))
+
+        def routes(a, b):
+            return rel_residual(a, b, floor=max(1.0, norm(a)))
+
+        diag = {"horizontal_F": norm(sc.values("Fh")) / F}
+        for key, T in (("cartan_y_trace", C), ("landsberg_y_trace", L_B)):
+            diag[key] = rel_residual(np.einsum("i,ijk->jk", y, T), floor=max(norm(T), 1.0))
+        diag["landsberg_routes"] = routes(L_B, sc.values("L_C"))
+        diag["mean_landsberg_routes"] = routes(sc.values("J_L"), sc.values("J_I"))
+        diag["riemann_y_trace"] = rel_residual(
+            np.einsum("j,l,ijkl->ik", y, y, Rhh), R1, floor=max(norm(R1), 1.0))
+        sigma_b = np.einsum("i,ijklm->jmkl", sc.values("ylow"), sc.values("RhhV"))
+        diag["stretch_bianchi"] = rel_residual(Sigma, sigma_b, floor=max(norm(Sigma), 1.0))
+        rows += [(name, idx, value, args.tol) for name, value in diag.items()]
     return rows
 
 

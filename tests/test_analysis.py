@@ -39,7 +39,7 @@ from finslerlab.errors import (
     RiemannianPoint,
     UndefinedFit,
 )
-from finslerlab.metrics import BUILTIN_NAMES, build_metric, builtin
+from finslerlab.metrics import BUILTIN_NAMES, MetricSpec, build_metric, builtin
 from finslerlab.transport import integrate_geodesic, scalar_flows
 
 from oracles import berwald_frame
@@ -368,6 +368,23 @@ def test_constant_flag_chain_rejects_generic():
     m = build_metric(builtin("randers3x"))
     with pytest.raises(NotConstantCurvature):
         an.check_constant_flag_chain(m, samples=4, seed=2)
+
+
+def test_flag_drivers_need_a_two_plane(monkeypatch):
+    # on n = 1 there is no flag: both drivers raise before any scope is made
+    # (the dichotomy is given no geodesic at all), where the chain once
+    # divided 0 by 0 into NaN rows
+    m = build_metric(MetricSpec.from_dict(
+        {"dimension": 1, "family": "custom", "expression": "sqrt(abs2(y))*(1+x1^2)"}))
+
+    def no_scope(*_):
+        raise AssertionError("made a scope")
+
+    monkeypatch.setattr(FieldScope, "__init__", no_scope)
+    with pytest.raises(DimensionError, match="^constant-flag chain needs n >= 2, got n = 1$"):
+        an.check_constant_flag_chain(m, samples=2)
+    with pytest.raises(DimensionError, match="^stretch dichotomy needs n >= 2, got n = 1$"):
+        an.check_stretch_dichotomy(m, None)
 
 
 # --- classification ---

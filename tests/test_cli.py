@@ -610,6 +610,24 @@ def test_complex_constant_exponent_exits_2(tmp_path, capsys, command):
         "", "error: expression: negative base -8 with non-integer power\n")
 
 
+def test_overflowing_constant_exponent_exits_2(tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"dimension": 2, "family": "custom",
+                             "expression": "sqrt(abs2(y))*(y1^2+y2^2+1)^(10^400)"}))
+    assert main(["classify", str(p)]) == 2
+    assert capsys.readouterr() == ("", "error: expression: 10 ^ 400 overflows\n")
+
+
+def test_constant_flag_on_one_dimension_is_an_error(tmp_path, capsys):
+    # no 2-plane, so no flag: an error with no rows, not NaN rows and a warning
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"dimension": 1, "family": "custom",
+                             "expression": "sqrt(abs2(y))*(1+x1^2)"}))
+    assert main(["verify", str(p), "--suite", "constant-flag", "--samples", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: DimensionError: constant-flag chain needs n >= 2, got n = 1\n")
+
+
 @pytest.mark.parametrize("tol", ["0", "nan", "-1e-10", "inf", "-inf"])
 def test_geodesic_tolerance_must_be_finite_and_positive(funk2_spec, capsys, tol):
     argv = ["geodesic", funk2_spec, "--x0", "0.1,0", "--y0", "0.5,0.3", "--samples", "2"]

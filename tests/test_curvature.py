@@ -10,6 +10,9 @@ Oracles used here:
 * homogeneity degrees under y -> s y, which every block must satisfy.
 """
 
+import argparse
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,14 +21,17 @@ from hypothesis import strategies as st
 from finslerlab import analysis, metrics
 from finslerlab.curvature import (
     BLOCKS,
+    BUNDLE_IDENTITIES,
     DEPTH,
     HDERIVS,
+    IDENTITIES,
     VALENCE,
     FieldScope,
     PointState,
     _clears_gate,
     curvature_bundle,
     flag_curvature,
+    least_order,
     point_scope,
     rel_residual,
     spray_values,
@@ -44,7 +50,8 @@ from finslerlab.expr import Bin, Neg, Num
 from finslerlab.jets import mul_rows
 
 from oracles import (
-    christoffel_fd, neumann_G, neumann_g_inv, rel_err, rewritten, sphere_chart_matrix,
+    christoffel_fd, identity_rows_loop, neumann_G, neumann_g_inv, rel_err, rewritten,
+    sphere_chart_matrix,
 )
 
 #: fields whose horizontal and vertical derivatives are checked below
@@ -377,6 +384,40 @@ def test_bundle_diagnostics_clean(name):
     b = curvature_bundle(m, PointState(tuple(x), tuple(y)), order=7)
     for key, value in b.diagnostics.items():
         assert value is not None and value < 1e-10, (key, value)
+
+
+@pytest.mark.parametrize("order", [6, 7, 8])
+@pytest.mark.parametrize("name", ["funk3", "randers3x"])
+def test_bundle_reports_each_identity_its_order_holds(corpus, name, order):
+    # every BUNDLE_IDENTITIES entry, None exactly where the seed order cannot
+    # hold its reads, and otherwise the inline diagnostics' value bit for bit
+    m = corpus[name]
+    args = argparse.Namespace(samples=1, seed=5, tol=1e-6)
+    want = {check: value for check, _, value, _ in identity_rows_loop(m, args)}
+    b = curvature_bundle(m, analysis.sample_states(m, 1, seed=5)[0], order=order)
+    assert list(b.diagnostics) == list(BUNDLE_IDENTITIES) == list(IDENTITIES)[:7]
+    for key, value in b.diagnostics.items():
+        if least_order(IDENTITIES[key][0]) > order:
+            assert value is None and key == "stretch_bianchi" and order == 6
+        else:
+            assert float(value).hex() == want[key].hex(), key
+
+
+_ENTRIES = st.one_of(st.floats(), st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(_ENTRIES, min_size=k, max_size=k), min_size=2, max_size=2)))
+def test_two_route_residual_floor_one_either_way(pair):
+    # the floor max(1, max|a|) with a an operand adds nothing to the scale
+    # max(|a|, |b|, 1), and a - b = -(b - a) exactly: the bundle's old floor
+    # and the identity table's floor 1 give the same bytes, NaN for NaN
+    a, b = map(np.array, pair)
+    with np.errstate(invalid="ignore", over="ignore"):
+        old = rel_residual(a, b, floor=max(1.0, float(np.max(np.abs(a)))))
+        new = rel_residual(b, a, floor=1.0)
+    assert (math.isnan(old) and math.isnan(new)) or old.hex() == new.hex()
 
 
 def test_landsberg_routes_agree_api(funk2):

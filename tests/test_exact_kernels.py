@@ -29,7 +29,7 @@ import pytest
 
 from finslerlab import analysis
 from finslerlab.curvature import (
-    BLOCKS, BUNDLE_ORDER, BUNDLE_READS, DEPTH, HDERIVS, LEDGER, SEED_CAP, XDEPTH, FieldScope,
+    BLOCKS, BUNDLE_ORDER, DEPTH, HDERIVS, LEDGER, SEED_CAP, XDEPTH, FieldScope,
     _plan, least_order, point_scope,
 )
 from finslerlab.errors import DimensionError, RiemannianPoint, UndefinedFit
@@ -122,7 +122,7 @@ PLANNED_READS = tuple(dict.fromkeys(
 
 
 def test_min_order_follows_from_the_ledger():
-    assert least_order(("g0", "R1")) == 4 and least_order(BUNDLE_READS) == 6 and BUNDLE_ORDER == 7
+    assert least_order(("g0", "R1")) == 4 and least_order(BLOCKS.values()) == 6 and BUNDLE_ORDER == 7
     assert DEPTH["g0"] == 2 and DEPTH["Gamma"] == 4 and DEPTH["B"] == 5 and DEPTH["Rhh"] == 6
     assert DEPTH["RhhV"] == 7 and DEPTH["Sigma"] == 5 and DEPTH["F"] == 0
     assert SEED_CAP == 3 and max(XDEPTH.values()) == 2

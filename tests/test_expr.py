@@ -1,6 +1,7 @@
 """Expression language: lexing, parsing, folding, tape evaluation, printing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,30 @@ def test_constant_exponent_folds_with_the_tape_ops(text, error, message):
     # the exponent's own power and division raise as the tape's would
     with pytest.raises(error, match=message):
         parse(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("y1^(10^400)", "10 ^ 400 overflows"),
+    ("y1^(2^2000)", "2 ^ 2000 overflows"),
+    ("y1^(1e400-1e400)", "exponent folds to nan, not a finite number"),
+    ("y1^(1e400)", "exponent folds to inf, not a finite number"),
+    ("y1^(-1e308*10)", "exponent folds to -inf, not a finite number"),
+])
+def test_constant_exponent_must_fold_to_a_finite_number(text, message):
+    # an overflow names its operation, not Python's (34, 'Numerical result
+    # out of range'), and no exponent is NaN or infinite
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("y1*2^2000", "2 ^ 2000 overflows"),
+    ("y1 + exp(1000)", "exp(1000) overflows"),
+    ("y1*(1 + 3^(1/2))^1000", "2.73205 ^ 1000 overflows"),
+])
+def test_constant_subtree_overflow_is_a_domain_error(text, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        expr.fold(parse(text), 1, {})
 
 
 def test_constant_exponent_folds_to_real_floats():

@@ -151,8 +151,9 @@ def test_point_reads_rerun_raises_the_first_failing_state():
 
 
 SUITES = {
-    "bianchi": (cli._suite_bianchi, oracles.bianchi_rows_loop),
-    "landsberg-routes": (cli._suite_landsberg_routes, oracles.landsberg_rows_loop),
+    "identities": (cli._SUITE_FNS["identities"], oracles.identity_rows_loop),
+    "bianchi": (cli._SUITE_FNS["bianchi"], oracles.bianchi_rows_loop),
+    "landsberg-routes": (cli._SUITE_FNS["landsberg-routes"], oracles.landsberg_rows_loop),
 }
 
 
@@ -225,9 +226,12 @@ SCOPE_READS = {
                 ("F", "cratio", "phi"), 5),
     "flows-rate": (lambda m, g: scalar_flows(m, g, quantities=("phi",), c=-1.0, samples=2),
                    "funk2", ("F", "phi", ("directional", "phi")), 5),
-    "bianchi": (lambda m, g: cli._suite_bianchi(m, _SUITE_ARGS), "funk2",
+    "identities": (lambda m, g: cli._SUITE_FNS["identities"](m, _SUITE_ARGS), "funk2",
+                   ("Fh", "F", "C", "L_B", "L_C", "J_L", "J_I", "Rhh", "R1", "Sigma", "ylow",
+                    "RhhV"), 7),
+    "bianchi": (lambda m, g: cli._SUITE_FNS["bianchi"](m, _SUITE_ARGS), "funk2",
                 ("RhhV", "Bh", "ylow", "Sigma"), 7),
-    "landsberg-routes": (lambda m, g: cli._suite_landsberg_routes(m, _SUITE_ARGS), "funk2",
+    "landsberg-routes": (lambda m, g: cli._SUITE_FNS["landsberg-routes"](m, _SUITE_ARGS), "funk2",
                          ("L_C", "L_B", "J_I", "J_L", "gh", "gv", "C"), 5),
     "bundle": (lambda m, g: curvature_bundle(m, PointState(*g.state(0.2))), "funk2",
                (*BLOCKS.values(), "Fh", "ylow", "RhhV"), 7),
