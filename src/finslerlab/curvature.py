@@ -840,10 +840,11 @@ class _SprayPlan:
     once and kept in ``tape.plans``: the seed program of F (``program``, in
     the order-(2 + depth), x-degree-cap-1 algebra), the kernel of F * F on
     F's support (``square``, ``jets.step``), and the partials of
-    ``_SPRAY_PARTIALS`` that algebra holds: each one's coefficient of F^2
-    (``index``), its factorial ``scale``, and {pattern: (slice, shape)} to
-    split them into blocks.  A constant formula has no support, and no
-    square: :func:`_F_coef` rejects it first.
+    ``_SPRAY_PARTIALS`` that algebra holds, the first 3 + 2 * depth: each
+    one's coefficient of F^2 (``index``), its factorial ``scale``, and the
+    (slice, shape) of each pattern's block, in that order (``split``).  A
+    constant formula has no support, and no square: :func:`_F_coef` rejects
+    it first.
     """
 
     __slots__ = ("program", "square", "index", "scale", "split")
@@ -856,12 +857,10 @@ class _SprayPlan:
             return
         self.square = step("*", alg, support, support)[0]
         n = tape.n
-        idx, scale, self.split = [], [], {}
-        for pattern in _SPRAY_PARTIALS:
-            if len(pattern) > alg.order:
-                continue
+        idx, scale, split = [], [], []
+        for pattern in _SPRAY_PARTIALS[: 3 + 2 * depth]:
             shape = (n,) * len(pattern)
-            self.split[pattern] = (slice(len(idx), len(idx) + n ** len(pattern)), shape)
+            split.append((slice(len(idx), len(idx) + n ** len(pattern)), shape))
             for combo in np.ndindex(shape):
                 exps = [0] * alg.n_vars
                 for kind, i in zip(pattern, combo):
@@ -870,12 +869,14 @@ class _SprayPlan:
                 scale.append(math.prod(math.factorial(e) for e in exps))
         self.index = np.array(idx)
         self.scale = np.array(scale, dtype=float)
+        self.split = tuple(split)
 
     def partials(self, f):
-        """The partials of F^2 from F's coefficients f, by pattern: each a
-        C-contiguous block, so every matmul on it sums in one order."""
+        """The partials of F^2 from F's coefficients f, in the order of
+        ``_SPRAY_PARTIALS``: each a C-contiguous block, so every matmul on
+        it sums in one order."""
         flat = self.square(f, f)[self.index] * self.scale
-        return {p: flat[part].reshape(shape) for p, (part, shape) in self.split.items()}
+        return [flat[part].reshape(shape) for part, shape in self.split]
 
 
 def spray_values(metric, x, y, depth=0):
@@ -905,15 +906,17 @@ def spray_values(metric, x, y, depth=0):
     """
     if type(depth) is not int or not 0 <= depth <= 2:
         raise BadConfig(f"spray depth must be 0, 1 or 2, got {depth!r}")
-    x, y = tuple(map(float, x)), tuple(map(float, y))
+    # an array's tolist gives its elements as Python scalars, which float()
+    # converts faster than it does numpy's own: the same floats
+    x, y = tuple(map(float, np.asarray(x).tolist())), tuple(map(float, np.asarray(y).tolist()))
     if not all(map(math.isfinite, x + y)):  # a DomainError, which an integrator stage recovers from
         raise DomainError(f"point is not finite: x = {x}, y = {y}")
     _check_point(metric, x)
     plan = metric.tape.plans.get(depth)
     if plan is None:
         plan = metric.tape.plans[depth] = _SprayPlan(metric.tape, depth)
-    P = plan.partials(_F_coef(metric, plan.program, x, y))
-    g = 0.5 * P["yy"]
+    Px, Pyy, Pyx, *deeper = plan.partials(_F_coef(metric, plan.program, x, y))
+    g = 0.5 * Pyy
     if not _clears_gate(g):
         _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)
     # np.linalg.inv(g) without its errstate context, which costs more than the
@@ -922,18 +925,19 @@ def spray_values(metric, x, y, depth=0):
     # overflow flag, the ones that context handles, can rise.  Same bits.
     ginv = _umath_linalg.inv(g, signature="d->d")
     yv = np.asarray(y)
-    u = ginv @ (P["yx"] @ yv - P["x"])
+    u = ginv @ (Pyx @ yv - Px)
     out = [g, 0.25 * u]
     if depth >= 1:
-        A1 = 0.5 * P["yyy"]                            # A1[l, m, j] = dA_lm/dy^j
-        b1 = P["yx"] - P["yx"].T + P["yyx"] @ yv       # b1[l, j] = db_l/dy^j
+        Pyyy, Pyyx = deeper[:2]
+        A1 = 0.5 * Pyyy                                # A1[l, m, j] = dA_lm/dy^j
+        b1 = Pyx - Pyx.T + Pyyx @ yv                   # b1[l, j] = db_l/dy^j
         u1 = ginv @ (b1 - A1 @ u)
         out.append(0.25 * u1)
     if depth >= 2:
-        Fyyx = P["yyx"]
-        b2 = Fyyx + Fyyx.transpose(0, 2, 1) + P["yyyx"] @ yv - Fyyx.transpose(2, 0, 1)
+        Pyyyy, Pyyyx = deeper[2:]
+        b2 = Pyyx + Pyyx.transpose(0, 2, 1) + Pyyyx @ yv - Pyyx.transpose(2, 0, 1)
         T = A1 @ u1                                    # T[l, j, k] = (A_{,j} u_{,k})_l
-        rhs = b2 - 0.5 * P["yyyy"] @ u - T - T.transpose(0, 2, 1)
+        rhs = b2 - 0.5 * Pyyyy @ u - T - T.transpose(0, 2, 1)
         n = len(y)
         out.append(0.25 * (ginv @ rhs.reshape(n, -1)).reshape(n, n, n))
     return out

@@ -130,6 +130,11 @@ _ALGEBRA_CACHE: dict[tuple[int, int, int], "_Algebra"] = {}
 #: pairs per product chunk: 64 KiB temporaries (module docstring)
 _BLOCK = 8192
 
+#: ``np.bincount`` without its ``__array_function__`` dispatch, which costs
+#: a fifth of a small product; numpy releases without ``_implementation``
+#: dispatch through ``np.bincount`` itself
+_bincount = getattr(np.bincount, "_implementation", np.bincount)
+
 
 def _exponent_tuples(n_vars, degree):
     """All exponent tuples of the given total degree, deterministic order."""
@@ -442,7 +447,7 @@ def _convolve(table, size, a, b):
     mi, mj, mo = table
     if mi.size <= _BLOCK:
         # bincount of no pairs would give integer zeros
-        return np.bincount(mo, a[mi] * b[mj], size) if mi.size else np.zeros(size)
+        return _bincount(mo, a[mi] * b[mj], size) if mi.size else np.zeros(size)
     out = np.zeros(size)
     for s in range(0, mi.size, _BLOCK):
         np.add.at(out, mo[s : s + _BLOCK], a[mi[s : s + _BLOCK]] * b[mj[s : s + _BLOCK]])

@@ -62,7 +62,7 @@ from .errors import (
 )
 
 # Dormand-Prince 5(4) tableau: stage s reads row s of _A, zero from column s
-# on; its last row is the fifth-order weights _B5, _E the error estimate's
+# on; its last row is the fifth-order weights _B5, _B5 - _B4 the error estimate's
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array([row + [0.0] * (7 - len(row)) for row in [
     [],
@@ -77,7 +77,10 @@ _B5 = _A[6]
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_E = _B5 - _B4
+#: the weights of stage s's sum as a column, _A[s, :s, None], and the error
+#: estimate's: no stage slices the tableau or adds an axis
+_A_COLS = tuple(_A[s, :s, None] for s in range(7))
+_E_COL = (_B5 - _B4)[:, None]
 
 _RECOVERABLE = (DomainError, OutOfChart, SingularMetric, ZeroVector, FloatingPointError)
 
@@ -133,10 +136,24 @@ def _bisect(inside, at, lo, hi, width):
 
 
 def _fold(w, k):
-    """sum_j w[j] k[j] over the rows of k, one left fold from +0.0 as the
-    generator ``sum`` over (w[j] * k[j]) gives it, bit for bit, so never a
-    -0.0 entry."""
-    return np.add.reduce(w[:, None] * k, axis=0, initial=0.0)
+    """sum_j w[j] k[j] over the rows of k, for the column of weights w
+    (``_A_COLS``, ``_E_COL``): one left fold from +0.0 as the generator
+    ``sum`` over (w[j] * k[j]) gives it, bit for bit, so never a -0.0
+    entry."""
+    return np.add.reduce(w * k, axis=0, initial=0.0)
+
+
+def _rms(q):
+    """The root mean square of the 1-D array q, bit for bit
+    ``np.sqrt(np.mean(q ** 2))`` without ``np.mean``'s wrappers: the same
+    pairwise sum of the same squares, divided by the same count."""
+    return math.sqrt(np.add.reduce(q * q) / q.size)
+
+
+def _norm(v):
+    """The Euclidean length of the 1-D float array v, bit for bit
+    ``np.linalg.norm(v)``, which computes sqrt(v . v) for such a vector."""
+    return math.sqrt(v.dot(v))
 
 
 def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=None,
@@ -169,7 +186,7 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
         k[0] = fs[-1]
         try:
             for stage in range(1, 7):
-                zi = z + h * _fold(_A[stage, :stage], k[:stage])
+                zi = z + h * _fold(_A_COLS[stage], k[:stage])
                 k[stage] = rhs(t + _C[stage] * h, zi)
         except _RECOVERABLE:
             # A chart boundary dead ahead starves the step loop (stages keep
@@ -191,12 +208,12 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
                 ) from None
             continue
         z5 = zi  # the last stage sits at (t + h, z5): _A[6] is _B5[:6], _C[6] is 1
-        err = h * _fold(_E, k)
+        err = h * _fold(_E_COL, k)
         scale = atol + rtol * np.maximum(np.abs(z), np.abs(z5))
-        enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        enorm = _rms(err / scale)
         ok = enorm <= 1.0
         gated = False  # the invariant gate rejected the step
-        if ok and invariant is not None and not np.all(np.isfinite(z5)):
+        if ok and invariant is not None and not np.isfinite(z5).all():
             ok = False
         if ok and invariant is not None:
             try:
@@ -431,7 +448,7 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
         raise BadConfig(f"transport mode must be linear or nonlinear, got {mode!r}")
     n = metric.n
     (V0,) = _vectors(n, ("V0", V0))
-    vscale = float(np.linalg.norm(V0))
+    vscale = _norm(V0)
     if vscale == 0.0:
         raise ZeroVector("V0 must be nonzero")
     sign, zs, Ns = geodesic._sign, geodesic._stage_z, geodesic._stage_N
@@ -440,7 +457,7 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
         """dV/dt at stage s of the step; in nonlinear mode also g at (x_s, V)."""
         if mode == "linear":
             return sign * -(Ns[step, s] @ V), None
-        if np.linalg.norm(V) < 1e-10 * vscale:
+        if _norm(V) < 1e-10 * vscale:
             raise VanishingVector("transported vector collapsed; nonlinear mode undefined")
         g, _, N = curvature.spray_values(metric, zs[step, s, :n], V, 1)
         return sign * -(N @ zs[step, s, n:]), g
@@ -452,7 +469,7 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
     for step, h in enumerate(np.diff(geodesic._path.t)):
         k[0] = k[6]
         for s in range(1, 7):
-            V = Vs[-1] + h * _fold(_A[s, :s], k[:s])
+            V = Vs[-1] + h * _fold(_A_COLS[s], k[:s])
             k[s], g = slope(step, s, V)
         Vs.append(V)  # the last stage sits at the step's end: _A[6] is _B5[:6]
         gs.append(g)
@@ -567,8 +584,8 @@ def parallelogram_holonomy(
 
     len_F0 = float(metric.F(tuple(x0), tuple(w0)))
     len_probe0 = _g_length(metric, x0, support0, w0)
-    wscale = float(np.linalg.norm(w0))
-    sscale = float(np.linalg.norm(support0))
+    wscale = _norm(w0)
+    sscale = _norm(support0)
 
     deltas, deltas_probe, returns = [], [], []
     for eps in eps_arr:
@@ -584,9 +601,9 @@ def parallelogram_holonomy(
             def rhs(s, z, _o=origin, _d=d, _e=eps):
                 x = _o + s * _e * _d
                 wn, Y, W = z[:n], z[n : 2 * n], z[2 * n :]
-                if np.linalg.norm(wn) < 1e-10 * wscale:
+                if _norm(wn) < 1e-10 * wscale:
                     raise VanishingVector("nonlinear transport vector collapsed")
-                if np.linalg.norm(Y) < 1e-10 * sscale:
+                if _norm(Y) < 1e-10 * sscale:
                     raise VanishingVector("support vector collapsed")
                 N_w = curvature.spray_values(metric, x, wn, 1)[2]
                 _, _, N_Y, Gamma_Y = curvature.spray_values(metric, x, Y, 2)

@@ -47,13 +47,15 @@ from finslerlab.curvature import spray_values
 from oracles import F_drift_nodes, dopri_error_fold, dopri_stage_fold, joint_transport, pretty
 from test_expr import random_ast
 from finslerlab.transport import (
-    _A,
+    _A_COLS,
     _B4,
     _B5,
-    _E,
+    _E_COL,
     _fold,
     _g_length,
     _integrate,
+    _norm,
+    _rms,
     integrate_geodesic,
     parallel_transport,
     parallelogram_holonomy,
@@ -290,7 +292,9 @@ DYNAMICS_BUILTINS = ("funk2", "funk2-drift", "funk3", "randers3x", "sphere2")
 
 def test_stage_and_error_folds_match_the_generator_sums():
     # one reduction down the stage axis is the generator's left fold from
-    # +0.0: the same bits, the sign of every zero included
+    # +0.0: the same bits, the sign of every zero included; the step's error
+    # norm is np.mean's root mean square and each vanishing-vector gate
+    # np.linalg.norm, bit for bit
     rng = np.random.default_rng(5)
     pool = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, 2.5, -3.0])
     for trial in range(300):
@@ -302,8 +306,41 @@ def test_stage_and_error_folds_match_the_generator_sums():
             k[:, 0] = -0.0
         for stage in range(1, 7):
             expected = dopri_stage_fold(stage, k[:stage])
-            assert _fold(_A[stage, :stage], k[:stage]).tobytes() == expected.tobytes()
-        assert _fold(_E, k).tobytes() == dopri_error_fold(_B5, _B4, k).tobytes()
+            assert _fold(_A_COLS[stage], k[:stage]).tobytes() == expected.tobytes()
+        assert _fold(_E_COL, k).tobytes() == dopri_error_fold(_B5, _B4, k).tobytes()
+        with np.errstate(over="ignore"):  # the squares of +-1e300
+            for q in (*k, k.ravel()):
+                assert _same_float(_rms(q), np.sqrt(np.mean(q**2))), q
+                assert _same_float(_norm(q), np.linalg.norm(q)), q
+
+
+@pytest.mark.parametrize("name", DYNAMICS_BUILTINS)
+def test_spray_calls_per_integration(name, monkeypatch):
+    # the spray calls each integration costs: a geodesic with no rejected
+    # step calls at its start and at stages 1-6 of each step, its first stage
+    # being the last one's last (FSAL), so 1 + 6 (len(t) - 1) calls, in the
+    # order of the stage states it keeps; a nonlinear transport as many, on
+    # the geodesic's steps; a linear one none.  Both transports hold the
+    # length of V to 1e-6.
+    m = build_metric(builtin(name))
+    st = analysis.sample_states(m, 1, seed=0)[0]
+    spray, calls = curvature.spray_values, []
+
+    def counted(metric, x, y, depth=0):
+        calls.append(np.concatenate([x, y]))
+        return spray(metric, x, y, depth)
+
+    monkeypatch.setattr(curvature, "spray_values", counted)
+    g = integrate_geodesic(m, st.x, st.y, 1.0, unit_speed=True)
+    steps = len(g.t) - 1
+    stages = [g._stage_z[0, 0], *g._stage_z[:, 1:].reshape(-1, 2 * m.n)]
+    assert len(calls) == 1 + 6 * steps
+    assert all(np.array_equal(c, s) for c, s in zip(calls, stages))  # no rejected step
+    for mode, expected in (("linear", 0), ("nonlinear", 1 + 6 * steps)):
+        calls.clear()
+        r = parallel_transport(m, g, [1.0] + [0.5] * (m.n - 1), mode=mode)
+        assert len(calls) == expected, mode
+        assert r.length_drift <= 1e-6, (mode, r.length_drift)
 
 
 @pytest.mark.parametrize("name", DYNAMICS_BUILTINS)
