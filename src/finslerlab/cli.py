@@ -16,10 +16,11 @@ Commands (see ``finslerlab <command> --help`` for flags):
 Exit codes: 0 success / all checks pass; 1 a verification check failed (or a
 computation was inapplicable); 2 malformed spec, expression or option value
 (points file, an empty or infinite --t, --thresholds, --samples < 1, a
-report --order < 6, the least seed order of a curvature bundle, a NaN
-or negative --tol or --spread-tol, a geodesic --tol that is not finite and
-> 0, a geodesic or loop vector of the wrong length, a zero --y0 or w0,
-dependent loop vectors u and v, a loop scale <= 0), or a spec whose F fails
+negative --seed, a report --order < 6, the least seed order of a curvature
+bundle, a NaN or negative --tol or --spread-tol, a geodesic --tol that is
+not finite and > 0, a geodesic or loop vector of the wrong length, a zero
+--y0 or w0, dependent loop vectors u and v, a loop scale <= 0, an unknown
+--flows quantity, a --c that is not finite), or a spec whose F fails
 the positive-homogeneity or strong-convexity probe at seeded chart points
 (message on stderr, no partial output); 3 chart violation (point outside the
 chart, or a trajectory leaving it; the exit time is reported when known).
@@ -69,6 +70,7 @@ from .errors import (
 )
 from .metrics import MetricSpec, build_metric, validate
 from .transport import (
+    flow_inputs,
     geodesic_span,
     geodesic_start,
     integrate_geodesic,
@@ -115,12 +117,14 @@ def _parse_vector(text, name):
 
 
 def _check_options(args):
-    """Malformed numeric options are a SpecError: --samples below 1, a report
-    --order below the bundle's least seed order, a NaN or negative --tol or
-    --spread-tol, and a geodesic --tol, the integrator's, that is not finite
-    and > 0."""
+    """Malformed numeric options are a SpecError: --samples below 1, a
+    negative --seed, a report --order below the bundle's least seed order, a
+    NaN or negative --tol or --spread-tol, and a geodesic --tol, the
+    integrator's, that is not finite and > 0."""
     if args.samples < 1:
         raise SpecError(f"--samples must be >= 1, got {args.samples}")
+    if getattr(args, "seed", 0) < 0:
+        raise SpecError(f"--seed must be >= 0, got {args.seed}")
     least = least_order(BLOCKS.values())
     if args.command == "report" and args.order < least:
         raise SpecError(f"--order must be >= {least}, the bundle's least seed order, got {args.order}")
@@ -408,7 +412,8 @@ def cmd_classify(args):
 
 def _checked(option, check, *inputs):
     """``check(*inputs)``, with an input it rejects (a wrong length, a zero
-    vector, dependent vectors, a scale <= 0) a SpecError naming ``option``."""
+    vector, dependent vectors, a scale <= 0, an unknown flow quantity, a rate
+    constant that is not finite) a SpecError naming ``option``."""
     try:
         check(*inputs)
     except (BadConfig, ShapeMismatch, ZeroVector) as e:
@@ -442,12 +447,12 @@ def cmd_geodesic(args):
         raise SpecError(f"--t: expected a duration T or range t0:t1, got {args.t!r}") from None
     _checked("--t", geodesic_span, span)
     _checked("--x0, --y0", geodesic_start, metric, x0, y0)
+    quantities = tuple(q for q in args.flows.split(",") if q) if args.flows else ()
+    _checked("--flows, --c", flow_inputs, quantities, args.c)
     loop = _parse_loop(args.parallelogram, metric, x0) if args.parallelogram else None
     geod = integrate_geodesic(
         metric, x0, y0, span, tol=args.tol, unit_speed=args.unit_speed
     )
-
-    quantities = tuple(q for q in args.flows.split(",") if q) if args.flows else ()
     flow = scalar_flows(metric, geod, quantities=quantities, c=args.c, samples=args.samples)
     n = metric.n
     headers = (

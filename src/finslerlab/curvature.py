@@ -34,9 +34,9 @@ equal to it.  Contractions add their terms one slice at a time in the
 order of the entry-by-entry jet loops they replace (``tests/oracles.py``),
 from the first term, so every coefficient equals those loops' bit for bit.
 A closed-form series of a scalar field (recF, recF2, the norm of frame2,
-mu2, cratio) is composed one point at a time by ``jets.compose``, the
-kernel ``Jet.reciprocal`` and ``Jet.__pow__`` run; no field builds a
-``Jet``.
+mu2, cratio) is composed one point at a time by the kernel ``jets.step``
+lowers it to, the one ``Jet.reciprocal`` and ``Jet.__pow__`` run; no field
+builds a ``Jet``.
 
 g_inv and G come from one order-by-order solve of g X = b
 (``FieldScope._solve``): g_inv with b the identity jet, and u = 4G with b
@@ -108,16 +108,7 @@ from .errors import (
     ZeroVector,
 )
 from .expr import seed_program
-from .jets import (
-    _algebra,
-    compose,
-    deriv_rows,
-    mul_rows,
-    mul_seeds,
-    power_series,
-    reciprocal_series,
-    step,
-)
+from .jets import _algebra, deriv_rows, mul_rows, mul_seeds, step
 
 #: Slot kinds of the tensor fields; a horizontal or vertical derivative adds
 #: a lower slot (the ``HDERIVS`` fields join below them).  frame2 is not
@@ -344,20 +335,6 @@ def _check_point(metric, x):
         raise OutOfChart(f"x = {x} outside metric chart")
 
 
-def _F_coef(metric, program, x, y):
-    """F's coefficients at the seeds of the float point (x, y) in the
-    algebra of ``program``, the seed program of the metric's tape
-    (``MetricInstance.F_seeded``); F must propagate jets and be positive
-    and finite."""
-    f = metric.F_seeded(program, x, y)
-    if program.support is None:  # the formula is a constant
-        raise BadConfig("metric evaluator did not propagate jets")
-    value = f.item(0)
-    if not 0.0 < value < math.inf:
-        raise SingularMetric(f"F(x, y) = {value:.6g} is not positive and finite")
-    return f
-
-
 def _require_positive_definite(g0, eig, x, y):
     """Raise SingularMetric unless the float fundamental tensor g0 at (x, y),
     whose least eigenvalue is ``eig``, is positive definite; a NaN or
@@ -430,10 +407,12 @@ def _deriv(alg, T, variables):
     return deriv_rows(alg, T, variables).swapaxes(-2, -3)
 
 
-def _compose_rows(alg, A, series_of):
-    """The closed-form function of a scalar field A whose series builder is
-    ``series_of`` (``jets.compose``), one point at a time."""
-    return np.stack([compose(alg, a, series_of(a.item(0), alg.order)) for a in A])
+def _compose_rows(alg, A, kind, const=None):
+    """The series ``kind`` of a scalar field A, as ``jets.step`` lowers it on
+    every monomial of ``alg`` (with the constant ``const`` for "^"), one
+    point at a time."""
+    kernel = step(kind, alg, alg.through(alg.order), const)[0]
+    return np.stack([kernel(a, a) for a in A])
 
 
 class FieldScope:
@@ -606,16 +585,16 @@ class FieldScope:
 
     def _build_F(self, alg):
         program = seed_program(self.metric.tape, alg)
-        return np.stack([_F_coef(self.metric, program, p.x, p.y) for p in self.points])
+        return np.stack([self.metric.F_seeded(program, p.x, p.y) for p in self.points])
 
     def _build_F2(self, alg, F):
         return mul_rows(alg, F, F)
 
     def _build_recF(self, alg, F):
-        return _compose_rows(alg, F, reciprocal_series)
+        return _compose_rows(alg, F, "reciprocal")
 
     def _build_recF2(self, alg, F2):
-        return _compose_rows(alg, F2, reciprocal_series)
+        return _compose_rows(alg, F2, "reciprocal")
 
     def _build_g(self, alg, F2):
         return _symmetric(self._vd(F2, self._deeper(alg, 2), 2)) * 0.5
@@ -773,7 +752,7 @@ class FieldScope:
         mt = mul_rows(alg, -1.0 * glu, ell)
         mt[..., 0] += np.eye(2)[k0].T
         nrm2 = _fold(mul_rows(alg, mul_rows(alg, g, mt[:, None]), mt).reshape((4,) + mt.shape[1:]))
-        m = mul_rows(alg, mt, _compose_rows(alg, nrm2, functools.partial(power_series, -0.5)))
+        m = mul_rows(alg, mt, _compose_rows(alg, nrm2, "^", -0.5))
         flip = ell[0, :, 0] * m[1, :, 0] - ell[1, :, 0] * m[0, :, 0] < 0
         return np.stack([ell, np.where(flip[:, None], -1.0 * m, m)])
 
@@ -791,7 +770,7 @@ class FieldScope:
                 raise RiemannianPoint(f"principal scalar {value:.3e} is numerically zero")
         aI = self._deeper(alg, 1, 1)
         num = mul_rows(alg, self._contract_y(self._hderiv(alg, I2, N), alg), recF)
-        return mul_rows(alg, num, aI.cut(_compose_rows(aI, I2, reciprocal_series), alg))
+        return mul_rows(alg, num, aI.cut(_compose_rows(aI, I2, "reciprocal"), alg))
 
     def _build_cratio(self, alg, Sigma, D, F):
         """Pointwise stretch ratio c with Sigma = c F (C_{ijk|l} - C_{ijl|k})."""
@@ -800,7 +779,7 @@ class FieldScope:
         den = _fold(mul_rows(alg, FD, FD).reshape((-1,) + FD.shape[-2:]))
         for a, b in zip(num[:, 0], den[:, 0]):
             require_stretch_design(float(a), float(b))
-        return mul_rows(alg, num, _compose_rows(alg, den, reciprocal_series))
+        return mul_rows(alg, num, _compose_rows(alg, den, "reciprocal"))
 
 
 # --- public API: scopes, the bundle, the flag curvature and the spray ---
@@ -843,8 +822,8 @@ class _SprayPlan:
     ``_SPRAY_PARTIALS`` that algebra holds, the first 3 + 2 * depth: each
     one's coefficient of F^2 (``index``), its factorial ``scale``, and the
     (slice, shape) of each pattern's block, in that order (``split``).  A
-    constant formula has no support, and no square: :func:`_F_coef` rejects
-    it first.
+    constant formula has no support, and no square:
+    ``MetricInstance.F_seeded`` rejects it first.
     """
 
     __slots__ = ("program", "square", "index", "scale", "split")
@@ -915,7 +894,7 @@ def spray_values(metric, x, y, depth=0):
     plan = metric.tape.plans.get(depth)
     if plan is None:
         plan = metric.tape.plans[depth] = _SprayPlan(metric.tape, depth)
-    Px, Pyy, Pyx, *deeper = plan.partials(_F_coef(metric, plan.program, x, y))
+    Px, Pyy, Pyx, *deeper = plan.partials(metric.F_seeded(plan.program, x, y))
     g = 0.5 * Pyy
     if not _clears_gate(g):
         _require_positive_definite(g, np.linalg.eigvalsh(g)[0], x, y)

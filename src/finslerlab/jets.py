@@ -639,8 +639,8 @@ class Jet:
 #
 # A series builder takes the value a0 of the argument and the order K and
 # returns the function's Taylor coefficients at a0 through order K, raising
-# where a0 is outside its domain; :func:`compose` applies them to a coefficient
-# array.
+# where a0 is outside its domain; the kernel :func:`step` lowers a series to
+# applies them to a coefficient array (``_run_horner``).
 
 def reciprocal_series(a0, K):
     if a0 == 0.0:
@@ -728,13 +728,6 @@ def power_chain(m):
             pairs.append((acc, acc))
             acc = len(pairs)
     return pairs
-
-
-def compose(alg, coef, series):
-    """Coefficients, in ``alg``, of sum series[k] * u^k (k <= K), with u the
-    jet ``coef`` less its value, by Horner's rule: the steps of
-    ``alg.horner`` on every monomial (module docstring)."""
-    return _run_horner(alg.horner(alg.through(alg.order)), coef, series)
 
 
 def _run_horner(horner, coef, series):

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import DomainError, FinslerError, OutOfChart, SingularMetric, SpecError
+from .errors import BadConfig, DomainError, FinslerError, OutOfChart, SingularMetric, SpecError
 from .jets import seed_block
 
 _FAMILIES = ("riemannian", "randers", "funk", "custom")
@@ -287,14 +287,21 @@ class MetricInstance:
         those seed jets would give them, gates and errors included: y's
         length and a zero y (``jets.seed_block``), the domain gate, then
         ``program``, the tape's seed program of some algebra
-        (``expr.seed_program``), run on the seed block (``expr.run``).  The
-        formula's float where it is a constant."""
+        (``expr.seed_program``), run on the seed block (``expr.run``).  Then
+        F must propagate jets, or BadConfig (the formula is a constant), and
+        be positive and finite, or SingularMetric."""
         rows = seed_block(program.alg, x, y)
         self._gate(x)
         try:
-            return expr.run(self.tape, program, rows)
+            f = expr.run(self.tape, program, rows)
         except OverflowError as e:
             raise _overflow(x, e) from e
+        if program.support is None:  # the formula is a constant
+            raise BadConfig("metric evaluator did not propagate jets")
+        value = f.item(0)
+        if not 0.0 < value < math.inf:
+            raise SingularMetric(f"F(x, y) = {value:.6g} is not positive and finite")
+        return f
 
     def _gate(self, x):
         """The domain gate on x.  0.0 + v * v is exact, so xx is the left fold

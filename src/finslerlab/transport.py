@@ -156,17 +156,17 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=None,
-               accepted=None):
+def _integrate(rhs, z0, span, tol=1e-10, invariant=None, inside=None, accepted=None):
     """Adaptive RK step loop; returns a _Path over t in [0, span] (span > 0).
 
-    ``invariant(z)`` is a defect each node must hold to ``_F_TOL``, and the
-    path's ``drift`` its largest value.  rhs must raise OutOfChart wherever
-    the chart predicate ``inside`` fails, so a step ends inside, its last
-    stage being its end point.  ``accepted`` is called with no arguments
-    once per accepted node, the first included, right after the rhs call at
-    that node (the last stage of its step), so an rhs can keep what it
-    computed there.
+    ``tol`` is the relative step-error target and tol * 1e-2 the absolute
+    one; a step must also end at a finite state.  ``invariant(z)`` is a
+    defect each node must hold to ``_F_TOL``, and the path's ``drift`` its
+    largest value.  rhs must raise OutOfChart wherever the chart predicate
+    ``inside`` fails, so a step ends inside, its last stage being its end
+    point.  ``accepted`` is called with no arguments once per accepted
+    node, the first included, right after the rhs call at that node (the
+    last stage of its step), so an rhs can keep what it computed there.
     """
     z = np.asarray(z0, dtype=float)
     t = 0.0
@@ -178,6 +178,7 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
     k = np.empty((7, z.size))  # the stages of the step at hand
     h = span / 64.0
     hmin = span * 1e-13
+    atol = tol * 1e-2
     rejected_in_a_row = 0
     for _ in range(_MAX_STEPS):
         if t >= span:
@@ -209,26 +210,28 @@ def _integrate(rhs, z0, span, rtol=1e-10, atol=1e-12, invariant=None, inside=Non
             continue
         z5 = zi  # the last stage sits at (t + h, z5): _A[6] is _B5[:6], _C[6] is 1
         err = h * _fold(_E_COL, k)
-        scale = atol + rtol * np.maximum(np.abs(z), np.abs(z5))
+        scale = atol + tol * np.maximum(np.abs(z), np.abs(z5))
         enorm = _rms(err / scale)
         ok = enorm <= 1.0
-        gated = False  # the invariant gate rejected the step
-        if ok and invariant is not None and not np.isfinite(z5).all():
-            ok = False
-        if ok and invariant is not None:
+        gate = None  # the gate that rejected a step the error norm passed
+        if ok and not np.isfinite(z5).all():  # an infinite scale passes any error
+            gate = "finite"
+        elif ok and invariant is not None:
             try:
                 defect = invariant(z5)
             except _RECOVERABLE:
                 defect = math.inf
             if not defect <= _F_TOL:  # a NaN defect fails too
-                ok, gated = False, True
-                enorm = max(enorm, 4.0)  # force a real shrink
+                gate = "invariant"
+        if gate is not None:
+            ok, enorm = False, max(enorm, 4.0)  # force a real shrink
         if not ok:
             h *= max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2)
             rejected_in_a_row += 1
             if h < hmin or rejected_in_a_row > 60:
-                cause = (f"relative F drift {defect:.6g} above the gate's {_F_TOL:g}" if gated
-                         else f"error norm {enorm:.3g}")
+                cause = ("step end not finite" if gate == "finite" else
+                         f"relative F drift {defect:.6g} above the gate's {_F_TOL:g}" if gate else
+                         f"error norm {enorm:.3g}")
                 raise StepFailure(f"cannot satisfy tolerances at t = {t:.6g} ({cause})")
             continue
         rejected_in_a_row = 0
@@ -322,14 +325,6 @@ class GeodesicSolution:
         n = self.n
         return z[:n].copy(), z[n:].copy()
 
-    def sample(self, ts):
-        xs, ys = [], []
-        for t in ts:
-            x, y = self.state(float(t))
-            xs.append(x)
-            ys.append(y)
-        return np.asarray(xs), np.asarray(ys)
-
 
 def geodesic_start(metric, x0, y0):
     """x0 and y0 as float arrays, checked as :func:`integrate_geodesic` checks
@@ -405,7 +400,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
 
     try:
         path = _integrate(
-            rhs, np.concatenate([x0, y0]), span, rtol=tol, atol=tol * 1e-2,
+            rhs, np.concatenate([x0, y0]), span, tol,
             invariant=lambda z: abs(float(metric.F(z[:n], z[n:])) - F0) / F0,
             inside=lambda z: metric.chart.contains(z[:n]), accepted=accepted,
         )
@@ -615,7 +610,7 @@ def parallelogram_holonomy(
                     ]
                 )
 
-            path = _integrate(rhs, state, 1.0, rtol=tol, atol=tol * 1e-2)
+            path = _integrate(rhs, state, 1.0, tol)
             state = path.z[-1]
         wn_end, Y_end, W_end = state[:n], state[n : 2 * n], state[2 * n :]
         deltas.append(abs(float(metric.F(tuple(x0), tuple(wn_end))) - len_F0))
@@ -676,10 +671,18 @@ class ScalarFlow:
     c_used: float = None
 
 
-def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"), c=None, samples=25):
+def flow_inputs(quantities, c=None):
+    """Check the quantities and rate constant of :func:`scalar_flows` as it
+    checks them: each quantity known, and c None or finite (BadConfig)."""
     for q in quantities:
         if q not in _FLOWS:
             raise BadConfig(f"unknown flow quantity {q!r}; known: {_FLOW_QUANTITIES}")
+    if c is not None and not math.isfinite(c):
+        raise BadConfig(f"rate constant c must be finite, got {c!r}")
+
+
+def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"), c=None, samples=25):
+    flow_inputs(quantities, c)
     ts, states = analysis._geodesic_states(geodesic, samples)
     names = list(quantities)
     if c is not None:

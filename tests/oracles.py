@@ -1240,8 +1240,7 @@ def joint_transport(metric, geodesic, V0=None, mode="linear", tol=1e-10, node=-1
         rhs,
         np.concatenate([geodesic.x[0], geodesic.y[0], V0]),
         abs(float(geodesic.t[node]) - float(geodesic.t[0])),
-        rtol=tol,
-        atol=tol * 1e-2,
+        tol,
         invariant=lambda z: abs(float(metric.F(z[:n], z[n : 2 * n])) - F0) / F0,
         inside=lambda z: metric.chart.contains(z[:n]),
     )

@@ -11,6 +11,8 @@ Oracles used here:
   * The conformal sphere chart has lambda = +1 and zero torsion, so
     torsion-dependent quantities degenerate in controlled ways.
   * Locally Minkowski metrics (quartic norm) have mu = 0.
+  * The reversed ball metric F(x, -y) has stretch ratio c = +1, the
+    paper's relatively non-positive case, and lambda = -1/4.
 """
 
 import json
@@ -45,6 +47,14 @@ from finslerlab.transport import integrate_geodesic, scalar_flows
 from oracles import berwald_frame
 
 
+#: the reversed funk3 metric F(x, -y) as a custom spec: the paper's
+#: relatively non-positive case, which no built-in covers
+REVERSED_FUNK3 = {
+    "dimension": 3, "family": "custom", "chart_radius": 0.95,
+    "expression": "(sqrt(abs2(y) - (abs2(x)*abs2(y) - dot(x,y)*dot(x,y))) - dot(x,y)) / (1 - abs2(x))",
+}
+
+
 @pytest.fixture(scope="module")
 def funk2():
     return build_metric(builtin("funk2"))
@@ -72,6 +82,16 @@ def test_relative_stretch_funk_is_minus_one(funk2, funk3):
         assert fit.isotropic()
         assert fit.convention_label == "relatively nonnegative"
         assert fit.raw_sign == "negative"
+
+
+def test_relative_stretch_reversed_funk_is_plus_one():
+    fit = an.fit_relative_stretch(build_metric(MetricSpec.from_dict(REVERSED_FUNK3)), count=8, seed=3)
+    assert abs(fit.c - 1.0) < 1e-8
+    assert fit.spread < 1e-10
+    assert fit.residual < 1e-10
+    assert fit.isotropic()
+    assert fit.convention_label == "relatively nonpositive"
+    assert fit.raw_sign == "positive"
 
 
 def test_relative_stretch_single_point(funk2):

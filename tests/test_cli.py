@@ -25,6 +25,8 @@ from finslerlab import cli
 from finslerlab.cli import main
 from finslerlab.metrics import builtin, MetricSpec, BUILTIN_NAMES
 
+from test_analysis import REVERSED_FUNK3
+
 
 def _schema(name):
     path = importlib.resources.files("finslerlab").joinpath(f"schemas/{name}")
@@ -171,6 +173,16 @@ def test_verify_constant_flag_rejects_anisotropic(tmp_path, capsys):
     rc = main(["verify", str(p), "--suite", "constant-flag", "--samples", "4"])
     assert rc == 1
     assert capsys.readouterr().err.strip() != ""
+
+
+def test_verify_constant_flag_on_reversed_funk(tmp_path, capsys):
+    # the relatively non-positive case: lambda = -1/4 with c = +1
+    p = tmp_path / "reversed-funk3.json"
+    p.write_text(json.dumps(REVERSED_FUNK3))
+    assert main(["verify", str(p), "--suite", "constant-flag"]) == 0
+    rows = {r.split()[1]: r.split()[3] for r in capsys.readouterr().out.splitlines()[:-1]}
+    assert float(rows["lambda"]) == pytest.approx(-0.25, abs=1e-8)
+    assert float(rows["c"]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_verify_alias_suite_matches_primary(funk2_spec, capsys):
@@ -564,6 +576,35 @@ def test_non_finite_vectors_exit_2(funk2_spec, capsys, monkeypatch, vectors):
     monkeypatch.setattr(cli, "integrate_geodesic", integrate)
     assert main(["geodesic", funk2_spec, "--t", "0.5", "--samples", "2", *vectors]) == 2
     _assert_rejected(capsys)
+
+
+@pytest.mark.parametrize("option,message", [
+    (["--flows", "phi,foo"],
+     "unknown flow quantity 'foo'; known: ('phi', 'phidot', 'L_norm', 'mu', 'p', 'c')"),
+    (["--c=nan"], "rate constant c must be finite, got nan"),
+    (["--flows", "phi", "--c=-inf"], "rate constant c must be finite, got -inf"),
+], ids=["flows", "c-nan", "c-inf"])
+def test_flow_options_are_checked_before_integrating(funk2_spec, capsys, monkeypatch, option, message):
+    def integrate(*_):
+        raise AssertionError("integrated a geodesic for rejected flow options")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", integrate)
+    assert main(["geodesic", funk2_spec, "--x0", "0.1,0", "--y0", "0.5,0.3", *option]) == 2
+    assert capsys.readouterr() == ("", f"error: --flows, --c: {message}\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+@pytest.mark.parametrize("command", [
+    ["report"], ["report", "--points"], ["verify", "--suite", "bianchi"], ["classify"],
+], ids=["report", "report-points", "verify", "classify"])
+def test_negative_seed_exits_2(funk2_spec, tmp_path, capsys, command, seed):
+    # with --points only the flag vectors read the seed, as seed + 1
+    if command[-1] == "--points":
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([{"x": [0.1, 0.0], "y": [0.5, 0.3]}]))
+        command = [*command, str(pts)]
+    assert main([command[0], funk2_spec, *command[1:], "--samples", "1", "--seed", seed]) == 2
+    assert capsys.readouterr() == ("", f"error: --seed must be >= 0, got {seed}\n")
 
 
 @pytest.mark.parametrize("thresholds", [

@@ -36,6 +36,7 @@ from finslerlab import analysis, curvature, transport
 from finslerlab.errors import (
     BadConfig,
     ChartExit,
+    DomainError,
     OutOfChart,
     ShapeMismatch,
     SingularMetric,
@@ -213,6 +214,45 @@ def test_step_failure_names_its_cause():
         _integrate(lambda t, z: np.array([1e6 * (-1.0) ** next(calls)]), np.array([0.0]), 1.0)
 
 
+def test_step_size_collapses_where_stages_fail_inside_the_chart():
+    # every stage after t = 0 raises, at states the chart holds: no boundary
+    # explains it, so the step halves until it collapses
+    def rhs(t, z):
+        if t > 0.0:
+            raise DomainError("not evaluable")
+        return np.array([1.0])
+
+    with pytest.raises(StepFailure, match=r"^step size collapsed at t = 0 \(right-hand side"):
+        _integrate(rhs, np.array([0.0]), 1.0, inside=lambda z: True)
+
+
+@pytest.mark.parametrize("invariant", [None, lambda z: 0.0], ids=["no-invariant", "invariant"])
+def test_a_step_end_that_is_not_finite_is_rejected(invariant):
+    # finite slopes whose stage sums overflow: the error scale is infinite
+    # and the error norm 0, so only the finiteness gate rejects the step (the
+    # overflowing sums of the inner stages also add inf to -inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure, match=r"\(step end not finite\)$"):
+            _integrate(lambda t, z: np.array([1e308]), np.array([0.0]), 200.0, invariant=invariant)
+
+
+def test_an_invariant_that_raises_fails_the_gate():
+    # a defect that cannot be evaluated reads as inf
+    def invariant(z):
+        if z[0] > 0.0:
+            raise DomainError("defect not evaluable")
+        return 0.0
+
+    with pytest.raises(StepFailure, match=r"at t = 0 \(relative F drift inf above the gate's 5e-08\)$"):
+        _integrate(lambda t, z: np.array([1.0]), np.array([0.0]), 1.0, invariant=invariant)
+
+
+def test_step_budget_is_exhausted(monkeypatch):
+    monkeypatch.setattr(transport, "_MAX_STEPS", 3)
+    with pytest.raises(StepFailure, match=r"^step budget exhausted after 3 steps at t = "):
+        _integrate(lambda t, z: np.array([1.0]), np.array([0.0]), 1.0)
+
+
 def test_geodesic_guards(funk2):
     with pytest.raises(BadConfig):
         integrate_geodesic(funk2, (0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
@@ -272,7 +312,7 @@ def test_funk_autoparallel_velocity(funk2, funk2_geodesic):
     V0 = funk2_geodesic.y[0]
     for mode in ("linear", "nonlinear"):
         res = parallel_transport(funk2, funk2_geodesic, V0, mode=mode)
-        assert np.max(np.abs(res.V - funk2_geodesic.sample(res.t)[1])) < 1e-6
+        assert np.max(np.abs(res.V - [funk2_geodesic.state(t)[1] for t in res.t])) < 1e-6
 
 
 def test_transport_guards(funk2, funk2_geodesic):
@@ -747,3 +787,7 @@ def test_scalar_flows_status_isolation():
 def test_scalar_flows_unknown_quantity(funk2, funk2_geodesic):
     with pytest.raises(BadConfig):
         scalar_flows(funk2, funk2_geodesic, quantities=("curl",))
+    # a rate constant that is not finite would fill the residual columns with NaN
+    for c in (math.nan, -math.inf):
+        with pytest.raises(BadConfig, match="^rate constant c must be finite"):
+            scalar_flows(funk2, funk2_geodesic, c=c)
