@@ -39,7 +39,7 @@ def main():
         except FinslerError as e:
             print(f"{name:16s} {metric.n:2d} {'-':>16s} {'-':>10s} {'-':>10s}  error: {e}")
             continue
-        note = "" if fit.isotropic() else "  [ratio not constant]"
+        note = "" if fit.spread <= 1e-3 else "  [ratio not constant]"
         print(
             f"{name:16s} {metric.n:2d} {fit.c:16.12f} {fit.spread:10.2e} "
             f"{fit.residual:10.2e}  {fit.convention_label}{note}"

@@ -30,7 +30,6 @@ import numpy as np
 from .curvature import (
     FieldScope,
     PointState,
-    _ensure_scope,
     least_order,
     point_scope,
     rel_residual,
@@ -65,10 +64,6 @@ class RelativeStretchFit:
     convention_label: str    # inverted-sign label, see module docstring
     raw_sign: str            # sign of c itself: negative / zero / positive
 
-    def isotropic(self, tol=1e-3):
-        """True when the per-point ratios agree to within ``tol``."""
-        return self.spread <= tol
-
 
 @dataclass(frozen=True)
 class SemiCFit:
@@ -90,18 +85,6 @@ class IdentityCheckResult:
     residuals: dict
     tolerance: float
     data: dict = _dc_field(default_factory=dict)
-
-    def passed(self):
-        return self.verdict == "pass"
-
-    def to_dict(self):
-        return {
-            "check": self.check,
-            "verdict": self.verdict,
-            "residuals": _json_safe(self.residuals),
-            "tolerance": float(self.tolerance),
-            "data": _json_safe(self.data),
-        }
 
 
 #: which tensor's max-abs norm decides each flag, in the order in which the
@@ -139,18 +122,6 @@ class ClassificationVerdict:
     residuals: dict          # flag -> max tensor norm over the samples
     thresholds: dict
     consistent: bool         # raw threshold verdicts already satisfied the implications
-
-    def summary(self):
-        lines = [f"{self.label} (n={self.n}, {self.samples} samples, seed {self.seed})"]
-        for name in CLASS_FLAGS:
-            mark = "yes" if self.flags[name] else "no "
-            lines.append(
-                f"  {name:<14} {mark}  max-norm {self.residuals[name]:.3e}"
-                f"  (threshold {self.thresholds[name]:.1e})"
-            )
-        if not self.consistent:
-            lines.append("  note: raw verdicts violated an implication; closure applied")
-        return "\n".join(lines)
 
     def to_dict(self):
         return {
@@ -351,10 +322,9 @@ def _semi_c_fit(n, read):
     return SemiCFit(p=p, q=1.0 - p, residual=residual, cartan_norm=cnorm, mean_norm2=i2)
 
 
-def fit_semi_c_reducible(metric, point, scope=None):
+def fit_semi_c_reducible(metric, point):
     """Weights (p, q), p + q = 1, of the reduced torsion shape at one point."""
-    read = None if metric.n < 3 else _ensure_scope(
-        metric, point, scope, "torsion-shape fit", _SEMI_C_FIELDS).values
+    read = None if metric.n < 3 else point_scope(metric, point, least_order(_SEMI_C_FIELDS)).values
     return _semi_c_fit(metric.n, read)
 
 
@@ -376,21 +346,21 @@ def check_characteristic_constancy(metric, geodesic, samples=15, tolerance=1e-6)
     )
 
 
-def check_principal_scalar_relation(metric, geodesic, c=None, samples=15, tolerance=1e-5):
+def check_principal_scalar_relation(metric, geodesic, samples=15, tolerance=1e-5):
     """Test 2 mu' + 2 mu^2 F - c mu F = 0 along a geodesic of a 2-D metric.
 
     mu' is the derivative of mu along the geodesic flow, evaluated as the
-    horizontal directional derivative mu_{|s} y^s (no finite differencing).
-    When ``c`` is None the pointwise stretch ratio is fitted at each sample.
-    Riemannian samples make the relation vacuous (it multiplies C).
+    horizontal directional derivative mu_{|s} y^s (no finite differencing),
+    and c is the pointwise stretch ratio (the ``cratio`` field) at each
+    sample.  Riemannian samples make the relation vacuous (it multiplies C).
     """
     ts, states = _geodesic_states(geodesic, samples)
-    keys = (("directional", "mu2"),) + (("cratio",) if c is None else ()) + ("mu2", "F")
+    keys = (("directional", "mu2"), "cratio", "mu2", "F")
     mus, mups, Qs, cs, Fs = [], [], [], [], []
     for t, (_, read) in zip(ts, _point_reads(metric, states, keys)):
         try:
             mup = read(("directional", "mu2"))
-            cval = c if c is not None else read("cratio")
+            cval = read("cratio")
         except (RiemannianPoint, UndefinedFit) as err:
             return IdentityCheckResult(
                 check="principal-scalar-relation",
@@ -464,7 +434,6 @@ _CHAIN_FIELDS = ("R1", "F", "ylow", "g", "C", "Rhh", "Sigma", "D", "L_C", "J_I",
 def check_constant_flag_chain(
     metric,
     points=None,
-    c=None,
     samples=10,
     seed=0,
     tolerance=1e-5,
@@ -472,7 +441,7 @@ def check_constant_flag_chain(
 ):
     """For a constant-flag-curvature metric, verify the linked identities.
 
-    With lam the measured flag curvature and c the stretch ratio:
+    With lam the measured flag curvature and c the stretch ratio at each point:
 
       (a) R_j^i_kl = lam (g_jl d^i_k - g_jk d^i_l)
       (b) Sigma_jmkl = 2 lam (C_jlm y_k - C_jkm y_l)
@@ -523,9 +492,7 @@ def check_constant_flag_chain(
         )
         res_b.append(_guarded_residual(read("Sigma"), pred_b))
         try:
-            cv = c if c is not None else _stretch_ratio_values(
-                read("Sigma"), read("D"), read("F")
-            )[0]
+            cv = _stretch_ratio_values(read("Sigma"), read("D"), read("F"))[0]
         except UndefinedFit as err:
             notes.append(f"stretch ratio undefined: {err}")
             continue

@@ -580,13 +580,7 @@ def main(argv=None):
     except (SpecError, LexError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ChartExit as e:
-        extra = ""
-        if e.t_exit is not None and "t =" not in str(e):
-            extra = f" (exit time {e.t_exit:.9g})"
-        print(f"error: {e}{extra}", file=sys.stderr)
-        return 3
-    except OutOfChart as e:
+    except (ChartExit, OutOfChart) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except NotConstantCurvature as e:

@@ -294,10 +294,6 @@ class PointState:
         if all(v == 0.0 for v in self.y):
             raise ZeroVector("y must be nonzero")
 
-    @property
-    def n(self):
-        return len(self.x)
-
 
 @dataclass
 class TensorBlock:
@@ -984,16 +980,15 @@ class CurvatureBundle:
         return out
 
 
-def curvature_bundle(metric, point, order=BUNDLE_ORDER, scope=None) -> CurvatureBundle:
+def curvature_bundle(metric, point, order=BUNDLE_ORDER) -> CurvatureBundle:
     """Evaluate the full tower at one point, with route cross-checks.
 
     Needs order >= ``least_order(BLOCKS.values())``, 6.  The diagnostics are
     the ``BUNDLE_IDENTITIES`` entries of ``IDENTITIES``, each None where the
     order cannot hold its reads (``_IDENTITY_ORDER``): stretch_bianchi reads
-    RhhV and needs ``BUNDLE_ORDER``, 7.  Given a ``scope``, it reads that
-    scope at its point and order.
+    RhhV and needs ``BUNDLE_ORDER``, 7.
     """
-    scope = _ensure_scope(metric, point, scope, "bundle", BLOCKS.values(), order)
+    scope = _ensure_scope(metric, point, None, "bundle", BLOCKS.values(), order)
     blocks = {name: TensorBlock(name, scope.values(f), VALENCE[f]) for name, f in BLOCKS.items()}
     y = np.asarray(scope.point.y)
     diag = {}

@@ -102,15 +102,28 @@ class NotConstantCurvature(FinslerError):
 # --- transport ---
 
 class ChartExit(FinslerError):
-    """Integrated curve left the chart; carries the estimated exit time."""
+    """Integrated curve left the chart; carries the estimated exit time,
+    which the message's ``{t}`` field shows, so moving ``t_exit`` to
+    another clock moves the message with it."""
 
     def __init__(self, message, t_exit=None):
         super().__init__(message)
         self.t_exit = t_exit
 
+    def __str__(self):
+        return self.args[0] if self.t_exit is None else self.args[0].format(t=self.t_exit)
+
 
 class StepFailure(FinslerError):
-    """Adaptive integrator could not meet tolerances above the minimum step."""
+    """Adaptive integrator could not meet tolerances above the minimum step
+    at time ``t``, which the message's ``{t}`` field shows."""
+
+    def __init__(self, message, t):
+        super().__init__(message)
+        self.t = t
+
+    def __str__(self):
+        return self.args[0].format(t=self.t)
 
 
 class VanishingVector(FinslerError):

@@ -90,13 +90,12 @@ class MetricSpec:
         return MetricSpec(n=n, family="riemannian", a=a, label=label)
 
     @staticmethod
-    def randers(n, a, b, chart_radius=None, label="randers"):
+    def randers(n, a, b, label="randers"):
         return MetricSpec(
             n=n,
             family="randers",
             a=tuple(tuple(row) for row in a),
             b=tuple(b),
-            chart_radius=chart_radius,
             label=label,
         )
 
@@ -395,19 +394,10 @@ class ValidationReport:
     n: int
     samples: int
     seed: int
-    tolerance: float
     homogeneity_max: float
     min_eigenvalue: float
     failures: list
     passed: bool
-
-    def summary(self):
-        state = "pass" if self.passed else "FAIL"
-        return (
-            f"{self.label}: {state} ({self.samples} samples, "
-            f"homogeneity {self.homogeneity_max:.2e}, min eig {self.min_eigenvalue:.3e}, "
-            f"{len(self.failures)} failure(s))"
-        )
 
 
 def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
@@ -427,7 +417,12 @@ def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
     return pts
 
 
-def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> ValidationReport:
+#: the largest relative homogeneity residual |F(x, s y) - s F(x, y)| / (s F)
+#: that :func:`validate` passes
+_HOMOGENEITY_TOL = 1e-10
+
+
+def validate(m: MetricInstance, samples=50, seed=0) -> ValidationReport:
     """Positive homogeneity and strong convexity over random chart samples,
     and F > 0 at each sample's x in every direction for a randers metric,
     along -y and every +-e_i for the others."""
@@ -450,7 +445,7 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
             fs = float(m.F(tuple(x), tuple(s * y)))
             resid = abs(fs - s * f1) / (s * abs(f1))
             homo_max = max(homo_max, resid)
-            if resid > tolerance:
+            if resid > _HOMOGENEITY_TOL:
                 failures.append(
                     {"x": list(x), "y": list(y), "problem": f"homogeneity residual {resid:.3e}"}
                 )
@@ -472,7 +467,6 @@ def validate(m: MetricInstance, samples=50, seed=0, tolerance=1e-10) -> Validati
         n=m.n,
         samples=samples,
         seed=seed,
-        tolerance=tolerance,
         homogeneity_max=homo_max,
         min_eigenvalue=min_eig if min_eig is not math.inf else float("nan"),
         failures=failures,

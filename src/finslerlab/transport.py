@@ -85,8 +85,10 @@ _E_COL = (_B5 - _B4)[:, None]
 _RECOVERABLE = (DomainError, OutOfChart, SingularMetric, ZeroVector, FloatingPointError)
 
 #: relative drift of F, a first integral of the spray, that an accepted step
-#: may leave; the step budget of one integration
+#: may leave; the relative step-error target of each parallelogram leg; the
+#: step budget of one integration
 _F_TOL = 5e-8
+_LOOP_TOL = 1e-11
 _MAX_STEPS = 100000
 
 
@@ -195,7 +197,7 @@ def _integrate(rhs, z0, span, tol=1e-10, invariant=None, inside=None, accepted=N
             if inside is not None and not inside(z + h * fs[-1]):
                 lo, hi = _bisect(inside, lambda s: z + s * fs[-1], 0.0, h, 1e-15 * max(span, 1.0))
                 if hi <= max(8 * hmin, 1e-12 * span):
-                    exc = ChartExit(f"trajectory leaves the chart at t = {t + hi:.9g}", t_exit=t + hi)
+                    exc = ChartExit("trajectory leaves the chart at t = {t:.9g}", t_exit=t + hi)
                     exc.partial = _Path(np.asarray(ts), np.asarray(zs), np.asarray(fs), drift)
                     raise exc from None
                 h = max(0.9 * lo, 4 * hmin)  # step to just inside the boundary
@@ -204,8 +206,8 @@ def _integrate(rhs, z0, span, tol=1e-10, invariant=None, inside=None, accepted=N
             rejected_in_a_row += 1
             if h < hmin or rejected_in_a_row > 60:
                 raise StepFailure(
-                    f"step size collapsed at t = {t:.6g} (right-hand side "
-                    f"not evaluable; likely a chart or convexity boundary)"
+                    "step size collapsed at t = {t:.6g} (right-hand side "
+                    "not evaluable; likely a chart or convexity boundary)", t
                 ) from None
             continue
         z5 = zi  # the last stage sits at (t + h, z5): _A[6] is _B5[:6], _C[6] is 1
@@ -232,7 +234,7 @@ def _integrate(rhs, z0, span, tol=1e-10, invariant=None, inside=None, accepted=N
                 cause = ("step end not finite" if gate == "finite" else
                          f"relative F drift {defect:.6g} above the gate's {_F_TOL:g}" if gate else
                          f"error norm {enorm:.3g}")
-                raise StepFailure(f"cannot satisfy tolerances at t = {t:.6g} ({cause})")
+                raise StepFailure(f"cannot satisfy tolerances at t = {{t:.6g}} ({cause})", t)
             continue
         rejected_in_a_row = 0
         if invariant is not None:
@@ -245,7 +247,7 @@ def _integrate(rhs, z0, span, tol=1e-10, invariant=None, inside=None, accepted=N
         if accepted is not None:
             accepted()
         h *= min(5.0, max(0.2, 0.9 * (1.0 / max(enorm, 1e-10)) ** 0.2))
-    raise StepFailure(f"step budget exhausted after {_MAX_STEPS} steps at t = {t:.6g}")
+    raise StepFailure(f"step budget exhausted after {_MAX_STEPS} steps at t = {{t:.6g}}", t)
 
 
 def _vectors(n, *groups):
@@ -265,14 +267,6 @@ def _vectors(n, *groups):
         if not np.all(np.isfinite(v)):
             raise BadConfig(f"{label} must be finite, got {v.tolist()}")
     return [v for _, v in out]
-
-
-def _tolerance(tol):
-    """An integrator tolerance as a float; BadConfig unless it is finite and > 0."""
-    tol = float(tol)
-    if not 0.0 < tol < math.inf:
-        raise BadConfig(f"tol must be finite and > 0, got {tol!r}")
-    return tol
 
 
 def _length(g, w):
@@ -357,9 +351,12 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
     ``t_span`` is a duration T (may be negative: the same orbit is
     traced backwards) or a pair (t0, t1).  ``tol`` sets the relative
     step-error target, finite and > 0; F-constancy is enforced as an
-    additional accept/reject gate at 5e-8 relative.
+    additional accept/reject gate at 5e-8 relative.  A ChartExit or
+    StepFailure names its time on the span's clock, from t0 toward t1.
     """
-    tol = _tolerance(tol)
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise BadConfig(f"tol must be finite and > 0, got {tol!r}")
     n = metric.n
     x0, y0 = geodesic_start(metric, x0, y0)
     if not metric.chart.contains(x0):
@@ -404,10 +401,13 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
             invariant=lambda z: abs(float(metric.F(z[:n], z[n:])) - F0) / F0,
             inside=lambda z: metric.chart.contains(z[:n]), accepted=accepted,
         )
-    except ChartExit as exc:
+    except ChartExit as exc:  # the exit time, and the partial path, on the caller's clock
         exc.t_exit = t0 + sign * exc.t_exit
         if getattr(exc, "partial", None) is not None:
             exc.partial = wrap(exc.partial)
+        raise
+    except StepFailure as exc:
+        exc.t = t0 + sign * exc.t
         raise
     return wrap(path)
 
@@ -497,7 +497,7 @@ class ParallelogramExperiment:
       conserves F(x, V) identically, this channel is integrator noise
       for *every* metric; it confirms the conservation law rather than
       resolving curvature.
-    * ``delta_probe``: a support vector Y (starting at ``support0``) is
+    * ``delta_probe``: a support vector Y (starting at ``support0``, u + v) is
       transported nonlinearly while the probe w0 is transported linearly
       with the connection evaluated at Y; the defect is measured in the
       g-length at reference Y.  This channel scales like eps^2 with a
@@ -530,43 +530,39 @@ def _fit_exponent(eps, delta, noise=1e-12):
     return float(slope)
 
 
-def loop_inputs(metric, x0, u, v, w0, eps_list, support0=None):
+def loop_inputs(metric, x0, u, v, w0, eps_list):
     """The inputs of :func:`parallelogram_holonomy` as float arrays (x0, u,
-    v, w0, support0, sorted eps), checked as it checks them before the
-    chart: n components each (ShapeMismatch), finite, u and v linearly
-    independent and positive scales (BadConfig), a nonzero w0 and support0
-    (ZeroVector)."""
+    v, w0, sorted eps), checked as it checks them before the chart: n
+    components each (ShapeMismatch), finite, with a finite support u + v,
+    u and v linearly independent and positive scales (BadConfig), a
+    nonzero w0 (ZeroVector)."""
     n = metric.n
     x0, u, v, w0 = _vectors(n, ("x0", x0), ("u", u), ("v", v), ("w0", w0))
     if not np.any(w0):
         raise ZeroVector("w0 must be nonzero")
     if np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < 1e-14:
         raise BadConfig("u and v must be linearly independent")
-    (support0,) = _vectors(n, ("support0", u + v if support0 is None else support0))
-    if np.linalg.norm(support0) < 1e-14:
-        raise ZeroVector("support0 must be nonzero")
+    _vectors(n, ("support0", u + v))  # u + v can overflow
     eps_arr = np.asarray(sorted(float(e) for e in eps_list))
     if not np.all(np.isfinite(eps_arr)):
         raise BadConfig(f"eps_list must hold finite scales, got {eps_arr.tolist()}")
     if eps_arr.size == 0 or eps_arr[0] <= 0:
         raise BadConfig("eps_list must contain positive scales")
-    return x0, u, v, w0, support0, eps_arr
+    return x0, u, v, w0, eps_arr
 
 
-def parallelogram_holonomy(
-    metric, x0, u, v, w0, eps_list, support0=None, tol=1e-11
-):
+def parallelogram_holonomy(metric, x0, u, v, w0, eps_list):
     """Transport around the chart-straight loop x0, x0+eps*u, x0+eps*(u+v), x0+eps*v.
 
-    ``support0`` seeds the probe channel's support vector; it defaults
-    to u + v and must not be parallel to w0 (a support equal to the
-    probe makes the linear and nonlinear transports coincide by
-    homogeneity, which empties the probe channel).  ``tol``, the relative
-    step-error target of each leg, must be finite and > 0.
+    The probe channel's support vector starts at u + v, which w0 must not
+    be parallel to (a support equal to the probe makes the linear and
+    nonlinear transports coincide by homogeneity, which empties the probe
+    channel).  Each leg is integrated to the relative step-error target
+    ``_LOOP_TOL``.
     """
-    tol = _tolerance(tol)
     n = metric.n
-    x0, u, v, w0, support0, eps_arr = loop_inputs(metric, x0, u, v, w0, eps_list, support0)
+    x0, u, v, w0, eps_arr = loop_inputs(metric, x0, u, v, w0, eps_list)
+    support0 = u + v
 
     corners = [x0, x0 + u, x0 + u + v, x0 + v]
     emax = eps_arr[-1]
@@ -610,7 +606,7 @@ def parallelogram_holonomy(
                     ]
                 )
 
-            path = _integrate(rhs, state, 1.0, tol)
+            path = _integrate(rhs, state, 1.0, _LOOP_TOL)
             state = path.z[-1]
         wn_end, Y_end, W_end = state[:n], state[n : 2 * n], state[2 * n :]
         deltas.append(abs(float(metric.F(tuple(x0), tuple(wn_end))) - len_F0))

@@ -1262,7 +1262,7 @@ def characteristic_constancy_loop(metric, geodesic, samples=15, tolerance=1e-6):
     ps = []
     for x, y in points:
         sc = point_scope(metric, PointState(x=x, y=y), order=3)
-        ps.append(analysis.fit_semi_c_reducible(metric, None, sc).p)
+        ps.append(analysis._semi_c_fit(metric.n, sc.values).p)
     ps = np.asarray(ps)
     variation = float(np.max(np.abs(ps - ps[0])))
     pprime = np.gradient(ps, ts)
@@ -1275,14 +1275,14 @@ def characteristic_constancy_loop(metric, geodesic, samples=15, tolerance=1e-6):
     )
 
 
-def principal_scalar_loop(metric, geodesic, c=None, samples=15, tolerance=1e-5):
+def principal_scalar_loop(metric, geodesic, samples=15, tolerance=1e-5):
     ts, points = _geodesic_points(geodesic, samples)
     mus, mups, Qs, cs, Fs = [], [], [], [], []
     for t, (x, y) in zip(ts, points):
         sc = point_scope(metric, PointState(x=x, y=y), order=5)
         try:
             mup = sc.directional("mu2")
-            cval = c if c is not None else sc.values("cratio")
+            cval = sc.values("cratio")
         except (RiemannianPoint, UndefinedFit) as err:
             return analysis.IdentityCheckResult(
                 check="principal-scalar-relation",
@@ -1389,7 +1389,7 @@ def scalar_flows_loop(metric, geodesic, quantities=("phi", "L_norm"), c=None, sa
                 elif name == "L_norm":
                     cols[name][row] = math.sqrt(max(scope.values("phi"), 0.0))
                 elif name == "p":
-                    cols[name][row] = analysis.fit_semi_c_reducible(metric, None, scope).p
+                    cols[name][row] = analysis._semi_c_fit(metric.n, scope.values).p
                 elif name == "c":
                     cols[name][row] = scope.values("cratio")
                 else:

@@ -105,7 +105,7 @@ def test_03_constant_flag_chain(corpus, scorecard):
     """The constant-flag identity chain on the 3-D ball metric, measured c."""
     res = an.check_constant_flag_chain(corpus["funk3"], samples=10, tolerance=1e-5)
     worst = max(res.residuals.values())
-    ok = res.passed() and worst <= 1e-5
+    ok = res.verdict == "pass" and worst <= 1e-5
     scorecard(
         3, ok,
         f"chain residual max {worst:.2e}, lambda = {res.data['lambda']:+.8f}, "
@@ -226,7 +226,7 @@ def test_08_frame_and_principal_scalar(corpus, funk2_geodesic, scorecard):
     res = an.check_principal_scalar_relation(m, funk2_geodesic, samples=15,
                                              tolerance=1e-5)
     rel = res.residuals.get("relation", 0.0)
-    ok = worst_rec <= 1e-8 and worst_lfc <= 1e-7 and res.passed()
+    ok = worst_rec <= 1e-8 and worst_lfc <= 1e-7 and res.verdict == "pass"
     scorecard(8, ok, f"C reconstruction {worst_rec:.2e} (tol 1e-8); "
                  f"L = mu F C {worst_lfc:.2e} (tol 1e-7); "
                  f"principal-scalar relation {rel:.2e} (tol 1e-5)")

@@ -27,7 +27,6 @@ from finslerlab.curvature import (
     LEDGER,
     FieldScope,
     PointState,
-    curvature_bundle,
     flag_curvature,
     least_order,
     point_scope,
@@ -79,7 +78,6 @@ def test_relative_stretch_funk_is_minus_one(funk2, funk3):
         assert abs(fit.c + 1.0) < 1e-8
         assert fit.spread < 1e-10
         assert fit.residual < 1e-10
-        assert fit.isotropic()
         assert fit.convention_label == "relatively nonnegative"
         assert fit.raw_sign == "negative"
 
@@ -89,7 +87,6 @@ def test_relative_stretch_reversed_funk_is_plus_one():
     assert abs(fit.c - 1.0) < 1e-8
     assert fit.spread < 1e-10
     assert fit.residual < 1e-10
-    assert fit.isotropic()
     assert fit.convention_label == "relatively nonpositive"
     assert fit.raw_sign == "positive"
 
@@ -162,20 +159,17 @@ def test_semi_c_guards(funk2):
         an.fit_semi_c_reducible(m, an.sample_states(m, 1, seed=0)[0])
     with pytest.raises(DimensionError):
         an.fit_semi_c_reducible(funk2, an.sample_states(funk2, 1, seed=0)[0])
-    sc = point_scope(funk2, an.sample_states(funk2, 1, seed=0)[0], 3)
-    with pytest.raises(DimensionError):
-        an.fit_semi_c_reducible(funk2, None, sc)
 
 
 def test_characteristic_constancy_along_geodesics(funk3):
     g = integrate_geodesic(funk3, (0.1, -0.1, 0.2), (0.4, 0.3, -0.2), 1.0)
     res = an.check_characteristic_constancy(funk3, g, samples=9)
-    assert res.passed()
+    assert res.verdict == "pass"
     assert res.residuals["variation"] < 1e-10
     m = build_metric(builtin("mink-randers3"))
     g = integrate_geodesic(m, (0.0, 0.0, 0.0), (0.5, 0.2, -0.1), 1.0)
     res = an.check_characteristic_constancy(m, g, samples=7)
-    assert res.passed()
+    assert res.verdict == "pass"
 
 
 # --- 2-D frame and principal scalar ---
@@ -255,7 +249,7 @@ def test_frame_riemannian_mu_raises():
 
 def test_principal_scalar_relation_funk(funk2, funk2_geodesic):
     res = an.check_principal_scalar_relation(funk2, funk2_geodesic, samples=9)
-    assert res.passed()
+    assert res.verdict == "pass"
     assert res.residuals["relation"] < 1e-10
     assert np.max(np.abs(res.data["mu"] + 0.5)) < 1e-10
     assert np.max(np.abs(res.data["c"] + 1.0)) < 1e-10
@@ -271,7 +265,7 @@ def test_principal_scalar_relation_vacuous():
 
 def test_stretch_dichotomy_funk(funk2, funk2_geodesic):
     res = an.check_stretch_dichotomy(funk2, funk2_geodesic, samples=9)
-    assert res.passed()
+    assert res.verdict == "pass"
     assert res.residuals["bracket"] < 1e-10
     assert np.max(np.abs(res.data["W"])) < 1e-10          # degenerate branch: W = 0
     assert np.max(np.abs(res.data["c_prime"])) < 1e-10
@@ -362,7 +356,7 @@ def test_stretch_ratio_routes_agree(name):
 
 def test_constant_flag_chain_funk3(funk3):
     res = an.check_constant_flag_chain(funk3, samples=10, seed=5)
-    assert res.passed()
+    assert res.verdict == "pass"
     assert abs(res.data["lambda"] + 0.25) < 1e-6
     assert res.data["lambda_spread"] < 1e-10
     for key in (
@@ -378,7 +372,7 @@ def test_constant_flag_chain_funk3(funk3):
 def test_constant_flag_chain_sphere_skips_torsion():
     m = build_metric(builtin("sphere3"))
     res = an.check_constant_flag_chain(m, samples=5, seed=2)
-    assert res.passed()
+    assert res.verdict == "pass"
     assert abs(res.data["lambda"] - 1.0) < 1e-8
     assert "landsberg_torsion" not in res.residuals
     assert res.data["notes"]
@@ -440,12 +434,6 @@ def test_classify_refuses_a_nan_norm(funk2, nan_field, field):
     nan_field(field)
     with pytest.raises(CrossCheckFailure, match=field):
         an.classify(funk2, samples=2, seed=1)
-
-
-def test_classify_summary_mentions_every_flag(funk2):
-    text = an.classify(funk2, samples=3, seed=1).summary()
-    for name in an.CLASS_FLAGS:
-        assert name in text
 
 
 # --- point-batched scopes ---
@@ -596,9 +584,7 @@ def test_drivers_refuse_an_empty_point_set(funk3, case):
 
 #: single-point calls, each given a scope and the metric it was made for
 SINGLE_POINT_CALLS = {
-    "bundle": ("funk3", 7, lambda m, sc: curvature_bundle(m, None, scope=sc)),
     "flag": ("funk3", 7, lambda m, sc: flag_curvature(m, None, (0.0, 1.0, 0.0), scope=sc)),
-    "semi_c": ("funk3", 3, lambda m, sc: an.fit_semi_c_reducible(m, None, sc)),
     "frame": ("funk2", 5, lambda m, sc: berwald_frame(m, None, sc, with_mu=True)),
 }
 
@@ -626,9 +612,6 @@ def test_sample_states_deterministic_and_in_chart(funk2):
         assert np.linalg.norm(sa.x) < 1.0
 
 
-def test_results_serialize_to_json(funk2, funk3, funk2_geodesic):
-    chain = an.check_constant_flag_chain(funk3, samples=2, seed=5)
-    rel = an.check_principal_scalar_relation(funk2, funk2_geodesic, samples=3)
+def test_results_serialize_to_json(funk2):
     verdict = an.classify(funk2, samples=2, seed=1)
-    for payload in (chain.to_dict(), rel.to_dict(), verdict.to_dict()):
-        json.dumps(payload, sort_keys=True)
+    json.dumps(verdict.to_dict(), sort_keys=True)

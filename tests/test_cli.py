@@ -175,6 +175,16 @@ def test_verify_constant_flag_rejects_anisotropic(tmp_path, capsys):
     assert capsys.readouterr().err.strip() != ""
 
 
+def test_verify_constant_flag_rejects_a_varying_curvature(tmp_path, capsys):
+    # a = (1 + |x|^2) delta is conformally flat with curvature that varies with x
+    p = tmp_path / "conformal.json"
+    entry = "1 + abs2(x)"
+    p.write_text(json.dumps({"dimension": 2, "family": "riemannian",
+                             "a": [[entry, 0], [0, entry]]}))
+    assert main(["verify", str(p), "--suite", "constant-flag"]) == 1
+    assert capsys.readouterr() == ("", "error: flag curvature varies by 1.166e+00 across the samples\n")
+
+
 def test_verify_constant_flag_on_reversed_funk(tmp_path, capsys):
     # the relatively non-positive case: lambda = -1/4 with c = +1
     p = tmp_path / "reversed-funk3.json"
@@ -313,6 +323,29 @@ def test_geodesic_csv_to_stdout(funk2_spec, capsys):
     assert len(out.splitlines()) == 5
 
 
+def test_geodesic_csv_to_stdout_and_summary_to_out(funk2_spec, tmp_path, capsys):
+    outp = tmp_path / "g.json"
+    rc = main(["geodesic", funk2_spec, "--x0", "0.1,0.0", "--y0", "0.3,0.2",
+               "--t", "0.5", "--samples", "4", "--out", str(outp)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,x1,x2,y1,y2,F"
+    assert len(lines) == 5
+    doc = json.loads(outp.read_text())
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["kind"] == "geodesic"
+    assert doc["t_final"] == pytest.approx(0.5)
+
+
+def test_geodesic_rate_constant_adds_the_phi_column(funk2_spec, capsys):
+    # the rate law's residuals read phi, which --flows did not name
+    rc = main(["geodesic", funk2_spec, "--x0", "0.1,0", "--y0", "0.5,0.3",
+               "--flows", "phidot", "--c", "-1", "--samples", "3"])
+    assert rc == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "t,x1,x2,y1,y2,F,phidot,phi,flow_resid,flow_resid_doubled"
+
+
 def test_geodesic_time_range(funk2_spec, tmp_path):
     outp = tmp_path / "g.json"
     rc = main(["geodesic", funk2_spec, "--x0", "0.1,0.0", "--y0", "0.3,0.2",
@@ -390,6 +423,7 @@ NON_FINSLER_PROBLEMS = {
     "abs2(y)": "homogeneity residual",
     "sqrt(abs2(y)) + x1": "homogeneity residual",
     "sqrt(abs2(y)) + 1.5*y1": "F = -0.5 <= 0 along -e_1",
+    "((y1^2)^(1/3) + (y2^2)^(1/3))^(3/2)": "singular g",
 }
 
 
@@ -397,7 +431,8 @@ NON_FINSLER_PROBLEMS = {
 @pytest.mark.parametrize("expression", list(NON_FINSLER_PROBLEMS))
 def test_non_finsler_spec_exits_2(command, expression, tmp_path, capsys):
     # abs2(y) is 2-homogeneous, |y| + x1 is not homogeneous at all, and
-    # |y| + 1.5 y1 is negative where y1 < 0 dominates
+    # |y| + 1.5 y1 is negative where y1 < 0 dominates; the 2/3-power sum
+    # has an indefinite g
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"dimension": 2, "family": "custom", "expression": expression}))
     out = tmp_path / "never.out"
@@ -497,6 +532,24 @@ def test_geodesic_chart_exit_is_3(ball_spec, tmp_path, capsys):
     assert "t = 0.8" in err             # straight line hits the rim at 0.8
 
 
+@pytest.mark.parametrize("spec,argv,rc,err", [
+    ("ball", ["--y0", "1,0", "--t", "1:3"], 3, "error: trajectory leaves the chart at t = 1.8\n"),
+    ("ball", ["--y0", "1,0", "--t", "-2"], 3, "error: trajectory leaves the chart at t = -1.2\n"),
+    ("ball", ["--y0=-1,0", "--t=-2"], 3, "error: trajectory leaves the chart at t = -0.8\n"),
+    # a Funk line run backwards reaches the rim at t = -ln 2
+    ("funk2", ["--x0", "0.5,0", "--y0", "1,0", "--t", "-5"], 1,
+     "error: StepFailure: cannot satisfy tolerances at t = -0.693147 ("),
+], ids=["ball-offset", "ball-backwards", "ball-backwards-reversed", "funk2-backwards"])
+def test_geodesic_errors_name_the_callers_time(ball_spec, funk2_spec, capsys, spec, argv, rc, err):
+    # the time in the message is t0 + t on the --t clock, not the time run since t0
+    path = ball_spec if spec == "ball" else funk2_spec
+    x0 = [] if "--x0" in argv else ["--x0", "0.2,0"]
+    assert main(["geodesic", path, *x0, *argv]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err)
+
+
 def test_f_gate_step_failure_is_1_and_names_the_f_drift(funk2_spec, capsys):
     # toward the rim of the ball the F-invariant gate rejects every step
     rc = main(["geodesic", funk2_spec, "--x0", "0,0", "--y0", "1,0.3", "--t", "50"])
@@ -516,29 +569,35 @@ def test_out_of_chart_point_is_3(funk2_spec, tmp_path, capsys):
 
 
 def _assert_rejected(capsys):
-    # exit 2: a message on stderr and nothing on stdout
+    # exit 2: a message on stderr, which is returned, and nothing on stdout
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    return captured.err
 
 
-@pytest.mark.parametrize("points", [
-    {"pts": []},
-    5,
-    {"points": [{"x": ["a", 0], "y": [1, 0]}]},
-    {"points": []},
-    [{"x": [0.1, 0.0], "y": [0.0, 0.0]}],
-    [{"x": [float("nan"), 0.0], "y": [1.0, 0.0]}],
-    [{"x": [0.1, 0.0], "y": [float("inf"), 0.3]}],
-    [{"x": [0.1, 0.0], "y": [1.0, 0.0, 0.2]}],
+@pytest.mark.parametrize("points,message", [
+    ({"pts": []}, "expected a nonempty list of points"),
+    (5, "expected a nonempty list of points"),
+    ({"points": [{"x": ["a", 0], "y": [1, 0]}]}, "x and y must hold numbers"),
+    ({"points": []}, "expected a nonempty list of points"),
+    ([{"x": [0.1, 0.0], "y": [0.0, 0.0]}], "y must be nonzero"),
+    ([{"x": [float("nan"), 0.0], "y": [1.0, 0.0]}], "point coordinates must be finite"),
+    ([{"x": [0.1, 0.0], "y": [float("inf"), 0.3]}], "point coordinates must be finite"),
+    ([{"x": [0.1, 0.0], "y": [1.0, 0.0, 0.2]}], "x has 2 components, y has 3"),
+    ([{"x": [0.1, 0.0]}], "each entry needs x and y"),
+    ([{"x": [0.1, 0.0, 0.0], "y": [1.0, 0.3, 0.0]}], "point dimension != 2"),
+    (None, "cannot read points file"),
 ], ids=["no-points-key", "number", "non-numeric-x", "empty", "zero-y", "nan-x", "inf-y",
-        "x-y-lengths"])
-def test_malformed_points_file_exits_2(funk2_spec, tmp_path, capsys, points):
-    # json writes NaN and Infinity literals, which json.loads reads back
+        "x-y-lengths", "no-y", "three-components", "missing-file"])
+def test_malformed_points_file_exits_2(funk2_spec, tmp_path, capsys, points, message):
+    # json writes NaN and Infinity literals, which json.loads reads back;
+    # points None writes no file
     pts = tmp_path / "pts.json"
-    pts.write_text(json.dumps(points))
+    if points is not None:
+        pts.write_text(json.dumps(points))
     assert main(["report", funk2_spec, "--points", str(pts)]) == 2
-    _assert_rejected(capsys)
+    assert message in _assert_rejected(capsys)
 
 
 @pytest.mark.parametrize("span", ["a:b", "0:x", "abc", "nan", "0:inf", "0", "1:1"])
@@ -567,6 +626,9 @@ def test_malformed_time_span_exits_2(funk2_spec, capsys, monkeypatch, span):
     ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;2,0;0.5,0.5;0.04"],
     ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;0,0.04"],
     ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram", "1,0;0,1;0.5,0.5;-0.04"],
+    # a loop of three parts and a start that is not a number
+    ["--x0", "0.1,0", "--y0", "0.3,0.2", "--parallelogram=1,0;0,1;0.8,0.3"],
+    ["--x0", "a,0", "--y0", "0.3,0.2"],
 ])
 def test_non_finite_vectors_exit_2(funk2_spec, capsys, monkeypatch, vectors):
     # every vector is rejected before the geodesic is integrated

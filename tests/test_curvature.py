@@ -558,8 +558,6 @@ def test_scope_order_guards(funk2):
     sc = point_scope(funk2, p, 3)
     with pytest.raises(OrderExceeded):
         flag_curvature(funk2, p, (1.0, 0.0), scope=sc)
-    with pytest.raises(OrderExceeded):
-        curvature_bundle(funk2, p, scope=sc)
     with pytest.raises(OrderExceeded, match="bundle needs seed order >= 6, got 4"):
         curvature_bundle(funk2, p, order=4)
 

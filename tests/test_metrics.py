@@ -293,7 +293,6 @@ def test_validate_rejects_wide_randers():
         "F =" in f["problem"] or "eigenvalue" in f["problem"] or "singular" in f["problem"]
         for f in report.failures
     )
-    assert report.summary().startswith("too-wide: FAIL")
 
 
 @pytest.mark.parametrize("b,admissible", [(0.999, True), (1.0, False), (1.5, False)])
@@ -306,12 +305,6 @@ def test_validate_randers_at_every_probe_x(b, admissible):
     problems = [f["problem"] for f in report.failures]
     assert len(problems) == (0 if admissible else 4), problems
     assert all("a - b b^T is not positive definite" in p for p in problems)
-
-
-def test_validate_report_summary_format():
-    m = build_metric(metrics.builtin("euclidean2"))
-    s = validate(m, samples=5, seed=1).summary()
-    assert "pass" in s and "5 samples" in s
 
 
 def test_funk_homogeneity_includes_drift():

@@ -71,8 +71,6 @@ DRIVERS = {
                   {"samples": 3}),
     "principal-scalar": (an.check_principal_scalar_relation, oracles.principal_scalar_loop,
                          {"samples": 3}),
-    "principal-scalar-c": (an.check_principal_scalar_relation, oracles.principal_scalar_loop,
-                           {"samples": 3, "c": -0.5}),
     "dichotomy": (an.check_stretch_dichotomy, oracles.stretch_dichotomy_loop, {"samples": 3}),
     "flows": (scalar_flows, oracles.scalar_flows_loop,
               {"samples": 3, "quantities": _FLOW_QUANTITIES}),

@@ -193,6 +193,17 @@ def test_chart_exit_reports_time():
     assert np.all(np.linalg.norm(partial.x, axis=1) < 1.0)
 
 
+def test_integration_errors_carry_the_callers_time(funk2):
+    # t_exit and StepFailure.t, and the messages naming them, are t0 + sign * t
+    m = build_metric(MetricSpec.custom(2, "sqrt(abs2(y))", chart_radius=1.0, label="ball"))
+    with pytest.raises(ChartExit, match=r"at t = 1\.8$") as info:
+        integrate_geodesic(m, (0.2, 0.0), (1.0, 0.0), (1.0, 3.0))
+    assert info.value.t_exit == pytest.approx(1.8, abs=1e-6)
+    with pytest.raises(StepFailure, match=r"at t = -0\.693147 ") as info:
+        integrate_geodesic(funk2, (0.5, 0.0), (1.0, 0.0), -5.0)
+    assert info.value.t == pytest.approx(-math.log(2.0), abs=1e-5)
+
+
 def test_step_failure_on_degenerate_ring():
     spec = MetricSpec.custom(
         2, "sqrt(abs2(y)) * (0.5 - abs2(x))", label="degenerate-ring"
@@ -687,17 +698,11 @@ def test_parallelogram_guards(funk2):
             funk2, (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 0.5), EPS
         )
     with pytest.raises(ZeroVector):
-        parallelogram_holonomy(
-            funk2,
-            (0.0, 0.0),
-            (1.0, 0.0),
-            (0.0, 1.0),
-            (0.5, 0.5),
-            EPS,
-            support0=(0.0, 0.0),
-        )
-    with pytest.raises(ZeroVector):
         parallelogram_holonomy(funk2, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), EPS)
+    # the support u + v starts the probe channel: an overflowing sum is no vector
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BadConfig, match=r"support0 must be finite, got \[inf, 1\.0\]"):
+        parallelogram_holonomy(funk2, (0.0, 0.0), (1e308, 0.0), (1e308, 1.0), (0.5, 0.5), EPS)
     with pytest.raises(ChartExit):
         parallelogram_holonomy(
             funk2, (0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), [0.9]
@@ -707,19 +712,15 @@ def test_parallelogram_guards(funk2):
             parallelogram_holonomy(funk2, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), eps)
 
 
-@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("slot", range(4))
 def test_non_finite_dynamics_inputs_raise(slot):
     # on an all-space chart a NaN x0 passes the chart test, and a loop run
-    # from it reads zero defects: each vector is gated for shape, then finiteness
+    # from it reads zero defects: each vector is gated for finiteness
     m = build_metric(builtin("euclidean2"))
-    args = [np.array(v) for v in ((0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (1.0, 1.0))]
+    args = [np.array(v) for v in ((0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))]
     args[slot][1] = float("nan")
-    x0, u, v, w0, support0 = args
     with pytest.raises(BadConfig):
-        parallelogram_holonomy(m, x0, u, v, w0, [0.05, 0.1], support0=support0)
-    if slot == 4:  # x0, u, v and w0 are finite: support0's shape is gated too
-        with pytest.raises(ShapeMismatch):
-            parallelogram_holonomy(m, x0, u, v, w0, [0.05, 0.1], support0=(1.0, 1.0, 1.0))
+        parallelogram_holonomy(m, *args, [0.05, 0.1])
     g = integrate_geodesic(m, (0.1, 0.0), (1.0, 0.3), 0.5)
     bad = (float("nan"), 0.0) if slot % 2 else (math.inf, 0.0)
     with pytest.raises(BadConfig):
@@ -734,8 +735,6 @@ def test_non_finite_dynamics_inputs_raise(slot):
 def test_integrator_tolerance_must_be_finite_and_positive(funk2, tol):
     with pytest.raises(BadConfig, match="tol must be finite and > 0"):
         integrate_geodesic(funk2, (0.1, 0.0), (0.5, 0.3), 0.5, tol=tol)
-    with pytest.raises(BadConfig, match="tol must be finite and > 0"):
-        parallelogram_holonomy(funk2, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), EPS, tol=tol)
 
 
 # --- scalar flows ---
