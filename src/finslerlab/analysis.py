@@ -60,7 +60,6 @@ class RelativeStretchFit:
     residual: float          # worst relative fit residual among the points
     c_values: tuple          # per-point ratios
     spread: float            # max(c_values) - min(c_values)
-    design_norm: float       # smallest Frobenius norm of F(C_{|l}-C_{|k}) seen
     convention_label: str    # inverted-sign label, see module docstring
     raw_sign: str            # sign of c itself: negative / zero / positive
 
@@ -72,18 +71,14 @@ class SemiCFit:
     p: float
     q: float                 # exactly 1 - p
     residual: float          # max-norm misfit of the model, relative to ||C||
-    cartan_norm: float       # max |C_ijk|
-    mean_norm2: float        # ||I||^2 = g^{ij} I_i I_j
 
 
 @dataclass(frozen=True)
 class IdentityCheckResult:
     """Outcome of one identity check: residuals, verdict, sampled series."""
 
-    check: str
     verdict: str             # "pass" | "fail" | "vacuous"
     residuals: dict
-    tolerance: float
     data: dict = _dc_field(default_factory=dict)
 
 
@@ -233,7 +228,7 @@ def _at_point(table, p, key):
 
 
 def _stretch_ratio_values(S, D, F):
-    """(c, residual, design_norm) from tensor values at one point."""
+    """(c, residual) from tensor values at one point."""
     FD = F * D
     den = float(np.sum(FD * FD))
     num = float(np.sum(S * FD))
@@ -241,7 +236,7 @@ def _stretch_ratio_values(S, D, F):
     c = num / den
     scale = max(np.max(np.abs(S)), np.max(np.abs(FD)), _FLOOR)
     residual = float(np.max(np.abs(S - c * FD)) / scale)
-    return c, residual, float(np.sqrt(den))
+    return c, residual
 
 
 def fit_relative_stretch(metric, points=None, count=20, seed=0):
@@ -253,12 +248,11 @@ def fit_relative_stretch(metric, points=None, count=20, seed=0):
     reported as c = 0.
     """
     states = _as_states(metric, points, count, seed)
-    cs, resids, norms = [], [], []
+    cs, resids = [], []
     for _, read in _point_reads(metric, states, ("Sigma", "D", "F")):
-        c, r, dn = _stretch_ratio_values(read("Sigma"), read("D"), read("F"))
+        c, r = _stretch_ratio_values(read("Sigma"), read("D"), read("F"))
         cs.append(c)
         resids.append(r)
-        norms.append(dn)
     c_mean = float(np.mean(cs))
     if c_mean < 0:
         label, sign = "relatively nonnegative", "negative"
@@ -271,7 +265,6 @@ def fit_relative_stretch(metric, points=None, count=20, seed=0):
         residual=float(np.max(resids)),
         c_values=tuple(cs),
         spread=float(np.max(cs) - np.min(cs)),
-        design_norm=float(np.min(norms)),
         convention_label=label,
         raw_sign=sign,
     )
@@ -286,6 +279,7 @@ _SEMI_C_FIELDS = ("g_inv", "h", "C", "I")
 
 
 def _semi_c_weights(n, g_inv, h, C, I):
+    """(p, residual) of the torsion-shape model at one point."""
     cnorm = float(np.max(np.abs(C)))
     if cnorm < 1e-10:
         raise RiemannianPoint(
@@ -310,7 +304,7 @@ def _semi_c_weights(n, g_inv, h, C, I):
     p = float(np.sum(A * b) / aa)
     model = p * X / (n + 1.0) + (1.0 - p) * T
     residual = float(np.max(np.abs(model - C)) / cnorm)
-    return p, residual, cnorm, i2
+    return p, residual
 
 
 def _semi_c_fit(n, read):
@@ -318,8 +312,8 @@ def _semi_c_fit(n, read):
     ``read`` gives; DimensionError below n = 3, before any read."""
     if n < 3:
         raise DimensionError(f"torsion-shape fit needs n >= 3, got n = {n}")
-    p, residual, cnorm, i2 = _semi_c_weights(n, *map(read, _SEMI_C_FIELDS))
-    return SemiCFit(p=p, q=1.0 - p, residual=residual, cartan_norm=cnorm, mean_norm2=i2)
+    p, residual = _semi_c_weights(n, *map(read, _SEMI_C_FIELDS))
+    return SemiCFit(p=p, q=1.0 - p, residual=residual)
 
 
 def fit_semi_c_reducible(metric, point):
@@ -338,10 +332,8 @@ def check_characteristic_constancy(metric, geodesic, samples=15, tolerance=1e-6)
     variation = float(np.max(np.abs(ps - ps[0])))
     pprime = np.gradient(ps, ts)
     return IdentityCheckResult(
-        check="characteristic-constancy",
         verdict="pass" if variation <= tolerance else "fail",
         residuals={"variation": variation, "pprime_max": float(np.max(np.abs(pprime)))},
-        tolerance=tolerance,
         data={"t": ts, "p": ps, "pprime": pprime},
     )
 
@@ -363,10 +355,8 @@ def check_principal_scalar_relation(metric, geodesic, samples=15, tolerance=1e-5
             cval = read("cratio")
         except (RiemannianPoint, UndefinedFit) as err:
             return IdentityCheckResult(
-                check="principal-scalar-relation",
                 verdict="vacuous",
                 residuals={},
-                tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
         mu = read("mu2")
@@ -384,10 +374,8 @@ def check_principal_scalar_relation(metric, geodesic, samples=15, tolerance=1e-5
     )
     residual = float(np.max(np.abs(Qs)) / scale)
     return IdentityCheckResult(
-        check="principal-scalar-relation",
         verdict="pass" if residual <= tolerance else "fail",
         residuals={"relation": residual},
-        tolerance=tolerance,
         data={
             "t": ts,
             "mu": np.asarray(mus),
@@ -522,13 +510,7 @@ def check_constant_flag_chain(
     }
     if notes:
         data["notes"] = notes
-    return IdentityCheckResult(
-        check="constant-flag-chain",
-        verdict=verdict,
-        residuals=residuals,
-        tolerance=tolerance,
-        data=data,
-    )
+    return IdentityCheckResult(verdict=verdict, residuals=residuals, data=data)
 
 
 def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
@@ -557,10 +539,8 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
             cp = read(("directional", "cratio"))
         except UndefinedFit as err:
             return IdentityCheckResult(
-                check="stretch-dichotomy",
                 verdict="vacuous",
                 residuals={},
-                tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
         cv = read("cratio")
@@ -580,10 +560,8 @@ def check_stretch_dichotomy(metric, geodesic, samples=15, tolerance=1e-5,
         rows["bracket"].append(bracket)
     residual = float(np.max(resids))
     return IdentityCheckResult(
-        check="stretch-dichotomy",
         verdict="pass" if residual <= tolerance else "fail",
         residuals={"bracket": residual},
-        tolerance=tolerance,
         data={"t": ts, **{k: np.asarray(v) for k, v in rows.items()}},
     )
 

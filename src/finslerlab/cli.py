@@ -96,9 +96,9 @@ def _load_metric(path):
         raise SpecError(f"spec file {path!r} is not valid JSON: {e}") from e
     spec = MetricSpec.from_dict(data)
     metric = build_metric(spec)
-    probe = validate(metric, samples=_PROBE_SAMPLES, seed=0)
-    if not probe.passed:
-        bad = probe.failures[0]
+    failures = validate(metric, samples=_PROBE_SAMPLES, seed=0)
+    if failures:
+        bad = failures[0]
         x, y = (", ".join(f"{float(v):.6g}" for v in bad[k]) for k in "xy")
         raise SpecError(
             f"spec file {path!r} is not a Finsler metric: {bad['problem']} at x = ({x}), y = ({y})"

@@ -297,11 +297,10 @@ class PointState:
 
 @dataclass
 class TensorBlock:
-    """Float-valued tensor components plus slot variance metadata."""
+    """Float-valued tensor components; ``VALENCE[BLOCKS[name]]`` holds the
+    slot variance of the block ``name``."""
 
-    name: str
     values: np.ndarray
-    valence: tuple
 
     @property
     def norm(self):
@@ -337,11 +336,8 @@ def _require_positive_definite(g0, eig, x, y):
     infinite entry fails too."""
     scale = max(float(np.max(np.abs(g0))), 1.0)
     if not eig > 1e-12 * scale:
-        raise SingularMetric(
-            f"fundamental tensor not positive definite at {x}, "
-            f"{y}: min eigenvalue {eig:.3e}",
-            min_eigenvalue=float(eig),
-        )
+        raise SingularMetric(f"fundamental tensor not positive definite at {x}, "
+                             f"{y}: min eigenvalue {eig:.3e}")
 
 
 def _clears_gate(g0):
@@ -989,7 +985,7 @@ def curvature_bundle(metric, point, order=BUNDLE_ORDER) -> CurvatureBundle:
     RhhV and needs ``BUNDLE_ORDER``, 7.
     """
     scope = _ensure_scope(metric, point, None, "bundle", BLOCKS.values(), order)
-    blocks = {name: TensorBlock(name, scope.values(f), VALENCE[f]) for name, f in BLOCKS.items()}
+    blocks = {name: TensorBlock(scope.values(f)) for name, f in BLOCKS.items()}
     y = np.asarray(scope.point.y)
     diag = {}
     for name in BUNDLE_IDENTITIES:

@@ -8,7 +8,8 @@ class FinslerError(Exception):
 # --- jet kernel ---
 
 class BadConfig(FinslerError):
-    """Jet configuration is unusable (dimension < 1, order < 1, ...)."""
+    """An input is unusable: a jet configuration (dimension < 1, order < 1),
+    a non-finite vector, an empty span, an unknown option value, ..."""
 
 
 class ZeroVector(FinslerError):
@@ -64,11 +65,8 @@ class OutOfChart(FinslerError):
 
 
 class SingularMetric(FinslerError):
-    """Fundamental tensor not positive definite at the evaluation point."""
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
+    """Fundamental tensor not positive definite at the evaluation point, or F
+    not positive and finite there; the message names the value that failed."""
 
 
 # --- curvature engine ---

@@ -44,15 +44,18 @@ _FAMILIES = ("riemannian", "randers", "funk", "custom")
 
 @dataclass(frozen=True)
 class Chart:
-    """Domain of validity for the x coordinates."""
+    """Domain of validity for the x coordinates: the open ball |x| < radius,
+    the whole space for an infinite radius (``Chart()``)."""
 
-    kind: str = "all"  # "all" | "ball"
     radius: float = math.inf
 
     def contains(self, x) -> bool:
-        if self.kind == "all":
+        if self.radius == math.inf:
             return True
-        r2 = sum(float(v) ** 2 for v in x)
+        try:
+            r2 = sum(float(v) ** 2 for v in x)
+        except OverflowError:  # a square past the float range lies outside any finite radius
+            return False
         return r2 < self.radius**2
 
     @property
@@ -337,9 +340,12 @@ def build_metric(spec: MetricSpec) -> MetricInstance:
 
     chart = Chart()
     if spec.chart_radius is not None:
-        if spec.chart_radius <= 0:
+        radius = float(spec.chart_radius)
+        if radius <= 0:
             raise SpecError("chart_radius must be positive")
-        chart = Chart("ball", float(spec.chart_radius))
+        if not radius * radius < math.inf:  # Chart.contains squares it
+            raise SpecError(f"chart_radius must have a finite square, got {spec.chart_radius!r}")
+        chart = Chart(radius)
 
     if spec.family in ("riemannian", "randers"):
         if spec.a is None or len(spec.a) != n or any(len(r) != n for r in spec.a):
@@ -377,7 +383,7 @@ def build_metric(spec: MetricSpec) -> MetricInstance:
             radius = min(radius, spec.chart_radius)
         ast = expr.parse(_FUNK.format(" + dot(a,y)" if any(c != 0.0 for c in drift) else ""))
         tape = expr.compile_tape(ast, n, {"a": drift})
-        return MetricInstance(spec, n, Chart("ball", radius), spec.label or "funk", tape, unit_ball=True)
+        return MetricInstance(spec, n, Chart(radius), spec.label or "funk", tape, unit_ball=True)
 
     # custom
     if not spec.expression:
@@ -387,18 +393,6 @@ def build_metric(spec: MetricSpec) -> MetricInstance:
 
 
 # --- validation ---
-
-@dataclass
-class ValidationReport:
-    label: str
-    n: int
-    samples: int
-    seed: int
-    homogeneity_max: float
-    min_eigenvalue: float
-    failures: list
-    passed: bool
-
 
 def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
     """Deterministic chart samples: x in a shell, y on the unit sphere."""
@@ -422,16 +416,16 @@ def sample_chart_points(m: MetricInstance, count, rng, r_range=(0.15, 0.85)):
 _HOMOGENEITY_TOL = 1e-10
 
 
-def validate(m: MetricInstance, samples=50, seed=0) -> ValidationReport:
-    """Positive homogeneity and strong convexity over random chart samples,
-    and F > 0 at each sample's x in every direction for a randers metric,
-    along -y and every +-e_i for the others."""
+def validate(m: MetricInstance, samples=50, seed=0) -> list:
+    """The failures of positive homogeneity and strong convexity over random
+    chart samples, and of F > 0 at each sample's x in every direction for a
+    randers metric, along -y and every +-e_i for the others: one dict per
+    failure, with the x and y (or direction) it was seen at and its
+    ``problem``, in sample order.  An empty list means every sample passed."""
     from . import curvature  # deferred: layering
 
     rng = np.random.default_rng(seed)
     failures = []
-    homo_max = 0.0
-    min_eig = math.inf
     for x, y in sample_chart_points(m, samples, rng):
         try:
             f1 = float(m.F(tuple(x), tuple(y)))
@@ -444,34 +438,20 @@ def validate(m: MetricInstance, samples=50, seed=0) -> ValidationReport:
         for s in (0.5, 2.0):
             fs = float(m.F(tuple(x), tuple(s * y)))
             resid = abs(fs - s * f1) / (s * abs(f1))
-            homo_max = max(homo_max, resid)
             if resid > _HOMOGENEITY_TOL:
                 failures.append(
                     {"x": list(x), "y": list(y), "problem": f"homogeneity residual {resid:.3e}"}
                 )
         try:
-            # SingularMetric unless g is positive definite
-            g0 = curvature.spray_values(m, x, y)[0]
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(g0)[0]))
+            curvature.spray_values(m, x, y)  # SingularMetric unless g is positive definite
         except SingularMetric as e:
-            ev = e.min_eigenvalue if e.min_eigenvalue is not None else float("nan")
-            min_eig = min(min_eig, ev) if not math.isnan(ev) else min_eig
             failures.append({"x": list(x), "y": list(y), "problem": f"singular g: {e}"})
         except Exception as e:  # noqa: BLE001
             failures.append({"x": list(x), "y": list(y), "problem": f"g evaluation: {e}"})
         # F > 0 at x in every direction for randers, exactly; along -y and +-e_i otherwise
         direction_check = _randers_failures if m.spec.family == "randers" else _direction_failures
         failures.extend(direction_check(m, x, y))
-    return ValidationReport(
-        label=m.label,
-        n=m.n,
-        samples=samples,
-        seed=seed,
-        homogeneity_max=homo_max,
-        min_eigenvalue=min_eig if min_eig is not math.inf else float("nan"),
-        failures=failures,
-        passed=not failures,
-    )
+    return failures
 
 
 def _direction_failures(m, x, y):

@@ -294,14 +294,12 @@ class GeodesicSolution:
     :func:`parallel_transport`.
     """
 
-    label: str
     n: int
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     F0: float
     F_drift: float
-    unit_speed: bool
     _path: _Path = field(repr=False, default=None)
     _sign: float = field(repr=False, default=1.0)
     _stage_z: np.ndarray = field(repr=False, default=None)  # (steps, 7, 2n)
@@ -388,9 +386,9 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
 
     def wrap(path):
         return GeodesicSolution(
-            label=getattr(metric, "label", ""), n=n, t=t0 + sign * path.t, x=path.z[:, :n],
-            y=path.z[:, n:], F0=F0, F_drift=path.drift, unit_speed=unit_speed, _path=path,
-            _sign=sign, _stage_z=np.array(stage_z).reshape(-1, 7, 2 * n),
+            n=n, t=t0 + sign * path.t, x=path.z[:, :n], y=path.z[:, n:], F0=F0,
+            F_drift=path.drift, _path=path, _sign=sign,
+            _stage_z=np.array(stage_z).reshape(-1, 7, 2 * n),
             _stage_N=np.array(stage_N).reshape(-1, 7, n, n),
             _node_g=np.array([g for _, g, _ in nodes]),
         )
@@ -416,7 +414,6 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, unit_speed=False):
 
 @dataclass
 class TransportResult:
-    mode: str
     t: np.ndarray
     V: np.ndarray
     length: np.ndarray      # g-length of V with g at the mode's reference vector
@@ -475,7 +472,6 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
     lengths = np.array([_length(g, v) for g, v in zip(gs, Vs)])
     scale = max(float(np.max(lengths)), 1e-300)
     return TransportResult(
-        mode=mode,
         t=geodesic.t,
         V=np.array(Vs),
         length=lengths,
@@ -488,7 +484,8 @@ def parallel_transport(metric, geodesic: GeodesicSolution, V0, mode="linear"):
 
 @dataclass
 class ParallelogramExperiment:
-    """Loop-transport length defects at several scales.
+    """Loop-transport length defects at the sorted scales ``eps``; the loop
+    itself (x0, u, v, w0) is the caller's input and is not kept here.
 
     Two channels are recorded per scale eps:
 
@@ -497,7 +494,7 @@ class ParallelogramExperiment:
       conserves F(x, V) identically, this channel is integrator noise
       for *every* metric; it confirms the conservation law rather than
       resolving curvature.
-    * ``delta_probe``: a support vector Y (starting at ``support0``, u + v) is
+    * ``delta_probe``: a support vector Y (starting at u + v) is
       transported nonlinearly while the probe w0 is transported linearly
       with the connection evaluated at Y; the defect is measured in the
       g-length at reference Y.  This channel scales like eps^2 with a
@@ -509,11 +506,6 @@ class ParallelogramExperiment:
     defect vs log eps (NaN when the channel sits at noise level).
     """
 
-    x0: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w0: np.ndarray
-    support0: np.ndarray
     eps: np.ndarray
     delta: np.ndarray
     delta_probe: np.ndarray
@@ -533,16 +525,20 @@ def _fit_exponent(eps, delta, noise=1e-12):
 def loop_inputs(metric, x0, u, v, w0, eps_list):
     """The inputs of :func:`parallelogram_holonomy` as float arrays (x0, u,
     v, w0, sorted eps), checked as it checks them before the chart: n
-    components each (ShapeMismatch), finite, with a finite support u + v,
-    u and v linearly independent and positive scales (BadConfig), a
-    nonzero w0 (ZeroVector)."""
+    components each (ShapeMismatch), finite (BadConfig), a nonzero w0
+    (ZeroVector), then a finite support u + v, u and v linearly independent
+    and positive scales (BadConfig).  Independence is scale-free: u and v
+    are each divided by their largest |component| before their wedge is
+    measured, which also keeps it from overflowing."""
     n = metric.n
     x0, u, v, w0 = _vectors(n, ("x0", x0), ("u", u), ("v", v), ("w0", w0))
     if not np.any(w0):
         raise ZeroVector("w0 must be nonzero")
-    if np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < 1e-14:
+    with np.errstate(over="ignore"):  # u + v can overflow: then it is no vector
+        _vectors(n, ("support0", u + v))
+    su, sv = np.max(np.abs(u)), np.max(np.abs(v))
+    if not (su and sv) or np.linalg.norm(np.outer(u / su, v / sv) - np.outer(v / sv, u / su)) < 1e-14:
         raise BadConfig("u and v must be linearly independent")
-    _vectors(n, ("support0", u + v))  # u + v can overflow
     eps_arr = np.asarray(sorted(float(e) for e in eps_list))
     if not np.all(np.isfinite(eps_arr)):
         raise BadConfig(f"eps_list must hold finite scales, got {eps_arr.tolist()}")
@@ -616,11 +612,6 @@ def parallelogram_holonomy(metric, x0, u, v, w0, eps_list):
     deltas = np.asarray(deltas)
     deltas_probe = np.asarray(deltas_probe)
     return ParallelogramExperiment(
-        x0=x0,
-        u=u,
-        v=v,
-        w0=w0,
-        support0=support0,
         eps=eps_arr,
         delta=deltas,
         delta_probe=deltas_probe,
@@ -647,24 +638,24 @@ _FLOW_QUANTITIES = tuple(_FLOWS)
 
 @dataclass
 class ScalarFlow:
-    """Point evaluations of scalar invariants along one geodesic.
+    """Point evaluations of scalar invariants along one geodesic, at the
+    sample times ``t`` and states ``x``, ``y``.
 
-    ``columns`` maps quantity name -> array over ``t``; a quantity whose
-    evaluation failed is reported in ``status`` and filled with NaN.
-    When a stretch constant ``c`` is supplied, two residual columns are
-    added: ``flow_resid`` = phidot - c*F*phi (the rate law the engine
-    measures) and ``flow_resid_doubled`` = phidot - 2*c*F*phi (the same
-    law with a doubled rate constant, kept for comparison; see the
-    ledger note on the factor of two).
+    ``columns`` maps quantity name -> array over ``t``, F's included; a
+    quantity whose evaluation failed is reported in ``status`` and filled
+    with NaN.  When :func:`scalar_flows` is given a stretch constant ``c``
+    (which stays the caller's), two residual columns are added:
+    ``flow_resid`` = phidot - c*F*phi (the rate law the engine measures)
+    and ``flow_resid_doubled`` = phidot - 2*c*F*phi (the same law with a
+    doubled rate constant, kept for comparison; see the ledger note on the
+    factor of two).
     """
 
-    label: str
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     columns: dict
     status: dict
-    c_used: float = None
 
 
 def flow_inputs(quantities, c=None):
@@ -706,11 +697,9 @@ def scalar_flows(metric, geodesic: GeodesicSolution, quantities=("phi", "L_norm"
         status["flow_resid"] = "ok"
         status["flow_resid_doubled"] = "ok"
     return ScalarFlow(
-        label=getattr(metric, "label", ""),
         t=ts,
         x=np.array([st.x for st in states]),
         y=np.array([st.y for st in states]),
         columns=cols,
         status=status,
-        c_used=c,
     )

@@ -1267,10 +1267,8 @@ def characteristic_constancy_loop(metric, geodesic, samples=15, tolerance=1e-6):
     variation = float(np.max(np.abs(ps - ps[0])))
     pprime = np.gradient(ps, ts)
     return analysis.IdentityCheckResult(
-        check="characteristic-constancy",
         verdict="pass" if variation <= tolerance else "fail",
         residuals={"variation": variation, "pprime_max": float(np.max(np.abs(pprime)))},
-        tolerance=tolerance,
         data={"t": ts, "p": ps, "pprime": pprime},
     )
 
@@ -1285,10 +1283,8 @@ def principal_scalar_loop(metric, geodesic, samples=15, tolerance=1e-5):
             cval = sc.values("cratio")
         except (RiemannianPoint, UndefinedFit) as err:
             return analysis.IdentityCheckResult(
-                check="principal-scalar-relation",
                 verdict="vacuous",
                 residuals={},
-                tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
         mu = sc.values("mu2")
@@ -1306,10 +1302,8 @@ def principal_scalar_loop(metric, geodesic, samples=15, tolerance=1e-5):
     )
     residual = float(np.max(np.abs(Qs)) / scale)
     return analysis.IdentityCheckResult(
-        check="principal-scalar-relation",
         verdict="pass" if residual <= tolerance else "fail",
         residuals={"relation": residual},
-        tolerance=tolerance,
         data={
             "t": ts,
             "mu": np.asarray(mus),
@@ -1331,10 +1325,8 @@ def stretch_dichotomy_loop(metric, geodesic, samples=15, tolerance=1e-5, spread_
             cp = sc.directional("cratio")
         except UndefinedFit as err:
             return analysis.IdentityCheckResult(
-                check="stretch-dichotomy",
                 verdict="vacuous",
                 residuals={},
-                tolerance=tolerance,
                 data={"reason": str(err), "t_failed": float(t)},
             )
         cv = sc.values("cratio")
@@ -1354,10 +1346,8 @@ def stretch_dichotomy_loop(metric, geodesic, samples=15, tolerance=1e-5, spread_
         rows["bracket"].append(bracket)
     residual = float(np.max(resids))
     return analysis.IdentityCheckResult(
-        check="stretch-dichotomy",
         verdict="pass" if residual <= tolerance else "fail",
         residuals={"bracket": residual},
-        tolerance=tolerance,
         data={"t": ts, **{k: np.asarray(v) for k, v in rows.items()}},
     )
 
@@ -1402,8 +1392,7 @@ def scalar_flows_loop(metric, geodesic, quantities=("phi", "L_norm"), c=None, sa
         cols["flow_resid_doubled"] = cols["phidot"] - 2.0 * cF * cols["phi"]
         status["flow_resid"] = "ok"
         status["flow_resid_doubled"] = "ok"
-    return ScalarFlow(label=getattr(metric, "label", ""), t=ts, x=xs, y=ys,
-                      columns=cols, status=status, c_used=c)
+    return ScalarFlow(t=ts, x=xs, y=ys, columns=cols, status=status)
 
 
 def bianchi_rows_loop(metric, args):

@@ -148,7 +148,7 @@ def test_semi_c_recovers_synthetic_weight(p0):
     )
     T = np.einsum("l,j,m->ljm", I, I, I) / i2
     C_model = p0 * X / 4.0 + (1.0 - p0) * T
-    p, residual, _, _ = an._semi_c_weights(3, g_inv, h, C_model, I)
+    p, residual = an._semi_c_weights(3, g_inv, h, C_model, I)
     assert abs(p - p0) < 1e-9
     assert residual < 1e-9
 

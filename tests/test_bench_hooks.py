@@ -1,8 +1,11 @@
-"""The hooks the benchmark's per-layer tracer wraps must exist.
+"""The hooks the benchmark's per-layer tracer wraps must exist, and the
+record fields its job digests read.
 
 ``perfbench/tracing.py`` wraps package functions by name from outside.  A
 hook renamed by a refactor is only listed in the run's ``hooks_missing``,
 and its per-layer metrics then read 0, so these tests fail instead.
+``perfbench/workloads.py`` reduces each job's result records to a digest;
+a field it reads that a refactor removed fails a job of that kind here.
 """
 
 import sys
@@ -17,6 +20,7 @@ from finslerlab.metrics import build_metric, builtin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_installs_every_hook():
@@ -72,3 +76,23 @@ def test_dynamics_and_validate_read_the_traced_spray(spray_depths):
     spray_depths.clear()
     metrics.validate(m, samples=3)
     assert spray_depths == {0: 3}
+
+
+#: the job kinds of each in-process workload, as the prefixes of their ids
+_JOB_KINDS = {
+    "tower": {"bundle", "classify", "fit", "constant-flag", "semi-c"},
+    "dynamics": {"geodesic", "transport-linear", "transport-nonlinear", "parallelogram"},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_JOB_KINDS))
+def test_first_job_of_each_kind_passes_its_check(workload):
+    # in list order, so a geodesic runs before the transports that ride it
+    ms = workloads.build_metrics(workloads.WORKLOAD_METRICS[workload])
+    seen = {}
+    for job in workloads.make_jobs(workload, 0, ms):
+        kind = job.id.split(":")[0]
+        if kind not in seen:
+            seen[kind] = job.check(job.run())
+    assert set(seen) == _JOB_KINDS[workload]
+    assert all(problems == [] for problems in seen.values()), seen

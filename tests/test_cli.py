@@ -466,8 +466,8 @@ def test_builtin_specs_pass_the_cli_probe(name):
     from finslerlab.cli import _PROBE_SAMPLES
     from finslerlab.metrics import build_metric, validate
 
-    report = validate(build_metric(builtin(name)), samples=_PROBE_SAMPLES, seed=0)
-    assert report.passed, report.failures[:2]
+    failures = validate(build_metric(builtin(name)), samples=_PROBE_SAMPLES, seed=0)
+    assert not failures, failures[:2]
 
 
 def test_bad_expression_exits_2(tmp_path, capsys):
@@ -762,6 +762,54 @@ def test_nan_route_residual_fails_the_cross_check(funk2_spec, nan_field, capsys,
     assert lines[-1].startswith(f"{suite}: FAIL")
     verdicts = {line.split()[1]: line.split()[-1] for line in lines[:-1]}
     assert verdicts[check] == "fail"
+
+
+#: the spec and points files of :func:`test_exit_codes`, by file name
+TABLE_FILES = {
+    "funk2.json": {"dimension": 2, "family": "funk", "funk_a": [0.0, 0.0]},
+    "randers-wide.json": {"dimension": 2, "family": "randers", "a": [[1, 0], [0, 1]],
+                          "b": [1.5, 0]},
+    "radius-huge.json": {"dimension": 2, "family": "custom", "expression": "sqrt(abs2(y))",
+                         "chart_radius": 1e200},
+    "huge-x.json": [{"x": [1e200, 0.0], "y": [0.5, 0.3]}],
+}
+
+GEODESIC_FUNK2 = ["geodesic", "funk2.json", "--x0", "0.1,0", "--y0", "0.5,0.3"]
+
+
+@pytest.mark.parametrize("argv,rc,fragment", [
+    # a randers covector longer than 1 in a's norm fails the probe on every command
+    (["report", "randers-wide.json", "--samples", "2"], 2, "a - b b^T is not positive definite"),
+    (["classify", "randers-wide.json"], 2, "a - b b^T is not positive definite"),
+    # a coordinate whose square passes the float range is outside the chart
+    (["geodesic", "funk2.json", "--x0", "1e200,0", "--y0", "0.5,0.3"], 3,
+     "x0 = [1e+200, 0.0] outside metric chart"),
+    (["report", "funk2.json", "--points", "huge-x.json"], 3,
+     "x = (1e+200, 0.0) outside metric chart"),
+    ([*GEODESIC_FUNK2, "--t", "1e300"], 3, "trajectory leaves the chart at t = "),
+    ([*GEODESIC_FUNK2, "--parallelogram=1e200,0;0,1;0.8,0.3;0.04"], 3,
+     "parallelogram corner [4e+198, 0.0] leaves the chart at eps = 0.04"),
+    (["report", "radius-huge.json"], 2, "chart_radius must have a finite square, got 1e+200"),
+    # loop edges: an overflowing support and a zero edge, with no warning
+    ([*GEODESIC_FUNK2, "--parallelogram=1e308,0;1e308,1;0.8,0.3;0.04"], 2,
+     "support0 must be finite, got [inf, 1.0]"),
+    ([*GEODESIC_FUNK2, "--parallelogram=0,0;0,1;0.8,0.3;0.04"], 2,
+     "u and v must be linearly independent"),
+], ids=["randers-wide-report", "randers-wide-classify", "huge-x0", "huge-point", "huge-span",
+        "huge-loop-edge", "huge-chart-radius", "overflowing-support", "zero-loop-edge"])
+def test_exit_codes(tmp_path, monkeypatch, capsys, argv, rc, fragment):
+    # exit rc with nothing on stdout and one error line holding fragment,
+    # never Python's errno tuple, with warnings as errors as `python -W error`
+    for name, doc in TABLE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == rc
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err and "(34," not in err, err
 
 
 # --------------------------------------------------------------------------

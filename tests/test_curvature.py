@@ -446,7 +446,6 @@ def test_bundle_blocks_are_scope_values(corpus, name):
         got, want = b.block(block).values, sc.values(field)
         assert np.array_equal(got, want), block
         assert np.array_equal(np.signbit(got), np.signbit(want)), block
-        assert b.block(block).valence == VALENCE[field], block
     assert all(np.array_equal(getattr(b.spray, k), sc.values(k)) for k in ("G", "N", "Gamma"))
 
 
@@ -589,9 +588,8 @@ def test_singular_directions_raise():
     # fields are lazy; the defect surfaces when g is first requested
     m = metrics.build_metric(metrics.builtin("quartic2"))
     sc = point_scope(m, PointState((0.0, 0.0), (1.0, 0.0)), 2)
-    with pytest.raises(SingularMetric) as info:
+    with pytest.raises(SingularMetric, match="min eigenvalue"):
         sc.field("g0")
-    assert info.value.min_eigenvalue is not None
 
 
 def test_spray_values_fast_path(funk2):
@@ -647,9 +645,8 @@ def test_direct_spray_G_is_the_same_at_every_depth(name):
 def test_direct_spray_singular_metric():
     m = metrics.build_metric(metrics.builtin("quartic2"))
     for depth in (0, 1, 2):
-        with pytest.raises(SingularMetric) as info:
+        with pytest.raises(SingularMetric, match="min eigenvalue"):
             spray_values(m, (0.0, 0.0), (1.0, 0.0), depth)
-        assert info.value.min_eigenvalue is not None
     with pytest.raises(SingularMetric):
         spray_values(m, (0.0, 0.0), (1.0, 0.0))
 

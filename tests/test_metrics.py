@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from finslerlab import metrics
-from finslerlab.curvature import PointState, point_scope
+from finslerlab.curvature import PointState, point_scope, spray_values
 from finslerlab.errors import DivisionByZero, OutOfChart, SingularMetric, SpecError
 from finslerlab.metrics import Chart, MetricSpec, build_metric, validate
 
@@ -195,8 +195,18 @@ def test_builtin_unknown():
 def test_chart_defaults():
     assert Chart().contains((100.0, 100.0))
     assert Chart().sample_radius == 1.0
-    ball = Chart("ball", 0.5)
+    ball = Chart(0.5)
     assert ball.contains((0.3, 0.0)) and not ball.contains((0.5, 0.0))
+    # a coordinate whose square passes the float range lies outside, not an OverflowError
+    assert not ball.contains((1e200, 0.0)) and not ball.contains((1e154, 1e154))
+    assert Chart().contains((1e200, 0.0))
+
+
+def test_chart_radius_must_have_a_finite_square():
+    big = build_metric(MetricSpec.custom(2, "sqrt(abs2(y))", chart_radius=1e150))
+    assert big.chart.contains((1e149, 0.0)) and not big.chart.contains((1e200, 0.0))
+    with pytest.raises(SpecError, match="^chart_radius must have a finite square, got 1e\\+200$"):
+        build_metric(MetricSpec.custom(2, "sqrt(abs2(y))", chart_radius=1e200))
 
 
 # --- analytic structure of the evaluators ---
@@ -266,17 +276,22 @@ def test_quartic_axis_singularity():
 )
 def test_validate_corpus(name):
     m = build_metric(metrics.builtin(name))
-    report = validate(m, samples=40, seed=11)
-    assert report.passed, report.failures[:3]
-    assert report.homogeneity_max < 1e-12
-    assert report.min_eigenvalue > 0
+    failures = validate(m, samples=40, seed=11)
+    assert not failures, failures[:3]
+    # at the same samples: homogeneity to 1e-12, far inside validate's
+    # 1e-10, and g positive definite
+    for x, y in metrics.sample_chart_points(m, 40, np.random.default_rng(11)):
+        f1 = m.F(tuple(x), tuple(y))
+        for s in (0.5, 2.0):
+            assert abs(m.F(tuple(x), tuple(s * y)) - s * f1) / (s * f1) < 1e-12
+        assert np.linalg.eigvalsh(spray_values(m, x, y)[0])[0] > 0
 
 
 def test_validate_quartic_off_axis():
     # axes are singular but have measure zero; a generic sweep passes
     m = build_metric(metrics.builtin("quartic2"))
-    report = validate(m, samples=40, seed=11)
-    assert report.passed, report.failures[:3]
+    failures = validate(m, samples=40, seed=11)
+    assert not failures, failures[:3]
 
 
 def test_validate_rejects_wide_randers():
@@ -287,11 +302,11 @@ def test_validate_rejects_wide_randers():
         [1.2, 0.0, 0.0],
         label="too-wide",
     )
-    report = validate(build_metric(bad), samples=60, seed=0)
-    assert not report.passed
+    failures = validate(build_metric(bad), samples=60, seed=0)
+    assert failures
     assert any(
         "F =" in f["problem"] or "eigenvalue" in f["problem"] or "singular" in f["problem"]
-        for f in report.failures
+        for f in failures
     )
 
 
@@ -300,9 +315,7 @@ def test_validate_randers_at_every_probe_x(b, admissible):
     # a - b b^T = diag(1 - b^2, 1) at every x, whatever the sampled y: with
     # b = 1.5 the 4 probes' y all have F > 0, which the sampled checks pass
     m = build_metric(MetricSpec.randers(2, [[1.0, 0.0], [0.0, 1.0]], [b, 0.0]))
-    report = validate(m, samples=4, seed=0)
-    assert report.passed is admissible
-    problems = [f["problem"] for f in report.failures]
+    problems = [f["problem"] for f in validate(m, samples=4, seed=0)]
     assert len(problems) == (0 if admissible else 4), problems
     assert all("a - b b^T is not positive definite" in p for p in problems)
 

@@ -131,7 +131,6 @@ def test_time_labels_with_pair_span():
 def test_unit_speed_normalization(funk2):
     g = integrate_geodesic(funk2, (0.1, -0.2), (0.5, 0.3), 1.0, unit_speed=True)
     assert g.F0 == 1.0
-    assert g.unit_speed
     x, y = g.state(0.4)
     assert float(funk2.F(tuple(x), tuple(y))) == pytest.approx(1.0, abs=1e-7)
 
@@ -710,6 +709,20 @@ def test_parallelogram_guards(funk2):
     for eps in ([float("nan")], [0.01, math.inf], [float("nan"), 0.01]):
         with pytest.raises(BadConfig):
             parallelogram_holonomy(funk2, (0.1, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), eps)
+
+
+def test_loop_independence_is_scale_free(funk2):
+    # u and v are each scaled to a largest |component| of 1 before their
+    # wedge is measured: tiny or huge edges are judged by their directions
+    def inputs(u, v):
+        return transport.loop_inputs(funk2, (0.1, 0.0), u, v, (0.8, 0.3), [0.04])
+
+    for u, v in (((1e-8, 0.0), (0.0, 1e-8)), ((1e200, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, 1e-300))):
+        assert np.array_equal(inputs(u, v)[1], u)
+    for u, v in (((1e-8, 0.0), (2e-8, 0.0)), ((1e200, 1.0), (1e200, 1.0)), ((0.0, 0.0), (0.0, 1.0)),
+                 ((1.0, 0.0), (0.0, 0.0))):
+        with pytest.raises(BadConfig, match="^u and v must be linearly independent$"):
+            inputs(u, v)
 
 
 @pytest.mark.parametrize("slot", range(4))
